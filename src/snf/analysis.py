@@ -5,7 +5,7 @@ the long-time replacement of irreducible quadratic noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -75,21 +75,42 @@ class Reversion:
     Y_of_xy: List[Series]
 
 
-def revert(nf: NormalForm, extra_sweeps: int = 4) -> Reversion:
+def revert(nf: NormalForm) -> Reversion:
     """Compositional inverse of the near-identity transform to the working
-    order: X = x - xi(X, Y), Y = y - eta(X, Y), iterated to a fixed point."""
-    dims, trunc = nf.spec.dims, nf.spec.trunc
-    x_vars = [Series.slow_var(dims, trunc, i) for i in range(dims.m)]
-    y_vars = [Series.fast_var(dims, trunc, j) for j in range(dims.n)]
-    U, V = list(x_vars), list(y_vars)
-    for _ in range(trunc.total + extra_sweeps):
-        U2 = [x_vars[i] - nf.xi[i].substitute(slow=U, fast=V) for i in range(dims.m)]
-        V2 = [y_vars[j] - nf.eta[j].substitute(slow=U, fast=V) for j in range(dims.n)]
-        if U2 == U and V2 == V:
-            break
-        U, V = U2, V2
-    else:
-        raise AnalysisError("reversion iteration did not reach a fixed point")
+    order: X = x - xi(X, Y), Y = y - eta(X, Y).
+
+    The inverse is built grade by grade (the order-by-order composition
+    inverse of Brent & Kung, J. ACM 25, 1978): at working order k the
+    transform and the order-(k-1) inverse are truncated to order k and the
+    iteration runs to its fixed point there.  Only grade k is wrong at the
+    start of a level, and a sweep passes that error on through the
+    grade-preserving part of the transform alone (linear couplings such as
+    ``y = Y + X`` under ``grade_fast off``).  That part must be nilpotent for
+    the inverse to exist as a series, so one sweep per component clears the
+    error and one more sees the fixed point.
+    """
+    dims, full = nf.spec.dims, nf.spec.trunc
+    sweeps = dims.m + dims.n + 1
+    U = [Series.slow_var(dims, full, i) for i in range(dims.m)]
+    V = [Series.fast_var(dims, full, j) for j in range(dims.n)]
+    for k in range(full.total + 1):
+        trunc = replace(full, total=k)
+        xi = [s.with_trunc(trunc) for s in nf.xi]
+        eta = [s.with_trunc(trunc) for s in nf.eta]
+        x_vars = [Series.slow_var(dims, trunc, i) for i in range(dims.m)]
+        y_vars = [Series.fast_var(dims, trunc, j) for j in range(dims.n)]
+        U = [u.with_trunc(trunc) for u in U]
+        V = [v.with_trunc(trunc) for v in V]
+        for _ in range(sweeps):
+            U2 = [x_vars[i] - xi[i].substitute(slow=U, fast=V) for i in range(dims.m)]
+            V2 = [y_vars[j] - eta[j].substitute(slow=U, fast=V) for j in range(dims.n)]
+            if U2 == U and V2 == V:
+                break
+            U, V = U2, V2
+        else:
+            raise AnalysisError(
+                f"reversion did not reach a fixed point at grade {k} "
+                f"within {sweeps} sweeps")
     return Reversion(U, V)
 
 

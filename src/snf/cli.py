@@ -1,7 +1,7 @@
 """Command-line pipeline: derive / verify / simulate / compare / hopf.
 
-Exit codes: 0 success, 2 parse or configuration error, 3 certification
-failure, 4 tolerance failure.
+Exit codes: 0 success, 2 parse or configuration error, 3 certification or
+analysis failure, 4 tolerance failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import engine
-from .analysis import long_time_model, ssm_parametrisation
+from .analysis import AnalysisError, long_time_model, ssm_parametrisation
 from .mc import (compile_full_system, compile_observables, compile_slow_model,
                  run_ensemble, sampleable_part)
 from .report import emit_report, parse_report, rebuild_normal_form
@@ -270,6 +270,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"certification error: {exc}", file=sys.stderr)
         if exc.residual_dump:
             print(exc.residual_dump, file=sys.stderr)
+        return EXIT_CERT
+    except AnalysisError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERT
 
 

@@ -13,7 +13,7 @@ Series values are immutable once built; all operations return new values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -172,20 +172,33 @@ class Series:
         return self.build_like({k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other: "Series") -> "Series":
+        """Truncated product.  Grades add, so the right operand is bucketed
+        by grade and each left term stops at the first bucket that would
+        overflow the total cap; ``keeps`` still checks the parameter caps."""
         self._check(other)
         out: Dict[Key, Fraction] = {}
-        keep = self.trunc.keeps
+        grade_of, keep, total = self.trunc.grade_of, self.trunc.keeps, self.trunc.total
+        merge = noise.merge
+        buckets: Dict[int, List[Tuple[Key, Fraction]]] = {}
+        for item in other.terms.items():
+            buckets.setdefault(grade_of(item[0][0]), []).append(item)
+        ladder = sorted(buckets.items())
         for (ma, ea), ca in self.terms.items():
-            for (mb, eb), cb in other.terms.items():
-                mono = _mono_mul(ma, mb)
-                if not keep(mono):
-                    continue
-                key = (mono, noise.merge(ea, eb))
-                c = out.get(key, Fraction(0)) + ca * cb
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
+            room = total - grade_of(ma)
+            for g, bucket in ladder:
+                if g > room:
+                    break
+                for (mb, eb), cb in bucket:
+                    mono = _mono_mul(ma, mb)
+                    if not keep(mono):
+                        continue
+                    key = (mono, merge(ea, eb))
+                    c = out.get(key)
+                    c = ca * cb if c is None else c + ca * cb
+                    if c:
+                        out[key] = c
+                    else:
+                        del out[key]
         return self.build_like(out)
 
     def pow(self, k: int) -> "Series":
@@ -204,7 +217,7 @@ class Series:
                  param_caps: Optional[Tuple[Optional[int], ...]] = None) -> "Series":
         new_total = self.trunc.total if total is None else min(self.trunc.total, total)
         caps = self.trunc.param_caps if param_caps is None else param_caps
-        t = Trunc(new_total, caps)
+        t = replace(self.trunc, total=new_total, param_caps=caps)
         return Series(self.dims, t, self.terms)
 
     def with_trunc(self, trunc: Trunc) -> "Series":

@@ -13,7 +13,7 @@ from snf.analysis import (AnalysisError, expected_series, expected_ssm,
 from snf.engine import construct
 from snf.render import parse_series_for
 from snf.series import Series
-from snf.systems import ALLOW
+from snf.systems import ALLOW, NormalForm
 
 F = Fraction
 
@@ -87,6 +87,30 @@ def test_reversion_matches_roundtrip(toy3):
     tx, ty = toy3.transform_x(), toy3.transform_y()
     assert rv.X_of_xy[0].substitute(slow=tx, fast=ty) == S(spec, "x")
     assert rv.Y_of_xy[0].substitute(slow=tx, fast=ty) == S(spec, "y")
+
+
+def test_papavasiliou_order4_reversion_inverts_transform():
+    # grade_fast off: the coupling y = Y + X passes errors between the
+    # components at the same grade, so each level takes three sweeps.
+    nf = construct(make_system("papavasiliou.snf", total=4), ALLOW)
+    assert nf.certified
+    rv = revert(nf)
+    dims, trunc = nf.spec.dims, nf.spec.trunc
+    ident = [Series.slow_var(dims, trunc, 0), Series.fast_var(dims, trunc, 0)]
+    back = [s.substitute(slow=rv.X_of_xy, fast=rv.Y_of_xy)
+            for s in nf.transform_x() + nf.transform_y()]
+    assert back == ident
+
+
+def test_reversion_without_fixed_point_names_grade(pk3):
+    # Y = y - Y^2 has no finite fixed point when fast variables carry no
+    # grade: every sweep raises the fast degree at grade 0.
+    dims, trunc = pk3.spec.dims, pk3.spec.trunc
+    y = Series.fast_var(dims, trunc, 0)
+    nf = NormalForm(spec=pk3.spec, policy=ALLOW, xi=[Series.zero(dims, trunc)],
+                    eta=[y * y], F=pk3.F, G=pk3.G)
+    with pytest.raises(AnalysisError, match="at grade 0 within 3 sweeps"):
+        revert(nf)
 
 
 def test_toy_reversion_slow(toy3):

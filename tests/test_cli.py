@@ -1,5 +1,6 @@
 """Report round-trip and the command-line pipeline (exit codes, artifacts)."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,7 +8,9 @@ import sys
 import pytest
 
 from conftest import bundled_text, make_system
-from snf.cli import main
+from snf import report
+from snf.analysis import AnalysisError
+from snf.cli import EXIT_CERT, main
 from snf.engine import construct, verify_order
 from snf.report import emit_report, parse_report, rebuild_normal_form
 from snf.systems import ALLOW
@@ -37,6 +40,22 @@ def test_report_byte_identical_across_runs():
     assert a == b
 
 
+# sha256 of each emitted report: a change to the series algebra must keep
+# the report bytes.
+GOLDEN_DIGESTS = [
+    ("toy.snf", 5, "3c11ca0d4df875a466c4d019fdffaecfb967d029808e612426d31e3533328248"),
+    ("toy.snf", 6, "d20154a59fc95d1305d5fccaf606d28bb72b20b7b9246d7d1edfe702aa0d7d9f"),
+    ("papavasiliou.snf", 3, "a938aa7fac03b7372ea83fa36efb5a4e6e5d92cad8ea84cf135832f56a9f0263"),
+    ("linear.snf", 3, "33038a4a35583f7512a68f606cf73aac52303fe92e2c9952cb51569c365c978a"),
+]
+
+
+@pytest.mark.parametrize("name,order,digest", GOLDEN_DIGESTS)
+def test_report_matches_golden_digest(name, order, digest):
+    text = emit_report(construct(make_system(name, total=order), ALLOW))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_rebuilt_normal_form_recertifies(toy3):
     rep = parse_report(emit_report(toy3), toy3.spec)
     nf2 = rebuild_normal_form(rep, toy3.spec, toy3.policy)
@@ -59,6 +78,25 @@ def test_cli_verify_detects_corruption(toy_path, tmp_path):
     bad_path = str(tmp_path / "bad.txt")
     open(bad_path, "w").write(bad)
     assert main(["verify", toy_path, "--order", "3", bad_path]) == 3
+
+
+def test_cli_papavasiliou_order4_derives_and_verifies(tmp_path):
+    p = tmp_path / "pk.snf"
+    p.write_text(bundled_text("papavasiliou.snf"))
+    out = str(tmp_path / "report.txt")
+    assert main(["derive", str(p), "--order", "4", "--out", out]) == 0
+    assert "certified: yes\n" in open(out).read()
+    assert main(["verify", str(p), "--order", "4", out]) == 0
+
+
+def test_cli_analysis_error_exit_code(toy_path, tmp_path, monkeypatch, capsys):
+    def no_fixed_point(nf):
+        raise AnalysisError("reversion did not reach a fixed point at grade 2")
+    monkeypatch.setattr(report, "revert", no_fixed_point)
+    out = str(tmp_path / "report.txt")
+    assert main(["derive", toy_path, "--order", "3", "--out", out]) == EXIT_CERT
+    assert capsys.readouterr().err == (
+        "error: reversion did not reach a fixed point at grade 2\n")
 
 
 def test_cli_parse_error_exit_code(tmp_path):
@@ -110,6 +148,13 @@ def test_cli_compare_tolerance_failure_exit_code(toy_path, capsys):
                "--replicates", "64", "--seed", "3", "--tol-se", "0.001"])
     capsys.readouterr()
     assert rc == 4
+
+
+def test_module_entry_point():
+    proc = subprocess.run([sys.executable, "-m", "snf", "derive", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "usage: snf derive" in proc.stdout
 
 
 def test_console_script_installed():

@@ -44,6 +44,15 @@ def test_grade_three_with_noise_kept():
     assert s.truncate(2).is_zero()
 
 
+def test_truncate_keeps_fast_grading():
+    # Under grade_fast off, y^5 has grade 0 and survives a lower total.
+    t = Trunc(6, (None,), count_fast=False)
+    y5 = Series.fast_var(DIMS, t, 0).pow(5)
+    cut = y5.truncate(3)
+    assert cut.trunc == Trunc(3, (None,), count_fast=False)
+    assert cut.terms == y5.terms
+
+
 def test_param_caps():
     t = Trunc(4, (1,))
     s = Series(DIMS, t, S("sigma + sigma^2").terms)
@@ -166,3 +175,46 @@ def test_derivative_product_rule(a, b):
 @settings(max_examples=40, deadline=None)
 def test_substitute_identity_property(a):
     assert a.substitute() == a
+
+
+DIMS2 = Dims(1, 2, ("eps", "sigma"), 1)
+
+
+def _naive_mul(a, b):
+    """All-pairs product; the constructor drops what the truncation cuts."""
+    out = {}
+    for (ma, ea), ca in a.terms.items():
+        for (mb, eb), cb in b.terms.items():
+            mono = tuple(tuple(x + y for x, y in zip(pa, pb))
+                         for pa, pb in zip(ma, mb))
+            key = (mono, noise.merge(ea, eb))
+            out[key] = out.get(key, F(0)) + ca * cb
+    return Series(a.dims, a.trunc, out)
+
+
+@st.composite
+def series_pair(draw):
+    trunc = Trunc(draw(st.integers(0, 5)),
+                  (draw(st.sampled_from([None, 0, 1, 2])),
+                   draw(st.sampled_from([None, 1]))),
+                  draw(st.booleans()))
+    atoms = [noise.ONE, (noise.phi_atom(0),),
+             (noise.z_atom(F(-1), (noise.phi_atom(0),)),)]
+
+    def one():
+        terms = {}
+        for _ in range(draw(st.integers(0, 6))):
+            mono = ((draw(st.integers(0, 3)),),
+                    (draw(st.integers(0, 3)), draw(st.integers(0, 1))),
+                    (draw(st.integers(0, 2)), draw(st.integers(0, 2))))
+            key = (mono, draw(st.sampled_from(atoms)))
+            terms[key] = terms.get(key, F(0)) + F(draw(coeffs) or 1)
+        return Series(DIMS2, trunc, terms)
+    return one(), one()
+
+
+@given(series_pair())
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_all_pairs_product(pair):
+    a, b = pair
+    assert (a * b).terms == _naive_mul(a, b).terms
