@@ -82,21 +82,9 @@ def kernel_limit(omega: np.ndarray) -> np.ndarray:
     return 1.0 / ((omega + 2.0) * (omega - 2.0))
 
 
-def quad_resonant_noise(w: np.ndarray, dt: float, delta: float,
-                        centers: Sequence[float] = (-2.0, 0.0, 2.0)) -> QuadNoise:
-    """Resonant part of the double-frequency quadratic noise integral.
-
-    For each offset |omega_tilde| < delta computes
-
-        psitilde_pm(omega_tilde) = dOmega * sum_{Omega in D}
-            K_pm(Omega, omega_tilde - Omega) phihat(Omega)
-            phihat(omega_tilde - Omega),
-
-    with D the frequency axis minus [m-delta, m+delta] around each centre,
-    then inverse-transforms over the resonant strip.  The real and imaginary
-    parts are normalised to unit variance; their scales c_r and c_i are the
-    reported constants.
-    """
+def _resonant_strip(w: np.ndarray, dt: float, delta: float,
+                    centers: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """Offset bins l, |l dOmega| <= delta, and psitilde_+ at each offset."""
     n = len(w)
     dOm = 2.0 * math.pi / (n * dt)
     omega, phihat = white_spectrum(w, dt)
@@ -110,7 +98,6 @@ def quad_resonant_noise(w: np.ndarray, dt: float, delta: float,
     L = int(math.floor(delta / dOm))
     lbins = np.arange(-L, L + 1)
     psit_p = np.zeros(len(lbins), dtype=complex)
-    psit_m = np.zeros(len(lbins), dtype=complex)
     idx = np.arange(n)
     for pos, l in enumerate(lbins):
         jp = l - (idx - n // 2) + n // 2        # partner of om_s[j] is om_s[jp]
@@ -118,14 +105,32 @@ def quad_resonant_noise(w: np.ndarray, dt: float, delta: float,
         ok &= in_D[np.clip(jp, 0, n - 1)]
         j = idx[ok]
         p = jp[ok]
-        Om, Omt = om_s[j], om_s[p]
         pair = ph_s[j] * ph_s[p]
-        psit_p[pos] = dOm * np.sum(_kernel(Om, Omt, +1) * pair)
-        psit_m[pos] = dOm * np.sum(_kernel(Om, Omt, -1) * pair)
-    t = np.arange(n) * dt
-    wt = lbins * dOm
-    phase = np.exp(1j * np.outer(t, wt))
-    psi_plus = dOm * phase @ psit_p
+        psit_p[pos] = dOm * np.sum(_kernel(om_s[j], om_s[p], +1) * pair)
+    return lbins, psit_p
+
+
+def quad_resonant_noise(w: np.ndarray, dt: float, delta: float,
+                        centers: Sequence[float] = (-2.0, 0.0, 2.0)) -> QuadNoise:
+    """Resonant part of the double-frequency quadratic noise integral.
+
+    For each offset |omega_tilde| < delta computes
+
+        psitilde_+(omega_tilde) = dOmega * sum_{Omega in D}
+            K_+(Omega, omega_tilde - Omega) phihat(Omega)
+            phihat(omega_tilde - Omega),
+
+    with D the frequency axis minus [m-delta, m+delta] around each centre,
+    then inverse-transforms over the resonant strip.  The real and imaginary
+    parts are normalised to unit variance; their scales c_r and c_i are the
+    reported constants.
+    """
+    lbins, psit_p = _resonant_strip(w, dt, delta, centers)
+    # psi_plus(t_k) = dOm sum_l psit_p[l] exp(i l dOm t_k) with t_k = k dt and
+    # dOm = 2 pi / (n dt): an inverse DFT of the strip, scaled by dOm n.
+    strip = np.zeros(len(w), dtype=complex)
+    strip[lbins % len(w)] = psit_p
+    psi_plus = (2.0 * math.pi / dt) * np.fft.ifft(strip)
     c_r = float(np.std(psi_plus.real))
     c_i = float(np.std(psi_plus.imag))
     return QuadNoise(psi_plus, psi_plus.real / c_r, psi_plus.imag / c_i,

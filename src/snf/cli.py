@@ -16,8 +16,9 @@ import numpy as np
 
 from . import engine
 from .analysis import AnalysisError, long_time_model, ssm_parametrisation
-from .mc import (compile_full_system, compile_observables, compile_slow_model,
-                 run_ensemble, sampleable_part)
+from .mc import (compile_full_system, compile_observables, compile_series,
+                 compile_slow_model, run_ensemble, sampleable_part)
+from .noise import ONE
 from .report import emit_report, parse_report, rebuild_normal_form
 from .series import Trunc
 from .sysfile import SysFileError, load_system
@@ -34,10 +35,8 @@ def _policy(args) -> Policy:
 def _load(args):
     spec, sf = load_system(args.system)
     if args.order is not None:
-        spec.trunc = Trunc(args.order, spec.trunc.param_caps, spec.trunc.count_fast)
-        for part in (spec.f, spec.g):
-            for k in range(len(part)):
-                part[k] = part[k].with_trunc(spec.trunc)
+        spec = spec.with_trunc(Trunc(args.order, spec.trunc.param_caps,
+                                     spec.trunc.count_fast))
     if not hasattr(args, "policy") or args.policy is None:
         args.policy = sf.policy
     if args.mu_min is None:
@@ -125,20 +124,12 @@ def cmd_compare(args) -> int:
     chart = ssm_parametrisation(nf)
     x0_slow = [args.x0v] * spec.m
     # start the full system on the deterministic manifold image of x0
-    det_chart = [s for s in chart.y_of_X]
-    x0_full = [args.x0v] * spec.m
-    for s in det_chart:
-        det = 0.0
-        for (mono, expr), c in s.terms.items():
-            if expr != ():
-                continue
-            v = float(c)
-            for name, e in zip(spec.param_names, mono[2]):
-                v *= params[name] ** e
-            for iv, e in enumerate(mono[0]):
-                v *= args.x0v ** e
-            det += v
-        x0_full.append(det)
+    det = [s.build_like({k: c for k, c in s.terms.items() if k[1] == ONE})
+           for s in chart.y_of_X]
+    y0 = compile_series(det, spec.fast_names, lambda mono: tuple(mono[0]),
+                        params, spec.param_names, spec.n_noise)
+    drift, _diff = y0.rates(np.full((spec.m, 1), args.x0v), np.empty((0, 1)))
+    x0_full = x0_slow + drift[:, 0].tolist()
     sde_r = compile_slow_model(nf, params)
     chart_x = []
     for s in chart.x_of_X:

@@ -17,6 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .bands import QuadNoise, band_component, quad_resonant_noise
+from .mc import heun_step
 
 
 def simulate_dvdp(alpha: float, beta: float, sigma: float,
@@ -27,22 +28,18 @@ def simulate_dvdp(alpha: float, beta: float, sigma: float,
     one more sample than increments."""
     dw = np.atleast_2d(dw)
     R, n = dw.shape
-    x = np.empty((R, n + 1))
-    v = np.empty((R, n + 1))
-    x[:, 0], v[:, 0] = init
+    s = np.empty((n + 1, 2, R))
+    s[0, 0], s[0, 1] = init
 
-    def acc(xx, vv):
-        return alpha * xx + beta * vv - xx ** 3 - xx ** 2 * vv
-
-    for i in range(n):
-        xi, vi, dwi = x[:, i], v[:, i], dw[:, i]
+    def increment(z, dwi):
+        x, v = z
+        acc = alpha * x + beta * v - x ** 3 - x ** 2 * v
         # parametric noise sigma*x1 o dW enters the velocity equation
-        xp = xi + vi * dt
-        vp = vi + acc(xi, vi) * dt + sigma * xi * dwi
-        x[:, i + 1] = xi + 0.5 * dt * (vi + vp)
-        v[:, i + 1] = vi + 0.5 * dt * (acc(xi, vi) + acc(xp, vp)) \
-            + 0.5 * sigma * (xi + xp) * dwi
-    return x, v
+        return np.array([v * dt, acc * dt + sigma * x * dwi])
+
+    for i, dwi in enumerate(dw.T):
+        s[i + 1] = heun_step(s[i], lambda z, _end: increment(z, dwi))
+    return s[:, 0].T, s[:, 1].T
 
 
 @dataclass
@@ -62,7 +59,7 @@ class AmplitudeDrivers:
 
 
 def landau_rhs(a: np.ndarray, beta: float) -> np.ndarray:
-    return 0.5 * beta * a - (0.5 - 1.5j) * (np.abs(a) ** 2) * a
+    return 0.5 * beta * a - (0.5 - 1.5j) * (abs(a) ** 2) * a
 
 
 def simulate_amplitude(order: int, beta: float, sigma: float, delta: float,
@@ -79,25 +76,28 @@ def simulate_amplitude(order: int, beta: float, sigma: float, delta: float,
         raise ValueError("order-2 model needs the quadratic noise drivers")
     n = len(drivers.phi0) - 1 if n_steps is None else n_steps
     amp = math.sqrt(delta / 2.0)
+    # Python scalars: one step is far cheaper than on numpy scalars.
+    phi0 = drivers.phi0[:n + 1].tolist()
+    phi2 = drivers.phi2[:n + 1].tolist()
+    if order == 2:
+        q = drivers.psi
+        psi_r, psi_i = q.psi_r[:n + 1].tolist(), q.psi_i[:n + 1].tolist()
 
     def rhs(a, i):
         out = landau_rhs(a, beta) + sigma * amp * (
-            a * drivers.phi0[i] - np.conj(a) * drivers.phi2[i])
+            a * phi0[i] - a.conjugate() * phi2[i])
         if order == 2:
-            q = drivers.psi
             out = out + 0.5j * sigma ** 2 * (
-                q.c_r * q.psi_r[i] + 1j * q.c_i * q.psi_i[i]) * a
+                q.c_r * psi_r[i] + 1j * q.c_i * psi_i[i]) * a
             out = out - 1j * delta * sigma ** 2 * (
-                0.25 * drivers.phi0[i] ** 2
-                + 0.125 * drivers.phi2[i] * np.conj(drivers.phi2[i])) * a
+                0.25 * phi0[i] ** 2
+                + 0.125 * phi2[i] * phi2[i].conjugate()) * a
         return out
 
-    a = np.empty(n + 1, dtype=complex)
-    a[0] = a0
+    a = [complex(a0)]
     for i in range(n):
-        pred = a[i] + rhs(a[i], i) * dt
-        a[i + 1] = a[i] + 0.5 * dt * (rhs(a[i], i) + rhs(pred, i + 1))
-    return a
+        a.append(heun_step(a[i], lambda y, end: rhs(y, i + end) * dt))
+    return np.array(a)
 
 
 def simulate_amplitude_longtime(beta: float, sigma: float, c_r: float,
@@ -111,21 +111,17 @@ def simulate_amplitude_longtime(beta: float, sigma: float, c_r: float,
     """
     rng = np.random.default_rng(seed)
     sq = math.sqrt(dt)
-    dWr = rng.standard_normal(n) * sq
-    dWi = rng.standard_normal(n) * sq
+    dWr = (rng.standard_normal(n) * sq).tolist()
+    dWi = (rng.standard_normal(n) * sq).tolist()
+    gr, gi = 0.5j * c_r * sigma ** 2, 0.5 * c_i * sigma ** 2
 
-    def g(a, i):
-        return (0.5j * c_r * sigma ** 2 * a) * dWr[i] \
-            - (0.5 * c_i * sigma ** 2 * a) * dWi[i]
+    def increment(y, i):
+        return landau_rhs(y, beta) * dt + gr * y * dWr[i] - gi * y * dWi[i]
 
-    a = np.empty(n + 1, dtype=complex)
-    a[0] = a0
+    a = [complex(a0)]
     for i in range(n):
-        pred = a[i] + landau_rhs(a[i], beta) * dt + g(a[i], i)
-        a[i + 1] = a[i] + 0.5 * dt * (landau_rhs(a[i], beta)
-                                      + landau_rhs(pred, beta)) \
-            + 0.5 * (g(a[i], i) + g(pred, i))
-    return a
+        a.append(heun_step(a[i], lambda y, _end: increment(y, i)))
+    return np.array(a)
 
 
 def reconstruct_x1(a: np.ndarray, dt: float) -> np.ndarray:
@@ -151,42 +147,26 @@ def mathieu_growth(beta: float, sigma: float, T: float = 80.0,
 
     Integrates the amplitude pair da/dt = beta a/2 + sigma b/4 (conjugate
     pair coupling from the frequency-2 line) and the linearised oscillator
-    x1'' = (-1 + sigma cos 2t) x1 + beta x1', and fits both exponential
-    rates; the model predicts lambda = beta/2 + sigma/4.
+    x1'' = (-1 + sigma cos 2t) x1 + beta x1', both by Heun steps, and fits
+    both exponential rates; the model predicts lambda = beta/2 + sigma/4.
     """
     n = int(round(T / dt))
-    # amplitude pair: dominant eigenvector of [[b/2, s/4],[s/4, b/2]] has a=b
-    a = np.empty(n + 1, dtype=complex)
-    b = np.empty(n + 1, dtype=complex)
-    a[0], b[0] = 0.01 + 0.003j, np.conj(0.01 + 0.003j)
+    # The pair starts conjugate and its coefficients are real, so b stays
+    # exactly conj(a) and one complex equation carries both.
+    a = [0.01 + 0.003j]
     for i in range(n):
-        fa = 0.5 * beta * a[i] + 0.25 * sigma * b[i]
-        fb = 0.5 * beta * b[i] + 0.25 * sigma * a[i]
-        ap, bp = a[i] + fa * dt, b[i] + fb * dt
-        fap = 0.5 * beta * ap + 0.25 * sigma * bp
-        fbp = 0.5 * beta * bp + 0.25 * sigma * ap
-        a[i + 1] = a[i] + 0.5 * dt * (fa + fap)
-        b[i + 1] = b[i] + 0.5 * dt * (fb + fbp)
-    model_rate = fit_growth_rate(np.abs(a) + np.abs(b), dt)
+        a.append(heun_step(a[i], lambda y, _end: (
+            0.5 * beta * y + 0.25 * sigma * y.conjugate()) * dt))
+    model_rate = fit_growth_rate(2 * np.abs(a), dt)
 
-    # linearised full oscillator, deterministic RK4
-    x, v = 0.01, 0.0
-    env = np.empty(n + 1)
-    env[0] = math.hypot(x, v)
+    # linearised full oscillator, state (x1, v) carried as x1 + i v
+    def increment(y, t):
+        x, v = y.real, y.imag
+        return complex(v, (-1.0 + sigma * math.cos(2 * t)) * x + beta * v) * dt
 
-    def deriv(state, t):
-        xx, vv = state
-        return np.array([vv, (-1.0 + sigma * math.cos(2 * t)) * xx + beta * vv])
-
-    s = np.array([x, v])
+    s = [0.01 + 0.0j]
     for i in range(n):
-        t = i * dt
-        k1 = deriv(s, t)
-        k2 = deriv(s + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = deriv(s + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = deriv(s + dt * k3, t + dt)
-        s = s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        env[i + 1] = math.hypot(s[0], s[1])
-    full_rate = fit_growth_rate(env, dt)
+        s.append(heun_step(s[i], lambda y, end: increment(y, (i + end) * dt)))
+    full_rate = fit_growth_rate(np.abs(s), dt)
     return {"model": model_rate, "full": full_rate,
             "predicted": 0.5 * beta + 0.25 * sigma}

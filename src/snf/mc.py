@@ -11,7 +11,8 @@ master seed and independent across replicates.
 Heun (explicit midpoint) stepping: terms carrying one bare noise factor
 contribute coefficient * dW, terms without contribute coefficient * dt, and
 the corrector averages coefficients at the step's two ends, which is what
-makes the scheme converge to the Stratonovich solution.
+makes the scheme converge to the Stratonovich solution.  Every integrator
+of the package steps with ``heun_step``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,16 @@ from .systems import SystemSpec, NormalForm
 
 class CompileError(ValueError):
     """The series cannot be integrated as a forward SDE."""
+
+
+def heun_step(x, increment):
+    """One Stratonovich Heun step (Kloeden & Platen 1992, section 11.1) of
+    an array or scalar ``x``.  ``increment(y, end)`` is f dt + g dW, with the
+    step's one dW, at the start (end=0, y=x) or at the end time and the
+    predictor (end=1, y=x+first increment)."""
+    d0 = increment(x, 0)
+    d1 = increment(x + d0, 1)
+    return x + (d0 + d1) / 2
 
 
 @dataclass
@@ -153,12 +164,14 @@ def compile_series(series_list: Sequence[Series], state_names: Sequence[str],
                    n_noise: int,
                    noise_amp: Optional[Dict[int, float]] = None,
                    bank: Optional[FilterBank] = None) -> CompiledSDE:
-    """Compile evolution series into numeric term lists.
+    """Compile series into numeric term lists (the one place series terms
+    become floats; ``CompiledSDE.rates`` evaluates them).
 
     ``state_of`` maps a monomial to state exponents; parameter exponents are
-    folded into the coefficient using ``params``.
+    folded into the coefficient using ``params``.  ``bank.slot_for`` numbers
+    the convolution factors; a ``FilterBank`` rejects anticipatory rates.
     """
-    bank = bank or FilterBank()
+    bank = FilterBank() if bank is None else bank
     all_terms: List[List[CompiledTerm]] = []
     amps = np.ones(n_noise)
     for k, a in (noise_amp or {}).items():
@@ -345,11 +358,12 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
                 break
             dw = rng.standard_normal((sde.n_noise, R)) * sqdt
             dw_amp = dw * sde.noise_amp[:, None]
-            z_new = sde.bank.step(z, dw)
-            drift0, diff0 = sde.rates(state, z)
-            pred = state + drift0 * dt + np.einsum("dkr,kr->dr", diff0, dw_amp)
-            drift1, diff1 = sde.rates(pred, z_new)
-            state = state + 0.5 * dt * (drift0 + drift1) + 0.5 * np.einsum(
-                "dkr,kr->dr", (diff0 + diff1), dw_amp)
-            z = z_new
+            z_ends = (z, sde.bank.step(z, dw))
+
+            def increment(y, end):
+                drift, diff = sde.rates(y, z_ends[end])
+                return drift * dt + np.einsum("dkr,kr->dr", diff, dw_amp)
+
+            state = heun_step(state, increment)
+            z = z_ends[1]
     return EnsembleResult(sample_times, out, tuple(names))

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from . import noise
+from .mc import compile_series
 from .noise import Expr, ONE
 
 
@@ -200,31 +201,34 @@ def sample_convolution(path: NoisePath, expr: Expr) -> ConvolutionSample:
     return PathSampler(path).expr(expr)
 
 
+class _AtomSlots(list):
+    """Convolution atoms of either rate sign, numbered for compile_series."""
+
+    def slot_for(self, atom) -> int:
+        if atom not in self:
+            self.append(atom)
+        return self.index(atom)
+
+
 def evaluate_series(sampler: PathSampler, series, params: Dict[str, float],
                     slow: Sequence, fast: Sequence) -> np.ndarray:
     """Pointwise values of a bare-free series along the path grid.
 
     ``slow``/``fast`` supply one scalar or grid-length array per variable;
-    parameters are numeric.  Noise factors are sampled convolutions.
+    parameters are numeric.  The series is compiled like a simulation
+    observable, with its convolution factors sampled on the path.
     """
-    path = sampler.path
-    out = np.zeros(path.n_points)
-    names = series.dims.params
-    for (mono, expr), c in series.terms.items():
-        val = np.full(path.n_points, float(c))
-        for k, e in enumerate(mono[2]):
-            if e:
-                val *= params[names[k]] ** e
-        for i, e in enumerate(mono[0]):
-            if e:
-                val = val * np.asarray(slow[i]) ** e
-        for j, e in enumerate(mono[1]):
-            if e:
-                val = val * np.asarray(fast[j]) ** e
-        if expr != ONE:
-            val = val * sampler.expr(expr).values
-        out += val
-    return out
+    slots = _AtomSlots()
+    sde = compile_series([series], ("value",),
+                         lambda mono: tuple(mono[0]) + tuple(mono[1]), params,
+                         series.dims.params, series.dims.noises, bank=slots)
+    if any(t.noise_k >= 0 for t in sde.terms[0]):
+        raise IllFormedForSampling(
+            "bare noise has no pointwise values; it only multiplies dW")
+    n = sampler.path.n_points
+    state = np.array([np.broadcast_to(v, n) for v in (*slow, *fast)]).reshape(-1, n)
+    z = np.array([sampler.atom(a).values for a in slots]).reshape(-1, n)
+    return sde.rates(state, z)[0][0]
 
 
 def integrate_expression(path: NoisePath, terms: Sequence[Tuple[float, Expr]],

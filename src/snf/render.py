@@ -143,12 +143,11 @@ class _Parser:
     ('{' expr '}')? | '(' expr ')' | '-' factor.
     """
 
-    def __init__(self, text: str, dims: Dims, names, allow_div: bool = False):
+    def __init__(self, text: str, dims: Dims, names):
         self.tokens = _tokenize(text)
         self.k = 0
         self.dims = dims
         self.slow, self.fast, self.par = names
-        self.allow_div = allow_div
         self.text = text
 
     def peek(self):

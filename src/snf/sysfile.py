@@ -67,7 +67,7 @@ class SysFile:
     mu_min: Fraction = Fraction(0)
     rescale: Optional[str] = None
     noise_scale: Optional[str] = None
-    equations: Dict[str, str] = field(default_factory=dict)
+    equations: Dict[str, Tuple[int, str]] = field(default_factory=dict)  # (line, text)
     label: str = ""
 
 
@@ -125,7 +125,7 @@ def parse_sysfile(text: str, label: str = "") -> SysFile:
             m = re.match(r"(\w+)\s*:\s*(.*)$", rest)
             if not m:
                 raise SysFileError(f"line {ln}: expected 'eq <var>: <expression>'")
-            sf.equations[m.group(1)] = m.group(2)
+            sf.equations[m.group(1)] = (ln, m.group(2))
         else:
             raise SysFileError(f"line {ln}: unknown declaration {head!r}")
     return sf
@@ -287,8 +287,7 @@ def build_system(sf: SysFile) -> SystemSpec:
     res_idx = sf.params.index(sf.rescale) if sf.rescale else None
     scale_idx = sf.params.index(sf.noise_scale) if sf.noise_scale else None
 
-    def to_series(terms: List[RawTerm], which: str, var: str,
-                  self_rate: Fraction) -> Series:
+    def to_series(terms: List[RawTerm], which: str, var: str) -> Series:
         out: Dict = {}
         for t in terms:
             coeff = t.coeff
@@ -336,16 +335,14 @@ def build_system(sf: SysFile) -> SystemSpec:
             s = s - Series.fast_var(dims, trunc, j).scale(B[j])
         return s
 
-    f, g = [], []
-    for var in sf.slow:
+    def equation(var: str, which: str) -> Series:
         if var not in sf.equations:
-            raise SysFileError(f"missing equation for slow variable {var}")
-        f.append(to_series(_expr_terms(sf.equations[var], 0, sf), "slow", var, Fraction(0)))
-    for var in sf.fast:
-        if var not in sf.equations:
-            raise SysFileError(f"missing equation for fast variable {var}")
-        g.append(to_series(_expr_terms(sf.equations[var], 0, sf), "fast", var,
-                           B[sf.fast.index(var)]))
+            raise SysFileError(f"missing equation for {which} variable {var}")
+        ln, text = sf.equations[var]
+        return to_series(_expr_terms(text, ln, sf), which, var)
+
+    f = [equation(var, "slow") for var in sf.slow]
+    g = [equation(var, "fast") for var in sf.fast]
     spec = SystemSpec(tuple(sf.slow), tuple(sf.fast), tuple(sf.params),
                       A, B, f, g, sf.n_noise, trunc, sf.label)
     try:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -68,6 +68,12 @@ class SystemSpec:
     @property
     def dims(self) -> Dims:
         return Dims(self.m, self.n, self.param_names, self.n_noise)
+
+    def with_trunc(self, trunc: Trunc) -> "SystemSpec":
+        """The same system under another truncation (e.g. ``--order``)."""
+        return replace(self, trunc=trunc,
+                       f=[s.with_trunc(trunc) for s in self.f],
+                       g=[s.with_trunc(trunc) for s in self.g])
 
     def validate(self) -> None:
         m, n = self.m, self.n

@@ -45,12 +45,9 @@ def make_system(name: str, total=None, caps=None):
     spec, sf = load_system(bundled_text(name), label=name)
     if total is not None or caps is not None:
         t = spec.trunc
-        trunc = Trunc(total if total is not None else t.total,
-                      caps if caps is not None else t.param_caps,
-                      t.count_fast)
-        spec.trunc = trunc
-        spec.f = [s.with_trunc(trunc) for s in spec.f]
-        spec.g = [s.with_trunc(trunc) for s in spec.g]
+        spec = spec.with_trunc(Trunc(total if total is not None else t.total,
+                                     caps if caps is not None else t.param_caps,
+                                     t.count_fast))
     return spec
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from snf.bands import (autocorrelation, band_component, kernel_limit,
-                       quad_resonant_noise, white_spectrum, _kernel)
+                       quad_resonant_noise, white_spectrum, _kernel,
+                       _resonant_strip)
 
 DT, T, DELTA = 0.05, 2000.0, 0.2
 N = int(T / DT)
@@ -130,3 +131,17 @@ def test_spectrum_parseval():
     lhs = np.sum(np.abs(ph) ** 2) * dOm
     rhs = np.sum(w ** 2) * DT
     assert abs(lhs - rhs) < 1e-6 * rhs
+
+
+def test_quad_noise_inverse_fft_equals_phase_matrix_sum():
+    # psi_plus(t_k) = dOmega sum_l psitilde_+(l dOmega) exp(i l dOmega t_k),
+    # summed directly over an n x (2L+1) phase matrix on a short record
+    n = 4000
+    w = white(11)[:n]
+    lbins, psit = _resonant_strip(w, DT, DELTA, (-2.0, 0.0, 2.0))
+    assert len(lbins) > 1
+    d_om = 2 * math.pi / (n * DT)
+    t = np.arange(n) * DT
+    direct = d_om * np.exp(1j * np.outer(t, lbins * d_om)) @ psit
+    got = quad_resonant_noise(w, DT, DELTA).psi_plus
+    assert np.max(np.abs(got - direct)) < 1e-12 * np.max(np.abs(direct))

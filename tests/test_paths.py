@@ -10,7 +10,7 @@ import pytest
 from snf import noise
 from snf.noise import phi_atom, product, z_atom
 from snf.paths import (IllFormedForSampling, NoisePath, PathSampler,
-                       integrate_expression, sample_convolution)
+                       evaluate_series, integrate_expression, sample_convolution)
 
 F = Fraction
 PHI = phi_atom(0)
@@ -206,3 +206,24 @@ def test_filter_error_shrinks_with_dt():
         errs.append(np.max(np.abs(z[coarse.main_slice()]
                                   - ref_z[::factor][coarse.main_slice()])))
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_evaluate_series_samples_anticipating_factors():
+    # reversions carry Z[+1] terms, which a forward simulation rejects but a
+    # path evaluates; the reference multiplies the sampled factors directly
+    from conftest import make_system
+    from snf.render import parse_series_for
+    spec = make_system("toy.snf")
+    s = parse_series_for("x*Z[+1]{phi[0]} - 3/2*sigma^2*x^2*y*Z[-1]{phi[0]}"
+                         "*Z[+1]{phi[0]} + 5*x", spec)
+    p = NoisePath.generate(5.0, DT, 1, seed=61, spin=30.0, trim=30.0)
+    smp = PathSampler(p)
+    x = np.linspace(0.1, 0.4, p.n_points)
+    sigma, y = 0.3, 0.2
+    got = evaluate_series(smp, s, {"sigma": sigma}, [x], [y])
+    zm, zp = smp.atom(ZM).values, smp.atom(ZP).values
+    want = x * zp - 1.5 * sigma ** 2 * x ** 2 * y * zm * zp + 5 * x
+    assert np.max(np.abs(got - want)) < 1e-12
+    with pytest.raises(IllFormedForSampling):
+        evaluate_series(smp, parse_series_for("x*phi[0]", spec),
+                        {"sigma": sigma}, [x], [y])

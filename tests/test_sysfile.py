@@ -106,3 +106,25 @@ def test_policy_and_mu_min_declarations():
     _spec, sf = load_system(text)
     assert sf.policy == "no-anticipate"
     assert sf.mu_min == F(1, 8)
+
+
+def test_equation_error_reports_its_line():
+    # toy.snf's "eq y" is on line 13; a bad symbol there must say so
+    text = bundled_text("toy.snf").replace("sigma*phi1", "bogus")
+    lines = text.splitlines()
+    ln = next(k for k, line in enumerate(lines, start=1) if line.startswith("eq y"))
+    assert ln == 13
+    with pytest.raises(SysFileError, match=f"line {ln}: unknown symbol 'bogus'"):
+        load_system(text)
+
+
+def test_with_trunc_leaves_the_original_system():
+    from snf.series import Trunc
+    spec, _sf = load_system(bundled_text("toy.snf"))
+    low = spec.with_trunc(Trunc(1, spec.trunc.param_caps, spec.trunc.count_fast))
+    assert low.trunc.total == 1 and spec.trunc.total == 5
+    assert all(s.trunc is low.trunc for s in low.f + low.g)
+    # only the grade-1 forcing sigma*phi survives; the original keeps all
+    assert low.f[0].is_zero()
+    assert low.g[0] == parse_series_for("sigma*phi[0]", low)
+    assert spec.g[0] == parse_series_for("x^2 - 2*y^2 + sigma*phi[0]", spec)
