@@ -49,17 +49,26 @@ class Expected:
 
 
 def expected_series(s: Series) -> Expected:
-    out: Dict = {}
-    left = []
+    return Expected(*_expect_terms(s, _expectation))
+
+
+def _expectation(expr: Expr) -> Optional[Tuple[Expr, Fraction]]:
+    e = noise.expectation(expr)
+    return None if e is None else (ONE, e)
+
+
+def _expect_terms(s: Series, rule) -> Tuple[Series, List[Tuple]]:
+    """Apply an expectation ``rule`` term by term.  The rule maps a noise
+    product to (the noise it keeps, a rational factor), or to None when the
+    tables cannot evaluate it; such terms go to the returned tail."""
+    pairs, tail = [], []
     for (mono, expr), c in s.terms.items():
-        e = noise.expectation(expr)
-        if e is None:
-            left.append(((mono, expr), c))
-            continue
-        if e:
-            key = (mono, ONE)
-            out[key] = out.get(key, Fraction(0)) + c * e
-    return Expected(Series(s.dims, s.trunc, out), left)
+        got = rule(expr)
+        if got is None:
+            tail.append(((mono, expr), c))
+        else:
+            pairs.append(((mono, got[0]), c * got[1]))
+    return Series(s.dims, s.trunc, noise.add_into({}, pairs)), tail
 
 
 def expected_ssm(chart: SsmChart) -> Tuple[List[Expected], List[Expected]]:
@@ -184,36 +193,15 @@ def project_initial_condition(rev: Reversion, nf: NormalForm,
     var = expected_series(centered * centered)
 
     # Conditional on the future noise (the draw a forecast will use).
-    mf: Dict = {}
-    tails: List[Tuple] = []
-    for (mono, e), c in expr.terms.items():
-        got = _conditional_expectation(e)
-        if got is None:
-            tails.append(((mono, e), c))
-            continue
-        fut, val = got
-        if val:
-            key = (mono, fut)
-            mf[key] = mf.get(key, Fraction(0)) + c * val
-    mean_future = Series(dims, trunc, mf)
+    mean_future, tails = _expect_terms(expr, _conditional_expectation)
     centered_f = expr - mean_future
-    sq = centered_f * centered_f
-    vf: Dict = {}
-    for (mono, e), c in sq.terms.items():
-        got = _conditional_expectation(e)
-        if got is None:
-            tails.append(((mono, e), c))
-            continue
-        fut, val = got
-        if val:
-            key = (mono, fut)
-            vf[key] = vf.get(key, Fraction(0)) + c * val
-    var_future = Series(dims, trunc, vf)
+    var_future, var_tails = _expect_terms(centered_f * centered_f,
+                                          _conditional_expectation)
     return InitialProjection(
         expr=expr, mean=mean.value, mean_tail=mean.unevaluable,
         variance=var.value, variance_tail=var.unevaluable,
         mean_future_known=mean_future, variance_future_known=var_future,
-        future_tails=tails)
+        future_tails=tails + var_tails)
 
 
 @dataclass
@@ -261,21 +249,15 @@ def long_time_model(nf: NormalForm) -> LongTimeModel:
     out_series: List[Series] = []
     next_index = dims.noises
     for i, F in enumerate(nf.F):
-        out: Dict = {}
-
-        def put(key, c):
-            out[key] = out.get(key, Fraction(0)) + c
-            if not out[key]:
-                del out[key]
-
+        pairs: List[Tuple] = []
         for (mono, expr), c in F.terms.items():
             if expr == ONE or (len(expr) == 1 and noise.is_bare(expr[0])):
-                put((mono, expr), c)
+                pairs.append(((mono, expr), c))
                 continue
             pair = _quad_pair(expr)
             if pair is None:
                 leftovers.append((i, (mono, expr), c))
-                put((mono, expr), c)
+                pairs.append(((mono, expr), c))
                 continue
             k, mu = pair
             key = (k, mu)
@@ -286,7 +268,7 @@ def long_time_model(nf: NormalForm) -> LongTimeModel:
                     intensity=Fraction(1, 2) / abs(mu),
                     provenance=f"phi[{k}]*Z[{mu}]{{phi[{k}]}}"))
                 next_index += 1
-            put((mono, ONE), c * Fraction(1, 2))
-            put((mono, (noise.phi_atom(fresh_by_source[key]),)), c)
-        out_series.append(Series(dims, trunc, out))
+            pairs.append(((mono, ONE), c * Fraction(1, 2)))
+            pairs.append(((mono, (noise.phi_atom(fresh_by_source[key]),)), c))
+        out_series.append(Series(dims, trunc, noise.add_into({}, pairs)))
     return LongTimeModel(out_series, fresh, leftovers)

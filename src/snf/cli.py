@@ -19,7 +19,8 @@ from .analysis import AnalysisError, long_time_model, ssm_parametrisation
 from .mc import (compile_full_system, compile_observables, compile_series,
                  compile_slow_model, run_ensemble, sampleable_part)
 from .noise import ONE
-from .report import emit_report, parse_report, rebuild_normal_form
+from .report import (emit_report, header_policy, parse_report,
+                     rebuild_normal_form, truncation_header)
 from .series import Trunc
 from .sysfile import SysFileError, load_system
 from .systems import Policy
@@ -28,8 +29,11 @@ EXIT_OK, EXIT_PARSE, EXIT_CERT, EXIT_TOL = 0, 2, 3, 4
 
 
 def _policy(args) -> Policy:
-    return Policy(anticipation=(args.policy == "anticipate"),
-                  mu_min=Fraction(args.mu_min))
+    try:
+        mu_min = Fraction(args.mu_min)
+    except (ValueError, ZeroDivisionError):
+        raise SysFileError(f"--mu-min: bad rational {args.mu_min!r}")
+    return Policy(anticipation=(args.policy == "anticipate"), mu_min=mu_min)
 
 
 def _load(args):
@@ -50,7 +54,10 @@ def _params(pairs: List[str], spec) -> Dict[str, float]:
         name, _, val = p.partition("=")
         if name not in spec.param_names:
             raise SysFileError(f"unknown parameter {name!r}")
-        out[name] = float(val)
+        try:
+            out[name] = float(val)
+        except ValueError:
+            raise SysFileError(f"--param {name}: bad number {val!r}")
     return out
 
 
@@ -71,13 +78,25 @@ def cmd_verify(args) -> int:
     with open(args.report) as fh:
         text = fh.read()
     rep = parse_report(text, spec)
-    policy = Policy(anticipation=(rep.header.get("policy", "anticipate") == "anticipate"))
-    nf = rebuild_normal_form(rep, spec, policy)
-    worst = engine.verify_order(spec, nf)
-    if worst is None:
+    # The header must state the truncation verify checks at, and a policy.
+    failures = [f"report header {key}: {rep.header.get(key, '(missing)')!r}, "
+                f"system {want!r}"
+                for key, want in truncation_header(spec) if rep.header.get(key) != want]
+    try:
+        policy = header_policy(rep.header)
+    except ValueError as exc:
+        failures.append(str(exc))
+    if not failures:
+        nf = rebuild_normal_form(rep, spec, policy)
+        failures = nf.check_structure()
+        worst = engine.verify_order(spec, nf)
+        if worst is not None:
+            failures.append(f"residual at grade {worst}")
+    if not failures:
         print("certified: residual clears the truncation window")
         return EXIT_OK
-    print(f"certification FAILED: residual at grade {worst}")
+    for failure in failures:
+        print(f"certification FAILED: {failure}")
     return EXIT_CERT
 
 

@@ -124,12 +124,25 @@ def anticipates(expr: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # noise sums
 
-def nsum_zero() -> NoiseSum:
-    return {}
+def add_into(out: dict, pairs, scale=None) -> dict:
+    """Add ``(key, coefficient)`` pairs into the coefficient dict ``out``,
+    each times ``scale`` when given, and drop every key that cancels.
 
-
-def nsum_one() -> NoiseSum:
-    return {ONE: Fraction(1)}
+    Every exact-rational sum in the package accumulates here (noise sums and
+    series terms alike), except the inline loop of ``Series.__mul__``.
+    """
+    get = out.get
+    for key, c in pairs:
+        if scale is not None:
+            c = c * scale
+        old = get(key)
+        if old is not None:
+            c = old + c
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
 
 
 def nsum_bare(k: int) -> NoiseSum:
@@ -137,14 +150,7 @@ def nsum_bare(k: int) -> NoiseSum:
 
 
 def n_add(a: NoiseSum, b: NoiseSum) -> NoiseSum:
-    out = dict(a)
-    for e, c in b.items():
-        c2 = out.get(e, Fraction(0)) + c
-        if c2:
-            out[e] = c2
-        else:
-            out.pop(e, None)
-    return out
+    return add_into(dict(a), b.items())
 
 
 def n_scale(a: NoiseSum, c) -> NoiseSum:
@@ -157,13 +163,7 @@ def n_scale(a: NoiseSum, c) -> NoiseSum:
 def n_mul(a: NoiseSum, b: NoiseSum) -> NoiseSum:
     out: NoiseSum = {}
     for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = merge(ea, eb)
-            c = out.get(e, Fraction(0)) + ca * cb
-            if c:
-                out[e] = c
-            else:
-                out.pop(e, None)
+        add_into(out, ((merge(ea, eb), cb) for eb, cb in b.items()), ca)
     return out
 
 
@@ -191,12 +191,7 @@ def conv(mu, s: NoiseSum) -> NoiseSum:
         raise NoiseError("convolution rate must be non-zero")
     out: NoiseSum = {}
     for expr, c in s.items():
-        for e2, c2 in _conv_expr(mu, expr).items():
-            tot = out.get(e2, Fraction(0)) + c * c2
-            if tot:
-                out[e2] = tot
-            else:
-                out.pop(e2, None)
+        add_into(out, _conv_expr(mu, expr).items(), c)
     return out
 
 
@@ -207,12 +202,7 @@ def _conv_expr(mu: Fraction, expr: Expr) -> NoiseSum:
         nu, child = expr[0][1], expr[0][2]
         out: NoiseSum = {}
         for coeff, rate in compose(mu, nu):
-            for e2, c2 in _conv_expr(rate, child).items():
-                tot = out.get(e2, Fraction(0)) + coeff * c2
-                if tot:
-                    out[e2] = tot
-                else:
-                    out.pop(e2, None)
+            add_into(out, _conv_expr(rate, child).items(), coeff)
         return out
     return {(z_atom(mu, expr),): Fraction(1)}
 
@@ -230,24 +220,18 @@ def diff(s: NoiseSum) -> NoiseSum:
     """d/dt of a noise sum by the product rule over atoms."""
     out: NoiseSum = {}
     for expr, c in s.items():
-        seen = set()
-        for i, atom in enumerate(expr):
-            if atom in seen:
-                continue
-            seen.add(atom)
-            mult = expr.count(atom)
-            rest = list(expr)
-            rest.remove(atom)
-            rest_t = tuple(rest)
-            d = diff_atom(atom)
-            for e2, c2 in d.items():
-                e3 = merge(e2, rest_t)
-                tot = out.get(e3, Fraction(0)) + c * c2 * mult
-                if tot:
-                    out[e3] = tot
-                else:
-                    out.pop(e3, None)
+        for atom, rest in _peel(expr):
+            add_into(out, ((merge(e2, rest), c2) for e2, c2 in diff_atom(atom).items()),
+                     c * expr.count(atom))
     return out
+
+
+def _peel(expr: Expr):
+    """Each distinct atom of a product with the product of the others."""
+    for atom in dict.fromkeys(expr):
+        rest = list(expr)
+        rest.remove(atom)
+        yield atom, tuple(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +337,20 @@ def ibp_normalize(s: NoiseSum) -> Tuple[NoiseSum, NoiseSum]:
 
         P = d/dt beta + sum_{i in R} sgn(nu_i) C_i Z[mu]Z[mu]C_A R/Z[nu_i]C_i.
     """
-    evo: NoiseSum = {}
-    xform: NoiseSum = {}
-    for expr, c in s.items():
-        e1, x1 = _ibp_expr(expr, 0)
-        evo = n_add(evo, n_scale(e1, c))
-        xform = n_add(xform, n_scale(x1, c))
-    return evo, xform
+    return _ibp_sum(s, 0)
 
 
 _IBP_DEPTH_LIMIT = 64
+
+
+def _ibp_sum(s: NoiseSum, depth: int) -> Tuple[NoiseSum, NoiseSum]:
+    evo: NoiseSum = {}
+    xform: NoiseSum = {}
+    for expr, c in s.items():
+        e1, x1 = _ibp_expr(expr, depth)
+        add_into(evo, e1.items(), c)
+        add_into(xform, x1.items(), c)
+    return evo, xform
 
 
 def _ibp_expr(expr: Expr, depth: int) -> Tuple[NoiseSum, NoiseSum]:
@@ -380,59 +368,31 @@ def _ibp_expr(expr: Expr, depth: int) -> Tuple[NoiseSum, NoiseSum]:
     if len(expr) == 1:
         mu, child = expr[0][1], expr[0][2]
         evo, xform = _ibp_sum({child: Fraction(1) / abs(mu)}, depth + 1)
-        xform = n_add(xform, {expr: Fraction(1) / mu})
+        add_into(xform, ((expr, Fraction(1) / mu),))
         return evo, xform
     total = sum(a[1] for a in expr)
     if total == 0:
-        return _ibp_zero_sum(expr, depth)
-    evo: NoiseSum = {}
-    xform: NoiseSum = {expr: Fraction(1) / total}
-    seen = set()
-    for atom in expr:
-        if atom in seen:
-            continue
-        seen.add(atom)
-        mult = expr.count(atom)
+        # Double the most negative factor: beta = Z[mu]Z[mu]C_A * R.
+        chosen = min(expr, key=lambda a: (a[1], _sort_key(a)))
         rest = list(expr)
-        rest.remove(atom)
-        sgn = Fraction(1 if atom[1] > 0 else -1)
-        contrib = merge(atom[2], tuple(rest))
-        e2, x2 = _ibp_sum({contrib: sgn * mult / total}, depth + 1)
-        evo = n_add(evo, e2)
-        xform = n_add(xform, x2)
-    return evo, xform
+        rest.remove(chosen)
+        mu, child = chosen[1], chosen[2]
+        doubled = z_atom(mu, (z_atom(mu, child),))
+        xform = {merge((doubled,), tuple(rest)): Fraction(1)}
+        return _ibp_peel(tuple(rest), (doubled,), Fraction(1), xform, depth)
+    return _ibp_peel(expr, (), Fraction(1) / total, {expr: Fraction(1) / total}, depth)
 
 
-def _ibp_zero_sum(expr: Expr, depth: int) -> Tuple[NoiseSum, NoiseSum]:
-    chosen = min(expr, key=lambda a: (a[1], _sort_key(a)))
-    rest = list(expr)
-    rest.remove(chosen)
-    mu, child = chosen[1], chosen[2]
-    doubled = z_atom(mu, (z_atom(mu, child),))
-    beta = merge((doubled,), tuple(rest))
+def _ibp_peel(atoms: Expr, extra: Expr, weight: Fraction, xform: NoiseSum,
+              depth: int) -> Tuple[NoiseSum, NoiseSum]:
+    """Normalise ``weight * sum_i sgn(mu_i) C_i P/Z[mu_i]C_i`` (i over
+    ``atoms``, P the product of ``atoms`` and ``extra``) one level deeper:
+    its evolution part, and ``xform`` with its transform part added."""
     evo: NoiseSum = {}
-    xform: NoiseSum = {beta: Fraction(1)}
-    seen = set()
-    for atom in rest:
-        if atom in seen:
-            continue
-        seen.add(atom)
-        mult = rest.count(atom)
-        others = list(rest)
-        others.remove(atom)
-        sgn = Fraction(1 if atom[1] > 0 else -1)
-        contrib = merge(atom[2], merge((doubled,), tuple(others)))
-        e2, x2 = _ibp_sum({contrib: sgn * mult}, depth + 1)
-        evo = n_add(evo, e2)
-        xform = n_add(xform, x2)
-    return evo, xform
-
-
-def _ibp_sum(s: NoiseSum, depth: int) -> Tuple[NoiseSum, NoiseSum]:
-    evo: NoiseSum = {}
-    xform: NoiseSum = {}
-    for expr, c in s.items():
-        e1, x1 = _ibp_expr(expr, depth)
-        evo = n_add(evo, n_scale(e1, c))
-        xform = n_add(xform, n_scale(x1, c))
+    for atom, others in _peel(atoms):
+        sgn = 1 if atom[1] > 0 else -1
+        e2, x2 = _ibp_expr(merge(atom[2], extra + others), depth + 1)
+        c = weight * sgn * atoms.count(atom)
+        add_into(evo, e2.items(), c)
+        add_into(xform, x2.items(), c)
     return evo, xform

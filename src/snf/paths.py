@@ -126,28 +126,11 @@ def _filter_forward_signal(path: NoisePath, mu: float,
     return ConvolutionSample(Fraction(mu), z, f.valid_lo + spin, f.valid_hi)
 
 
-def _filter_backward_dw(path: NoisePath, mu: float, k: int) -> ConvolutionSample:
-    dt = path.dt
-    a = math.exp(-mu * dt)
-    c = math.sqrt((1.0 - a * a) / (2.0 * mu) / dt)
-    z = np.empty(path.n_points)
-    z[-1] = 0.0
-    z[:-1] = _run_filter(a, c * path.increments[k][::-1])[::-1]
-    trim = int(math.ceil(SPINUP_TIME_CONSTANTS / (mu * dt)))
-    return ConvolutionSample(Fraction(mu), z, 0, path.n_total - trim)
-
-
-def _filter_backward_signal(path: NoisePath, mu: float,
-                            f: ConvolutionSample) -> ConvolutionSample:
-    dt = path.dt
-    a = math.exp(-mu * dt)
-    v = f.values
-    u = (a * v[1:] + v[:-1]) * (dt / 2.0)
-    z = np.empty(path.n_points)
-    z[-1] = 0.0
-    z[:-1] = _run_filter(a, u[::-1])[::-1]
-    trim = int(math.ceil(SPINUP_TIME_CONSTANTS / (mu * dt)))
-    return ConvolutionSample(Fraction(mu), z, f.valid_lo, f.valid_hi - trim)
+def _mirror(s: ConvolutionSample, n_total: int) -> ConvolutionSample:
+    """The same sample on the time-reversed grid (point i <-> n_total - i),
+    with the rate negated."""
+    return ConvolutionSample(-s.rate, s.values[::-1], n_total - s.valid_hi,
+                             n_total - s.valid_lo)
 
 
 class PathSampler:
@@ -184,16 +167,20 @@ class PathSampler:
             raise IllFormedForSampling(
                 "bare noise has no pointwise values; it only multiplies dW")
         mu, child = float(a[1]), a[2]
+        path, n = self.path, self.path.n_total
         if len(child) == 1 and noise.is_bare(child[0]):
             k = child[0][1]
-            return (_filter_forward_dw(self.path, mu, k) if mu < 0
-                    else _filter_backward_dw(self.path, mu, k))
+            if mu < 0:
+                return _filter_forward_dw(path, mu, k)
+            # An anticipating filter is the memory filter on reversed time.
+            return _mirror(_filter_forward_dw(path.reversed(), -mu, k), n)
         if any(noise.is_bare(c) for c in child):
             raise IllFormedForSampling(
                 f"bare noise in a non-top-level position: {child}")
         inner = self.expr(child)
-        return (_filter_forward_signal(self.path, mu, inner) if mu < 0
-                else _filter_backward_signal(self.path, mu, inner))
+        if mu < 0:
+            return _filter_forward_signal(path, mu, inner)
+        return _mirror(_filter_forward_signal(path, -mu, _mirror(inner, n)), n)
 
 
 def sample_convolution(path: NoisePath, expr: Expr) -> ConvolutionSample:

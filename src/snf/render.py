@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import noise
 from .noise import Expr, ONE
@@ -231,7 +231,7 @@ class _Parser:
                 self.take("lbrace")
                 inner = self.expr()
                 self.take("rbrace")
-                return _apply_conv(mu, inner)
+                return inner.map_noise(lambda e: noise.conv(mu, {e: Fraction(1)}))
             if name in self.slow:
                 return Series.slow_var(self.dims, self.trunc, self.slow.index(name))
             if name in self.fast:
@@ -262,19 +262,6 @@ def _as_constant(s: Series) -> Optional[Fraction]:
         if _grade(mono) == 0 and expr == ONE:
             return c
     return None
-
-
-def _apply_conv(mu: Fraction, inner: Series) -> Series:
-    out: Dict = {}
-    grouped: Dict = {}
-    for (mono, expr), c in inner.terms.items():
-        grouped.setdefault(mono, {})[expr] = c
-    terms = {}
-    for mono, ns in grouped.items():
-        for e2, c2 in noise.conv(mu, ns).items():
-            key = (mono, e2)
-            terms[key] = terms.get(key, Fraction(0)) + c2
-    return Series(inner.dims, inner.trunc, terms)
 
 
 def parse_series(text: str, dims: Dims, trunc: Trunc, names) -> Series:

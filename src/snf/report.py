@@ -4,7 +4,8 @@ reconstructs the series values bit-exactly (used by `verify`)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from fractions import Fraction
+from typing import Dict, List, Optional, Tuple
 
 from .analysis import expected_series, ssm_parametrisation, revert
 from .render import render_series, parse_series
@@ -21,21 +22,36 @@ def _new_names(spec: SystemSpec) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
             tuple(lift(n) for n in spec.fast_names))
 
 
+def truncation_header(spec: SystemSpec) -> List[Tuple[str, str]]:
+    """The header fields that state the truncation a report was derived at."""
+    caps = ", ".join(f"{p}<={c}" for p, c in zip(spec.param_names, spec.trunc.param_caps)
+                     if c is not None) or "none"
+    return [("order", str(spec.trunc.total)), ("param_caps", caps),
+            ("grade_fast", "on" if spec.trunc.count_fast else "off")]
+
+
+def header_policy(header: Dict[str, str]) -> Policy:
+    """The policy a report header claims; ValueError when it names none."""
+    label, mu_min = header.get("policy"), header.get("mu_min")
+    if label not in ("anticipate", "no-anticipate"):
+        raise ValueError(f"report header policy {label!r} is not anticipate|no-anticipate")
+    try:
+        return Policy(anticipation=(label == "anticipate"), mu_min=Fraction(mu_min))
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"report header mu_min {mu_min!r} is not a rational")
+
+
 def emit_report(nf: NormalForm, include_analyses: bool = True) -> str:
     spec = nf.spec
     slow_new, fast_new = _new_names(spec)
     names_new = (slow_new, fast_new, spec.param_names)
     names_orig = (spec.slow_names, spec.fast_names, spec.param_names)
-    caps = ", ".join(f"{p}<={c}" for p, c in zip(spec.param_names, spec.trunc.param_caps)
-                     if c is not None) or "none"
     lines = [
         "normal-form report",
         f"system: {spec.label or 'unnamed'}",
         f"policy: {nf.policy.label()}",
         f"mu_min: {nf.policy.mu_min}",
-        f"order: {spec.trunc.total}",
-        f"param_caps: {caps}",
-        f"grade_fast: {'on' if spec.trunc.count_fast else 'off'}",
+        *(f"{key}: {value}" for key, value in truncation_header(spec)),
         f"certified: {'yes' if nf.certified else f'NO (residual at grade {nf.residual_grade})'}",
     ]
     if nf.diagnostics:
@@ -98,14 +114,11 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
             continue
         if not raw.startswith("  "):
             key, _, val = raw.partition(":")
-            if not val and raw.rstrip().endswith(":"):
-                current = key.strip()
-                sections[current] = {}
-            else:
-                header[key.strip()] = val.strip()
             if raw.rstrip().endswith(":") and not val.strip():
                 current = key.strip()
                 sections.setdefault(current, {})
+            else:
+                header[key.strip()] = val.strip()
             continue
         if current is None:
             raise ValueError(f"series line outside any section: {raw!r}")

@@ -150,14 +150,7 @@ class Series:
 
     def __add__(self, other: "Series") -> "Series":
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            c2 = out.get(k, Fraction(0)) + c
-            if c2:
-                out[k] = c2
-            else:
-                out.pop(k, None)
-        return self.build_like(out)
+        return self.build_like(noise.add_into(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "Series":
         return self.build_like({k: -c for k, c in self.terms.items()})
@@ -193,6 +186,8 @@ class Series:
                     if not keep(mono):
                         continue
                     key = (mono, merge(ea, eb))
+                    # Inline rather than noise.add_into: this is the hot
+                    # loop of reversion and certification.
                     c = out.get(key)
                     c = ca * cb if c is None else c + ca * cb
                     if c:
@@ -248,15 +243,10 @@ class Series:
         return self.build_like({k: c for k, c in self.terms.items() if pred(k[0])})
 
     def map_noise(self, fn: Callable[[Expr], NoiseSum]) -> "Series":
+        """Replace each term's noise product by the noise sum ``fn`` gives."""
         out: Dict[Key, Fraction] = {}
         for (mono, expr), c in self.terms.items():
-            for e2, c2 in fn(expr).items():
-                key = (mono, e2)
-                tot = out.get(key, Fraction(0)) + c * c2
-                if tot:
-                    out[key] = tot
-                else:
-                    out.pop(key, None)
+            noise.add_into(out, (((mono, e2), c2) for e2, c2 in fn(expr).items()), c)
         return self.build_like(out)
 
     def __eq__(self, other) -> bool:
@@ -334,18 +324,7 @@ class Series:
 
     def diff_noise(self) -> "Series":
         """The explicit time derivative acting on noise atoms alone."""
-        out: Dict[Key, Fraction] = {}
-        for (mono, expr), c in self.terms.items():
-            if expr == ONE:
-                continue
-            for e2, c2 in noise.diff({expr: Fraction(1)}).items():
-                key = (mono, e2)
-                tot = out.get(key, Fraction(0)) + c * c2
-                if tot:
-                    out[key] = tot
-                else:
-                    out.pop(key, None)
-        return self.build_like(out)
+        return self.map_noise(lambda expr: noise.diff({expr: Fraction(1)}))
 
     def time_derivative(self, xdot: Sequence["Series"], ydot: Sequence["Series"]) -> "Series":
         """d/dt along an evolution: dt-part on noise plus the chain rule."""

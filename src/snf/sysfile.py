@@ -80,8 +80,15 @@ def _rat(text: str, ln: int) -> Fraction:
             p, q = text.split("/")
             return Fraction(int(p), int(q))
         return Fraction(int(text))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise SysFileError(f"line {ln}: bad rational {text!r}")
+
+
+def _int(text: str, ln: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SysFileError(f"line {ln}: bad integer {text!r}")
 
 
 def parse_sysfile(text: str, label: str = "") -> SysFile:
@@ -99,16 +106,18 @@ def parse_sysfile(text: str, label: str = "") -> SysFile:
         elif head == "param":
             sf.params.extend(rest.split())
         elif head == "noise":
-            sf.n_noise = int(rest)
+            sf.n_noise = _int(rest, ln)
         elif head == "A":
             sf.A_rows.append([_rat(v, ln) for v in rest.split()])
         elif head == "B":
             sf.B.extend(_rat(v, ln) for v in rest.split())
         elif head == "order":
-            sf.order = int(rest)
+            sf.order = _int(rest, ln)
         elif head == "cap":
-            name, val = rest.split()
-            sf.caps[name] = int(val)
+            parts = rest.split()
+            if len(parts) != 2:
+                raise SysFileError(f"line {ln}: expected 'cap <param> <max power>'")
+            sf.caps[parts[0]] = _int(parts[1], ln)
         elif head == "grade_fast":
             sf.count_fast = rest.lower() not in ("off", "false", "0", "no")
         elif head == "policy":
@@ -190,6 +199,8 @@ def _expr_terms(text: str, ln: int, sf: SysFile) -> List[RawTerm]:
             raise SysFileError(f"line {ln}: 1/{list(t.var_pows)} needs a rescale declaration")
         if any(k != sf.rescale for k in t.var_pows):
             raise SysFileError(f"line {ln}: division only by the rescale parameter")
+        if not t.coeff:
+            raise SysFileError(f"line {ln}: division by zero in {text!r}")
         return [RawTerm(Fraction(1) / t.coeff,
                         {k: -v for k, v in t.var_pows.items()}, {},
                         -t.half_eps)]
@@ -225,7 +236,7 @@ def _expr_terms(text: str, ln: int, sf: SysFile) -> List[RawTerm]:
         base = atom()
         while peek() == ("op", "^"):
             take("op")
-            e = int(take("num"))
+            e = _int(take("num"), ln)
             out = [RawTerm(Fraction(1), {}, {})]
             for _ in range(e):
                 out = mul_terms(out, base)
@@ -274,6 +285,9 @@ def build_system(sf: SysFile) -> SystemSpec:
     if len(sf.B) != len(sf.fast):
         raise SysFileError("B must list one rate per fast variable")
     dims = Dims(len(sf.slow), len(sf.fast), tuple(sf.params), sf.n_noise)
+    for name in sf.caps:
+        if name not in sf.params:
+            raise SysFileError(f"cap on undeclared parameter {name!r}")
     caps = tuple(sf.caps.get(p) for p in sf.params)
     trunc = Trunc(sf.order, caps, sf.count_fast)
     m = len(sf.slow)
@@ -288,9 +302,8 @@ def build_system(sf: SysFile) -> SystemSpec:
     scale_idx = sf.params.index(sf.noise_scale) if sf.noise_scale else None
 
     def to_series(terms: List[RawTerm], which: str, var: str) -> Series:
-        out: Dict = {}
+        pairs = []
         for t in terms:
-            coeff = t.coeff
             slow_e = [0] * len(sf.slow)
             fast_e = [0] * len(sf.fast)
             par_e = [0] * len(sf.params)
@@ -322,8 +335,8 @@ def build_system(sf: SysFile) -> SystemSpec:
                 atoms.extend([noise.phi_atom(k)] * e)
             key = ((tuple(slow_e), tuple(fast_e), tuple(par_e)),
                    noise.product(*atoms))
-            out[key] = out.get(key, Fraction(0)) + coeff
-        s = Series(dims, trunc, out)
+            pairs.append((key, t.coeff))
+        s = Series(dims, trunc, noise.add_into({}, pairs))
         # Strip the declared linear part from the equation body.
         if which == "slow":
             i = sf.slow.index(var)

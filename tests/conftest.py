@@ -2,13 +2,21 @@
 acceptance-criterion reporting hook."""
 
 import importlib.resources as ir
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 from snf.series import Trunc
 from snf.sysfile import load_system
+
+# pytest puts src/ on sys.path (pyproject.toml); the tests that start
+# `python -m snf` in a subprocess need it on PYTHONPATH as well.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 settings.register_profile("repeatable", derandomize=True)
 settings.load_profile("repeatable")

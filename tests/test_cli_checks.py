@@ -1,0 +1,152 @@
+"""`snf verify` refuses reports that decouple nothing or misstate their
+header, and malformed input exits 2 with a message instead of a traceback."""
+
+import pytest
+
+from conftest import bundled_text
+from snf.cli import EXIT_CERT, EXIT_OK, EXIT_PARSE, main
+
+
+@pytest.fixture(scope="module")
+def toy_path(tmp_path_factory):
+    p = tmp_path_factory.mktemp("sys") / "toy.snf"
+    p.write_text(bundled_text("toy.snf"))
+    return str(p)
+
+
+@pytest.fixture(scope="module")
+def toy3_report(toy_path, tmp_path_factory):
+    out = tmp_path_factory.mktemp("rep") / "report.txt"
+    assert main(["derive", toy_path, "--order", "3", "--out", str(out)]) == EXIT_OK
+    return out.read_text()
+
+
+def _verify(toy_path, tmp_path, text):
+    p = tmp_path / "report.txt"
+    p.write_text(text)
+    return main(["verify", toy_path, "--order", "3", str(p)])
+
+
+IDENTITY_REPORT = """normal-form report
+system: toy.snf
+policy: anticipate
+mu_min: 0
+order: 3
+param_caps: sigma<=2
+grade_fast: on
+certified: yes
+transform:
+  x = X
+  y = Y
+evolution:
+  dX/dt = -X*Y
+  dY/dt = -Y + X^2 - 2*Y^2 + sigma*phi[0]
+"""
+
+
+def test_verify_accepts_the_derived_report(toy_path, tmp_path, toy3_report, capsys):
+    assert _verify(toy_path, tmp_path, toy3_report) == EXIT_OK
+    assert capsys.readouterr().out == "certified: residual clears the truncation window\n"
+
+
+def test_verify_rejects_the_identity_transform(toy_path, tmp_path, capsys):
+    # The residual of the identity with the original equations is zero, but
+    # the fast evolution still carries X^2 and sigma*phi: nothing decoupled.
+    assert _verify(toy_path, tmp_path, IDENTITY_REPORT) == EXIT_CERT
+    out = capsys.readouterr().out
+    assert "residual" not in out
+    assert "certification FAILED: fast evolution 0 has a fast-variable-free term" in out
+
+
+def test_verify_rejects_a_header_order_above_the_system(toy_path, tmp_path,
+                                                       toy3_report, capsys):
+    bad = toy3_report.replace("order: 3\n", "order: 9\n")
+    assert bad != toy3_report
+    assert _verify(toy_path, tmp_path, bad) == EXIT_CERT
+    assert "report header order: '9', system '3'" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old,new,what", [
+    ("param_caps: sigma<=2\n", "param_caps: none\n", "param_caps"),
+    ("grade_fast: on\n", "grade_fast: off\n", "grade_fast"),
+    ("policy: anticipate\n", "policy: sometimes\n", "policy"),
+    ("mu_min: 0\n", "mu_min: 1/0\n", "mu_min"),
+    ("mu_min: 0\n", "", "mu_min"),
+])
+def test_verify_rejects_other_header_faults(toy_path, tmp_path, toy3_report,
+                                            capsys, old, new, what):
+    bad = toy3_report.replace(old, new)
+    assert bad != toy3_report
+    assert _verify(toy_path, tmp_path, bad) == EXIT_CERT
+    assert f"header {what}" in capsys.readouterr().out
+
+
+def test_verify_rejects_anticipation_under_a_no_anticipate_header(
+        toy_path, tmp_path, toy3_report, capsys):
+    assert "Z[+1]" in toy3_report
+    bad = toy3_report.replace("policy: anticipate\n", "policy: no-anticipate\n")
+    assert _verify(toy_path, tmp_path, bad) == EXIT_CERT
+    assert "anticipation produced under the no-anticipate policy" in capsys.readouterr().out
+
+
+def test_verify_reads_mu_min_from_the_header(toy_path, tmp_path, toy3_report,
+                                             monkeypatch):
+    import snf.cli as cli
+    seen = []
+    real = cli.rebuild_normal_form
+    monkeypatch.setattr(cli, "rebuild_normal_form",
+                        lambda rep, spec, policy: seen.append(policy) or real(rep, spec, policy))
+    text = toy3_report.replace("mu_min: 0\n", "mu_min: 1/8\n")
+    assert _verify(toy_path, tmp_path, text) == EXIT_OK
+    assert seen[0].anticipation and str(seen[0].mu_min) == "1/8"
+
+
+# -- malformed input --------------------------------------------------------
+
+SYSTEM = """slow x
+fast y
+param s
+noise 1
+A 0
+B -1
+order 3
+eq x: -s*x*y
+eq y: -y + x^2 + s*phi1
+"""
+
+
+@pytest.mark.parametrize("old,new", [
+    ("order 3", "order abc"),
+    ("noise 1", "noise two"),
+    ("order 3", "cap s"),
+    ("B -1", "B 1/0"),
+    ("order 3", "mu_min 1/0"),
+    ("eq x: -s*x*y", "eq x: -s*x*y/0"),
+    ("eq y: -y + x^2 + s*phi1", "eq y: -y + x^1/2 + s*phi1"),
+])
+def test_malformed_system_file_exits_2_with_its_line(tmp_path, capsys, old, new):
+    text = SYSTEM.replace(old, new)
+    assert text != SYSTEM
+    line = text.splitlines().index(new) + 1
+    p = tmp_path / "bad.snf"
+    p.write_text(text)
+    assert main(["derive", str(p)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+
+def test_cap_on_an_undeclared_parameter_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.snf"
+    p.write_text(SYSTEM + "cap q 2\n")
+    assert main(["derive", str(p)]) == EXIT_PARSE
+    assert "undeclared parameter 'q'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--param", "sigma=abc"], "--param sigma: bad number 'abc'"),
+    (["derive", "--mu-min", "abc"], "--mu-min: bad rational 'abc'"),
+    (["derive", "--mu-min", "1/0"], "--mu-min: bad rational '1/0'"),
+])
+def test_malformed_arguments_exit_2(toy_path, capsys, argv, message):
+    rc = main([argv[0], toy_path, "--order", "2", *argv[1:]])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
