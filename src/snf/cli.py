@@ -17,9 +17,9 @@ import numpy as np
 from . import engine
 from .analysis import AnalysisError, long_time_model, ssm_parametrisation
 from .mc import (compile_full_system, compile_observables, compile_series,
-                 compile_slow_model, run_ensemble, sampleable_part)
+                 compile_slow_model, run_ensemble, sample_steps, sampleable_part)
 from .noise import ONE
-from .report import (emit_report, header_policy, parse_report,
+from .report import (ReportError, emit_report, header_policy, parse_report,
                      rebuild_normal_form, truncation_header)
 from .series import Trunc
 from .sysfile import SysFileError, load_system
@@ -61,10 +61,28 @@ def _params(pairs: List[str], spec) -> Dict[str, float]:
     return out
 
 
+def _run_options(args) -> List[float]:
+    """Check the ensemble options of simulate and compare; the sample times."""
+    if args.T <= 0 or args.dt <= 0 or args.T < args.dt:
+        raise SysFileError("need a positive horizon T >= dt")
+    if args.replicates < 2:
+        raise SysFileError(f"--replicates: spread statistics need at least 2, "
+                           f"got {args.replicates}")
+    text = args.times if args.times else str(args.T)
+    try:
+        times = [float(v) for v in text.split(",")]
+        sample_steps(times, args.T, args.dt)
+    except ValueError as exc:
+        raise SysFileError(f"--times {text}: {exc}")
+    return times
+
+
 def cmd_derive(args) -> int:
     spec, _sf = _load(args)
     nf = engine.construct(spec, _policy(args))
     text = emit_report(nf)
+    for failure in nf.certification_failures():
+        print(f"certification FAILED: {failure}", file=sys.stderr)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -88,10 +106,8 @@ def cmd_verify(args) -> int:
         failures.append(str(exc))
     if not failures:
         nf = rebuild_normal_form(rep, spec, policy)
-        failures = nf.check_structure()
-        worst = engine.verify_order(spec, nf)
-        if worst is not None:
-            failures.append(f"residual at grade {worst}")
+        nf.residual_grade = engine.verify_order(spec, nf)
+        failures = nf.certification_failures()
     if not failures:
         print("certified: residual clears the truncation window")
         return EXIT_OK
@@ -103,10 +119,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     spec, _sf = _load(args)
     params = _params(args.param, spec)
-    T, dt = args.T, args.dt
-    if T <= 0 or dt <= 0 or T < dt:
-        raise SysFileError("need a positive horizon T >= dt")
-    times = [float(v) for v in args.times.split(",")] if args.times else [T]
+    times = _run_options(args)
     if args.model == "full":
         sde = compile_full_system(spec, params)
         x0 = args.x0 or [0.0] * (spec.m + spec.n)
@@ -122,7 +135,7 @@ def cmd_simulate(args) -> int:
         x0 = args.x0 or [0.0] * spec.m
     if len(x0) != sde.dim:
         raise SysFileError(f"--x0 needs {sde.dim} values")
-    res = run_ensemble(sde, x0, T, dt, args.replicates, args.seed, times)
+    res = run_ensemble(sde, x0, args.T, args.dt, args.replicates, args.seed, times)
     table = res.summary_table()
     if args.out:
         with open(args.out, "w") as fh:
@@ -135,10 +148,10 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     spec, _sf = _load(args)
     params = _params(args.param, spec)
+    times = _run_options(args)
     nf = engine.construct(spec, _policy(args))
     if not nf.certified:
         return EXIT_CERT
-    times = [float(v) for v in args.times.split(",")]
     full = compile_full_system(spec, params)
     chart = ssm_parametrisation(nf)
     x0_slow = [args.x0v] * spec.m
@@ -273,7 +286,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SysFileError as exc:
+    except (SysFileError, ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except engine.ConvergenceError as exc:

@@ -132,7 +132,7 @@ def construct(spec: SystemSpec, policy: Policy,
                 f"residual not cleared after {budget} sweeps",
                 residual_dump=_dump_residual(spec, res_x, res_y))
     nf.residual_grade = verify_order(spec, nf)
-    nf.certified = nf.residual_grade is None
+    nf.certified = not nf.certification_failures()
     return nf
 
 

@@ -8,9 +8,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .analysis import expected_series, ssm_parametrisation, revert
-from .render import render_series, parse_series
+from .render import ParseError, render_series, parse_series
 from .series import Series
 from .systems import NormalForm, Policy, SystemSpec
+
+
+class ReportError(ValueError):
+    """A malformed report: the message names the line or the missing
+    component."""
 
 
 def _new_names(spec: SystemSpec) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
@@ -52,7 +57,8 @@ def emit_report(nf: NormalForm, include_analyses: bool = True) -> str:
         f"policy: {nf.policy.label()}",
         f"mu_min: {nf.policy.mu_min}",
         *(f"{key}: {value}" for key, value in truncation_header(spec)),
-        f"certified: {'yes' if nf.certified else f'NO (residual at grade {nf.residual_grade})'}",
+        "certified: " + ("yes" if nf.certified
+                         else f"NO ({'; '.join(nf.certification_failures())})"),
     ]
     if nf.diagnostics:
         for d in sorted(set(nf.diagnostics)):
@@ -108,7 +114,7 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
     header: Dict[str, str] = {}
     sections: Dict[str, Dict[str, Series]] = {}
     current: Optional[str] = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.strip() == "normal-form report" \
                 or raw.lstrip().startswith("#"):
             continue
@@ -121,12 +127,16 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
                 header[key.strip()] = val.strip()
             continue
         if current is None:
-            raise ValueError(f"series line outside any section: {raw!r}")
+            raise ReportError(f"report line {lineno}: series line outside any "
+                              f"section: {raw.strip()!r}")
         lhs, _, rhs = raw.strip().partition("=")
         rhs = rhs.split("(+ unevaluable")[0].strip()
         names = names_orig if current == "reversion" else names_new
-        sections[current][lhs.strip()] = parse_series(
-            rhs, spec.dims, spec.trunc, names)
+        try:
+            sections[current][lhs.strip()] = parse_series(
+                rhs, spec.dims, spec.trunc, names)
+        except ParseError as exc:
+            raise ReportError(f"report line {lineno}: {exc}") from exc
     return ParsedReport(header, sections.get("transform", {}),
                         sections.get("evolution", {}), sections)
 
@@ -136,11 +146,18 @@ def rebuild_normal_form(rep: ParsedReport, spec: SystemSpec,
     """Reconstruct a NormalForm from a parsed report for re-certification."""
     slow_new, fast_new = _new_names(spec)
     dims, trunc = spec.dims, spec.trunc
-    xi = [rep.transform[n] - Series.slow_var(dims, trunc, i)
+
+    def line(section: str, lhs: str) -> Series:
+        series = getattr(rep, section).get(lhs)
+        if series is None:
+            raise ReportError(f"report has no {section} line '{lhs} = ...'")
+        return series
+
+    xi = [line("transform", n) - Series.slow_var(dims, trunc, i)
           for i, n in enumerate(spec.slow_names)]
-    eta = [rep.transform[n] - Series.fast_var(dims, trunc, j)
+    eta = [line("transform", n) - Series.fast_var(dims, trunc, j)
            for j, n in enumerate(spec.fast_names)]
     lin_x, lin_y = spec.linear_xdot(), spec.linear_ydot()
-    F = [rep.evolution[f"d{n}/dt"] - lin_x[i] for i, n in enumerate(slow_new)]
-    G = [rep.evolution[f"d{n}/dt"] - lin_y[j] for j, n in enumerate(fast_new)]
+    F = [line("evolution", f"d{n}/dt") - lin_x[i] for i, n in enumerate(slow_new)]
+    G = [line("evolution", f"d{n}/dt") - lin_y[j] for j, n in enumerate(fast_new)]
     return NormalForm(spec=spec, policy=policy, xi=xi, eta=eta, F=F, G=G)

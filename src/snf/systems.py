@@ -160,6 +160,13 @@ class NormalForm:
         dims, trunc = self.spec.dims, self.spec.trunc
         return [Series.fast_var(dims, trunc, j) + self.eta[j] for j in range(self.spec.n)]
 
+    def certification_failures(self) -> List[str]:
+        """Why the form is not certified: the residual grade, then each
+        distinct structural problem; empty for a certified form."""
+        residual = ([] if self.residual_grade is None
+                    else [f"residual at grade {self.residual_grade}"])
+        return residual + list(dict.fromkeys(self.check_structure()))
+
     def check_structure(self) -> List[str]:
         """Structural facts every construction must satisfy; empty when clean."""
         problems = []

@@ -150,3 +150,66 @@ def test_malformed_arguments_exit_2(toy_path, capsys, argv, message):
     rc = main([argv[0], toy_path, "--order", "2", *argv[1:]])
     assert rc == EXIT_PARSE
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cmd,extra,message", [
+    ("simulate", ["--replicates", "4", "--times=-0.5,0.1"],
+     "--times -0.5,0.1: sample time -0.5 outside the horizon [0, 0.1]"),
+    ("simulate", ["--replicates", "4", "--times", "0.05,0.2"],
+     "--times 0.05,0.2: sample time 0.2 outside the horizon [0, 0.1]"),
+    ("simulate", ["--replicates", "1"],
+     "--replicates: spread statistics need at least 2, got 1"),
+    ("compare", ["--replicates", "1", "--times", "0.1"],
+     "--replicates: spread statistics need at least 2, got 1"),
+    ("compare", ["--replicates", "4", "--times=-0.5"],
+     "--times -0.5: sample time -0.5 outside the horizon [0, 0.1]"),
+])
+def test_bad_ensemble_options_exit_2(toy_path, capsys, cmd, extra, message):
+    rc = main([cmd, toy_path, "--order", "2", "--T", "0.1", "--dt", "0.01", *extra])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# -- derive certifies only a structurally clean form -------------------------
+
+def test_derive_with_structural_failures_is_not_certified(toy_path, tmp_path, capsys):
+    # mu_min above the fast rate: the near-resonant assignment leaves X^2 and
+    # sigma in the fast evolution and anticipation in the slow one, though
+    # the residual clears
+    out = tmp_path / "report.txt"
+    rc = main(["derive", toy_path, "--order", "3", "--mu-min", "2", "--out", str(out)])
+    assert rc == EXIT_CERT
+    header = out.read_text().split("transform:")[0]
+    assert "certified: NO (fast evolution 0 has a fast-variable-free term" in header
+    assert "slow evolution 0 anticipates the noise" in header
+    err = capsys.readouterr().err
+    assert "certification FAILED: fast evolution 0 has a fast-variable-free term" in err
+    assert "residual" not in err
+
+
+# -- malformed reports --------------------------------------------------------
+
+def test_verify_of_a_report_missing_a_transform_line_exits_2(
+        toy_path, tmp_path, toy3_report, capsys):
+    bad = "".join(line for line in toy3_report.splitlines(keepends=True)
+                  if not line.startswith("  y = "))
+    assert _verify(toy_path, tmp_path, bad) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: report has no transform line 'y = ...'\n"
+
+
+def test_verify_of_a_report_missing_an_evolution_line_exits_2(
+        toy_path, tmp_path, toy3_report, capsys):
+    bad = "".join(line for line in toy3_report.splitlines(keepends=True)
+                  if not line.startswith("  dX/dt = "))
+    assert _verify(toy_path, tmp_path, bad) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: report has no evolution line 'dX/dt = ...'\n"
+
+
+def test_verify_of_a_report_with_an_unknown_symbol_exits_2(
+        toy_path, tmp_path, toy3_report, capsys):
+    lines = toy3_report.splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if line.startswith("  dX/dt = "))
+    lines[n] = lines[n].replace("dX/dt = ", "dX/dt = q*X + ")
+    assert _verify(toy_path, tmp_path, "".join(lines)) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report line {n + 1}: unknown symbol 'q'")

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import make_system
-from snf import noise
+from snf import mc, noise
 from snf.engine import construct
-from snf.mc import (CompileError, compile_full_system, compile_observables,
-                    compile_slow_model, heun_step, run_ensemble, sampleable_part)
+from snf.mc import (CompileError, FilterBank, compile_full_system,
+                    compile_observables, compile_slow_model, heun_step,
+                    run_ensemble, sampleable_part)
 from snf.render import parse_series_for
 from snf.systems import ALLOW
 
@@ -308,3 +309,148 @@ def test_heun_step_second_order_on_linear_ode():
         errs.append(abs(x - np.exp(lam * T)))
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.6 < coarse / fine < 4.4, errs
+
+
+# -- the block filter step against the per-step recursion ------------------
+
+def _per_step(bank, z, dw):
+    """One step of every filter slot, slot by slot (the reference for the
+    block step); ``dw`` has shape (n_noise, R)."""
+    out = np.empty_like(z)
+    for i, s in enumerate(bank.slots):
+        if s.driver_kind == "w":
+            out[i] = bank._a[i] * z[i] + bank._c[i] * dw[s.driver_k]
+        else:
+            u_old = np.prod(z[list(s.driver_slots)], axis=0)
+            u_new = np.prod(out[list(s.driver_slots)], axis=0)
+            out[i] = bank._a[i] * z[i] + (bank._dt / 2.0) * (
+                bank._a[i] * u_old + u_new)
+    return out
+
+
+def _per_step_ensemble(sde, x0, T, dt, n_rep, seed, sample_times,
+                       observables=None, chunk=512, warm=None):
+    """``run_ensemble`` drawing increments and stepping the filters one
+    step at a time (the reference for the block version)."""
+    sample_times = np.asarray(sorted(sample_times), dtype=float)
+    n_steps = int(round(T / dt))
+    sample_idx = [int(round(t / dt)) for t in sample_times]
+    warm_time = sde.bank.max_spin() if warm is None else warm
+    warm_steps = int(math.ceil(warm_time / dt))
+    sde.bank.prepare(dt)
+    n_out = observables.sde.dim if observables else sde.dim
+    out = np.empty((n_rep, len(sample_times), n_out))
+    master = np.random.SeedSequence(seed)
+    chunks = [(lo, min(lo + chunk, n_rep)) for lo in range(0, n_rep, chunk)]
+    for child, (lo, hi) in zip(master.spawn(len(chunks)), chunks):
+        rng = np.random.default_rng(child)
+        R = hi - lo
+        state = np.tile(np.asarray(x0, dtype=float)[:, None], (1, R))
+        z = sde.bank.make_state(R)
+        sqdt = math.sqrt(dt)
+        for _ in range(warm_steps):
+            z = _per_step(sde.bank, z, rng.standard_normal((sde.n_noise, R)) * sqdt)
+        pos = 0
+        for t_i in range(n_steps + 1):
+            while pos < len(sample_idx) and sample_idx[pos] == t_i:
+                out[lo:hi, pos, :] = (observables.values(state, z)
+                                      if observables else state).T
+                pos += 1
+            if t_i == n_steps:
+                break
+            dw = rng.standard_normal((sde.n_noise, R)) * sqdt
+            dw_amp = dw * sde.noise_amp[:, None]
+            z_ends = (z, _per_step(sde.bank, z, dw))
+
+            def increment(y, end):
+                drift, diff = sde.rates(y, z_ends[end])
+                return drift * dt + np.einsum("dkr,kr->dr", diff, dw_amp)
+
+            state = heun_step(state, increment)
+            z = z_ends[1]
+    return out
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def toy_chart_model(toy5):
+    """The toy reduced model with its chart as observables, as ``snf
+    compare`` builds them: five filters, Brownian and product slots."""
+    from snf.analysis import ssm_parametrisation
+    params = {"sigma": 0.05}
+    sde = compile_slow_model(toy5, params)
+    chart = ssm_parametrisation(toy5)
+    obs = compile_observables([sampleable_part(s)[0] for s in chart.x_of_X],
+                              sde, params, toy5.spec.param_names,
+                              lambda m: tuple(m[0]))
+    return sde, obs
+
+
+def test_block_filter_step_is_the_per_step_recursion(toy_chart_model):
+    bank = toy_chart_model[0].bank
+    kinds = sorted((s.driver_kind, len(s.driver_slots)) for s in bank.slots)
+    assert kinds == [("prod", 1), ("prod", 1), ("prod", 2), ("prod", 2), ("w", 0)]
+    dt, R = 1e-2, 3
+    bank.prepare(dt)
+    warm_steps = int(math.ceil(bank.max_spin() / dt))
+    rng = np.random.default_rng(17)
+    z_ref = z = bank.make_state(R)
+    for steps in (1, 7, warm_steps + 5, 7, 1):
+        dw = rng.standard_normal((steps, 1, R)) * math.sqrt(dt)
+        block = bank.step(z, dw)
+        assert block.shape == (steps, bank.n, R)
+        for t in range(steps):
+            z_ref = _per_step(bank, z_ref, dw[t])
+            assert _same_bits(block[t], z_ref), (steps, t)
+        z = block[-1]
+    assert np.all(z != 0)
+
+
+def test_block_filter_step_of_an_empty_bank():
+    bank = FilterBank()
+    bank.prepare(1e-2)
+    assert bank.step(bank.make_state(4), np.ones((5, 2, 4))).shape == (5, 0, 4)
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("model", ["reduced", "full"])
+def test_run_ensemble_is_the_per_step_loop(toy_chart_model, toy5, model, R):
+    # Warm-up and horizon are not whole blocks, the horizon spans several
+    # blocks, and two chunks each draw their own stream.  The full model's
+    # bank has no slots but its warm-up still consumes the stream.
+    dt, warm, T = 1e-2, 0.75, 0.93
+    assert int(math.ceil(warm / dt)) % mc._BLOCK and int(round(T / dt)) % mc._BLOCK
+    times = [0.0, 0.05, 0.32, 0.33, 0.64, T]
+    if model == "reduced":
+        sde, obs = toy_chart_model
+        x0 = [0.3]
+    else:
+        sde, obs = compile_full_system(toy5.spec, {"sigma": 0.05}), None
+        x0 = [0.3, 0.09]
+        assert sde.bank.n == 0
+    got = run_ensemble(sde, x0, T, dt, 2 * R, 23, times, observables=obs,
+                       chunk=R, warm=warm)
+    want = _per_step_ensemble(sde, x0, T, dt, 2 * R, 23, times, observables=obs,
+                              chunk=R, warm=warm)
+    assert _same_bits(got.samples, want)
+    assert np.all(np.isfinite(want)) and len(np.unique(want[:, -1, 0])) == 2 * R
+
+
+def test_run_ensemble_default_warmup_is_the_per_step_loop(toy_chart_model):
+    # the chart's nested filters need their full 30 time units of warm-up
+    sde, obs = toy_chart_model
+    got = run_ensemble(sde, [0.3], 0.1, 1e-2, 2, 5, [0.1], observables=obs)
+    want = _per_step_ensemble(sde, [0.3], 0.1, 1e-2, 2, 5, [0.1], observables=obs)
+    assert _same_bits(got.samples, want)
+
+
+@pytest.mark.parametrize("times", [[-0.5, 0.1], [0.05, 0.2]])
+def test_run_ensemble_rejects_a_sample_time_off_the_horizon(linear3, times):
+    sde = compile_full_system(linear3.spec, {"eps": 0.1})
+    bad = next(t for t in times if not 0 <= t <= 0.1)
+    with pytest.raises(ValueError, match=f"sample time {bad:g} outside"):
+        run_ensemble(sde, [0.0, 0.0], 0.1, 1e-2, 4, 1, times)
