@@ -16,8 +16,9 @@ import numpy as np
 
 from . import engine
 from .analysis import AnalysisError, long_time_model, ssm_parametrisation
-from .mc import (compile_full_system, compile_observables, compile_series,
-                 compile_slow_model, run_ensemble, sample_steps, sampleable_part)
+from .mc import (CompileError, compile_full_system, compile_observables,
+                 compile_series, compile_slow_model, run_ensemble, sample_steps,
+                 sampleable_part)
 from .noise import ONE
 from .report import (ReportError, emit_report, header_policy, parse_report,
                      rebuild_normal_form, truncation_header)
@@ -77,12 +78,18 @@ def _run_options(args) -> List[float]:
     return times
 
 
-def cmd_derive(args) -> int:
-    spec, _sf = _load(args)
+def _construct(spec, args):
+    """The normal form, with each certification failure printed to stderr."""
     nf = engine.construct(spec, _policy(args))
-    text = emit_report(nf)
     for failure in nf.certification_failures():
         print(f"certification FAILED: {failure}", file=sys.stderr)
+    return nf
+
+
+def cmd_derive(args) -> int:
+    spec, _sf = _load(args)
+    nf = _construct(spec, args)
+    text = emit_report(nf)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -124,7 +131,9 @@ def cmd_simulate(args) -> int:
         sde = compile_full_system(spec, params)
         x0 = args.x0 or [0.0] * (spec.m + spec.n)
     else:
-        nf = engine.construct(spec, _policy(args))
+        nf = _construct(spec, args)
+        if not nf.certified:
+            return EXIT_CERT
         if args.model == "longtime":
             lt = long_time_model(nf)
             amps = {f.index: math.sqrt(float(f.intensity)) for f in lt.fresh}
@@ -149,7 +158,7 @@ def cmd_compare(args) -> int:
     spec, _sf = _load(args)
     params = _params(args.param, spec)
     times = _run_options(args)
-    nf = engine.construct(spec, _policy(args))
+    nf = _construct(spec, args)
     if not nf.certified:
         return EXIT_CERT
     full = compile_full_system(spec, params)
@@ -294,7 +303,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if exc.residual_dump:
             print(exc.residual_dump, file=sys.stderr)
         return EXIT_CERT
-    except AnalysisError as exc:
+    except (AnalysisError, CompileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERT
 

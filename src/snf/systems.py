@@ -7,6 +7,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import noise
+from .render import render_noise, render_series
 from .series import Dims, Series, Trunc, grade
 
 
@@ -170,38 +171,41 @@ class NormalForm:
     def check_structure(self) -> List[str]:
         """Structural facts every construction must satisfy; empty when clean."""
         problems = []
-        dims = self.spec.dims
         for i, s in enumerate(self.xi + self.eta):
             for (mono, expr), _c in s.terms.items():
                 if grade(mono) == 0 and expr == noise.ONE:
                     problems.append(f"transform component {i} has a constant term")
                 if any(noise.is_bare(a) for a in expr):
                     problems.append(
-                        f"transform component {i} carries bare noise {expr}")
+                        f"transform component {i} carries bare noise {render_noise(expr)}")
         for j, s in enumerate(self.G):
             for (mono, _expr), _c in s.terms.items():
                 if sum(mono[1]) == 0:
-                    problems.append(
-                        f"fast evolution {j} has a fast-variable-free term {mono}")
+                    problems.append(f"fast evolution {j} has a fast-variable-free "
+                                    f"term {self._render_mono(mono)}")
         if self.policy.anticipation:
             for i, s in enumerate(self.F):
                 for (mono, expr), _c in s.terms.items():
                     if sum(mono[1]) != 0:
                         problems.append(f"slow evolution {i} depends on fast variables")
                     if noise.anticipates(expr):
-                        problems.append(
-                            f"slow evolution {i} anticipates the noise: {expr}")
+                        problems.append(f"slow evolution {i} anticipates the "
+                                        f"noise: {render_noise(expr)}")
             for comp in (self.xi, self.eta):
                 for s in comp:
                     for (mono, expr), _c in s.terms.items():
                         if noise.anticipates(expr) and sum(mono[1]) == 0:
                             problems.append(
                                 "anticipatory convolution on a fast-variable-free "
-                                f"transform term {mono}")
+                                f"transform term {self._render_mono(mono)}")
         else:
             for s in self.xi + self.eta + self.F + self.G:
                 for (_mono, expr), _c in s.terms.items():
                     if noise.anticipates(expr):
-                        problems.append(
-                            f"anticipation produced under the no-anticipate policy: {expr}")
+                        problems.append("anticipation produced under the "
+                                        f"no-anticipate policy: {render_noise(expr)}")
         return problems
+
+    def _render_mono(self, mono) -> str:
+        spec = self.spec
+        return render_series(Series(spec.dims, spec.trunc, {(mono, noise.ONE): 1}), spec)

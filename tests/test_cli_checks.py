@@ -1,10 +1,13 @@
 """`snf verify` refuses reports that decouple nothing or misstate their
-header, and malformed input exits 2 with a message instead of a traceback."""
+header, `simulate` and `compare` refuse uncertified forms, and malformed
+input exits 2 with a message instead of a traceback."""
 
 import pytest
 
-from conftest import bundled_text
+from conftest import bundled_text, make_system
 from snf.cli import EXIT_CERT, EXIT_OK, EXIT_PARSE, main
+from snf.engine import construct
+from snf.systems import Policy
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +188,10 @@ def test_derive_with_structural_failures_is_not_certified(toy_path, tmp_path, ca
     err = capsys.readouterr().err
     assert "certification FAILED: fast evolution 0 has a fast-variable-free term" in err
     assert "residual" not in err
+    # terms are named as rendered series, not internal tuples
+    assert "certification FAILED: fast evolution 0 has a fast-variable-free term x^2\n" in err
+    assert ("certification FAILED: slow evolution 0 anticipates the noise: "
+            "phi[0]*Z[+1]{ phi[0] }\n") in err
 
 
 # -- malformed reports --------------------------------------------------------
@@ -213,3 +220,33 @@ def test_verify_of_a_report_with_an_unknown_symbol_exits_2(
     assert _verify(toy_path, tmp_path, "".join(lines)) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith(f"error: report line {n + 1}: unknown symbol 'q'")
+
+
+# -- simulate and compare run certified forms only ---------------------------
+
+UNCERTIFIED = ["--order", "3", "--mu-min", "2", "--T", "0.1", "--dt", "0.01",
+               "--replicates", "4", "--times", "0.1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "reduced"],
+    ["simulate", "--model", "longtime"],
+    ["compare"],
+])
+def test_simulate_and_compare_refuse_an_uncertified_form(toy_path, capsys, argv):
+    failures = construct(make_system("toy.snf", total=3),
+                         Policy(anticipation=True, mu_min=2)).certification_failures()
+    assert failures
+    assert main([argv[0], toy_path, *argv[1:], *UNCERTIFIED]) == EXIT_CERT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "".join(f"certification FAILED: {f}\n" for f in failures)
+    assert "certification FAILED: fast evolution 0 has a fast-variable-free term sigma\n" in err
+
+
+def test_a_slow_model_that_cannot_be_compiled_exits_3(toy_path, capsys):
+    # certified under no-anticipate, but its slow evolution keeps Y
+    rc = main(["simulate", toy_path, "--order", "3", "--policy", "no-anticipate",
+               "--model", "reduced", "--T", "0.1", "--dt", "0.01", "--replicates", "4"])
+    assert rc == EXIT_CERT
+    assert capsys.readouterr().err == "error: slow model depends on fast variables\n"

@@ -1,5 +1,5 @@
-"""The benchmark's Monte Carlo workloads still run, pass their checks and
-reach the snf functions its tracing wraps (no timing is asserted)."""
+"""The benchmark's workloads still run, pass their checks and reach the snf
+functions its tracing wraps (no timing is asserted)."""
 
 import json
 import os
@@ -11,7 +11,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+ENGINE_SPANS = ("engine.construct", "engine.sweep", "engine.compute_residual",
+                "engine.verify_order")
 SPANS = {
+    "certify": ENGINE_SPANS,
+    "report": ENGINE_SPANS + ("analysis.revert", "report.emit", "report.parse_report"),
     "ensemble": ("mc.run_ensemble", "mc.rates", "mc.warmup", "mc.filter_step"),
     "pathwise": ("hopf.simulate_dvdp", "hopf.simulate_amplitude", "hopf.mathieu"),
 }
