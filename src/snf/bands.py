@@ -110,8 +110,7 @@ def _resonant_strip(w: np.ndarray, dt: float, delta: float,
     return lbins, psit_p
 
 
-def quad_resonant_noise(w: np.ndarray, dt: float, delta: float,
-                        centers: Sequence[float] = (-2.0, 0.0, 2.0)) -> QuadNoise:
+def quad_resonant_noise(w: np.ndarray, dt: float, delta: float) -> QuadNoise:
     """Resonant part of the double-frequency quadratic noise integral.
 
     For each offset |omega_tilde| < delta computes
@@ -120,12 +119,12 @@ def quad_resonant_noise(w: np.ndarray, dt: float, delta: float,
             K_+(Omega, omega_tilde - Omega) phihat(Omega)
             phihat(omega_tilde - Omega),
 
-    with D the frequency axis minus [m-delta, m+delta] around each centre,
-    then inverse-transforms over the resonant strip.  The real and imaginary
-    parts are normalised to unit variance; their scales c_r and c_i are the
-    reported constants.
+    with D the frequency axis minus [m-delta, m+delta] around each centre
+    m = -2, 0, 2, then inverse-transforms over the resonant strip.  The real
+    and imaginary parts are normalised to unit variance; their scales c_r and
+    c_i are the reported constants.
     """
-    lbins, psit_p = _resonant_strip(w, dt, delta, centers)
+    lbins, psit_p = _resonant_strip(w, dt, delta, (-2.0, 0.0, 2.0))
     # psi_plus(t_k) = dOm sum_l psit_p[l] exp(i l dOm t_k) with t_k = k dt and
     # dOm = 2 pi / (n dt): an inverse DFT of the strip, scaled by dOm n.
     strip = np.zeros(len(w), dtype=complex)

@@ -1,7 +1,8 @@
 """Command-line pipeline: derive / verify / simulate / compare / hopf.
 
-Exit codes: 0 success, 2 parse or configuration error, 3 certification or
-analysis failure, 4 tolerance failure.
+Exit codes: 0 success, 2 parse or configuration error, 3 certification,
+analysis or noise-calculus failure, 4 tolerance failure or diverged
+replicates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .analysis import AnalysisError, long_time_model, ssm_parametrisation
 from .mc import (CompileError, compile_full_system, compile_observables,
                  compile_series, compile_slow_model, run_ensemble, sample_steps,
                  sampleable_part)
-from .noise import ONE
+from .noise import ONE, NoiseError
 from .report import (ReportError, emit_report, header_policy, parse_report,
                      rebuild_normal_form, truncation_header)
 from .series import Trunc
@@ -76,6 +77,18 @@ def _run_options(args) -> List[float]:
     except ValueError as exc:
         raise SysFileError(f"--times {text}: {exc}")
     return times
+
+
+def _diverged(res, model: str) -> bool:
+    """Name on stderr how many replicates went non-finite, and by which
+    sample time; True when any did."""
+    counts = res.diverged()
+    if not counts[-1]:
+        return False
+    t = res.times[np.argmax(counts == counts[-1])]
+    print(f"error: {counts[-1]} of {res.n_rep} {model} replicates diverged "
+          f"before t = {t:g}", file=sys.stderr)
+    return True
 
 
 def _construct(spec, args):
@@ -145,6 +158,8 @@ def cmd_simulate(args) -> int:
     if len(x0) != sde.dim:
         raise SysFileError(f"--x0 needs {sde.dim} values")
     res = run_ensemble(sde, x0, args.T, args.dt, args.replicates, args.seed, times)
+    if _diverged(res, args.model):
+        return EXIT_TOL
     table = res.summary_table()
     if args.out:
         with open(args.out, "w") as fh:
@@ -186,6 +201,9 @@ def cmd_compare(args) -> int:
                          args.seed, times)
     res_r = run_ensemble(sde_r, x0_slow, args.T, args.dt, args.replicates,
                          args.seed + 1, times, observables=obs)
+    # both checked, so that each model's count is named
+    if _diverged(res_f, "full") | _diverged(res_r, "reduced"):
+        return EXIT_TOL
     ok = True
     print("time\tfull_mean\tred_mean\tmean_z\tfull_var\tred_var\tvar_z")
     for i, t in enumerate(times):
@@ -303,7 +321,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if exc.residual_dump:
             print(exc.residual_dump, file=sys.stderr)
         return EXIT_CERT
-    except (AnalysisError, CompileError) as exc:
+    except (AnalysisError, CompileError, NoiseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERT
 

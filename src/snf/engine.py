@@ -150,10 +150,12 @@ def _lowest(series_list: List[Series]) -> Optional[int]:
 
 
 def _dump_residual(spec: SystemSpec, res_x, res_y) -> str:
-    from .render import render_series
+    # the residual is a function of the normal-form variables X, Y
+    from .render import new_names, render_series
+    names = (*new_names(spec), spec.param_names)
     lines = []
     for name, series_list in (("res_x", res_x), ("res_y", res_y)):
         for k, s in enumerate(series_list):
             if not s.is_zero():
-                lines.append(f"{name}[{k}] = {render_series(s, spec)}")
+                lines.append(f"{name}[{k}] = {render_series(s, names)}")
     return "\n".join(lines)

@@ -129,13 +129,12 @@ def reconstruct_x1(a: np.ndarray, dt: float) -> np.ndarray:
     return (a * np.exp(1j * t) + np.conj(a) * np.exp(-1j * t)).real
 
 
-def fit_growth_rate(amplitude: np.ndarray, dt: float,
-                    lo_frac: float = 0.25, hi_frac: float = 1.0) -> float:
-    """Least-squares slope of log amplitude over a window."""
+def fit_growth_rate(amplitude: np.ndarray, dt: float) -> float:
+    """Least-squares slope of log amplitude over the last three quarters."""
     n = len(amplitude)
-    lo, hi = int(n * lo_frac), int(n * hi_frac)
-    t = np.arange(lo, hi) * dt
-    y = np.log(np.abs(amplitude[lo:hi]))
+    lo = int(n * 0.25)
+    t = np.arange(lo, n) * dt
+    y = np.log(np.abs(amplitude[lo:]))
     A = np.vstack([t, np.ones_like(t)]).T
     slope, _ = np.linalg.lstsq(A, y, rcond=None)[0]
     return float(slope)

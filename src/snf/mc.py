@@ -2,11 +2,11 @@
 
 A series-defined evolution compiles to drift/diffusion term lists over a
 numeric state vector.  Memory convolutions appearing as coefficients become
-a bank of exponential filters (exact update, variance-matched noise
-weight) that is warmed up before time zero and advanced alongside the
-state.  The filters are driven by noise alone, so the bank advances a block
-of steps at a time, each filter one ``lfilter`` recursion along the block;
-the state is stepped one step at a time inside the block.  Replicates are
+a bank of exponential filters, the package's one filter (``filter_weights``,
+``trapezoid_input``, ``run_filter``; ``snf.paths`` samples it too).  The bank
+is warmed up before time zero and, driven by noise alone, advances a block of
+steps at a time, each filter one recursion along the block; the state is
+stepped one step at a time inside the block.  Replicates are
 integrated in vectorised chunks, each chunk drawing from its own spawned
 random stream, so results are reproducible from the master seed and
 independent across replicates.  A chunk draws each block's increments in
@@ -40,6 +40,9 @@ from .systems import SystemSpec, NormalForm
 # stepping one step at a time, 64 steps about 6 MiB.
 _BLOCK = 32
 
+# Spin-up of a filter from a zero start, in its time constants.
+SPINUP_TIME_CONSTANTS = 10.0
+
 
 class CompileError(ValueError):
     """The series cannot be integrated as a forward SDE."""
@@ -53,6 +56,23 @@ def heun_step(x, increment):
     d0 = increment(x, 0)
     d1 = increment(x + d0, 1)
     return x + (d0 + d1) / 2
+
+
+def filter_weights(rate: float, dt: float) -> Tuple[float, float]:
+    """Exact one-step decay a and variance-matched dW weight c of the filter
+    z' = rate z + (input), rate < 0 (Gillespie, Phys. Rev. E 54, 2084, 1996)."""
+    a = math.exp(rate * dt)
+    return a, math.sqrt((1.0 - a * a) / (2.0 * abs(rate)) / dt)
+
+
+def trapezoid_input(a: float, u_old, u_new, dt: float):
+    """The filter's input over one step from a signal u, by the trapezoid."""
+    return (dt / 2.0) * (a * u_old + u_new)
+
+
+def run_filter(a: float, x: np.ndarray, y0=0.0) -> np.ndarray:
+    """y[t] = a y[t-1] + x[t] along the last axis of x, from y[-1] = y0."""
+    return lfilter([1.0], [1.0, -a], x, axis=-1, zi=np.asarray(a * y0)[..., None])[0]
 
 
 @dataclass
@@ -80,14 +100,14 @@ class FilterBank:
                 "anticipatory convolutions cannot be pre-sampled in a forward "
                 f"simulation (rate {atom[1]})")
         child = atom[2]
+        spin = SPINUP_TIME_CONSTANTS / abs(mu)
         if len(child) == 1 and noise.is_bare(child[0]):
-            slot = FilterSlot(mu, "w", driver_k=child[0][1],
-                              spin_time=10.0 / abs(mu))
+            slot = FilterSlot(mu, "w", driver_k=child[0][1], spin_time=spin)
         else:
             if any(noise.is_bare(a) for a in child):
                 raise CompileError(f"bare noise nested inside a convolution: {child}")
             subs = tuple(self.slot_for(a) for a in child)
-            spin = 10.0 / abs(mu) + max(self.slots[s].spin_time for s in subs)
+            spin += max(self.slots[s].spin_time for s in subs)
             slot = FilterSlot(mu, "prod", driver_slots=subs, spin_time=spin)
         self.slots.append(slot)
         self._index[atom] = len(self.slots) - 1
@@ -104,10 +124,8 @@ class FilterBank:
         return np.zeros((self.n, n_rep))
 
     def prepare(self, dt: float):
-        self._a = np.array([math.exp(s.rate * dt) for s in self.slots])
-        self._c = np.array([
-            math.sqrt((1.0 - math.exp(2 * s.rate * dt)) / (2.0 * abs(s.rate)) / dt)
-            if s.driver_kind == "w" else 0.0 for s in self.slots])
+        weights = [filter_weights(s.rate, dt) for s in self.slots]
+        self._a, self._c = np.array(weights).reshape(-1, 2).T
         self._dt = dt
 
     def step(self, z: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -115,31 +133,25 @@ class FilterBank:
         ``dw`` has shape (steps, n_noise, R).  Returns the state after each
         step, shape (steps, n, R) (a view of a time-last array).
 
-        Each slot is one first-order recursion y[t] = a y[t-1] + x[t] along
-        time, run by ``lfilter`` (time on the last axis, where it is
-        contiguous).  A Brownian slot's input is c dW; a product slot's is
-        the trapezoid (dt/2)(a u[t-1] + u[t]) of its drivers' product u,
-        whose trajectories are already computed because drivers have lower
-        slot numbers.  Both are the per-step recursion's own operations, so
-        the result is bitwise that of stepping one step at a time."""
+        Each slot is one ``run_filter`` recursion along time, its input c dW
+        (Brownian slot) or the trapezoid of its drivers' product (product
+        slot; drivers have lower slot numbers, so their trajectories are
+        already filled in).  This is bitwise the per-step recursion."""
         steps, _, R = dw.shape
-        out = np.empty((self.n, R, steps))
+        out = np.empty((self.n, R, steps + 1))
+        out[:, :, 0] = z
         dw_t = np.moveaxis(dw, 0, -1).copy()
         for i, s in enumerate(self.slots):
             a = self._a[i]
             if s.driver_kind == "w":
                 x = self._c[i] * dw_t[s.driver_k]
             else:
-                u_new = out[s.driver_slots[0]]
-                u_0 = z[s.driver_slots[0]]
+                u = out[s.driver_slots[0]]
                 for d in s.driver_slots[1:]:
-                    u_new = u_new * out[d]
-                    u_0 = u_0 * z[d]
-                u_old = np.concatenate((u_0[:, None], u_new[:, :-1]), axis=1)
-                x = (self._dt / 2.0) * (a * u_old + u_new)
-            out[i], _ = lfilter([1.0], [1.0, -a], x, axis=-1,
-                                zi=(a * z[i])[:, None])
-        return np.moveaxis(out, -1, 0)
+                    u = u * out[d]
+                x = trapezoid_input(a, u[:, :-1], u[:, 1:], self._dt)
+            out[i, :, 1:] = run_filter(a, x, z[i])
+        return np.moveaxis(out[:, :, 1:], -1, 0)
 
 
 @dataclass
@@ -311,6 +323,11 @@ class EnsembleResult:
     @property
     def n_rep(self) -> int:
         return self.samples.shape[0]
+
+    def diverged(self) -> np.ndarray:
+        """Per sample time, the replicates with a non-finite output (a
+        replicate that overflows stays non-finite)."""
+        return (~np.isfinite(self.samples).all(axis=2)).sum(axis=0)
 
     def _need_spread(self):
         if self.n_rep < 2:

@@ -362,9 +362,10 @@ def _ibp_expr(expr: Expr, depth: int) -> Tuple[NoiseSum, NoiseSum]:
         # irreducible evolution shapes.
         return {expr: Fraction(1)}, {}
     if depth > _IBP_DEPTH_LIMIT:
-        # Leave the term in the evolution rather than loop; engine-level
-        # diagnostics surface it.
-        return {expr: Fraction(1)}, {}
+        from .render import render_noise
+        raise MalformedResidual(
+            f"integration by parts did not terminate within {_IBP_DEPTH_LIMIT} "
+            f"levels at {render_noise(expr)}")
     if len(expr) == 1:
         mu, child = expr[0][1], expr[0][2]
         evo, xform = _ibp_sum({child: Fraction(1) / abs(mu)}, depth + 1)

@@ -4,9 +4,7 @@ A path carries increments ``dW ~ N(0, dt)`` on a grid that extends beyond
 the working window ``[0, T]`` by a spin-up prefix and a trim suffix, so that
 memory convolutions (rate < 0, filtered forward) and anticipatory
 convolutions (rate > 0, filtered backward from the end) are stationary over
-the whole working window.  Filter updates are exact for the exponential
-kernel, with the noise weight variance-matched so that stationary moments
-carry no O(dt) bias.
+the whole working window.  The filter is the one of ``snf.mc``.
 """
 
 from __future__ import annotations
@@ -17,18 +15,15 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import noise
-from .mc import compile_series
+from .mc import (SPINUP_TIME_CONSTANTS, compile_series, filter_weights,
+                 run_filter, trapezoid_input)
 from .noise import Expr, ONE
 
 
 class IllFormedForSampling(ValueError):
     """Bare noise below the top level cannot be evaluated pointwise."""
-
-
-SPINUP_TIME_CONSTANTS = 10.0
 
 
 @dataclass
@@ -96,34 +91,23 @@ class ConvolutionSample:
         return self.values[path.main_slice()]
 
 
-def _run_filter(a: float, driver: np.ndarray) -> np.ndarray:
-    # y_n = a y_{n-1} + driver_n, started from zero.
-    return lfilter([1.0], [1.0, -a], driver)
+def _forward(path: NoisePath, mu: float, a: float, x, lo: int, hi: int) -> ConvolutionSample:
+    # from zero at the first grid point; valid ten time constants after lo
+    z = np.concatenate(([0.0], run_filter(a, x)))
+    spin = int(math.ceil(SPINUP_TIME_CONSTANTS / (abs(mu) * path.dt)))
+    return ConvolutionSample(Fraction(mu), z, lo + spin, hi)
 
 
 def _filter_forward_dw(path: NoisePath, mu: float, k: int) -> ConvolutionSample:
-    dt = path.dt
-    a = math.exp(mu * dt)
-    # Weight variance-matched to the stationary moment 1/(2|mu|).
-    c = math.sqrt((1.0 - a * a) / (2.0 * abs(mu)) / dt)
-    z = np.empty(path.n_points)
-    z[0] = 0.0
-    z[1:] = _run_filter(a, c * path.increments[k])
-    spin = int(math.ceil(SPINUP_TIME_CONSTANTS / (abs(mu) * dt)))
-    return ConvolutionSample(Fraction(mu), z, spin, path.n_total)
+    a, c = filter_weights(mu, path.dt)
+    return _forward(path, mu, a, c * path.increments[k], 0, path.n_total)
 
 
 def _filter_forward_signal(path: NoisePath, mu: float,
                            f: ConvolutionSample) -> ConvolutionSample:
-    dt = path.dt
-    a = math.exp(mu * dt)
-    v = f.values
-    z = np.empty(path.n_points)
-    z[0] = 0.0
-    # Exact exponential step, trapezoid quadrature of the driving signal.
-    z[1:] = _run_filter(a, (a * v[:-1] + v[1:]) * (dt / 2.0))
-    spin = int(math.ceil(SPINUP_TIME_CONSTANTS / (abs(mu) * dt)))
-    return ConvolutionSample(Fraction(mu), z, f.valid_lo + spin, f.valid_hi)
+    a, _c = filter_weights(mu, path.dt)
+    x = trapezoid_input(a, f.values[:-1], f.values[1:], path.dt)
+    return _forward(path, mu, a, x, f.valid_lo, f.valid_hi)
 
 
 def _mirror(s: ConvolutionSample, n_total: int) -> ConvolutionSample:

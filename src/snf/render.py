@@ -87,6 +87,17 @@ def render_series(s: Series, spec_or_names) -> str:
     return " ".join(out)
 
 
+def new_names(spec) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """The names of the normal-form variables X, Y of a system's x, y: each
+    name upper-cased, or suffixed ``_new`` when that name is taken."""
+    taken = set(spec.slow_names) | set(spec.fast_names) | set(spec.param_names)
+    def lift(name: str) -> str:
+        up = name.upper()
+        return up if up not in taken else name + "_new"
+    return (tuple(lift(n) for n in spec.slow_names),
+            tuple(lift(n) for n in spec.fast_names))
+
+
 def _pow(name: str, e: int) -> str:
     return name if e == 1 else f"{name}^{e}"
 

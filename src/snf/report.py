@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .analysis import expected_series, ssm_parametrisation, revert
-from .render import ParseError, render_series, parse_series
+from .render import ParseError, new_names as _new_names, parse_series, render_series
 from .series import Series
 from .systems import NormalForm, Policy, SystemSpec
 
@@ -16,15 +16,6 @@ from .systems import NormalForm, Policy, SystemSpec
 class ReportError(ValueError):
     """A malformed report: the message names the line or the missing
     component."""
-
-
-def _new_names(spec: SystemSpec) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    taken = set(spec.slow_names) | set(spec.fast_names) | set(spec.param_names)
-    def lift(name: str) -> str:
-        up = name.upper()
-        return up if up not in taken else name + "_new"
-    return (tuple(lift(n) for n in spec.slow_names),
-            tuple(lift(n) for n in spec.fast_names))
 
 
 def truncation_header(spec: SystemSpec) -> List[Tuple[str, str]]:
@@ -46,7 +37,7 @@ def header_policy(header: Dict[str, str]) -> Policy:
         raise ValueError(f"report header mu_min {mu_min!r} is not a rational")
 
 
-def emit_report(nf: NormalForm, include_analyses: bool = True) -> str:
+def emit_report(nf: NormalForm) -> str:
     spec = nf.spec
     slow_new, fast_new = _new_names(spec)
     names_new = (slow_new, fast_new, spec.param_names)
@@ -73,29 +64,28 @@ def emit_report(nf: NormalForm, include_analyses: bool = True) -> str:
         lines.append(f"  d{name}/dt = {render_series(nf.xdot()[i], names_new)}")
     for j, name in enumerate(fast_new):
         lines.append(f"  d{name}/dt = {render_series(nf.ydot()[j], names_new)}")
-    if include_analyses:
-        chart = ssm_parametrisation(nf)
-        lines.append("ssm:")
-        for i, name in enumerate(spec.slow_names):
-            lines.append(f"  {name} = {render_series(chart.x_of_X[i], names_new)}")
-        for j, name in enumerate(spec.fast_names):
-            lines.append(f"  {name} = {render_series(chart.y_of_X[j], names_new)}")
-        lines.append("expected_ssm:")
-        for name, series in zip(spec.slow_names + spec.fast_names,
-                                chart.x_of_X + chart.y_of_X):
-            e = expected_series(series)
-            tail = " (+ unevaluable terms)" if e.unevaluable else ""
-            lines.append(f"  E[{name}] = {render_series(e.value, names_new)}{tail}")
-            if e.unevaluable:
-                rest = Series(series.dims, series.trunc, dict(e.unevaluable))
-                lines.append(f"  # unevaluable in E[{name}]: "
-                             f"E[{render_series(rest, names_new)}]")
-        rv = revert(nf)
-        lines.append("reversion:")
-        for i, name in enumerate(slow_new):
-            lines.append(f"  {name} = {render_series(rv.X_of_xy[i], names_orig)}")
-        for j, name in enumerate(fast_new):
-            lines.append(f"  {name} = {render_series(rv.Y_of_xy[j], names_orig)}")
+    chart = ssm_parametrisation(nf)
+    lines.append("ssm:")
+    for i, name in enumerate(spec.slow_names):
+        lines.append(f"  {name} = {render_series(chart.x_of_X[i], names_new)}")
+    for j, name in enumerate(spec.fast_names):
+        lines.append(f"  {name} = {render_series(chart.y_of_X[j], names_new)}")
+    lines.append("expected_ssm:")
+    for name, series in zip(spec.slow_names + spec.fast_names,
+                            chart.x_of_X + chart.y_of_X):
+        e = expected_series(series)
+        tail = " (+ unevaluable terms)" if e.unevaluable else ""
+        lines.append(f"  E[{name}] = {render_series(e.value, names_new)}{tail}")
+        if e.unevaluable:
+            rest = Series(series.dims, series.trunc, dict(e.unevaluable))
+            lines.append(f"  # unevaluable in E[{name}]: "
+                         f"E[{render_series(rest, names_new)}]")
+    rv = revert(nf)
+    lines.append("reversion:")
+    for i, name in enumerate(slow_new):
+        lines.append(f"  {name} = {render_series(rv.X_of_xy[i], names_orig)}")
+    for j, name in enumerate(fast_new):
+        lines.append(f"  {name} = {render_series(rv.Y_of_xy[j], names_orig)}")
     return "\n".join(lines) + "\n"
 
 

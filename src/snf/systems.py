@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import noise
-from .render import render_noise, render_series
+from .render import new_names, render_noise, render_series
 from .series import Dims, Series, Trunc, grade
 
 
@@ -29,7 +29,6 @@ class Policy:
     """
     anticipation: bool = True
     mu_min: Fraction = Fraction(0)
-    notes: str = ""
 
     def label(self) -> str:
         return "anticipate" if self.anticipation else "no-anticipate"
@@ -179,10 +178,10 @@ class NormalForm:
                     problems.append(
                         f"transform component {i} carries bare noise {render_noise(expr)}")
         for j, s in enumerate(self.G):
-            for (mono, _expr), _c in s.terms.items():
+            for (mono, expr), _c in s.terms.items():
                 if sum(mono[1]) == 0:
                     problems.append(f"fast evolution {j} has a fast-variable-free "
-                                    f"term {self._render_mono(mono)}")
+                                    f"term {self._render_term(mono, expr)}")
         if self.policy.anticipation:
             for i, s in enumerate(self.F):
                 for (mono, expr), _c in s.terms.items():
@@ -197,7 +196,7 @@ class NormalForm:
                         if noise.anticipates(expr) and sum(mono[1]) == 0:
                             problems.append(
                                 "anticipatory convolution on a fast-variable-free "
-                                f"transform term {self._render_mono(mono)}")
+                                f"transform term {self._render_term(mono, expr)}")
         else:
             for s in self.xi + self.eta + self.F + self.G:
                 for (_mono, expr), _c in s.terms.items():
@@ -206,6 +205,8 @@ class NormalForm:
                                         f"no-anticipate policy: {render_noise(expr)}")
         return problems
 
-    def _render_mono(self, mono) -> str:
+    def _render_term(self, mono, expr) -> str:
+        """One term with unit coefficient, in the report's names X, Y."""
         spec = self.spec
-        return render_series(Series(spec.dims, spec.trunc, {(mono, noise.ONE): 1}), spec)
+        return render_series(Series(spec.dims, spec.trunc, {(mono, expr): 1}),
+                             (*new_names(spec), spec.param_names))

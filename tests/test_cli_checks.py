@@ -5,7 +5,8 @@ input exits 2 with a message instead of a traceback."""
 import pytest
 
 from conftest import bundled_text, make_system
-from snf.cli import EXIT_CERT, EXIT_OK, EXIT_PARSE, main
+from snf import noise
+from snf.cli import EXIT_CERT, EXIT_OK, EXIT_PARSE, EXIT_TOL, main
 from snf.engine import construct
 from snf.systems import Policy
 
@@ -189,7 +190,7 @@ def test_derive_with_structural_failures_is_not_certified(toy_path, tmp_path, ca
     assert "certification FAILED: fast evolution 0 has a fast-variable-free term" in err
     assert "residual" not in err
     # terms are named as rendered series, not internal tuples
-    assert "certification FAILED: fast evolution 0 has a fast-variable-free term x^2\n" in err
+    assert "certification FAILED: fast evolution 0 has a fast-variable-free term X^2\n" in err
     assert ("certification FAILED: slow evolution 0 anticipates the noise: "
             "phi[0]*Z[+1]{ phi[0] }\n") in err
 
@@ -241,7 +242,8 @@ def test_simulate_and_compare_refuse_an_uncertified_form(toy_path, capsys, argv)
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "".join(f"certification FAILED: {f}\n" for f in failures)
-    assert "certification FAILED: fast evolution 0 has a fast-variable-free term sigma\n" in err
+    assert ("certification FAILED: fast evolution 0 has a fast-variable-free term "
+            "sigma*phi[0]\n") in err
 
 
 def test_a_slow_model_that_cannot_be_compiled_exits_3(toy_path, capsys):
@@ -250,3 +252,48 @@ def test_a_slow_model_that_cannot_be_compiled_exits_3(toy_path, capsys):
                "--model", "reduced", "--T", "0.1", "--dt", "0.01", "--replicates", "4"])
     assert rc == EXIT_CERT
     assert capsys.readouterr().err == "error: slow model depends on fast variables\n"
+
+
+def test_a_noise_calculus_failure_exits_3(toy_path, monkeypatch, capsys):
+    monkeypatch.setattr(noise, "_IBP_DEPTH_LIMIT", 0)
+    assert main(["derive", toy_path, "--order", "3"]) == EXIT_CERT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: integration by parts did not terminate within 0 levels "
+                   "at Z[-1]{ phi[0] }^2\n")
+
+
+# -- diverging replicates are named, never averaged ---------------------------
+
+BLOWUP = """slow x
+fast y
+param s
+noise 1
+A 0
+B -1
+order 3
+eq x: x^3 + s*x*y
+eq y: -y + s*phi1
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv, errors", [
+    (["simulate", "--model", "full", "--x0", "2", "0"],
+     ["error: 4 of 4 full replicates diverged before t = 1\n"]),
+    (["simulate", "--model", "full", "--x0", "2", "0", "--times", "0.05,0.5,1"],
+     ["error: 4 of 4 full replicates diverged before t = 0.5\n"]),
+    (["compare", "--x0v", "2", "--times", "0.5,1"],
+     ["error: 4 of 4 full replicates diverged before t = 0.5\n",
+      "error: 4 of 4 reduced replicates diverged before t = 0.5\n"]),
+])
+def test_diverged_replicates_exit_4(tmp_path, capsys, argv, errors):
+    # dx = x^3 dt leaves every path from x = 2 to infinity by t = 1/8
+    p = tmp_path / "blowup.snf"
+    p.write_text(BLOWUP)
+    rc = main([argv[0], str(p), *argv[1:], "--T", "1", "--dt", "0.01",
+               "--replicates", "4"])
+    assert rc == EXIT_TOL
+    out, err = capsys.readouterr()
+    assert "nan" not in out
+    assert err.endswith("".join(errors))

@@ -1,6 +1,7 @@
 """Construction of normal forms: exact coefficient checks against the worked
 systems, certification, and structural invariants."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,15 @@ def test_construct_deterministic():
 def test_budget_exhaustion_raises():
     with pytest.raises(ConvergenceError):
         construct(make_system("toy.snf", total=4), ALLOW, max_sweeps=1)
+
+
+def test_budget_exhaustion_dumps_the_residual_in_the_report_names():
+    # the residual is a function of the normal-form variables X, Y
+    with pytest.raises(ConvergenceError) as info:
+        construct(make_system("toy.snf", total=4), ALLOW, max_sweeps=1)
+    dump = info.value.residual_dump
+    assert "- 2*Y^2 + X^2 +" in dump.splitlines()[1]
+    assert not re.search(r"\b[xy]\b", dump)
 
 
 def test_identity_transform_residual(toy3):

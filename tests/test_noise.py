@@ -185,6 +185,13 @@ class TestIbp:
         with pytest.raises(MalformedResidual):
             ibp_normalize({product(PHI, PHI, ZM): F(1)})
 
+    def test_depth_limit_names_the_product(self, monkeypatch):
+        # the wrapped square rule normalises (Z- phi)^2 one level down
+        monkeypatch.setattr(noise, "_IBP_DEPTH_LIMIT", 0)
+        with pytest.raises(MalformedResidual,
+                           match=r"within 0 levels at Z\[-1\]\{ phi\[0\] \}\^2$"):
+            ibp_normalize({(z_atom(F(-1), (ZM, ZM)),): F(1)})
+
     def test_triple_product(self):
         c = {product(ZM, ZM, ZM): F(1)}
         evo, xform = ibp_normalize(c)
