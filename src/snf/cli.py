@@ -79,6 +79,12 @@ def _run_options(args) -> List[float]:
     return times
 
 
+def _quiet_overflow():
+    """numpy error state for CLI ensembles: a diverging replicate is named
+    by ``_diverged``, not by a flood of overflow and NaN warnings."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _diverged(res, model: str) -> bool:
     """Name on stderr how many replicates went non-finite, and by which
     sample time; True when any did."""
@@ -157,7 +163,8 @@ def cmd_simulate(args) -> int:
         x0 = args.x0 or [0.0] * spec.m
     if len(x0) != sde.dim:
         raise SysFileError(f"--x0 needs {sde.dim} values")
-    res = run_ensemble(sde, x0, args.T, args.dt, args.replicates, args.seed, times)
+    with _quiet_overflow():
+        res = run_ensemble(sde, x0, args.T, args.dt, args.replicates, args.seed, times)
     if _diverged(res, args.model):
         return EXIT_TOL
     table = res.summary_table()
@@ -197,10 +204,11 @@ def cmd_compare(args) -> int:
                   f"noise products and are omitted from the observable")
     obs = compile_observables(chart_x, sde_r, params, spec.param_names,
                               lambda mono: tuple(mono[0]))
-    res_f = run_ensemble(full, x0_full, args.T, args.dt, args.replicates,
-                         args.seed, times)
-    res_r = run_ensemble(sde_r, x0_slow, args.T, args.dt, args.replicates,
-                         args.seed + 1, times, observables=obs)
+    with _quiet_overflow():
+        res_f = run_ensemble(full, x0_full, args.T, args.dt, args.replicates,
+                             args.seed, times)
+        res_r = run_ensemble(sde_r, x0_slow, args.T, args.dt, args.replicates,
+                             args.seed + 1, times, observables=obs)
     # both checked, so that each model's count is named
     if _diverged(res_f, "full") | _diverged(res_r, "reduced"):
         return EXIT_TOL

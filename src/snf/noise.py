@@ -63,11 +63,42 @@ def phi_atom(k: int) -> Atom:
     return ("phi", int(k))
 
 
+class _Rate(Fraction):
+    """A convolution rate: a ``Fraction`` that computes its hash once.
+
+    Every series term key holds its atoms' rates, so each dict lookup in the
+    series algebra hashes them; ``Fraction.__hash__`` is pure Python.  One
+    instance exists per value, so copies and pickles come back as that
+    instance.  A rate equals, and hashes like, the plain ``Fraction`` of the
+    same value, and prints and reprs like it.
+    """
+
+    __slots__ = ("_hash",)
+    _pool: Dict[Fraction, "_Rate"] = {}
+
+    def __new__(cls, numerator=0, denominator=None):
+        if type(numerator) is cls and denominator is None:
+            return numerator
+        value = Fraction(numerator, denominator)
+        rate = cls._pool.get(value)
+        if rate is None:
+            rate = super().__new__(cls, value.numerator, value.denominator)
+            rate._hash = hash(value)
+            cls._pool[value] = rate
+        return rate
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+
 def z_atom(mu: Fraction, child: Expr) -> Atom:
     # Structural constructor: assumes child is already canonical and non-empty.
     if mu == 0:
         raise NoiseError("convolution rate must be non-zero")
-    return ("Z", Fraction(mu), tuple(child))
+    return ("Z", _Rate(mu), tuple(child))
 
 
 def product(*atoms: Atom) -> Expr:
@@ -75,6 +106,11 @@ def product(*atoms: Atom) -> Expr:
 
 
 def merge(a: Expr, b: Expr) -> Expr:
+    """The canonical product of two canonical products."""
+    if not a:
+        return b
+    if not b:
+        return a
     return tuple(sorted(a + b, key=_sort_key))
 
 

@@ -9,12 +9,25 @@ per-parameter caps, so mixed orders such as "total grade 5, sigma^2 at most"
 are expressible.
 
 Series values are immutable once built; all operations return new values.
+
+Invariant: every series holds only nonzero ``Fraction`` coefficients, on
+monomials its ``Trunc`` keeps.  ``Series.__init__`` establishes it for terms
+that come from outside the algebra (the parsers, system files, tests and
+``build_like`` callers) by dropping zeros and unkept monomials and wrapping
+each coefficient.  The arithmetic (``+``, ``-``, ``*``, ``scale``,
+``substitute`` and the variable derivatives) takes operands that hold the
+invariant and builds results that hold it by construction: sums and
+products of nonzero Fractions with cancelled keys dropped, on monomials
+whose total grade the ``__mul__`` bucket ladder bounds and whose parameter
+exponents it checks.  Those results are wrapped by ``Series._trusted``
+without a second check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import noise
@@ -76,14 +89,6 @@ def grade(mono: Mono) -> int:
     return sum(mono[0]) + sum(mono[1]) + sum(mono[2])
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    return (
-        tuple(x + y for x, y in zip(a[0], b[0])),
-        tuple(x + y for x, y in zip(a[1], b[1])),
-        tuple(x + y for x, y in zip(a[2], b[2])),
-    )
-
-
 def term_sort_key(key: Key):
     mono, expr = key
     return (grade(mono), mono[0], mono[1], mono[2],
@@ -104,6 +109,14 @@ class Series:
                 if c and trunc.keeps(mono):
                     clean[(mono, expr)] = Fraction(c)
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, dims: Dims, trunc: Trunc, terms: Dict[Key, Fraction]) -> "Series":
+        """Wrap ``terms`` as they are: only for terms that already hold the
+        module invariant under ``trunc``."""
+        s = object.__new__(cls)
+        s.dims, s.trunc, s.terms = dims, trunc, terms
+        return s
 
     # -- constructors -------------------------------------------------------
 
@@ -150,10 +163,11 @@ class Series:
 
     def __add__(self, other: "Series") -> "Series":
         self._check(other)
-        return self.build_like(noise.add_into(dict(self.terms), other.terms.items()))
+        return Series._trusted(self.dims, self.trunc,
+                               noise.add_into(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "Series":
-        return self.build_like({k: -c for k, c in self.terms.items()})
+        return Series._trusted(self.dims, self.trunc, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
@@ -161,40 +175,66 @@ class Series:
     def scale(self, c) -> "Series":
         c = Fraction(c)
         if not c:
-            return self.build_like({})
-        return self.build_like({k: v * c for k, v in self.terms.items()})
+            return Series._trusted(self.dims, self.trunc, {})
+        return Series._trusted(self.dims, self.trunc, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other: "Series") -> "Series":
         """Truncated product.  Grades add, so the right operand is bucketed
         by grade and each left term stops at the first bucket that would
-        overflow the total cap; ``keeps`` still checks the parameter caps."""
+        overflow the total cap.  The buckets also split by the exponents of
+        the capped parameters, so a left term passes or skips a whole
+        bucket on the parameter caps; with no cap set nothing is checked."""
         self._check(other)
-        out: Dict[Key, Fraction] = {}
-        grade_of, keep, total = self.trunc.grade_of, self.trunc.keeps, self.trunc.total
-        merge = noise.merge
-        buckets: Dict[int, List[Tuple[Key, Fraction]]] = {}
+        trunc = self.trunc
+        grade_of, total = trunc.grade_of, trunc.total
+        capped = [(k, trunc.cap_for(k)) for k in range(len(self.dims.params))
+                  if trunc.cap_for(k) is not None]
+        buckets: Dict[Tuple[int, ...], List[Tuple[Key, Fraction]]] = {}
         for item in other.terms.items():
-            buckets.setdefault(grade_of(item[0][0]), []).append(item)
-        ladder = sorted(buckets.items())
+            pb = item[0][0][2]
+            at = (grade_of(item[0][0]),) + tuple(pb[k] for k, _cap in capped)
+            buckets.setdefault(at, []).append(item)
+        ladder = [(at[0], at[1:], bucket) for at, bucket in sorted(buckets.items())]
+        merge = noise.merge
+        # Merged noise products by operand identity: both operands keep
+        # their keys alive for the whole call.
+        merged: Dict[Tuple[int, int], Expr] = {}
+        out: Dict[Key, Fraction] = {}
+        get = out.get
         for (ma, ea), ca in self.terms.items():
             room = total - grade_of(ma)
-            for g, bucket in ladder:
+            sa, fa, pa = ma
+            spare = [cap - pa[k] for k, cap in capped]
+            for g, used, bucket in ladder:
                 if g > room:
                     break
-                for (mb, eb), cb in bucket:
-                    mono = _mono_mul(ma, mb)
-                    if not keep(mono):
-                        continue
-                    key = (mono, merge(ea, eb))
-                    # Inline rather than noise.add_into: this is the hot
-                    # loop of reversion and certification.
-                    c = out.get(key)
-                    c = ca * cb if c is None else c + ca * cb
-                    if c:
-                        out[key] = c
+                if capped and any(u > r for u, r in zip(used, spare)):
+                    continue
+                for ((sb, fb, pb), eb), cb in bucket:
+                    if not ea:
+                        e = eb
+                    elif not eb:
+                        e = ea
                     else:
-                        del out[key]
-        return self.build_like(out)
+                        pair = (id(ea), id(eb))
+                        e = merged.get(pair)
+                        if e is None:
+                            e = merged[pair] = merge(ea, eb)
+                    key = ((tuple(map(add, sa, sb)), tuple(map(add, fa, fb)),
+                            tuple(map(add, pa, pb))), e)
+                    # Inline rather than noise.add_into: this is the hot
+                    # loop of reversion and certification.  A product of
+                    # nonzero Fractions is nonzero; only a sum can cancel.
+                    c = get(key)
+                    if c is None:
+                        out[key] = ca * cb
+                    else:
+                        c += ca * cb
+                        if c:
+                            out[key] = c
+                        else:
+                            del out[key]
+        return Series._trusted(self.dims, trunc, out)
 
     def pow(self, k: int) -> "Series":
         if k < 0:
@@ -285,9 +325,10 @@ class Series:
                 pow_cache[key] = got
             return got
 
-        total = Series.zero(dims, trunc)
+        unit = dims.mono()
+        total: Dict[Key, Fraction] = {}
         for (mono, expr), c in self.terms.items():
-            piece = Series(dims, trunc, {(dims.mono(), expr): c})
+            piece = Series._trusted(dims, trunc, {(unit, expr): c})
             for i, e in enumerate(mono[0]):
                 if e:
                     piece = piece * cached_pow(0, i, e, slow_b[i])
@@ -297,8 +338,8 @@ class Series:
             for k, e in enumerate(mono[2]):
                 if e:
                     piece = piece * cached_pow(2, k, e, par_b[k])
-            total = total + piece
-        return total
+            noise.add_into(total, piece.terms.items())
+        return Series._trusted(dims, trunc, total)
 
     def diff_slow(self, i: int) -> "Series":
         out: Dict[Key, Fraction] = {}
@@ -309,7 +350,7 @@ class Series:
             s = list(mono[0])
             s[i] -= 1
             out[((tuple(s), mono[1], mono[2]), expr)] = c * e
-        return self.build_like(out)
+        return Series._trusted(self.dims, self.trunc, out)
 
     def diff_fast(self, j: int) -> "Series":
         out: Dict[Key, Fraction] = {}
@@ -320,7 +361,7 @@ class Series:
             f = list(mono[1])
             f[j] -= 1
             out[((mono[0], tuple(f), mono[2]), expr)] = c * e
-        return self.build_like(out)
+        return Series._trusted(self.dims, self.trunc, out)
 
     def diff_noise(self) -> "Series":
         """The explicit time derivative acting on noise atoms alone."""

@@ -22,13 +22,13 @@ from snf import noise
 from snf.analysis import (expected_ssm, long_time_model,
                           project_initial_condition, revert,
                           ssm_parametrisation)
-from snf.engine import construct, verify_order
+from snf.engine import construct, identity_form, verify_order
 from snf.mc import (compile_full_system, compile_observables,
                     compile_slow_model, run_ensemble)
 from snf.paths import NoisePath, PathSampler, evaluate_series, integrate_expression
 from snf.render import parse_series_for
 from snf.series import Series
-from snf.systems import ALLOW, FORBID
+from snf.systems import ALLOW, FORBID, Policy
 
 F = Fraction
 
@@ -195,10 +195,24 @@ def test_criterion_4_residual_certification():
             trials += 1
             if verify_order(spec, bad) is not None:
                 detected += 1
+    # Two forms whose residual clears but which decouple nothing, judged as
+    # `snf verify` judges them: the identity transform with the original
+    # equations as its evolution, and toy@3 with mu_min above the fast rate.
+    toy3 = make_system("toy.snf", total=3)
+    ident = identity_form(toy3, ALLOW)
+    ident.F, ident.G = list(toy3.f), list(toy3.g)
+    ident.residual_grade = verify_order(toy3, ident)
+    near = construct(toy3, Policy(anticipation=True, mu_min=F(2)))
+    structural = [ident, near]
+    residual_blind = ident.residual_grade is None and near.residual_grade is None
+    structural_caught = sum(1 for nf in structural if nf.certification_failures())
     elapsed = time.time() - t0
-    ok = all_certified and trials >= 8 and detected == trials and elapsed < 30
+    ok = (all_certified and trials >= 8 and detected == trials and residual_blind
+          and structural_caught == len(structural) and elapsed < 30)
     record_criterion(4, "independent certification and corruption detection",
-                     ok, f"{detected}/{trials} corruptions caught, {elapsed:.1f}s")
+                     ok, f"{detected}/{trials} corruptions caught, "
+                     f"{structural_caught}/{len(structural)} structural failures "
+                     f"caught, {elapsed:.1f}s")
     assert ok
 
 

@@ -45,6 +45,7 @@ def test_report_byte_identical_across_runs():
 GOLDEN_DIGESTS = [
     ("toy.snf", 5, "3c11ca0d4df875a466c4d019fdffaecfb967d029808e612426d31e3533328248"),
     ("toy.snf", 6, "d20154a59fc95d1305d5fccaf606d28bb72b20b7b9246d7d1edfe702aa0d7d9f"),
+    ("toy.snf", 7, "47e2fe53b4bcefb34516baf6f40755b3398f13482420cd19ce32ffe8e9425151"),
     ("papavasiliou.snf", 3, "a938aa7fac03b7372ea83fa36efb5a4e6e5d92cad8ea84cf135832f56a9f0263"),
     ("linear.snf", 3, "33038a4a35583f7512a68f606cf73aac52303fe92e2c9952cb51569c365c978a"),
 ]

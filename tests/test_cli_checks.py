@@ -8,6 +8,8 @@ from conftest import bundled_text, make_system
 from snf import noise
 from snf.cli import EXIT_CERT, EXIT_OK, EXIT_PARSE, EXIT_TOL, main
 from snf.engine import construct
+from snf.mc import compile_full_system, run_ensemble
+from snf.sysfile import load_system
 from snf.systems import Policy
 
 
@@ -277,7 +279,9 @@ eq y: -y + s*phi1
 """
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# Any numpy RuntimeWarning fails these: the error line alone names the
+# divergence.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, errors", [
     (["simulate", "--model", "full", "--x0", "2", "0"],
      ["error: 4 of 4 full replicates diverged before t = 1\n"]),
@@ -297,3 +301,12 @@ def test_diverged_replicates_exit_4(tmp_path, capsys, argv, errors):
     out, err = capsys.readouterr()
     assert "nan" not in out
     assert err.endswith("".join(errors))
+
+
+def test_direct_ensemble_keeps_numpy_overflow_warnings():
+    # Only the CLI silences them; a library caller still sees the overflow.
+    spec, _sf = load_system(BLOWUP)
+    sde = compile_full_system(spec, {"s": 1.0})
+    with pytest.warns(RuntimeWarning):
+        res = run_ensemble(sde, [2.0, 0.0], 1.0, 0.01, 4, 0, [1.0])
+    assert res.diverged()[-1] == 4

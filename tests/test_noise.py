@@ -1,5 +1,7 @@
 """Unit tests for the convolution calculus."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,8 @@ from snf.noise import (MalformedResidual, NotDifferentiable, RepeatedRate,
                        ONE, compose, conv, diff, expectation, ibp_normalize,
                        n_add, n_mul, n_scale, nsum_bare, phi_atom, product,
                        z_atom)
+from snf.render import parse_series, render_noise
+from snf.series import Dims, Trunc
 
 F = Fraction
 PHI = phi_atom(0)
@@ -252,3 +256,24 @@ def test_ibp_reconstructs_forcing(c):
     for e in evo:
         # irreducible shapes only: constants, one bare, bare times convolutions
         assert e == ONE or noise.bare_count(e) == 1
+
+
+# -- interned rates ------------------------------------------------------------
+
+def test_interned_rate_atoms_match_every_other_form():
+    dims, names = Dims(1, 1, ("sigma",), 1), (("x",), ("y",), ("sigma",))
+    s = parse_series("Z[-1]{ phi[0] }", dims, Trunc(2, (None,)), names)
+    [(_mono, parsed)] = list(s.terms)
+    built = z_atom(F(-1), (PHI,))
+    forms = [built, parsed[0], ("Z", Fraction(-1), (("phi", 0),)),
+             copy.deepcopy(built), pickle.loads(pickle.dumps(built))]
+    for form in forms:
+        assert form == built and hash(form) == hash(built)
+        assert {form: 1}[built] == 1 and {built: 1}[form] == 1
+        assert {(form,): 1}[(built,)] == 1
+    rate = built[1]
+    assert hash(rate) == hash(Fraction(-1)) == hash(-1)
+    assert str(rate) == "-1" and repr(rate) == "Fraction(-1, 1)"
+    assert render_noise((built,)) == "Z[-1]{ phi[0] }"
+    assert copy.deepcopy(rate) is rate and pickle.loads(pickle.dumps(rate)) is rate
+    assert z_atom(F(3, 2), (PHI,))[1] is z_atom(F(6, 4), (PHI,))[1]

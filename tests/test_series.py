@@ -218,3 +218,54 @@ def series_pair(draw):
 def test_mul_matches_all_pairs_product(pair):
     a, b = pair
     assert (a * b).terms == _naive_mul(a, b).terms
+
+
+# -- arithmetic results hold the invariant without a re-check ----------------
+
+PHI = (noise.phi_atom(0),)
+ZM = noise.z_atom(F(-1), PHI)
+ZP = noise.z_atom(F(2), PHI)
+RICH_EXPRS = [noise.ONE, PHI, (ZM,), (ZP,), noise.product(PHI[0], ZM),
+              noise.product(ZM, ZP)]
+
+
+def _holds_invariant(r):
+    for (mono, _expr), c in r.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert r.trunc.keeps(mono)
+    assert r.terms == Series(r.dims, r.trunc, dict(r.terms)).terms
+
+
+@st.composite
+def trusted_case(draw, count_fast, capped):
+    caps = ((draw(st.sampled_from([0, 1, 2])), draw(st.sampled_from([None, 1])))
+            if capped else (None, None))
+    trunc = Trunc(draw(st.integers(0, 5)), caps, count_fast)
+
+    def one():
+        terms = {}
+        for _ in range(draw(st.integers(0, 5))):
+            mono = ((draw(st.integers(0, 3)),),
+                    (draw(st.integers(0, 3)), draw(st.integers(0, 1))),
+                    (draw(st.integers(0, 2)), draw(st.integers(0, 2))))
+            key = (mono, draw(st.sampled_from(RICH_EXPRS)))
+            terms[key] = terms.get(key, F(0)) + F(draw(coeffs) or 1, draw(st.integers(1, 3)))
+        return Series(DIMS2, trunc, terms)
+    scale = F(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
+    return one(), one(), scale, [one() for _ in range(5)]
+
+
+@pytest.mark.parametrize("count_fast", [True, False])
+@pytest.mark.parametrize("capped", [True, False])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_trusted_results_hold_the_invariant(count_fast, capped, data):
+    a, b, c, subs = data.draw(trusted_case(count_fast, capped))
+    # (a + b)*(a - b) cancels every cross term inside one product
+    results = [a * b, b * a, a * a, (a + b) * (a - b), a + b, a - b, a + (-a), -a,
+               a.scale(c), a.scale(0), a.diff_slow(0), a.diff_fast(1), a.substitute(),
+               a.substitute(slow=subs[:1], fast=subs[1:3], par=subs[3:])]
+    for r in results:
+        _holds_invariant(r)
+    assert (a + (-a)).is_zero() and (a - a).is_zero()
+    assert (a + b) * (a - b) == a * a - b * b
