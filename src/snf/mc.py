@@ -1,16 +1,23 @@
 """Stratonovich Monte Carlo: compiled SDE models, Heun stepping, ensembles.
 
 A series-defined evolution compiles to drift/diffusion term lists over a
-numeric state vector.  Memory convolutions appearing as coefficients become
-a bank of exponential filters, the package's one filter (``filter_weights``,
-``trapezoid_input``, ``run_filter``; ``snf.paths`` samples it too).  The bank
-is warmed up before time zero and, driven by noise alone, advances a block of
-steps at a time, each filter one recursion along the block; the state is
-stepped one step at a time inside the block.  Replicates are
-integrated in vectorised chunks, each chunk drawing from its own spawned
-random stream, so results are reproducible from the master seed and
-independent across replicates.  A chunk draws each block's increments in
-one call, which consumes the stream exactly as one draw per step would.
+numeric state vector, and to the plan that ``CompiledSDE.rates`` evaluates:
+each distinct state power once per call, then each term as its coefficient
+times its factors, added into its row in term order.  Memory convolutions
+appearing as coefficients become a bank of exponential filters, the
+package's one filter (``filter_weights``, ``trapezoid_input``,
+``run_filter``; ``snf.paths`` samples it too).  The bank is warmed up before
+time zero and, driven by noise alone, advances a block of steps at a time,
+each filter one recursion along the block; the state is stepped one step at
+a time inside the block.
+
+A replicate chunk is one random stream: replicates are split into chunks,
+each drawing from its own stream spawned from the master seed, so results
+are reproducible from the master seed and independent across replicates.
+Each chunk warms up its own filters; over the horizon all chunks step as
+one array, each chunk's increments filling its own columns.  A chunk draws
+each block's increments in one call, which consumes its stream exactly as
+one draw per step would.
 
 Heun (explicit midpoint) stepping: terms carrying one bare noise factor
 contribute coefficient * dW, terms without contribute coefficient * dt, and
@@ -30,14 +37,16 @@ from scipy.signal import lfilter
 
 from . import noise
 from .noise import Expr
+from .render import render_series
 from .series import Series
 from .systems import SystemSpec, NormalForm
 
 
-# Steps per FilterBank.step call in run_ensemble.  Longer blocks amortise
-# the per-slot lfilter call but hold more memory: in 512-replicate chunks of
-# the toy chart's five filters, 32 steps added about 2 MiB of peak RSS over
-# stepping one step at a time, 64 steps about 6 MiB.
+# Steps per FilterBank.step call of a 512-replicate chunk's warm-up; over
+# the horizon a block holds as many elements, _BLOCK * 512 replicate-steps.
+# Longer blocks amortise the per-slot lfilter call but hold more memory: in
+# 512-replicate chunks of the toy chart's five filters, 32 steps added about
+# 2 MiB of peak RSS over stepping one step at a time, 64 steps about 6 MiB.
 _BLOCK = 32
 
 # Spin-up of a filter from a zero start, in its time constants.
@@ -162,6 +171,32 @@ class CompiledTerm:
     noise_k: int = -1               # -1: drift term
 
 
+@dataclass(frozen=True)
+class RatesPlan:
+    """The evaluation order of ``CompiledSDE.rates``.  Factor rows number
+    the distinct state powers ``(component, exponent)`` first, then the
+    convolution slots; output rows number the drift components first, then
+    the diffusion pairs (component, noise) row-major."""
+    powers: Tuple[Tuple[int, int], ...]
+    terms: Tuple[Tuple[int, float, Tuple[int, ...]], ...]   # (out row, coeff, factor rows)
+
+
+def plan_rates(terms: Sequence[Sequence[CompiledTerm]], n_noise: int) -> RatesPlan:
+    """Each term's factors in the order the term lists them, powers by
+    component, then its convolution slots; terms in list order."""
+    powers = sorted({(d, p) for row in terms for t in row
+                     for d, p in enumerate(t.pows) if p})
+    index = {dp: i for i, dp in enumerate(powers)}
+    dim, plan = len(terms), []
+    for d, row in enumerate(terms):
+        for t in row:
+            out = d if t.noise_k < 0 else dim + d * n_noise + t.noise_k
+            factors = tuple(index[(c, p)] for c, p in enumerate(t.pows) if p)
+            plan.append((out, t.coeff,
+                         factors + tuple(len(powers) + s for s in t.conv_slots)))
+    return RatesPlan(tuple(powers), tuple(plan))
+
+
 @dataclass
 class CompiledSDE:
     """Numeric drift/diffusion term lists per state component."""
@@ -170,34 +205,32 @@ class CompiledSDE:
     terms: List[List[CompiledTerm]]
     bank: FilterBank
     noise_amp: np.ndarray           # per-symbol amplitude multiplier
+    plan: RatesPlan
 
     @property
     def dim(self) -> int:
         return len(self.state_names)
 
-    def coefficient(self, term: CompiledTerm, state: np.ndarray,
-                    z: np.ndarray) -> np.ndarray:
-        val = np.full(state.shape[1], term.coeff)
-        for d, p in enumerate(term.pows):
-            if p:
-                val = val * state[d] ** p
-        for s in term.conv_slots:
-            val = val * z[s]
-        return val
-
     def rates(self, state: np.ndarray, z: np.ndarray):
-        """Split evaluation: drift (dim, R) and diffusion (dim, n_noise, R)."""
-        R = state.shape[1]
-        drift = np.zeros((self.dim, R))
-        diff = np.zeros((self.dim, self.n_noise, R))
-        for d, terms in enumerate(self.terms):
-            for t in terms:
-                c = self.coefficient(t, state, z)
-                if t.noise_k < 0:
-                    drift[d] += c
-                else:
-                    diff[d, t.noise_k] += c
-        return drift, diff
+        """Split evaluation: drift (dim, R) and diffusion (dim, n_noise, R).
+
+        Each distinct state power is computed once; a term is its
+        coefficient times its factors, left to right, added into its row in
+        term order.  Elementwise ufuncs only, so every replicate's values
+        are the same bits however many replicates are evaluated together."""
+        dim = self.dim
+        acc = np.zeros((dim * (1 + self.n_noise), state.shape[1]))
+        rows = [state[d] if p == 1 else state[d] ** p for d, p in self.plan.powers]
+        rows.extend(z)
+        for out, coeff, factors in self.plan.terms:
+            if factors:
+                val = coeff * rows[factors[0]]
+                for f in factors[1:]:
+                    val *= rows[f]
+                acc[out] += val
+            else:
+                acc[out] += coeff
+        return acc[:dim], acc[dim:].reshape(dim, self.n_noise, -1)
 
 
 def compile_series(series_list: Sequence[Series], state_names: Sequence[str],
@@ -206,8 +239,9 @@ def compile_series(series_list: Sequence[Series], state_names: Sequence[str],
                    n_noise: int,
                    noise_amp: Optional[Dict[int, float]] = None,
                    bank: Optional[FilterBank] = None) -> CompiledSDE:
-    """Compile series into numeric term lists (the one place series terms
-    become floats; ``CompiledSDE.rates`` evaluates them).
+    """Compile series into numeric term lists and their ``RatesPlan`` (the
+    one place series terms become floats; ``CompiledSDE.rates`` evaluates
+    them).
 
     ``state_of`` maps a monomial to state exponents; parameter exponents are
     folded into the coefficient using ``params``.  ``bank.slot_for`` numbers
@@ -233,7 +267,8 @@ def compile_series(series_list: Sequence[Series], state_names: Sequence[str],
             k = bares[0][1] if bares else -1
             terms.append(CompiledTerm(coeff, state_of(mono), slots, k))
         all_terms.append(terms)
-    return CompiledSDE(tuple(state_names), n_noise, all_terms, bank, amps)
+    return CompiledSDE(tuple(state_names), n_noise, all_terms, bank, amps,
+                       plan_rates(all_terms, n_noise))
 
 
 def compile_full_system(spec: SystemSpec, params: Dict[str, float]) -> CompiledSDE:
@@ -274,10 +309,7 @@ class ObservableSet:
     sde: CompiledSDE
 
     def values(self, state: np.ndarray, z: np.ndarray) -> np.ndarray:
-        drift, diff = self.sde.rates(state, z)
-        if np.any(diff):
-            raise CompileError("observables cannot carry bare noise")
-        return drift
+        return self.sde.rates(state, z)[0]
 
 
 def sampleable_part(s: Series) -> Tuple[Series, List[Tuple]]:
@@ -308,6 +340,19 @@ def sampleable_part(s: Series) -> Tuple[Series, List[Tuple]]:
 def compile_observables(series_list: Sequence[Series], base: CompiledSDE,
                         params: Dict[str, float], param_names: Sequence[str],
                         state_of: Callable) -> ObservableSet:
+    """Observables read off the state and filters of ``base``.  Bare noise
+    has no value at a time, only an increment: a term carrying it raises
+    CompileError naming the term (unit coefficient, the base's state names)."""
+    for i, s in enumerate(series_list):
+        for (mono, expr), _c in s.terms.items():
+            if any(noise.is_bare(a) for a in expr):
+                m, n = s.dims.m, s.dims.n
+                fast = tuple(base.state_names[m:m + n])
+                names = (tuple(base.state_names[:m]),
+                         fast + tuple(f"y{j}" for j in range(len(fast), n)),
+                         tuple(param_names))
+                term = render_series(s.build_like({(mono, expr): 1}), names)
+                raise CompileError(f"observable {i} carries bare noise: {term}")
     sde = compile_series(series_list, [f"obs{i}" for i in range(len(series_list))],
                          state_of, params, param_names, base.n_noise,
                          bank=base.bank)
@@ -381,7 +426,15 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
                  observables: Optional[ObservableSet] = None,
                  chunk: int = 512, warm: Optional[float] = None) -> EnsembleResult:
     """Integrate an ensemble and record state (or observables) at the
-    requested times.  Deterministic given the master seed."""
+    requested times.  Deterministic given the master seed.
+
+    A chunk of ``chunk`` replicates is one random stream spawned from the
+    master seed: it draws its filters' warm-up, then its horizon increments.
+    Chunks warm up one after another; the horizon steps all replicates as
+    one array, each chunk's increments filling its own columns, so a
+    replicate's path does not depend on how many chunks step beside it.
+    Once every replicate has a non-finite component, stepping stops and the
+    remaining sample times record NaN."""
     sample_times, sample_idx = sample_steps(sample_times, T, dt)
     n_steps = int(round(T / dt))
     warm_time = sde.bank.max_spin() if warm is None else warm
@@ -392,43 +445,50 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     out = np.empty((n_rep, len(sample_times), n_out))
     master = np.random.SeedSequence(seed)
     chunks = [(lo, min(lo + chunk, n_rep)) for lo in range(0, n_rep, chunk)]
-    for child, (lo, hi) in zip(master.spawn(len(chunks)), chunks):
-        rng = np.random.default_rng(child)
-        R = hi - lo
-        state = np.tile(np.asarray(x0, dtype=float)[:, None], (1, R))
-        z = sde.bank.make_state(R)
-        sqdt = math.sqrt(dt)
+    rngs = [np.random.default_rng(child) for child in master.spawn(len(chunks))]
+    sqdt = math.sqrt(dt)
 
-        def draw(steps):
-            # one draw of (steps, n_noise, R) is the stream of `steps`
-            # successive (n_noise, R) draws
-            return rng.standard_normal((steps, sde.n_noise, R)) * sqdt
+    def draw(steps, rng, R):
+        # one draw of (steps, n_noise, R) is the stream of `steps`
+        # successive (n_noise, R) draws
+        return rng.standard_normal((steps, sde.n_noise, R)) * sqdt
 
+    z = np.empty((sde.bank.n, n_rep))
+    for rng, (lo, hi) in zip(rngs, chunks):
+        z_c = sde.bank.make_state(hi - lo)
         for b0 in range(0, warm_steps, _BLOCK):
-            z = sde.bank.step(z, draw(min(_BLOCK, warm_steps - b0)))[-1]
-        pos = 0
-        for t_i in range(n_steps + 1):
-            while pos < len(sample_idx) and sample_idx[pos] == t_i:
-                if observables:
-                    out[lo:hi, pos, :] = observables.values(state, z).T
-                else:
-                    out[lo:hi, pos, :] = state.T
-                pos += 1
-            if t_i == n_steps:
-                break
-            j = t_i % _BLOCK
-            if j == 0:
-                # filter the next block only now: one block is held at a time
-                dw_block = draw(min(_BLOCK, n_steps - t_i))
-                z_block = sde.bank.step(z, dw_block)
-            dw = dw_block[j]
-            dw_amp = dw * sde.noise_amp[:, None]
-            z_ends = (z, z_block[j])
+            z_c = sde.bank.step(z_c, draw(min(_BLOCK, warm_steps - b0), rng, hi - lo))[-1]
+        z[:, lo:hi] = z_c
+    state = np.tile(np.asarray(x0, dtype=float)[:, None], (1, n_rep))
+    block = max(1, _BLOCK * 512 // n_rep)
+    amp = sde.noise_amp[:, None]
+    pos = 0
+    for t_i in range(n_steps + 1):
+        while pos < len(sample_idx) and sample_idx[pos] == t_i:
+            out[:, pos, :] = (observables.values(state, z) if observables
+                              else state).T
+            pos += 1
+        if t_i == n_steps:
+            break
+        if t_i % _BLOCK == 0 and not np.isfinite(state).all(axis=0).any():
+            out[:, pos:, :] = np.nan        # a non-finite state stays so
+            break
+        j = t_i % block
+        if j == 0:
+            # filter the next block only now: one block is held at a time
+            steps = min(block, n_steps - t_i)
+            dw_block = np.concatenate([draw(steps, rng, hi - lo)
+                                       for rng, (lo, hi) in zip(rngs, chunks)],
+                                      axis=2)
+            z_block = sde.bank.step(z, dw_block)
+            dw_amp_block = dw_block * amp
+        dw_amp = dw_amp_block[j]
+        z_ends = (z, z_block[j])
 
-            def increment(y, end):
-                drift, diff = sde.rates(y, z_ends[end])
-                return drift * dt + np.einsum("dkr,kr->dr", diff, dw_amp)
+        def increment(y, end):
+            drift, diff = sde.rates(y, z_ends[end])
+            return drift * dt + np.einsum("dkr,kr->dr", diff, dw_amp)
 
-            state = heun_step(state, increment)
-            z = z_ends[1]
+        state = heun_step(state, increment)
+        z = z_ends[1]
     return EnsembleResult(sample_times, out, tuple(names))

@@ -8,7 +8,7 @@ from conftest import bundled_text, make_system
 from snf import noise
 from snf.cli import EXIT_CERT, EXIT_OK, EXIT_PARSE, EXIT_TOL, main
 from snf.engine import construct
-from snf.mc import compile_full_system, run_ensemble
+from snf.mc import CompiledSDE, compile_full_system, run_ensemble
 from snf.sysfile import load_system
 from snf.systems import Policy
 
@@ -310,3 +310,28 @@ def test_direct_ensemble_keeps_numpy_overflow_warnings():
     with pytest.warns(RuntimeWarning):
         res = run_ensemble(sde, [2.0, 0.0], 1.0, 0.01, 4, 0, [1.0])
     assert res.diverged()[-1] == 4
+
+
+def test_diverged_ensemble_stops_stepping(tmp_path, capsys, monkeypatch):
+    # Every replicate is non-finite by t = 1/8, so a horizon of 20 costs no
+    # more rates evaluations than a horizon of 1.
+    p = tmp_path / "blowup.snf"
+    p.write_text(BLOWUP)
+    rates = CompiledSDE.rates
+    calls = []
+
+    def counted(self, state, z):
+        calls.append(state.shape)
+        return rates(self, state, z)
+
+    monkeypatch.setattr(CompiledSDE, "rates", counted)
+    count = {}
+    for T in ("1", "20"):
+        calls.clear()
+        rc = main(["simulate", str(p), "--model", "full", "--x0", "2", "0",
+                   "--T", T, "--replicates", "4"])
+        assert rc == EXIT_TOL
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: 4 of 4 full replicates diverged before t = {T}\n")
+        count[T] = len(calls)
+    assert 0 < count["20"] <= count["1"], count

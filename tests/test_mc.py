@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_system
 from snf import mc, noise
@@ -454,3 +455,176 @@ def test_run_ensemble_rejects_a_sample_time_off_the_horizon(linear3, times):
     bad = next(t for t in times if not 0 <= t <= 0.1)
     with pytest.raises(ValueError, match=f"sample time {bad:g} outside"):
         run_ensemble(sde, [0.0, 0.0], 0.1, 1e-2, 4, 1, times)
+
+
+# -- the rates plan against the per-term evaluator -------------------------
+
+def _rates_reference(sde, state, z):
+    """Every term from ``np.full`` of its coefficient, times each state
+    power ``x**p`` and convolution row in turn, added into drift or
+    diffusion in term order: the evaluator the compiled plan replaced."""
+    R = state.shape[1]
+    drift = np.zeros((sde.dim, R))
+    diff = np.zeros((sde.dim, sde.n_noise, R))
+    for d, terms in enumerate(sde.terms):
+        for t in terms:
+            val = np.full(R, t.coeff)
+            for c, p in enumerate(t.pows):
+                if p:
+                    val = val * state[c] ** p
+            for s in t.conv_slots:
+                val = val * z[s]
+            if t.noise_k < 0:
+                drift[d] += val
+            else:
+                diff[d, t.noise_k] += val
+    return drift, diff
+
+
+def _check_rates(sde, n_slots, R=37, seed=0):
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal((sde.dim, R)) * 1.5
+    z = rng.standard_normal((n_slots, R))
+    # signed zeros and non-finite values take the same path as numbers
+    state[:, :4] = [0.0, -0.0, np.inf, np.nan]
+    with np.errstate(all="ignore"):
+        got, want = sde.rates(state, z), _rates_reference(sde, state, z)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+def _two_fast_model(reduced):
+    from test_engine_vector import two_fast_system
+    params = {"s": 0.1}
+    if reduced:
+        return compile_slow_model(construct(two_fast_system(total=4), ALLOW), params)
+    return compile_full_system(two_fast_system(), params)
+
+
+@pytest.mark.parametrize("case", ["toy5 full", "toy5 reduced", "pk3 full",
+                                  "pk3 reduced", "linear3 full", "linear3 reduced",
+                                  "pk3 longtime", "two-fast full", "two-fast reduced"])
+def test_rates_is_the_per_term_evaluator(request, toy_chart_model, case):
+    name, model = case.split()
+    if name == "two-fast":
+        sde = _two_fast_model(model == "reduced")
+    else:
+        nf = request.getfixturevalue(name)
+        params = {p: 0.3 for p in nf.spec.param_names}
+        if model == "full":
+            sde = compile_full_system(nf.spec, params)
+        elif model == "reduced":
+            sde = (toy_chart_model[0] if name == "toy5"
+                   else compile_slow_model(nf, params))
+        else:
+            from snf.analysis import long_time_model
+            sde = compile_slow_model(nf, params, n_noise=2,
+                                     noise_amp={1: math.sqrt(0.5)},
+                                     F_override=long_time_model(nf).F)
+            assert sde.n_noise == 2 and any(t.noise_k == 1 for t in sde.terms[0])
+    _check_rates(sde, sde.bank.n)
+
+
+def test_rates_of_the_chart_observables(toy_chart_model):
+    _sde, obs = toy_chart_model
+    assert any(t.conv_slots for t in obs.sde.terms[0])
+    _check_rates(obs.sde, obs.sde.bank.n)
+
+
+@st.composite
+def _term_lists(draw):
+    dim = draw(st.integers(1, 3))
+    n_noise = draw(st.integers(2, 3))
+    # a few (powers, slots) shapes, so that terms repeat them
+    shapes = draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(0, 4)] * dim),
+        st.lists(st.integers(0, 3), max_size=3).map(tuple)), min_size=1, max_size=4))
+    term = st.tuples(st.sampled_from(shapes),
+                     st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+                     st.integers(-1, n_noise - 1))
+    rows = draw(st.lists(st.lists(term, max_size=8), min_size=dim, max_size=dim))
+    return [[mc.CompiledTerm(c, pows, slots, k) for (pows, slots), c, k in row]
+            for row in rows], n_noise
+
+
+@settings(max_examples=200, deadline=None)
+@given(_term_lists(), st.integers(0, 2 ** 16))
+def test_rates_plan_is_the_per_term_evaluator_on_drawn_terms(drawn, seed):
+    terms, n_noise = drawn
+    sde = mc.CompiledSDE(tuple(f"v{d}" for d in range(len(terms))), n_noise,
+                         terms, FilterBank(), np.ones(n_noise),
+                         mc.plan_rates(terms, n_noise))
+    _check_rates(sde, 4, R=6, seed=seed)
+
+
+# -- several chunks stepped as one array -----------------------------------
+
+@pytest.mark.parametrize("R", [3, 512])
+@pytest.mark.parametrize("model", ["reduced", "full"])
+def test_run_ensemble_uneven_chunks_are_the_per_step_loop(toy_chart_model, toy5,
+                                                          model, R):
+    # Three streams, the last one replicate wide.  At R = 512 the horizon
+    # spans several blocks of the wide filter step, the last one short.
+    dt, warm, T = 1e-2, 0.75, 0.93
+    n_rep = 2 * R + 1
+    assert R < 512 or int(round(T / dt)) % (mc._BLOCK * 512 // n_rep)
+    times = [0.0, 0.05, 0.32, 0.33, 0.64, T]
+    if model == "reduced":
+        sde, obs = toy_chart_model
+        x0 = [0.3]
+    else:
+        sde, obs = compile_full_system(toy5.spec, {"sigma": 0.05}), None
+        x0 = [0.3, 0.09]
+    got = run_ensemble(sde, x0, T, dt, n_rep, 31, times, observables=obs,
+                       chunk=R, warm=warm)
+    want = _per_step_ensemble(sde, x0, T, dt, n_rep, 31, times,
+                              observables=obs, chunk=R, warm=warm)
+    assert _same_bits(got.samples, want)
+    assert np.all(np.isfinite(want)) and len(np.unique(want[:, -1, 0])) == n_rep
+
+
+def test_zero_noise_ensemble_of_several_chunks_has_identical_replicates():
+    spec = make_system("toy.snf", total=3)
+    sde = compile_full_system(spec, {"sigma": 0.0})
+    res = run_ensemble(sde, [0.3, 0.09], 2.0, 1e-3, 40, 5, [1.0, 2.0], chunk=16)
+    assert np.array_equal(res.samples, np.broadcast_to(
+        res.samples[:1], res.samples.shape))
+
+
+_BLOWUP = """slow x
+fast y
+param s
+noise 1
+A 0
+B -1
+order 3
+eq x: x^3 + s*x*y
+eq y: -y + s*phi1
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_ensemble_counts_are_the_per_step_loop():
+    # dx = x^3 dt leaves x = 2 for infinity by t = 1/8: stepping stops, and
+    # the later sample times count every replicate as diverged, as stepping
+    # on would.
+    from snf.sysfile import load_system
+    spec, _sf = load_system(_BLOWUP)
+    sde = compile_full_system(spec, {"s": 1.0})
+    times = [0.05, 0.5, 0.75, 1.0]
+    got = run_ensemble(sde, [2.0, 0.0], 1.0, 0.01, 5, 0, times, chunk=2)
+    want = _per_step_ensemble(sde, [2.0, 0.0], 1.0, 0.01, 5, 0, times, chunk=2)
+    assert list(got.diverged()) == list((~np.isfinite(want).all(axis=2)).sum(axis=0))
+    assert list(got.diverged()) == [0, 5, 5, 5]
+    assert np.all(np.isnan(got.samples[:, 1:]))
+
+
+def test_observables_reject_bare_noise_when_compiled(toy3):
+    # the noise coefficient vanishes at x = 0, so evaluating it along a run
+    # from x = 0 would show nothing
+    sde = compile_slow_model(toy3, {"sigma": 0.1})
+    bad = parse_series_for("x + x^2*sigma*phi[0]", toy3.spec)
+    with pytest.raises(CompileError,
+                       match=r"observable 1 carries bare noise: sigma\*x\^2\*phi\[0\]"):
+        compile_observables([parse_series_for("x", toy3.spec), bad], sde,
+                            {"sigma": 0.1}, toy3.spec.param_names,
+                            lambda m: tuple(m[0]))
