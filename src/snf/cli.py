@@ -24,18 +24,23 @@ from .noise import ONE, NoiseError
 from .report import (ReportError, emit_report, header_policy, parse_report,
                      rebuild_normal_form, truncation_header)
 from .series import Trunc
-from .sysfile import SysFileError, load_system
+from .sysfile import SysFileError, load_system, system_as_written
 from .systems import Policy
 
 EXIT_OK, EXIT_PARSE, EXIT_CERT, EXIT_TOL = 0, 2, 3, 4
 
 
-def _policy(args) -> Policy:
-    try:
-        mu_min = Fraction(args.mu_min)
-    except (ValueError, ZeroDivisionError):
-        raise SysFileError(f"--mu-min: bad rational {args.mu_min!r}")
-    return Policy(anticipation=(args.policy == "anticipate"), mu_min=mu_min)
+def _policy(args, sf) -> Policy:
+    """The policy of ``--policy`` and ``--mu-min``, each defaulting to the
+    system file's."""
+    mu_min = sf.mu_min
+    if args.mu_min is not None:
+        try:
+            mu_min = Fraction(args.mu_min)
+        except (ValueError, ZeroDivisionError):
+            raise SysFileError(f"--mu-min: bad rational {args.mu_min!r}")
+    return Policy(anticipation=((args.policy or sf.policy) == "anticipate"),
+                  mu_min=mu_min)
 
 
 def _load(args):
@@ -43,10 +48,6 @@ def _load(args):
     if args.order is not None:
         spec = spec.with_trunc(Trunc(args.order, spec.trunc.param_caps,
                                      spec.trunc.count_fast))
-    if not hasattr(args, "policy") or args.policy is None:
-        args.policy = sf.policy
-    if args.mu_min is None:
-        args.mu_min = str(sf.mu_min)
     return spec, sf
 
 
@@ -97,17 +98,17 @@ def _diverged(res, model: str) -> bool:
     return True
 
 
-def _construct(spec, args):
+def _construct(spec, sf, args):
     """The normal form, with each certification failure printed to stderr."""
-    nf = engine.construct(spec, _policy(args))
+    nf = engine.construct(spec, _policy(args, sf))
     for failure in nf.certification_failures():
         print(f"certification FAILED: {failure}", file=sys.stderr)
     return nf
 
 
 def cmd_derive(args) -> int:
-    spec, _sf = _load(args)
-    nf = _construct(spec, args)
+    spec, sf = _load(args)
+    nf = _construct(spec, sf, args)
     text = emit_report(nf)
     if args.out:
         with open(args.out, "w") as fh:
@@ -117,12 +118,12 @@ def cmd_derive(args) -> int:
     return EXIT_OK if nf.certified else EXIT_CERT
 
 
-def cmd_verify(args) -> int:
-    spec, _sf = _load(args)
-    with open(args.report) as fh:
-        text = fh.read()
+def verify_report(text: str, spec) -> List[str]:
+    """Why a saved report fails re-certification against ``spec``, as
+    ``snf verify`` judges it; empty when it passes.  The header must state
+    the system's truncation and a policy, and the normal form rebuilt under
+    that policy must pass the structural checks and clear the residual."""
     rep = parse_report(text, spec)
-    # The header must state the truncation verify checks at, and a policy.
     failures = [f"report header {key}: {rep.header.get(key, '(missing)')!r}, "
                 f"system {want!r}"
                 for key, want in truncation_header(spec) if rep.header.get(key) != want]
@@ -130,10 +131,17 @@ def cmd_verify(args) -> int:
         policy = header_policy(rep.header)
     except ValueError as exc:
         failures.append(str(exc))
-    if not failures:
-        nf = rebuild_normal_form(rep, spec, policy)
-        nf.residual_grade = engine.verify_order(spec, nf)
-        failures = nf.certification_failures()
+    if failures:
+        return failures
+    nf = rebuild_normal_form(rep, spec, policy)
+    nf.residual_grade = engine.verify_order(spec, nf)
+    return nf.certification_failures()
+
+
+def cmd_verify(args) -> int:
+    spec, _sf = _load(args)
+    with open(args.report) as fh:
+        failures = verify_report(fh.read(), spec)
     if not failures:
         print("certified: residual clears the truncation window")
         return EXIT_OK
@@ -143,14 +151,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec, _sf = _load(args)
+    spec, sf = _load(args)
     params = _params(args.param, spec)
     times = _run_options(args)
     if args.model == "full":
-        sde = compile_full_system(spec, params)
+        sde = compile_full_system(system_as_written(sf), params)
         x0 = args.x0 or [0.0] * (spec.m + spec.n)
     else:
-        nf = _construct(spec, args)
+        nf = _construct(spec, sf, args)
         if not nf.certified:
             return EXIT_CERT
         if args.model == "longtime":
@@ -177,13 +185,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    spec, _sf = _load(args)
+    spec, sf = _load(args)
     params = _params(args.param, spec)
     times = _run_options(args)
-    nf = _construct(spec, args)
+    nf = _construct(spec, sf, args)
     if not nf.certified:
         return EXIT_CERT
-    full = compile_full_system(spec, params)
+    full = compile_full_system(system_as_written(sf), params)
     chart = ssm_parametrisation(nf)
     x0_slow = [args.x0v] * spec.m
     # start the full system on the deterministic manifold image of x0
@@ -227,9 +235,31 @@ def cmd_compare(args) -> int:
     return EXIT_OK if ok else EXIT_TOL
 
 
+def _hopf_options(args) -> None:
+    """Refuse hopf options whose numbers would mean nothing: the band
+    half-width must lie in (0, 1), the frequency-2 band must stay below
+    Nyquist, the record must resolve offsets within the resonant strip, and
+    there must be a replicate."""
+    if not 0 < args.delta < 1:
+        raise SysFileError(f"--delta: the band half-width must lie in (0, 1), "
+                           f"got {args.delta:g}")
+    nyquist_dt = math.pi / (2 + args.delta)
+    if not 0 < args.dt < nyquist_dt:
+        raise SysFileError(f"--dt: need 0 < dt < pi/(2 + delta) = {nyquist_dt:.4g}, "
+                           f"so that the frequency-2 band lies below Nyquist; "
+                           f"got {args.dt:g}")
+    if args.T < 2 * math.pi / args.delta:
+        raise SysFileError(f"--T: need T >= 2*pi/delta = {2 * math.pi / args.delta:.4g}, "
+                           f"so that the resonant strip holds more than the zero "
+                           f"offset; got {args.T:g}")
+    if args.replicates < 1:
+        raise SysFileError(f"--replicates: need at least 1, got {args.replicates}")
+
+
 def cmd_hopf(args) -> int:
     from .bands import band_component, quad_resonant_noise
     from .hopf import mathieu_growth
+    _hopf_options(args)
     rng = np.random.default_rng(args.seed)
     n = int(round(args.T / args.dt))
     rows = []
@@ -261,21 +291,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="snf", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(q, system=True):
-        if system:
-            q.add_argument("system", help="system description file")
+    def common(q, policy=True):
+        q.add_argument("system", help="system description file")
         q.add_argument("--order", type=int, default=None)
-        q.add_argument("--policy", choices=["anticipate", "no-anticipate"],
-                       default=None)
-        q.add_argument("--mu-min", dest="mu_min", default=None)
+        if policy:
+            q.add_argument("--policy", choices=["anticipate", "no-anticipate"],
+                           default=None)
+            q.add_argument("--mu-min", dest="mu_min", default=None)
 
     d = sub.add_parser("derive", help="construct the normal form and report it")
     common(d)
     d.add_argument("--out")
     d.set_defaults(func=cmd_derive)
 
-    v = sub.add_parser("verify", help="re-certify a saved report")
-    common(v)
+    v = sub.add_parser("verify", help="re-certify a saved report under the "
+                                      "policy its header states")
+    common(v, policy=False)
     v.add_argument("report")
     v.set_defaults(func=cmd_verify)
 

@@ -27,8 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-Rat = Fraction
-
 # Atom encodings: ("phi", k) or ("Z", mu, child) with child a sorted atom tuple.
 Atom = tuple
 Expr = Tuple[Atom, ...]

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import groupby
 from typing import List, Optional, Tuple
 
 from . import noise
 from .noise import Expr, ONE
-from .series import Dims, Series, Trunc
+from .series import Dims, Series, Trunc, grade, name_index
 
 
 class ParseError(ValueError):
@@ -33,18 +34,8 @@ def render_rate(mu: Fraction) -> str:
 def render_noise(expr: Expr) -> str:
     if expr == ONE:
         return "1"
-    parts = []
-    i = 0
-    atoms = list(expr)
-    while i < len(atoms):
-        a = atoms[i]
-        count = 1
-        while i + count < len(atoms) and atoms[i + count] == a:
-            count += 1
-        base = _render_atom(a)
-        parts.append(base if count == 1 else f"{base}^{count}")
-        i += count
-    return "*".join(parts)
+    # a run of equal atoms prints as one power
+    return "*".join(_pow(_render_atom(a), len(list(run))) for a, run in groupby(expr))
 
 
 def _render_atom(a) -> str:
@@ -53,8 +44,10 @@ def _render_atom(a) -> str:
     return f"Z[{render_rate(a[1])}]{{ {render_noise(a[2])} }}"
 
 
-def render_series(s: Series, spec_or_names) -> str:
-    names = _names(spec_or_names, s.dims)
+def render_series(s: Series, names) -> str:
+    """``s`` in the (slow, fast, parameter) name triple ``names``; each
+    term's factors print parameters first, then slow, then fast."""
+    names = _names(names)
     items = s.sorted_terms()
     if not items:
         return "0"
@@ -62,15 +55,10 @@ def render_series(s: Series, spec_or_names) -> str:
     for (mono, expr), c in items:
         factors: List[str] = []
         coeff = c
-        for k, e in enumerate(mono[2]):
-            if e:
-                factors.append(_pow(names[2][k], e))
-        for i, e in enumerate(mono[0]):
-            if e:
-                factors.append(_pow(names[0][i], e))
-        for j, e in enumerate(mono[1]):
-            if e:
-                factors.append(_pow(names[1][j], e))
+        for part in (2, 0, 1):
+            for k, e in enumerate(mono[part]):
+                if e:
+                    factors.append(_pow(names[part][k], e))
         if expr != ONE:
             factors.append(render_noise(expr))
         mag = abs(coeff)
@@ -90,12 +78,11 @@ def render_series(s: Series, spec_or_names) -> str:
 def new_names(spec) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """The names of the normal-form variables X, Y of a system's x, y: each
     name upper-cased, or suffixed ``_new`` when that name is taken."""
-    taken = set(spec.slow_names) | set(spec.fast_names) | set(spec.param_names)
+    taken = {*spec.slow_names, *spec.fast_names, *spec.param_names}
     def lift(name: str) -> str:
         up = name.upper()
         return up if up not in taken else name + "_new"
-    return (tuple(lift(n) for n in spec.slow_names),
-            tuple(lift(n) for n in spec.fast_names))
+    return tuple(tuple(map(lift, group)) for group in (spec.slow_names, spec.fast_names))
 
 
 def _pow(name: str, e: int) -> str:
@@ -106,15 +93,10 @@ def _frac(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _names(spec_or_names, dims: Dims):
-    if isinstance(spec_or_names, tuple) and len(spec_or_names) == 3:
-        return spec_or_names
-    slow = getattr(spec_or_names, "slow_names", None)
-    if slow is not None:
-        return (tuple(spec_or_names.slow_names),
-                tuple(spec_or_names.fast_names),
-                tuple(spec_or_names.param_names))
-    raise TypeError("need a system or a (slow, fast, param) name triple")
+def _names(names):
+    if isinstance(names, tuple) and len(names) == 3:
+        return names
+    raise TypeError("need a (slow, fast, param) name triple")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +140,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.k = 0
         self.dims = dims
-        self.slow, self.fast, self.par = names
+        self.where = name_index(names)
         self.text = text
 
     def peek(self):
@@ -243,12 +225,8 @@ class _Parser:
                 inner = self.expr()
                 self.take("rbrace")
                 return inner.map_noise(lambda e: noise.conv(mu, {e: Fraction(1)}))
-            if name in self.slow:
-                return Series.slow_var(self.dims, self.trunc, self.slow.index(name))
-            if name in self.fast:
-                return Series.fast_var(self.dims, self.trunc, self.fast.index(name))
-            if name in self.par:
-                return Series.param(self.dims, self.trunc, name)
+            if name in self.where:
+                return Series.var(self.dims, self.trunc, *self.where[name])
             raise ParseError(f"unknown symbol {name!r} in {self.text!r}")
         raise ParseError(f"unexpected {val!r} in {self.text!r}")
 
@@ -269,8 +247,7 @@ def _as_constant(s: Series) -> Optional[Fraction]:
         return Fraction(0)
     if len(s.terms) == 1:
         (mono, expr), c = next(iter(s.terms.items()))
-        from .series import grade as _grade
-        if _grade(mono) == 0 and expr == ONE:
+        if grade(mono) == 0 and expr == ONE:
             return c
     return None
 
@@ -281,5 +258,5 @@ def parse_series(text: str, dims: Dims, trunc: Trunc, names) -> Series:
 
 
 def parse_series_for(text: str, spec) -> Series:
-    names = (tuple(spec.slow_names), tuple(spec.fast_names), tuple(spec.param_names))
-    return parse_series(text, spec.dims, spec.trunc, names)
+    return parse_series(text, spec.dims, spec.trunc,
+                        (spec.slow_names, spec.fast_names, spec.param_names))

@@ -53,6 +53,11 @@ class Dims:
             raise ValueError("monomial exponent lengths do not match dims")
         return (s, f, p)
 
+    @property
+    def sizes(self) -> Tuple[int, int, int]:
+        """Exponent count of each monomial part: slow, fast, parameter."""
+        return (self.m, self.n, len(self.params))
+
 
 @dataclass(frozen=True)
 class Trunc:
@@ -95,6 +100,16 @@ def term_sort_key(key: Key):
             tuple(noise._sort_key(a) for a in expr))
 
 
+def name_index(names) -> Dict[str, Tuple[int, int]]:
+    """Each name of a (slow, fast, parameter) name triple mapped to its
+    (part, index); a name listed twice keeps its first place."""
+    index: Dict[str, Tuple[int, int]] = {}
+    for part, group in enumerate(names):
+        for k, name in enumerate(group):
+            index.setdefault(name, (part, k))
+    return index
+
+
 class Series:
     """Finite rational-coefficient series keyed by (monomial, noise product)."""
 
@@ -129,22 +144,23 @@ class Series:
         return cls(dims, trunc, {(dims.mono(), ONE): Fraction(c)})
 
     @classmethod
+    def var(cls, dims: Dims, trunc: Trunc, part: int, k: int) -> "Series":
+        """Variable ``k`` of monomial part ``part`` (0 slow, 1 fast, 2 parameter)."""
+        exps = [[0] * size for size in dims.sizes]
+        exps[part][k] = 1
+        return cls(dims, trunc, {(tuple(map(tuple, exps)), ONE): Fraction(1)})
+
+    @classmethod
     def slow_var(cls, dims: Dims, trunc: Trunc, i: int) -> "Series":
-        s = [0] * dims.m
-        s[i] = 1
-        return cls(dims, trunc, {(dims.mono(slow=s), ONE): Fraction(1)})
+        return cls.var(dims, trunc, 0, i)
 
     @classmethod
     def fast_var(cls, dims: Dims, trunc: Trunc, j: int) -> "Series":
-        f = [0] * dims.n
-        f[j] = 1
-        return cls(dims, trunc, {(dims.mono(fast=f), ONE): Fraction(1)})
+        return cls.var(dims, trunc, 1, j)
 
     @classmethod
     def param(cls, dims: Dims, trunc: Trunc, name: str) -> "Series":
-        p = [0] * len(dims.params)
-        p[dims.params.index(name)] = 1
-        return cls(dims, trunc, {(dims.mono(par=p), ONE): Fraction(1)})
+        return cls.var(dims, trunc, 2, dims.params.index(name))
 
     @classmethod
     def noise_sum(cls, dims: Dims, trunc: Trunc, s: NoiseSum) -> "Series":
@@ -293,7 +309,7 @@ class Series:
         return isinstance(other, Series) and self.dims == other.dims and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.dims, tuple(sorted(self.terms.items(), key=lambda kc: term_sort_key(kc[0])))))
+        return hash((self.dims, tuple(self.sorted_terms())))
 
     def __repr__(self):
         n = len(self.terms)
@@ -307,61 +323,47 @@ class Series:
         """Full composition: replace variables by series (identity when None).
 
         Noise factors pass through untouched; only monomial slots compose.
+        Each term multiplies in its slow, then fast, then parameter powers.
         """
         dims, trunc = self.dims, self.trunc
-        slow_b = list(slow) if slow is not None else [
-            Series.slow_var(dims, trunc, i) for i in range(dims.m)]
-        fast_b = list(fast) if fast is not None else [
-            Series.fast_var(dims, trunc, j) for j in range(dims.n)]
-        par_b = list(par) if par is not None else [
-            Series.param(dims, trunc, nm) for nm in dims.params]
-        pow_cache: Dict[Tuple[int, int, int], Series] = {}
-
-        def cached_pow(kind: int, idx: int, e: int, base: Series) -> Series:
-            key = (kind, idx, e)
-            got = pow_cache.get(key)
-            if got is None:
-                got = base.pow(e)
-                pow_cache[key] = got
-            return got
-
+        bases = [list(given) if given is not None else
+                 [Series.var(dims, trunc, part, k) for k in range(size)]
+                 for part, (given, size) in enumerate(zip((slow, fast, par), dims.sizes))]
+        powers: Dict[Tuple[int, int, int], Series] = {}
         unit = dims.mono()
         total: Dict[Key, Fraction] = {}
         for (mono, expr), c in self.terms.items():
             piece = Series._trusted(dims, trunc, {(unit, expr): c})
-            for i, e in enumerate(mono[0]):
-                if e:
-                    piece = piece * cached_pow(0, i, e, slow_b[i])
-            for j, e in enumerate(mono[1]):
-                if e:
-                    piece = piece * cached_pow(1, j, e, fast_b[j])
-            for k, e in enumerate(mono[2]):
-                if e:
-                    piece = piece * cached_pow(2, k, e, par_b[k])
+            for part, exps in enumerate(mono):
+                for k, e in enumerate(exps):
+                    if e:
+                        at = (part, k, e)
+                        power = powers.get(at)
+                        if power is None:
+                            power = powers[at] = bases[part][k].pow(e)
+                        piece = piece * power
             noise.add_into(total, piece.terms.items())
         return Series._trusted(dims, trunc, total)
 
-    def diff_slow(self, i: int) -> "Series":
+    def diff(self, part: int, k: int) -> "Series":
+        """Derivative in variable ``k`` of monomial part ``part``."""
         out: Dict[Key, Fraction] = {}
         for (mono, expr), c in self.terms.items():
-            e = mono[0][i]
+            e = mono[part][k]
             if not e:
                 continue
-            s = list(mono[0])
-            s[i] -= 1
-            out[((tuple(s), mono[1], mono[2]), expr)] = c * e
+            exps = list(mono[part])
+            exps[k] -= 1
+            parts = list(mono)
+            parts[part] = tuple(exps)
+            out[(tuple(parts), expr)] = c * e
         return Series._trusted(self.dims, self.trunc, out)
 
+    def diff_slow(self, i: int) -> "Series":
+        return self.diff(0, i)
+
     def diff_fast(self, j: int) -> "Series":
-        out: Dict[Key, Fraction] = {}
-        for (mono, expr), c in self.terms.items():
-            e = mono[1][j]
-            if not e:
-                continue
-            f = list(mono[1])
-            f[j] -= 1
-            out[((mono[0], tuple(f), mono[2]), expr)] = c * e
-        return Series._trusted(self.dims, self.trunc, out)
+        return self.diff(1, j)
 
     def diff_noise(self) -> "Series":
         """The explicit time derivative acting on noise atoms alone."""
@@ -370,12 +372,9 @@ class Series:
     def time_derivative(self, xdot: Sequence["Series"], ydot: Sequence["Series"]) -> "Series":
         """d/dt along an evolution: dt-part on noise plus the chain rule."""
         total = self.diff_noise()
-        for i in range(self.dims.m):
-            d = self.diff_slow(i)
-            if not d.is_zero():
-                total = total + d * xdot[i]
-        for j in range(self.dims.n):
-            d = self.diff_fast(j)
-            if not d.is_zero():
-                total = total + d * ydot[j]
+        for part, rates in enumerate((xdot, ydot)):
+            for k in range(self.dims.sizes[part]):
+                d = self.diff(part, k)
+                if not d.is_zero():
+                    total = total + d * rates[k]
         return total

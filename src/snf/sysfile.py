@@ -31,11 +31,12 @@ a declared magnitude parameter.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .series import Dims, Series, Trunc
+from .series import Dims, Series, Trunc, name_index
 from .systems import SystemSpec, SystemDefinitionError
 from . import noise
 
@@ -93,18 +94,15 @@ def _int(text: str, ln: int) -> int:
 
 def parse_sysfile(text: str, label: str = "") -> SysFile:
     sf = SysFile(label=label)
+    names = {"slow": sf.slow, "fast": sf.fast, "param": sf.params}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "slow":
-            sf.slow.extend(rest.split())
-        elif head == "fast":
-            sf.fast.extend(rest.split())
-        elif head == "param":
-            sf.params.extend(rest.split())
+        if head in names:
+            names[head].extend(rest.split())
         elif head == "noise":
             sf.n_noise = _int(rest, ln)
         elif head == "A":
@@ -175,19 +173,16 @@ def _expr_terms(text: str, ln: int, sf: SysFile) -> List[RawTerm]:
         state["k"] += 1
         return tv
 
-    def mul_terms(a: List[RawTerm], b: List[RawTerm]) -> List[RawTerm]:
-        out = []
-        for ta in a:
-            for tb in b:
-                vp = dict(ta.var_pows)
-                for k, v in tb.var_pows.items():
-                    vp[k] = vp.get(k, 0) + v
-                np_ = dict(ta.noise_pows)
-                for k, v in tb.noise_pows.items():
-                    np_[k] = np_.get(k, 0) + v
-                out.append(RawTerm(ta.coeff * tb.coeff, vp, np_,
-                                   ta.half_eps + tb.half_eps))
+    def add_pows(a: Dict, b: Dict) -> Dict:
+        out = dict(a)
+        for k, v in b.items():
+            out[k] = out.get(k, 0) + v
         return out
+
+    def mul_terms(a: List[RawTerm], b: List[RawTerm]) -> List[RawTerm]:
+        return [RawTerm(ta.coeff * tb.coeff, add_pows(ta.var_pows, tb.var_pows),
+                        add_pows(ta.noise_pows, tb.noise_pows), ta.half_eps + tb.half_eps)
+                for ta in a for tb in b]
 
     def invert(ts: List[RawTerm]) -> List[RawTerm]:
         if len(ts) != 1:
@@ -301,19 +296,16 @@ def build_system(sf: SysFile) -> SystemSpec:
     res_idx = sf.params.index(sf.rescale) if sf.rescale else None
     scale_idx = sf.params.index(sf.noise_scale) if sf.noise_scale else None
 
+    where = name_index((sf.slow, sf.fast, sf.params))
+
     def to_series(terms: List[RawTerm], which: str, var: str) -> Series:
         pairs = []
         for t in terms:
-            slow_e = [0] * len(sf.slow)
-            fast_e = [0] * len(sf.fast)
-            par_e = [0] * len(sf.params)
+            exps = [[0] * size for size in dims.sizes]
             for name, e in t.var_pows.items():
-                if name in sf.slow:
-                    slow_e[sf.slow.index(name)] += e
-                elif name in sf.fast:
-                    fast_e[sf.fast.index(name)] += e
-                else:
-                    par_e[sf.params.index(name)] += e
+                part, k = where[name]
+                exps[part][k] += e
+            par_e = exps[2]
             half = t.half_eps
             if sf.rescale is not None:
                 # t -> tau/param: every rate gains one factor of the
@@ -333,8 +325,7 @@ def build_system(sf: SysFile) -> SystemSpec:
             atoms = []
             for k, e in t.noise_pows.items():
                 atoms.extend([noise.phi_atom(k)] * e)
-            key = ((tuple(slow_e), tuple(fast_e), tuple(par_e)),
-                   noise.product(*atoms))
+            key = (tuple(map(tuple, exps)), noise.product(*atoms))
             pairs.append((key, t.coeff))
         s = Series(dims, trunc, noise.add_into({}, pairs))
         # Strip the declared linear part from the equation body.
@@ -363,6 +354,13 @@ def build_system(sf: SysFile) -> SystemSpec:
     except SystemDefinitionError as exc:
         raise SysFileError(str(exc)) from exc
     return spec
+
+
+def system_as_written(sf: SysFile) -> SystemSpec:
+    """The system with every equation term the file writes: no parameter
+    caps and no total-grade bound, for simulating the full model rather
+    than its truncation window."""
+    return build_system(replace(sf, order=sys.maxsize, caps={}))
 
 
 def load_system(path_or_text, label: str = "") -> Tuple[SystemSpec, SysFile]:

@@ -22,11 +22,13 @@ from snf import noise
 from snf.analysis import (expected_ssm, long_time_model,
                           project_initial_condition, revert,
                           ssm_parametrisation)
+from snf.cli import verify_report
 from snf.engine import construct, identity_form, verify_order
 from snf.mc import (compile_full_system, compile_observables,
                     compile_slow_model, run_ensemble)
 from snf.paths import NoisePath, PathSampler, evaluate_series, integrate_expression
 from snf.render import parse_series_for
+from snf.report import emit_report, parse_report, rebuild_normal_form
 from snf.series import Series
 from snf.systems import ALLOW, FORBID, Policy
 
@@ -195,17 +197,26 @@ def test_criterion_4_residual_certification():
             trials += 1
             if verify_order(spec, bad) is not None:
                 detected += 1
-    # Two forms whose residual clears but which decouple nothing, judged as
-    # `snf verify` judges them: the identity transform with the original
-    # equations as its evolution, and toy@3 with mu_min above the fast rate.
+    # Three faults the residual does not see, judged as `snf verify` judges
+    # them: two forms that decouple nothing (the identity transform with the
+    # original equations as its evolution, and toy@3 with mu_min above the
+    # fast rate), and toy@3's report with its header misstating the order as
+    # 2, whose rebuilt form is clean and clears the residual, so that only
+    # the header check catches it.
     toy3 = make_system("toy.snf", total=3)
     ident = identity_form(toy3, ALLOW)
     ident.F, ident.G = list(toy3.f), list(toy3.g)
     ident.residual_grade = verify_order(toy3, ident)
     near = construct(toy3, Policy(anticipation=True, mu_min=F(2)))
-    structural = [ident, near]
-    residual_blind = ident.residual_grade is None and near.residual_grade is None
-    structural_caught = sum(1 for nf in structural if nf.certification_failures())
+    report3 = emit_report(construct(toy3, ALLOW))
+    misstated = report3.replace("\norder: 3\n", "\norder: 2\n")
+    rebuilt = rebuild_normal_form(parse_report(misstated, toy3), toy3, ALLOW)
+    rebuilt.residual_grade = verify_order(toy3, rebuilt)
+    structural = [ident.certification_failures(), near.certification_failures(),
+                  verify_report(misstated, toy3)]
+    residual_blind = (ident.residual_grade is None and near.residual_grade is None
+                      and misstated != report3 and not rebuilt.certification_failures())
+    structural_caught = sum(1 for failures in structural if failures)
     elapsed = time.time() - t0
     ok = (all_certified and trials >= 8 and detected == trials and residual_blind
           and structural_caught == len(structural) and elapsed < 30)

@@ -9,7 +9,7 @@ from snf import noise
 from snf.cli import EXIT_CERT, EXIT_OK, EXIT_PARSE, EXIT_TOL, main
 from snf.engine import construct
 from snf.mc import CompiledSDE, compile_full_system, run_ensemble
-from snf.sysfile import load_system
+from snf.sysfile import load_system, system_as_written
 from snf.systems import Policy
 
 
@@ -95,6 +95,20 @@ def test_verify_rejects_anticipation_under_a_no_anticipate_header(
     assert "anticipation produced under the no-anticipate policy" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("option,value", [("--policy", "no-anticipate"),
+                                          ("--mu-min", "abc")])
+def test_verify_refuses_the_policy_options(toy_path, tmp_path, toy3_report,
+                                           capsys, option, value):
+    # the policy is the report header's; an option that would be ignored is
+    # refused by argparse, naming it
+    p = tmp_path / "report.txt"
+    p.write_text(toy3_report)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", toy_path, str(p), "--order", "3", option, value])
+    assert exc.value.code == EXIT_PARSE
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
+
 def test_verify_reads_mu_min_from_the_header(toy_path, tmp_path, toy3_report,
                                              monkeypatch):
     import snf.cli as cli
@@ -174,6 +188,55 @@ def test_bad_ensemble_options_exit_2(toy_path, capsys, cmd, extra, message):
     rc = main([cmd, toy_path, "--order", "2", "--T", "0.1", "--dt", "0.01", *extra])
     assert rc == EXIT_PARSE
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("extra,option", [
+    (["--delta", "1.5"], "--delta"),
+    (["--delta", "0"], "--delta"),
+    (["--replicates", "0"], "--replicates"),
+    (["--dt", "0"], "--dt"),
+    (["--T", "-5"], "--T"),
+    # the resonant strip would hold only the zero offset: c_r = 0
+    (["--T", "20"], "--T"),
+    # the frequency-2 band would reach above Nyquist
+    (["--dt", "1.5", "--T", "400"], "--dt"),
+])
+def test_bad_hopf_options_exit_2(capsys, extra, option):
+    assert main(["hopf", *extra]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {option}: ")
+
+
+# -- the full model is the system as written ---------------------------------
+
+def test_full_model_keeps_terms_outside_the_truncation_window(toy_path, capsys):
+    # at order 1 the window drops -x*y, which moves x from 0.3
+    rc = main(["simulate", toy_path, "--model", "full", "--order", "1",
+               "--param", "sigma=0", "--x0", "0.3", "0.2", "--T", "2",
+               "--times", "2", "--replicates", "2"])
+    assert rc == EXIT_OK
+    row = capsys.readouterr().out.splitlines()[1].split("\t")
+    assert row[:2] == ["2", "0.2409482166"]
+
+
+def test_full_model_keeps_a_term_above_the_file_order(tmp_path, capsys):
+    # dx = -x^3 dt from x = 1/2: x(1) = (1/2)/sqrt(3/2)
+    p = tmp_path / "cubic.snf"
+    p.write_text(BLOWUP.replace("order 3", "order 2").replace("eq x: x^3", "eq x: -x^3"))
+    rc = main(["simulate", str(p), "--model", "full", "--param", "s=0",
+               "--x0", "0.5", "0", "--T", "1", "--times", "1", "--replicates", "2"])
+    assert rc == EXIT_OK
+    x_mean = float(capsys.readouterr().out.splitlines()[1].split("\t")[1])
+    assert abs(x_mean - 0.5 / 1.5 ** 0.5) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["toy.snf", "papavasiliou.snf", "linear.snf"])
+def test_bundled_systems_lose_no_term_at_their_own_order(name):
+    spec, sf = load_system(bundled_text(name))
+    written = system_as_written(sf)
+    assert ([list(s.terms.items()) for s in written.f + written.g]
+            == [list(s.terms.items()) for s in spec.f + spec.g])
 
 
 # -- derive certifies only a structurally clean form -------------------------

@@ -1,0 +1,72 @@
+"""Dead-name gate: every name `src/snf` defines at top level, and every
+method of its classes, is read somewhere in `src/`, `tests/` or
+`perfbench/`.
+
+A name is read by a `Name` load, an attribute access or an import.
+Dunder names (`__all__`, `__init__`, ...) are exempt: the interpreter reads
+them.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "snf"
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _assigned(target):
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _assigned(elt)
+
+
+def _definitions(tree):
+    """(kind, name) of each top-level function, class and assignment, and
+    of each method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield "function", node.name
+        elif isinstance(node, ast.ClassDef):
+            yield "class", node.name
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield "method", f"{node.name}.{item.name}"
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                for name in _assigned(target):
+                    yield "assignment", name
+        elif isinstance(node, ast.AnnAssign):
+            yield from (("assignment", name) for name in _assigned(node.target))
+
+
+def _reads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_defined_name_is_read():
+    read = set()
+    for _path, tree in _trees("src", "tests", "perfbench"):
+        read.update(_reads(tree))
+    dead = []
+    for path, tree in _trees("src/snf"):
+        for kind, qualname in _definitions(tree):
+            name = qualname.rpartition(".")[2]
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name not in read:
+                dead.append(f"{path.relative_to(PACKAGE)}: {kind} {qualname}")
+    assert not dead, "defined but never read:\n" + "\n".join(dead)
