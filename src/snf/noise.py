@@ -64,8 +64,9 @@ def phi_atom(k: int) -> Atom:
 class _Rate(Fraction):
     """A convolution rate: a ``Fraction`` that computes its hash once.
 
-    Every series term key holds its atoms' rates, so each dict lookup in the
-    series algebra hashes them; ``Fraction.__hash__`` is pure Python.  One
+    Noise products key every noise sum and the series algebra's interning
+    of noise products, so each of those dict lookups hashes their rates;
+    ``Fraction.__hash__`` is pure Python.  One
     instance exists per value, so copies and pickles come back as that
     instance.  A rate equals, and hashes like, the plain ``Fraction`` of the
     same value, and prints and reprs like it.

@@ -10,24 +10,46 @@ are expressible.
 
 Series values are immutable once built; all operations return new values.
 
-Invariant: every series holds only nonzero ``Fraction`` coefficients, on
-monomials its ``Trunc`` keeps.  ``Series.__init__`` establishes it for terms
-that come from outside the algebra (the parsers, system files, tests and
-``build_like`` callers) by dropping zeros and unkept monomials and wrapping
-each coefficient.  The arithmetic (``+``, ``-``, ``*``, ``scale``,
-``substitute`` and the variable derivatives) takes operands that hold the
-invariant and builds results that hold it by construction: sums and
-products of nonzero Fractions with cancelled keys dropped, on monomials
-whose total grade the ``__mul__`` bucket ladder bounds and whose parameter
-exponents it checks.  Those results are wrapped by ``Series._trusted``
-without a second check.
+Packed form.  A series stores its terms as a dict from one int key per
+(monomial, noise product) to an int numerator, over one common positive
+denominator.  A key holds, from the low bits up: the id of its noise
+product (``_NOISE_BITS`` wide; every noise product is interned to one id
+for the whole process), one exponent field per slow, fast and parameter
+variable in that order, and the grade (``Trunc.grade_of``) in the top field.
+So the key of a product of monomials is the sum of their keys with the noise
+id of the merged product in the low bits, and a term's grade is
+``key >> _Layout.gshift``.  A field counted in the grade is wide enough for
+the total-grade cap, which bounds it.  A fast field under
+``count_fast=False`` is ``_FREE_BITS`` wide with one guard bit above it: a
+product whose exponent does not fit sets the guard bit and raises
+``OverflowError`` naming the monomial; it never carries into the next field.
+Equal (dims, truncation) pairs share one ``_Layout``.
+
+Invariant: the denominator and the numerators have no common factor, no
+numerator is zero, and every key is a monomial the series' ``Trunc`` keeps;
+equal series under one truncation therefore have equal packed forms.
+``Series.__init__`` establishes it for terms that come from outside the
+algebra (the parsers, system files, tests and ``build_like`` callers) by
+dropping zeros and unkept monomials.  The arithmetic (``+``, ``-``, ``*``,
+``pow``, ``scale``, ``substitute`` and the variable derivatives) takes
+operands that hold it and builds results that keep it: cancelled keys are
+dropped as they cancel, product monomials stay under the caps by the
+``__mul__`` bucket ladder, and ``Series._packed`` divides out the common
+factor.
+
+``Series.terms`` is a derived, read-only view of the packed form in the
+``(mono, expr) -> Fraction`` shape, built on first read and kept; its order
+is the packed dict's insertion order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
+from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import noise
@@ -102,36 +124,208 @@ def term_sort_key(key: Key):
 
 def name_index(names) -> Dict[str, Tuple[int, int]]:
     """Each name of a (slow, fast, parameter) name triple mapped to its
-    (part, index); a name listed twice keeps its first place."""
-    index: Dict[str, Tuple[int, int]] = {}
-    for part, group in enumerate(names):
-        for k, name in enumerate(group):
-            index.setdefault(name, (part, k))
-    return index
+    (part, index); the names must be distinct."""
+    return {name: (part, k) for part, group in enumerate(names)
+            for k, name in enumerate(group)}
+
+
+# -- packed keys ---------------------------------------------------------------
+
+_NOISE_BITS = 24
+_NOISE_MASK = (1 << _NOISE_BITS) - 1
+_FREE_BITS = 16          # width of a fast field the grade does not bound
+
+# Noise products interned for the whole process: id -> product, product -> id.
+_EXPRS: List[Expr] = [ONE]
+_NOISE_IDS: Dict[Expr, int] = {ONE: 0}
+
+
+def _noise_id(expr: Expr) -> int:
+    i = _NOISE_IDS.get(expr)
+    if i is None:
+        i = len(_EXPRS)
+        if i > _NOISE_MASK:
+            raise OverflowError("more distinct noise products than packed keys hold")
+        _NOISE_IDS[expr] = i
+        _EXPRS.append(expr)
+    return i
+
+
+class _MergeRow(dict):
+    """The ids of ``merge(a, b)`` for one noise id ``a``, by ``b``, each
+    merged on first use."""
+
+    __slots__ = ("expr",)
+
+    def __missing__(self, b: int) -> int:
+        m = self[b] = _noise_id(noise.merge(self.expr, _EXPRS[b]))
+        return m
+
+
+_MERGED: Dict[int, _MergeRow] = {}
+
+
+def _merge_row(a: int) -> _MergeRow:
+    row = _MERGED.get(a)
+    if row is None:
+        row = _MERGED[a] = _MergeRow()
+        row.expr = _EXPRS[a]
+    return row
+
+
+class _Layout:
+    """Bit fields of the packed keys of every series with one (dims, trunc)."""
+
+    def __init__(self, dims: Dims, trunc: Trunc):
+        self.dims = dims
+        width = max(1, trunc.total.bit_length())
+        # (offset, mask, counted in the grade) per variable
+        self.fields: List[Tuple[int, int, bool]] = []
+        off, guard = _NOISE_BITS, 0
+        for part, size in enumerate(dims.sizes):
+            counted = part != 1 or trunc.count_fast
+            w = width if counted else _FREE_BITS
+            for _ in range(size):
+                self.fields.append((off, (1 << w) - 1, counted))
+                off += w
+                if not counted:
+                    guard |= 1 << off
+                    off += 1
+        self.gshift, self.guard = off, guard
+        # Capped parameters: (offset, mask, cap, at, width) each, the
+        # last two placing it in the packed ``used``/``spare`` of caps_of.
+        first_param = dims.m + dims.n
+        self.capped: List[Tuple[int, int, int, int, int]] = []
+        self.capped_mask = self.room_bits = at = 0
+        for k in range(len(dims.params)):
+            cap = trunc.cap_for(k)
+            if cap is not None:
+                off, mask, _counted = self.fields[first_param + k]
+                w = max(1, cap.bit_length())
+                self.capped.append((off, mask, cap, at, w))
+                self.capped_mask |= mask << off
+                self.room_bits |= 1 << (at + w)
+                at += w + 1
+        self._caps: Dict[int, Tuple[Tuple[int, ...], int, int]] = {}
+        self._keys: Dict[Mono, int] = {}
+        self._monos: Dict[int, Mono] = {}
+
+    def key(self, mono: Mono) -> int:
+        """The packed monomial, noise bits zero."""
+        k = self._keys.get(mono)
+        if k is None:
+            if tuple(map(len, mono)) != self.dims.sizes:
+                raise ValueError("monomial exponent lengths do not match dims")
+            k = g = 0
+            for e, (off, mask, counted) in zip((e for part in mono for e in part),
+                                               self.fields):
+                if not 0 <= e <= mask:
+                    raise OverflowError(f"exponent {e} of monomial {mono} does not "
+                                        f"fit a {mask.bit_length()}-bit field")
+                k |= e << off
+                g += e if counted else 0
+            k |= g << self.gshift
+            self._keys[mono] = k
+        return k
+
+    def mono(self, key: int) -> Mono:
+        """The monomial of a packed key with its noise bits zero."""
+        m = self._monos.get(key)
+        if m is None:
+            exps = [(key >> off) & mask for off, mask, _ in self.fields]
+            m, at = [], 0
+            for size in self.dims.sizes:
+                m.append(tuple(exps[at:at + size]))
+                at += size
+            m = self._monos[key] = tuple(m)
+        return m
+
+    def caps_of(self, key: int) -> Tuple[Tuple[int, ...], int, int]:
+        """The capped parameter exponents of a packed key, as a tuple and
+        as ``used`` and ``spare``: the exponents, and the caps minus the
+        exponents with each field's top bit (``room_bits``) set, packed into
+        fields one bit wider than each cap.  A right term fits under the
+        caps beside a left term unless ``spare - used`` clears a top bit.
+        Memoised by ``key & capped_mask``."""
+        got = self._caps.get(key & self.capped_mask)
+        if got is None:
+            exps = tuple((key >> off) & mask for off, mask, *_ in self.capped)
+            used = spare = 0
+            for e, (_off, _mask, cap, at, w) in zip(exps, self.capped):
+                used |= e << at
+                spare |= ((1 << w) + cap - e) << at
+            got = self._caps[key & self.capped_mask] = (exps, used, spare)
+        return got
+
+    def check_fits(self, num: Dict[int, int]) -> None:
+        """Raise if a product carried a fast exponent into a guard bit."""
+        if reduce(or_, num, 0) & self.guard:
+            bad = next(k for k in num if k & self.guard)
+            exps = [(bad >> off) & (mask if counted else 2 * mask + 1)
+                    for off, mask, counted in self.fields]
+            raise OverflowError(f"a fast exponent of {exps} (slow, fast, parameter) "
+                                f"does not fit the {_FREE_BITS}-bit fields of "
+                                "ungraded fast variables")
+
+
+_LAYOUTS: Dict[Tuple[Dims, Trunc], _Layout] = {}
+
+
+def _layout(dims: Dims, trunc: Trunc) -> _Layout:
+    lay = _LAYOUTS.get((dims, trunc))
+    if lay is None:
+        lay = _LAYOUTS[(dims, trunc)] = _Layout(dims, trunc)
+    return lay
 
 
 class Series:
     """Finite rational-coefficient series keyed by (monomial, noise product)."""
 
-    __slots__ = ("dims", "trunc", "terms")
+    __slots__ = ("dims", "trunc", "_lay", "_num", "_den", "_view", "_ladder")
 
     def __init__(self, dims: Dims, trunc: Trunc, terms: Optional[Dict[Key, Fraction]] = None):
-        self.dims = dims
-        self.trunc = trunc
-        clean: Dict[Key, Fraction] = {}
+        lay = _layout(dims, trunc)
+        kept = []
         if terms:
+            keeps, key = trunc.keeps, lay.key
             for (mono, expr), c in terms.items():
-                if c and trunc.keeps(mono):
-                    clean[(mono, expr)] = Fraction(c)
-        self.terms = clean
+                if c and keeps(mono):
+                    kept.append((key(mono) | _noise_id(expr), Fraction(c)))
+        den = lcm(*[c.denominator for _k, c in kept])
+        self._set(dims, trunc, lay,
+                  {k: c.numerator * (den // c.denominator) for k, c in kept}, den)
 
-    @classmethod
-    def _trusted(cls, dims: Dims, trunc: Trunc, terms: Dict[Key, Fraction]) -> "Series":
-        """Wrap ``terms`` as they are: only for terms that already hold the
-        module invariant under ``trunc``."""
-        s = object.__new__(cls)
-        s.dims, s.trunc, s.terms = dims, trunc, terms
+    def _set(self, dims: Dims, trunc: Trunc, lay: _Layout,
+             num: Dict[int, int], den: int) -> None:
+        self.dims, self.trunc, self._lay = dims, trunc, lay
+        self._num, self._den = num, den
+        self._view = self._ladder = None
+
+    def _packed(self, num: Dict[int, int], den: int) -> "Series":
+        """A series with this one's dims and truncation from packed terms
+        that hold the module invariant but for a common factor of ``den``
+        (positive) and the numerators, which is divided out."""
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {k: v // g for k, v in num.items()}
+        s = object.__new__(Series)
+        s._set(self.dims, self.trunc, self._lay, num, den)
         return s
+
+    def __reduce__(self):
+        return (Series, (self.dims, self.trunc, dict(self.terms)))
+
+    @property
+    def terms(self) -> "MappingProxyType[Key, Fraction]":
+        """The terms as ``(mono, expr) -> Fraction``, read-only."""
+        view = self._view
+        if view is None:
+            mono, den = self._lay.mono, self._den
+            view = self._view = MappingProxyType({
+                (mono(k & ~_NOISE_MASK), _EXPRS[k & _NOISE_MASK]): Fraction(v, den)
+                for k, v in self._num.items()})
+        return view
 
     # -- constructors -------------------------------------------------------
 
@@ -172,85 +366,94 @@ class Series:
     # -- basic algebra ------------------------------------------------------
 
     def _check(self, other: "Series"):
-        if self.dims != other.dims:
-            raise ValueError("series dimension mismatch")
-        if self.trunc != other.trunc:
+        if self._lay is not other._lay:
+            if self.dims != other.dims:
+                raise ValueError("series dimension mismatch")
             raise ValueError("series truncation mismatch")
 
-    def __add__(self, other: "Series") -> "Series":
+    def _combine(self, other: "Series", sign: int) -> "Series":
+        """``self + sign * other`` over the least common denominator."""
         self._check(other)
-        return Series._trusted(self.dims, self.trunc,
-                               noise.add_into(dict(self.terms), other.terms.items()))
+        g = gcd(self._den, other._den)
+        to_a, to_b = other._den // g, self._den // g
+        out = {k: v * to_a for k, v in self._num.items()}
+        noise.add_into(out, other._num.items(), sign * to_b)
+        return self._packed(out, self._den * to_a)
+
+    def __add__(self, other: "Series") -> "Series":
+        return self._combine(other, 1)
 
     def __neg__(self) -> "Series":
-        return Series._trusted(self.dims, self.trunc, {k: -c for k, c in self.terms.items()})
+        return self._packed({k: -v for k, v in self._num.items()}, self._den)
 
     def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def scale(self, c) -> "Series":
         c = Fraction(c)
-        if not c:
-            return Series._trusted(self.dims, self.trunc, {})
-        return Series._trusted(self.dims, self.trunc, {k: v * c for k, v in self.terms.items()})
+        p = c.numerator
+        num = {k: v * p for k, v in self._num.items()} if p else {}
+        return self._packed(num, self._den * c.denominator)
+
+    def _bucket_ladder(self):
+        """This series as the right operand of ``__mul__``: its terms bucketed
+        by grade and capped parameter exponents, in ascending order, each
+        term as (key without noise id, noise id, numerator)."""
+        ladder = self._ladder
+        if ladder is None:
+            gshift, caps_of = self._lay.gshift, self._lay.caps_of
+            buckets: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[int, int, int]]] = {}
+            for k, v in self._num.items():
+                nb = k & _NOISE_MASK
+                buckets.setdefault((k >> gshift, caps_of(k)[:2]), []).append((k - nb, nb, v))
+            ladder = self._ladder = [(g, used, bucket)
+                                     for (g, (_exps, used)), bucket in sorted(buckets.items())]
+        return ladder
 
     def __mul__(self, other: "Series") -> "Series":
         """Truncated product.  Grades add, so the right operand is bucketed
         by grade and each left term stops at the first bucket that would
         overflow the total cap.  The buckets also split by the exponents of
         the capped parameters, so a left term passes or skips a whole
-        bucket on the parameter caps; with no cap set nothing is checked."""
+        bucket on the parameter caps, by one subtraction of packed fields
+        (``_Layout.caps_of``) that always passes when no cap is set."""
         self._check(other)
-        trunc = self.trunc
-        grade_of, total = trunc.grade_of, trunc.total
-        capped = [(k, trunc.cap_for(k)) for k in range(len(self.dims.params))
-                  if trunc.cap_for(k) is not None]
-        buckets: Dict[Tuple[int, ...], List[Tuple[Key, Fraction]]] = {}
-        for item in other.terms.items():
-            pb = item[0][0][2]
-            at = (grade_of(item[0][0]),) + tuple(pb[k] for k, _cap in capped)
-            buckets.setdefault(at, []).append(item)
-        ladder = [(at[0], at[1:], bucket) for at, bucket in sorted(buckets.items())]
-        merge = noise.merge
-        # Merged noise products by operand identity: both operands keep
-        # their keys alive for the whole call.
-        merged: Dict[Tuple[int, int], Expr] = {}
-        out: Dict[Key, Fraction] = {}
+        lay = self._lay
+        ladder = other._bucket_ladder()
+        total, gshift = self.trunc.total, lay.gshift
+        caps, cmask, room_bits = lay._caps, lay.capped_mask, lay.room_bits
+        merged = _MERGED
+        out: Dict[int, int] = {}
         get = out.get
-        for (ma, ea), ca in self.terms.items():
-            room = total - grade_of(ma)
-            sa, fa, pa = ma
-            spare = [cap - pa[k] for k, cap in capped]
+        for ka, ca in self._num.items():
+            na = ka & _NOISE_MASK
+            ha, room = ka - na, total - (ka >> gshift)
+            row = merged.get(na)
+            if row is None:
+                row = _merge_row(na)
+            spare = (caps.get(ka & cmask) or lay.caps_of(ka))[2]
             for g, used, bucket in ladder:
                 if g > room:
                     break
-                if capped and any(u > r for u, r in zip(used, spare)):
+                if (spare - used) & room_bits != room_bits:
                     continue
-                for ((sb, fb, pb), eb), cb in bucket:
-                    if not ea:
-                        e = eb
-                    elif not eb:
-                        e = ea
-                    else:
-                        pair = (id(ea), id(eb))
-                        e = merged.get(pair)
-                        if e is None:
-                            e = merged[pair] = merge(ea, eb)
-                    key = ((tuple(map(add, sa, sb)), tuple(map(add, fa, fb)),
-                            tuple(map(add, pa, pb))), e)
+                for hb, nb, cb in bucket:
                     # Inline rather than noise.add_into: this is the hot
                     # loop of reversion and certification.  A product of
-                    # nonzero Fractions is nonzero; only a sum can cancel.
-                    c = get(key)
+                    # nonzero numerators is nonzero; only a sum can cancel.
+                    k = ha + hb | row[nb]
+                    c = get(k)
                     if c is None:
-                        out[key] = ca * cb
+                        out[k] = ca * cb
                     else:
                         c += ca * cb
                         if c:
-                            out[key] = c
+                            out[k] = c
                         else:
-                            del out[key]
-        return Series._trusted(self.dims, trunc, out)
+                            del out[k]
+        if lay.guard:
+            lay.check_fits(out)
+        return self._packed(out, self._den * other._den)
 
     def pow(self, k: int) -> "Series":
         if k < 0:
@@ -277,12 +480,11 @@ class Series:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def lowest_grade(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return min(self.trunc.grade_of(m) for (m, _e) in self.terms)
+        gshift = self._lay.gshift
+        return min((k >> gshift for k in self._num), default=None)
 
     def terms_of_grade(self, g: int) -> List[Tuple[Key, Fraction]]:
         out = [(k, c) for k, c in self.terms.items() if self.trunc.grade_of(k[0]) == g]
@@ -306,13 +508,17 @@ class Series:
         return self.build_like(out)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Series) and self.dims == other.dims and self.terms == other.terms
+        if not isinstance(other, Series) or self.dims != other.dims:
+            return False
+        if self._lay is other._lay:
+            return self._den == other._den and self._num == other._num
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash((self.dims, tuple(self.sorted_terms())))
 
     def __repr__(self):
-        n = len(self.terms)
+        n = len(self._num)
         return f"<Series {n} term{'s' if n != 1 else ''} order {self.trunc.total}>"
 
     # -- composition and calculus -------------------------------------------
@@ -324,40 +530,44 @@ class Series:
 
         Noise factors pass through untouched; only monomial slots compose.
         Each term multiplies in its slow, then fast, then parameter powers.
+        The pieces add up over a common denominator that grows to the least
+        common multiple of theirs.
         """
-        dims, trunc = self.dims, self.trunc
+        dims, trunc, lay = self.dims, self.trunc, self._lay
         bases = [list(given) if given is not None else
                  [Series.var(dims, trunc, part, k) for k in range(size)]
                  for part, (given, size) in enumerate(zip((slow, fast, par), dims.sizes))]
+        slots = [(part, k) for part, size in enumerate(dims.sizes) for k in range(size)]
         powers: Dict[Tuple[int, int, int], Series] = {}
-        unit = dims.mono()
-        total: Dict[Key, Fraction] = {}
-        for (mono, expr), c in self.terms.items():
-            piece = Series._trusted(dims, trunc, {(unit, expr): c})
-            for part, exps in enumerate(mono):
-                for k, e in enumerate(exps):
-                    if e:
-                        at = (part, k, e)
-                        power = powers.get(at)
-                        if power is None:
-                            power = powers[at] = bases[part][k].pow(e)
-                        piece = piece * power
-            noise.add_into(total, piece.terms.items())
-        return Series._trusted(dims, trunc, total)
+        total: Dict[int, int] = {}
+        den = 1
+        for key, c in self._num.items():
+            piece = self._packed({key & _NOISE_MASK: c}, self._den)
+            for (part, k), (off, mask, _counted) in zip(slots, lay.fields):
+                e = (key >> off) & mask
+                if e:
+                    power = powers.get((part, k, e))
+                    if power is None:
+                        power = powers[(part, k, e)] = bases[part][k].pow(e)
+                    piece = piece * power
+            if den % piece._den:
+                grow = piece._den // gcd(den, piece._den)
+                total = {k: v * grow for k, v in total.items()}
+                den *= grow
+            noise.add_into(total, piece._num.items(), den // piece._den)
+        return self._packed(total, den)
 
     def diff(self, part: int, k: int) -> "Series":
         """Derivative in variable ``k`` of monomial part ``part``."""
-        out: Dict[Key, Fraction] = {}
-        for (mono, expr), c in self.terms.items():
-            e = mono[part][k]
-            if not e:
-                continue
-            exps = list(mono[part])
-            exps[k] -= 1
-            parts = list(mono)
-            parts[part] = tuple(exps)
-            out[(tuple(parts), expr)] = c * e
-        return Series._trusted(self.dims, self.trunc, out)
+        lay = self._lay
+        off, mask, counted = lay.fields[sum(self.dims.sizes[:part]) + k]
+        unit = (1 << off) + (1 << lay.gshift if counted else 0)
+        out: Dict[int, int] = {}
+        for key, v in self._num.items():
+            e = (key >> off) & mask
+            if e:
+                out[key - unit] = v * e
+        return self._packed(out, self._den)
 
     def diff_slow(self, i: int) -> "Series":
         return self.diff(0, i)

@@ -95,6 +95,7 @@ def _int(text: str, ln: int) -> int:
 def parse_sysfile(text: str, label: str = "") -> SysFile:
     sf = SysFile(label=label)
     names = {"slow": sf.slow, "fast": sf.fast, "param": sf.params}
+    declared: Dict[str, Tuple[str, int]] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -102,7 +103,13 @@ def parse_sysfile(text: str, label: str = "") -> SysFile:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head in names:
-            names[head].extend(rest.split())
+            for name in rest.split():
+                if name in declared:
+                    kind, first = declared[name]
+                    raise SysFileError(f"line {ln}: {name!r} is already declared "
+                                       f"{kind} on line {first}")
+                declared[name] = (head, ln)
+                names[head].append(name)
         elif head == "noise":
             sf.n_noise = _int(rest, ln)
         elif head == "A":

@@ -47,6 +47,7 @@ GOLDEN_DIGESTS = [
     ("toy.snf", 6, "d20154a59fc95d1305d5fccaf606d28bb72b20b7b9246d7d1edfe702aa0d7d9f"),
     ("toy.snf", 7, "47e2fe53b4bcefb34516baf6f40755b3398f13482420cd19ce32ffe8e9425151"),
     ("papavasiliou.snf", 3, "a938aa7fac03b7372ea83fa36efb5a4e6e5d92cad8ea84cf135832f56a9f0263"),
+    ("papavasiliou.snf", 5, "cd2d4ae35124b1fc07d9bdacc7e4087db96d971a4e14adeeb4c516d6313974e3"),
     ("linear.snf", 3, "33038a4a35583f7512a68f606cf73aac52303fe92e2c9952cb51569c365c978a"),
 ]
 

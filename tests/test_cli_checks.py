@@ -143,6 +143,10 @@ eq y: -y + x^2 + s*phi1
     ("order 3", "mu_min 1/0"),
     ("eq x: -s*x*y", "eq x: -s*x*y/0"),
     ("eq y: -y + x^2 + s*phi1", "eq y: -y + x^1/2 + s*phi1"),
+    # a name declared twice, within one part or across two
+    ("fast y", "fast y y"),
+    ("param s", "param s x"),
+    ("noise 1", "slow s"),
 ])
 def test_malformed_system_file_exits_2_with_its_line(tmp_path, capsys, old, new):
     text = SYSTEM.replace(old, new)

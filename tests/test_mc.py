@@ -1,5 +1,6 @@
 """Compiled SDE models and the Heun ensemble integrator."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -112,6 +113,34 @@ def test_observables_via_chart(toy3):
     assert np.all(np.isfinite(res.samples))
     # the chart fluctuates around X by O(sigma)
     assert np.std(res.samples) < 0.1
+
+
+# sha256 of repr(RatesPlan) of each bundled system's reduced model and its
+# chart observables, built as `snf compare` builds them.  compile_series adds
+# terms in series term order, so a seeded ensemble depends on that order;
+# float(Fraction) is exact, so these digests do not depend on the machine.
+PLAN_DIGESTS = [
+    ("toy.snf", {"sigma": 0.05},
+     "c2f8107f25b39b3e8d75738c0ebc0c4d83f7543616cca1dd038904cfbc9e9d30",
+     "662f4ee5bce12e6327eafaf034689e33d50f1c7eb6e8a16e8cfd1c8afa4c4469"),
+    ("papavasiliou.snf", {"eps": 0.01, "sigma": 1.0},
+     "def4b4883ae4a20b2bd71db088e84a16ac4c007f636e77343b604cbb1b29d8e0",
+     "53392df5d5015b8f62f96a9c6a1eb0252a0955448f270596c49d41efda6cd9ee"),
+]
+
+
+@pytest.mark.parametrize("name,params,reduced_digest,chart_digest", PLAN_DIGESTS)
+def test_compiled_plans_match_golden_digest(name, params, reduced_digest, chart_digest):
+    from snf.analysis import ssm_parametrisation
+    spec = make_system(name)
+    nf = construct(spec, ALLOW)
+    reduced = compile_slow_model(nf, params)
+    chart = ssm_parametrisation(nf)
+    obs = compile_observables([sampleable_part(s)[0] for s in chart.x_of_X], reduced,
+                              params, spec.param_names, lambda m: tuple(m[0]))
+    digest = lambda plan: hashlib.sha256(repr(plan).encode()).hexdigest()
+    assert digest(reduced.plan) == reduced_digest
+    assert digest(obs.sde.plan) == chart_digest
 
 
 def test_anticipatory_model_rejected(toy3):

@@ -192,6 +192,27 @@ def _naive_mul(a, b):
     return Series(a.dims, a.trunc, out)
 
 
+def _naive_add(a, b, sign=1):
+    out = dict(a.terms)
+    for key, c in b.terms.items():
+        out[key] = out.get(key, F(0)) + sign * c
+    return Series(a.dims, a.trunc, out)
+
+
+def _naive_substitute(a, subs):
+    """Term by term, each variable's power by repeated all-pairs products;
+    ``subs`` lists the slow, fast and parameter replacements in order."""
+    dims, trunc = a.dims, a.trunc
+    out = Series(dims, trunc, {})
+    for (mono, expr), c in a.terms.items():
+        piece = Series(dims, trunc, {(dims.mono(), expr): c})
+        for base, e in zip(subs, (e for part in mono for e in part)):
+            for _ in range(e):
+                piece = _naive_mul(piece, base)
+        out = _naive_add(out, piece)
+    return out
+
+
 @st.composite
 def series_pair(draw):
     trunc = Trunc(draw(st.integers(0, 5)),
@@ -217,7 +238,14 @@ def series_pair(draw):
 @settings(max_examples=150, deadline=None)
 def test_mul_matches_all_pairs_product(pair):
     a, b = pair
-    assert (a * b).terms == _naive_mul(a, b).terms
+    subs = [b, a, b, a + b, b]              # x; y0, y1; eps, sigma
+    cases = [(a * b, _naive_mul(a, b)), (a + b, _naive_add(a, b)),
+             (a - b, _naive_add(a, b, -1)), (b - b, Series(b.dims, b.trunc, {})),
+             (a.substitute(slow=subs[:1], fast=subs[1:3], par=subs[3:]),
+              _naive_substitute(a, subs))]
+    for packed, outside in cases:
+        assert packed.terms == outside.terms
+        assert packed == outside and outside == packed
 
 
 # -- arithmetic results hold the invariant without a re-check ----------------
@@ -233,7 +261,9 @@ def _holds_invariant(r):
     for (mono, _expr), c in r.terms.items():
         assert type(c) is Fraction and c != 0
         assert r.trunc.keeps(mono)
-    assert r.terms == Series(r.dims, r.trunc, dict(r.terms)).terms
+    # the same terms from outside the algebra pack to the same form
+    rebuilt = Series(r.dims, r.trunc, dict(r.terms))
+    assert r.terms == rebuilt.terms and r == rebuilt and rebuilt == r
 
 
 @st.composite
@@ -264,8 +294,30 @@ def test_trusted_results_hold_the_invariant(count_fast, capped, data):
     # (a + b)*(a - b) cancels every cross term inside one product
     results = [a * b, b * a, a * a, (a + b) * (a - b), a + b, a - b, a + (-a), -a,
                a.scale(c), a.scale(0), a.diff_slow(0), a.diff_fast(1), a.substitute(),
-               a.substitute(slow=subs[:1], fast=subs[1:3], par=subs[3:])]
+               a.substitute(slow=subs[:1], fast=subs[1:3], par=subs[3:]),
+               a.pow(2), a - b + b, (a - b) * subs[0] + b * subs[0],
+               a.substitute(fast=[subs[1] - subs[1], subs[2] + subs[1]])]
     for r in results:
         _holds_invariant(r)
     assert (a + (-a)).is_zero() and (a - a).is_zero()
     assert (a + b) * (a - b) == a * a - b * b
+    assert a - b + b == a and (a - b) * subs[0] + b * subs[0] == a * subs[0]
+
+
+# -- packed exponent fields --------------------------------------------------
+
+def test_ungraded_fast_exponent_overflow_names_the_monomial():
+    # Under grade_fast off nothing bounds a fast exponent: a product past
+    # its field raises, naming the monomial, and never carries into sigma.
+    from snf.series import _FREE_BITS
+    t = Trunc(2, (None,), count_fast=False)
+    top = 2 ** _FREE_BITS - 1
+    y = Series.fast_var(DIMS, t, 0)
+    widest = y.pow(top)
+    assert widest.terms == {(((0,), (top,), (0,)), noise.ONE): F(1)}
+    with pytest.raises(OverflowError, match=rf"\[0, {top + 1}, 0\]"):
+        widest * y
+    with pytest.raises(OverflowError, match=rf"\[0, {2 * top}, 0\]"):
+        (S("sigma", t) + widest) * widest
+    with pytest.raises(OverflowError, match=rf"exponent {top + 1} of monomial"):
+        Series(DIMS, t, {(((0,), (top + 1,), (0,)), noise.ONE): F(1)})
