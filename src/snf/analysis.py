@@ -11,6 +11,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import noise
 from .noise import Expr, ONE
+from .render import render_noise
 from .series import Series
 from .systems import NormalForm
 
@@ -36,7 +37,8 @@ def ssm_parametrisation(nf: NormalForm) -> SsmChart:
         for (_mono, expr), _c in s.terms.items():
             if noise.anticipates(expr):
                 raise AnalysisError(
-                    f"anticipatory convolution on the slow manifold: {expr}")
+                    "anticipatory convolution on the slow manifold: "
+                    f"{render_noise(expr)}")
     return SsmChart(xs, ys)
 
 
@@ -232,15 +234,6 @@ class LongTimeModel:
                 for s in self.F]
 
 
-def _quad_pair(expr: Expr) -> Optional[Tuple[int, Fraction]]:
-    if len(expr) != 2:
-        return None
-    a, b = expr
-    if noise.is_bare(a) and noise.is_conv(b) and b[1] < 0 and b[2] == (a,):
-        return a[1], b[1]
-    return None
-
-
 def long_time_model(nf: NormalForm) -> LongTimeModel:
     dims, trunc = nf.spec.dims, nf.spec.trunc
     fresh: List[FreshNoise] = []
@@ -254,7 +247,7 @@ def long_time_model(nf: NormalForm) -> LongTimeModel:
             if expr == ONE or (len(expr) == 1 and noise.is_bare(expr[0])):
                 pairs.append(((mono, expr), c))
                 continue
-            pair = _quad_pair(expr)
+            pair = noise.quad_pair(expr)
             if pair is None:
                 leftovers.append((i, (mono, expr), c))
                 pairs.append(((mono, expr), c))

@@ -17,15 +17,12 @@ import numpy as np
 
 from . import engine
 from .analysis import AnalysisError, long_time_model, ssm_parametrisation
-from .mc import (CompileError, compile_full_system, compile_observables,
-                 compile_series, compile_slow_model, run_ensemble, sample_steps,
-                 sampleable_part)
 from .noise import ONE, NoiseError
 from .report import (ReportError, emit_report, header_policy, parse_report,
                      rebuild_normal_form, truncation_header)
 from .series import Trunc
 from .sysfile import SysFileError, load_system, system_as_written
-from .systems import Policy
+from .systems import CompileError, Policy
 
 EXIT_OK, EXIT_PARSE, EXIT_CERT, EXIT_TOL = 0, 2, 3, 4
 
@@ -66,6 +63,7 @@ def _params(pairs: List[str], spec) -> Dict[str, float]:
 
 def _run_options(args) -> List[float]:
     """Check the ensemble options of simulate and compare; the sample times."""
+    from .mc import sample_steps
     if args.T <= 0 or args.dt <= 0 or args.T < args.dt:
         raise SysFileError("need a positive horizon T >= dt")
     if args.replicates < 2:
@@ -151,6 +149,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .mc import compile_full_system, compile_slow_model, run_ensemble
     spec, sf = _load(args)
     params = _params(args.param, spec)
     times = _run_options(args)
@@ -185,6 +184,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .mc import (compile_full_system, compile_observables, compile_series,
+                     compile_slow_model, run_ensemble, sampleable_part)
     spec, sf = _load(args)
     params = _params(args.param, spec)
     times = _run_options(args)

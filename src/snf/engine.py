@@ -114,15 +114,14 @@ def refine_once(spec: SystemSpec, nf: NormalForm) -> bool:
     return changed
 
 
-def construct(spec: SystemSpec, policy: Policy,
-              max_sweeps: Optional[int] = None) -> NormalForm:
+def construct(spec: SystemSpec, policy: Policy) -> NormalForm:
     """Build the normal form to the system's truncation order.
 
     Deterministic: identical spec, policy and order give an identical result.
     """
     spec.validate()
     nf = identity_form(spec, policy)
-    budget = max_sweeps if max_sweeps is not None else spec.trunc.total + 5
+    budget = spec.trunc.total + 5
     for _ in range(budget):
         # A sweep that changes nothing has just found the residual zero.
         if not refine_once(spec, nf):

@@ -36,10 +36,9 @@ import numpy as np
 from scipy.signal import lfilter
 
 from . import noise
-from .noise import Expr
-from .render import render_series
+from .render import render_noise, render_series
 from .series import Series
-from .systems import SystemSpec, NormalForm
+from .systems import CompileError, SystemSpec, NormalForm
 
 
 # Steps per FilterBank.step call of a 512-replicate chunk's warm-up; over
@@ -51,10 +50,6 @@ _BLOCK = 32
 
 # Spin-up of a filter from a zero start, in its time constants.
 SPINUP_TIME_CONSTANTS = 10.0
-
-
-class CompileError(ValueError):
-    """The series cannot be integrated as a forward SDE."""
 
 
 def heun_step(x, increment):
@@ -108,14 +103,14 @@ class FilterBank:
             raise CompileError(
                 "anticipatory convolutions cannot be pre-sampled in a forward "
                 f"simulation (rate {atom[1]})")
-        child = atom[2]
+        if not noise.pointwise((atom,)):
+            raise CompileError(f"no pointwise values: {render_noise((atom,))}")
+        ks, rest = noise.split_bare(atom[2])
         spin = SPINUP_TIME_CONSTANTS / abs(mu)
-        if len(child) == 1 and noise.is_bare(child[0]):
-            slot = FilterSlot(mu, "w", driver_k=child[0][1], spin_time=spin)
+        if ks:
+            slot = FilterSlot(mu, "w", driver_k=ks[0], spin_time=spin)
         else:
-            if any(noise.is_bare(a) for a in child):
-                raise CompileError(f"bare noise nested inside a convolution: {child}")
-            subs = tuple(self.slot_for(a) for a in child)
+            subs = tuple(self.slot_for(a) for a in rest)
             spin += max(self.slots[s].spin_time for s in subs)
             slot = FilterSlot(mu, "prod", driver_slots=subs, spin_time=spin)
         self.slots.append(slot)
@@ -259,13 +254,12 @@ def compile_series(series_list: Sequence[Series], state_names: Sequence[str],
             for name, e in zip(param_names, mono[2]):
                 if e:
                     coeff *= params[name] ** e
-            bares = [a for a in expr if noise.is_bare(a)]
-            convs = [a for a in expr if noise.is_conv(a)]
-            if len(bares) > 1:
-                raise CompileError(f"term with two bare noise factors: {expr}")
+            ks, convs = noise.split_bare(expr)
+            if len(ks) > 1:
+                raise CompileError(
+                    f"term with two bare noise factors: {render_noise(expr)}")
             slots = tuple(bank.slot_for(a) for a in convs)
-            k = bares[0][1] if bares else -1
-            terms.append(CompiledTerm(coeff, state_of(mono), slots, k))
+            terms.append(CompiledTerm(coeff, state_of(mono), slots, ks[0] if ks else -1))
         all_terms.append(terms)
     return CompiledSDE(tuple(state_names), n_noise, all_terms, bank, amps,
                        plan_rates(all_terms, n_noise))
@@ -303,34 +297,13 @@ def compile_slow_model(nf: NormalForm, params: Dict[str, float],
                           spec.param_names, n_noise or spec.n_noise, noise_amp)
 
 
-@dataclass
-class ObservableSet:
-    """Series evaluated along a simulation (e.g. a manifold chart)."""
-    sde: CompiledSDE
-
-    def values(self, state: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return self.sde.rates(state, z)[0]
-
-
 def sampleable_part(s: Series) -> Tuple[Series, List[Tuple]]:
-    """Split off terms whose noise cannot be evaluated pointwise (bare
-    factors, or bare noise buried inside a convolution's child product)."""
+    """Split off the terms whose noise has no pointwise values
+    (``noise.pointwise``)."""
     good: Dict = {}
     dropped: List[Tuple] = []
-
-    def pointwise(expr: Expr) -> bool:
-        for a in expr:
-            if noise.is_bare(a):
-                return False
-            child = a[2]
-            if len(child) == 1 and noise.is_bare(child[0]):
-                continue
-            if not pointwise(child):
-                return False
-        return True
-
     for (mono, expr), c in s.terms.items():
-        if pointwise(expr):
+        if noise.pointwise(expr):
             good[(mono, expr)] = c
         else:
             dropped.append(((mono, expr), c))
@@ -339,13 +312,13 @@ def sampleable_part(s: Series) -> Tuple[Series, List[Tuple]]:
 
 def compile_observables(series_list: Sequence[Series], base: CompiledSDE,
                         params: Dict[str, float], param_names: Sequence[str],
-                        state_of: Callable) -> ObservableSet:
-    """Observables read off the state and filters of ``base``.  Bare noise
-    has no value at a time, only an increment: a term carrying it raises
+                        state_of: Callable) -> CompiledSDE:
+    """Observables read off the state and filters of ``base``, as the drift
+    rows of the returned model.  A term without pointwise values raises
     CompileError naming the term (unit coefficient, the base's state names)."""
     for i, s in enumerate(series_list):
         for (mono, expr), _c in s.terms.items():
-            if any(noise.is_bare(a) for a in expr):
+            if not noise.pointwise(expr):
                 m, n = s.dims.m, s.dims.n
                 fast = tuple(base.state_names[m:m + n])
                 names = (tuple(base.state_names[:m]),
@@ -353,10 +326,9 @@ def compile_observables(series_list: Sequence[Series], base: CompiledSDE,
                          tuple(param_names))
                 term = render_series(s.build_like({(mono, expr): 1}), names)
                 raise CompileError(f"observable {i} carries bare noise: {term}")
-    sde = compile_series(series_list, [f"obs{i}" for i in range(len(series_list))],
-                         state_of, params, param_names, base.n_noise,
-                         bank=base.bank)
-    return ObservableSet(sde)
+    return compile_series(series_list, [f"obs{i}" for i in range(len(series_list))],
+                          state_of, params, param_names, base.n_noise,
+                          bank=base.bank)
 
 
 @dataclass
@@ -423,10 +395,10 @@ def sample_steps(sample_times: Sequence[float], T: float,
 
 def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
                  n_rep: int, seed: int, sample_times: Sequence[float],
-                 observables: Optional[ObservableSet] = None,
+                 observables: Optional[CompiledSDE] = None,
                  chunk: int = 512, warm: Optional[float] = None) -> EnsembleResult:
-    """Integrate an ensemble and record state (or observables) at the
-    requested times.  Deterministic given the master seed.
+    """Integrate an ensemble and record state (or observables' drift rows)
+    at the requested times.  Deterministic given the master seed.
 
     A chunk of ``chunk`` replicates is one random stream spawned from the
     master seed: it draws its filters' warm-up, then its horizon increments.
@@ -440,9 +412,8 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     warm_time = sde.bank.max_spin() if warm is None else warm
     warm_steps = int(math.ceil(warm_time / dt))
     sde.bank.prepare(dt)
-    n_out = observables.sde.dim if observables else sde.dim
-    names = observables.sde.state_names if observables else sde.state_names
-    out = np.empty((n_rep, len(sample_times), n_out))
+    names = (observables or sde).state_names
+    out = np.empty((n_rep, len(sample_times), len(names)))
     master = np.random.SeedSequence(seed)
     chunks = [(lo, min(lo + chunk, n_rep)) for lo in range(0, n_rep, chunk)]
     rngs = [np.random.default_rng(child) for child in master.spawn(len(chunks))]
@@ -465,7 +436,7 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     pos = 0
     for t_i in range(n_steps + 1):
         while pos < len(sample_idx) and sample_idx[pos] == t_i:
-            out[:, pos, :] = (observables.values(state, z) if observables
+            out[:, pos, :] = (observables.rates(state, z)[0] if observables
                               else state).T
             pos += 1
         if t_i == n_steps:

@@ -147,6 +147,30 @@ def symbols_of(expr: Expr) -> frozenset:
     return frozenset(syms)
 
 
+def pointwise(expr: Expr) -> bool:
+    """The product has a value at each time, so a filter can sample it: no
+    bare factor, and every convolution's child is one bare factor or is
+    itself pointwise."""
+    return all(is_conv(a) and (bare_count(a[2]) == len(a[2]) == 1 or pointwise(a[2]))
+               for a in expr)
+
+
+def split_bare(expr: Expr) -> Tuple[Tuple[int, ...], Expr]:
+    """The indices of a product's bare factors and the product of the rest:
+    one index k multiplies dW_k, none dt, and more have no meaning."""
+    return (tuple(a[1] for a in expr if is_bare(a)),
+            tuple(a for a in expr if not is_bare(a)))
+
+
+def quad_pair(expr: Expr) -> Optional[Tuple[int, Fraction]]:
+    """``(k, mu)`` when the canonical product is the quadratic noise
+    ``phi[k]*Z[mu]{ phi[k] }`` with mu < 0; otherwise None."""
+    if (len(expr) == 2 and is_bare(expr[0]) and is_conv(expr[1])
+            and expr[1][1] < 0 and expr[1][2] == expr[:1]):
+        return expr[0][1], expr[1][1]
+    return None
+
+
 def anticipates(expr: Expr) -> bool:
     """True when any convolution at any depth has a positive rate."""
     for a in expr:
@@ -279,11 +303,8 @@ def _side(atom: Atom) -> Optional[int]:
     mu, child = atom[1], atom[2]
     s = -1 if mu < 0 else 1
     for a in child:
-        cs = -1 if is_bare(a) else _side(a)
         # A bare symbol inside the integral inherits the integral's side.
-        if is_bare(a):
-            continue
-        if cs is None or cs != s:
+        if not is_bare(a) and _side(a) != s:
             return None
     return s
 
@@ -344,9 +365,7 @@ def _expect_component(expr: Expr) -> Optional[Fraction]:
         a, b = expr
         if a == b and is_conv(a) and len(a[2]) == 1 and is_bare(a[2][0]):
             return Fraction(1, 2) / abs(a[1])
-        if is_bare(a) and is_conv(b) and b[1] < 0 and b[2] == (a,):
-            return Fraction(1, 2)
-        if is_bare(b) and is_conv(a) and a[1] < 0 and a[2] == (b,):
+        if quad_pair(expr) is not None:
             return Fraction(1, 2)
     return None
 
@@ -391,7 +410,8 @@ def _ibp_sum(s: NoiseSum, depth: int) -> Tuple[NoiseSum, NoiseSum]:
 def _ibp_expr(expr: Expr, depth: int) -> Tuple[NoiseSum, NoiseSum]:
     nb = bare_count(expr)
     if nb >= 2:
-        raise MalformedResidual(f"two bare factors in forcing: {expr}")
+        from .render import render_noise
+        raise MalformedResidual(f"two bare factors in forcing: {render_noise(expr)}")
     if expr == ONE or nb == 1:
         # Constants, bare noise, and bare-times-convolution products are the
         # irreducible evolution shapes.

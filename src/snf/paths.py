@@ -20,10 +20,11 @@ from . import noise
 from .mc import (SPINUP_TIME_CONSTANTS, compile_series, filter_weights,
                  run_filter, trapezoid_input)
 from .noise import Expr, ONE
+from .render import render_noise
 
 
 class IllFormedForSampling(ValueError):
-    """Bare noise below the top level cannot be evaluated pointwise."""
+    """A product without pointwise values, or a path too short to sample it."""
 
 
 @dataclass
@@ -118,7 +119,7 @@ def _mirror(s: ConvolutionSample, n_total: int) -> ConvolutionSample:
 
 
 class PathSampler:
-    """Evaluates bare-free noise expressions on a path, caching filters."""
+    """Evaluates pointwise noise products on a path, caching filters."""
 
     def __init__(self, path: NoisePath):
         self.path = path
@@ -147,20 +148,16 @@ class PathSampler:
         return out
 
     def _single(self, a) -> ConvolutionSample:
-        if noise.is_bare(a):
-            raise IllFormedForSampling(
-                "bare noise has no pointwise values; it only multiplies dW")
+        if not noise.pointwise((a,)):
+            raise IllFormedForSampling(f"no pointwise values: {render_noise((a,))}")
         mu, child = float(a[1]), a[2]
         path, n = self.path, self.path.n_total
-        if len(child) == 1 and noise.is_bare(child[0]):
-            k = child[0][1]
+        ks, _rest = noise.split_bare(child)
+        if ks:
             if mu < 0:
-                return _filter_forward_dw(path, mu, k)
+                return _filter_forward_dw(path, mu, ks[0])
             # An anticipating filter is the memory filter on reversed time.
-            return _mirror(_filter_forward_dw(path.reversed(), -mu, k), n)
-        if any(noise.is_bare(c) for c in child):
-            raise IllFormedForSampling(
-                f"bare noise in a non-top-level position: {child}")
+            return _mirror(_filter_forward_dw(path.reversed(), -mu, ks[0]), n)
         inner = self.expr(child)
         if mu < 0:
             return _filter_forward_signal(path, mu, inner)
@@ -168,7 +165,7 @@ class PathSampler:
 
 
 def sample_convolution(path: NoisePath, expr: Expr) -> ConvolutionSample:
-    """Pointwise values of a bare-free noise product on the path grid."""
+    """Pointwise values of a noise product on the path grid."""
     return PathSampler(path).expr(expr)
 
 
@@ -183,19 +180,19 @@ class _AtomSlots(list):
 
 def evaluate_series(sampler: PathSampler, series, params: Dict[str, float],
                     slow: Sequence, fast: Sequence) -> np.ndarray:
-    """Pointwise values of a bare-free series along the path grid.
+    """Pointwise values of a series along the path grid.
 
     ``slow``/``fast`` supply one scalar or grid-length array per variable;
     parameters are numeric.  The series is compiled like a simulation
     observable, with its convolution factors sampled on the path.
     """
+    for (_mono, expr), _c in series.terms.items():
+        if not noise.pointwise(expr):
+            raise IllFormedForSampling(f"no pointwise values: {render_noise(expr)}")
     slots = _AtomSlots()
     sde = compile_series([series], ("value",),
                          lambda mono: tuple(mono[0]) + tuple(mono[1]), params,
                          series.dims.params, series.dims.noises, bank=slots)
-    if any(t.noise_k >= 0 for t in sde.terms[0]):
-        raise IllFormedForSampling(
-            "bare noise has no pointwise values; it only multiplies dW")
     n = sampler.path.n_points
     state = np.array([np.broadcast_to(v, n) for v in (*slow, *fast)]).reshape(-1, n)
     z = np.array([sampler.atom(a).values for a in slots]).reshape(-1, n)
@@ -215,18 +212,13 @@ def integrate_expression(path: NoisePath, terms: Sequence[Tuple[float, Expr]],
     n = path.n_total
     incr = np.zeros(n)
     for c, expr in terms:
-        bares = [a for a in expr if noise.is_bare(a)]
-        rest = tuple(a for a in expr if not noise.is_bare(a))
-        if len(bares) > 1:
-            raise IllFormedForSampling("two bare factors cannot be integrated")
-        if bares:
-            k = bares[0][1]
-            r = sampler.expr(rest).values
-            mid = 0.5 * (r[:-1] + r[1:])
-            incr += c * mid * path.increments[k]
-        else:
-            r = sampler.expr(expr).values
-            incr += c * 0.5 * (r[:-1] + r[1:]) * path.dt
+        ks, rest = noise.split_bare(expr)
+        if len(ks) > 1:
+            raise IllFormedForSampling(
+                f"two bare factors cannot be integrated: {render_noise(expr)}")
+        r = sampler.expr(rest).values
+        step = path.increments[ks[0]] if ks else path.dt
+        incr += c * 0.5 * (r[:-1] + r[1:]) * step
     out = np.empty(path.n_points)
     out[0] = 0.0
     np.cumsum(incr, out=out[1:])

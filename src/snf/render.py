@@ -193,18 +193,13 @@ class _Parser:
         s = self.atom()
         while self.peek() == ("op", "^"):
             self.take("op")
-            e = int(self.take("num"))
-            s = s.pow(e)
+            s = s.pow(self._int())
         return s
 
     def atom(self) -> Series:
         kind, val = self.peek()
         if kind == "num":
-            self.take("num")
-            if "/" in val:
-                p, q = val.split("/")
-                return Series.const(self.dims, self.trunc, Fraction(int(p), int(q)))
-            return Series.const(self.dims, self.trunc, Fraction(int(val)))
+            return Series.const(self.dims, self.trunc, self._number())
         if kind == "lparen":
             self.take("lparen")
             s = self.expr()
@@ -214,7 +209,7 @@ class _Parser:
             name = self.take("name")
             if name == "phi" and self.peek()[0] == "lbrack":
                 self.take("lbrack")
-                k = int(self.take("num"))
+                k = self._int()
                 self.take("rbrack")
                 return Series.noise_sum(self.dims, self.trunc, noise.nsum_bare(k))
             if name == "Z" and self.peek()[0] == "lbrack":
@@ -235,11 +230,24 @@ class _Parser:
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             if self.take("op") == "-":
                 sign = -sign
+        mu = sign * self._number()
+        if mu == 0:
+            raise ParseError(f"convolution rate must be non-zero in {self.text!r}")
+        return mu
+
+    def _number(self) -> Fraction:
+        """An integer or p/q token with a non-zero q."""
+        p, _, q = self.take("num").partition("/")
+        if q and not int(q):
+            raise ParseError(f"zero denominator in {p}/{q} in {self.text!r}")
+        return Fraction(int(p), int(q or 1))
+
+    def _int(self) -> int:
+        """An integer token: an exponent or a noise index."""
         val = self.take("num")
         if "/" in val:
-            p, q = val.split("/")
-            return Fraction(sign * int(p), int(q))
-        return Fraction(sign * int(val))
+            raise ParseError(f"expected an integer, got {val} in {self.text!r}")
+        return int(val)
 
 
 def _as_constant(s: Series) -> Optional[Fraction]:

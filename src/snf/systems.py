@@ -15,6 +15,10 @@ class SystemDefinitionError(Exception):
     """A system description violates a structural requirement."""
 
 
+class CompileError(ValueError):
+    """The series cannot be integrated as a forward SDE."""
+
+
 class PolicyConflict(Exception):
     """A forcing arose that the active anticipation policy cannot assign."""
 

@@ -159,6 +159,15 @@ def test_module_entry_point():
     assert "usage: snf derive" in proc.stdout
 
 
+def test_cli_import_leaves_out_the_monte_carlo_stack():
+    # derive and verify simulate nothing; scipy.signal alone imports in ~1 s
+    code = ("import sys, snf.cli; print([m for m in "
+            "('snf.mc', 'snf.paths', 'scipy.signal') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "snf.cli", "hopf",
                            "--T", "200", "--replicates", "1"],

@@ -292,6 +292,23 @@ def test_verify_of_a_report_with_an_unknown_symbol_exits_2(
     assert err.startswith(f"error: report line {n + 1}: unknown symbol 'q'")
 
 
+@pytest.mark.parametrize("bad,message", [
+    ("X^3/2", "expected an integer, got 3/2"),
+    ("phi[1/2]", "expected an integer, got 1/2"),
+    ("Z[-1/0]{ phi[0] }", "zero denominator in 1/0"),
+    ("1/0*X", "zero denominator in 1/0"),
+    ("Z[0]{ phi[0] }", "convolution rate must be non-zero"),
+])
+def test_verify_of_a_report_with_a_malformed_number_exits_2(
+        toy_path, tmp_path, toy3_report, capsys, bad, message):
+    lines = toy3_report.splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if line.startswith("  dX/dt = "))
+    lines[n] = lines[n].replace("dX/dt = ", f"dX/dt = {bad} + ")
+    assert _verify(toy_path, tmp_path, "".join(lines)) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report line {n + 1}: {message} in ")
+
+
 # -- simulate and compare run certified forms only ---------------------------
 
 UNCERTIFIED = ["--order", "3", "--mu-min", "2", "--T", "0.1", "--dt", "0.01",

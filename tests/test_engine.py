@@ -213,15 +213,29 @@ def test_construct_deterministic():
            [s.terms for s in b.xi + b.eta + b.F + b.G]
 
 
-def test_budget_exhaustion_raises():
+def _stall_after_one_sweep(monkeypatch):
+    """Run construct's first sweep; every later one changes nothing but
+    reports a change, so the sweep budget runs out one sweep in."""
+    from snf import engine
+    sweeps = []
+
+    def sweep(spec, nf):
+        sweeps.append(nf)
+        return refine_once(spec, nf) if len(sweeps) == 1 else True
+    monkeypatch.setattr(engine, "refine_once", sweep)
+
+
+def test_budget_exhaustion_raises(monkeypatch):
+    _stall_after_one_sweep(monkeypatch)
     with pytest.raises(ConvergenceError):
-        construct(make_system("toy.snf", total=4), ALLOW, max_sweeps=1)
+        construct(make_system("toy.snf", total=4), ALLOW)
 
 
-def test_budget_exhaustion_dumps_the_residual_in_the_report_names():
+def test_budget_exhaustion_dumps_the_residual_in_the_report_names(monkeypatch):
     # the residual is a function of the normal-form variables X, Y
+    _stall_after_one_sweep(monkeypatch)
     with pytest.raises(ConvergenceError) as info:
-        construct(make_system("toy.snf", total=4), ALLOW, max_sweeps=1)
+        construct(make_system("toy.snf", total=4), ALLOW)
     dump = info.value.residual_dump
     assert "- 2*Y^2 + X^2 +" in dump.splitlines()[1]
     assert not re.search(r"\b[xy]\b", dump)

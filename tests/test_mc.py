@@ -140,7 +140,7 @@ def test_compiled_plans_match_golden_digest(name, params, reduced_digest, chart_
                               params, spec.param_names, lambda m: tuple(m[0]))
     digest = lambda plan: hashlib.sha256(repr(plan).encode()).hexdigest()
     assert digest(reduced.plan) == reduced_digest
-    assert digest(obs.sde.plan) == chart_digest
+    assert digest(obs.plan) == chart_digest
 
 
 def test_anticipatory_model_rejected(toy3):
@@ -148,6 +148,15 @@ def test_anticipatory_model_rejected(toy3):
     spec = toy3.spec
     bad = parse_series_for("x*Z[+1]{ phi[0] }", spec)
     with pytest.raises(CompileError):
+        compile_slow_model(toy3, {"sigma": 0.1}, F_override=[bad])
+
+
+def test_filter_bank_names_a_product_without_pointwise_values(toy3):
+    # the Stratonovich integral of Z against dW: a filter of bare noise
+    # times a slot, which no filter slot samples yet
+    bad = parse_series_for("x*Z[-1]{ phi[0]*Z[-1]{ phi[0] } }", toy3.spec)
+    with pytest.raises(CompileError, match=r"^no pointwise values: "
+                       r"Z\[-1\]\{ phi\[0\]\*Z\[-1\]\{ phi\[0\] \} \}$"):
         compile_slow_model(toy3, {"sigma": 0.1}, F_override=[bad])
 
 
@@ -368,7 +377,7 @@ def _per_step_ensemble(sde, x0, T, dt, n_rep, seed, sample_times,
     warm_time = sde.bank.max_spin() if warm is None else warm
     warm_steps = int(math.ceil(warm_time / dt))
     sde.bank.prepare(dt)
-    n_out = observables.sde.dim if observables else sde.dim
+    n_out = observables.dim if observables else sde.dim
     out = np.empty((n_rep, len(sample_times), n_out))
     master = np.random.SeedSequence(seed)
     chunks = [(lo, min(lo + chunk, n_rep)) for lo in range(0, n_rep, chunk)]
@@ -383,7 +392,7 @@ def _per_step_ensemble(sde, x0, T, dt, n_rep, seed, sample_times,
         pos = 0
         for t_i in range(n_steps + 1):
             while pos < len(sample_idx) and sample_idx[pos] == t_i:
-                out[lo:hi, pos, :] = (observables.values(state, z)
+                out[lo:hi, pos, :] = (observables.rates(state, z)[0]
                                       if observables else state).T
                 pos += 1
             if t_i == n_steps:
@@ -555,8 +564,8 @@ def test_rates_is_the_per_term_evaluator(request, toy_chart_model, case):
 
 def test_rates_of_the_chart_observables(toy_chart_model):
     _sde, obs = toy_chart_model
-    assert any(t.conv_slots for t in obs.sde.terms[0])
-    _check_rates(obs.sde, obs.sde.bank.n)
+    assert any(t.conv_slots for t in obs.terms[0])
+    _check_rates(obs, obs.bank.n)
 
 
 @st.composite

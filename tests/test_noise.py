@@ -93,6 +93,35 @@ def test_mixed_product_derivative_cancels_rate_sum():
     assert got == {product(PHI, ZP): F(1), product(PHI, ZM): F(-1)}
 
 
+def test_pointwise_is_the_one_sampling_rule():
+    nested = z_atom(F(-2), (ZM, ZP))
+    for expr in (ONE, (ZM,), product(ZM, ZP), (nested,), (z_atom(F(-1), (nested,)),)):
+        assert noise.pointwise(expr), expr
+    # bare noise at the top, or beside other factors inside a convolution
+    for expr in ((PHI,), product(PHI, ZM), (z_atom(F(-1), product(PHI, ZM)),),
+                 (z_atom(F(-1), product(PHI, PHI)),),
+                 (z_atom(F(-3), (z_atom(F(-1), product(PHI, ZM)),)),)):
+        assert not noise.pointwise(expr), expr
+
+
+def test_split_bare_names_dt_and_dw_terms():
+    phi1 = phi_atom(1)
+    assert noise.split_bare(ONE) == ((), ONE)
+    assert noise.split_bare(product(ZM, ZP)) == ((), product(ZM, ZP))
+    assert noise.split_bare(product(PHI, ZM)) == ((0,), (ZM,))
+    assert noise.split_bare(product(phi1, PHI, ZM)) == ((0, 1), (ZM,))
+
+
+def test_quad_pair_is_phi_times_its_memory_convolution():
+    assert noise.quad_pair(product(PHI, ZM)) == (0, F(-1))
+    phi1 = phi_atom(1)
+    z1 = z_atom(F(-3), (phi1,))
+    assert noise.quad_pair(product(phi1, z1)) == (1, F(-3))
+    for expr in (product(PHI, ZP), product(phi1, ZM), (ZM, ZM), (PHI,),
+                 product(PHI, z_atom(F(-1), (ZM,))), product(PHI, ZM, ZM)):
+        assert noise.quad_pair(expr) is None, expr
+
+
 class TestExpectation:
     def test_constant(self):
         assert expectation(ONE) == 1
@@ -188,6 +217,11 @@ class TestIbp:
     def test_two_bares_malformed(self):
         with pytest.raises(MalformedResidual):
             ibp_normalize({product(PHI, PHI, ZM): F(1)})
+
+    def test_two_bares_name_the_rendered_product(self):
+        with pytest.raises(MalformedResidual,
+                           match=r"two bare factors in forcing: phi\[0\]\^2$"):
+            ibp_normalize({product(PHI, PHI): F(1)})
 
     def test_depth_limit_names_the_product(self, monkeypatch):
         # the wrapped square rule normalises (Z- phi)^2 one level down
