@@ -2,8 +2,8 @@
 
 Starting from the identity transform, each sweep measures how badly the
 current transform-plus-evolution pair fails to satisfy the governing
-equations, then assigns every lowest-grade residual term to the transform or
-the evolution through the homological solver.  Fast equations are treated
+equations, then splits every lowest-grade residual monomial between
+transform and evolution by one homological solve.  Fast equations come
 first, then the slow equations against the updated transform.  Sweeps repeat
 until the residual vanishes below the truncation order; ``compute_residual``
 is the one residual formula, read by the sweeps and by ``verify_order``.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from . import noise
 from .series import Series
 from .systems import NormalForm, Policy, SystemSpec
 from .homological import solve_fast, solve_slow
@@ -64,35 +63,23 @@ def compute_residual(spec: SystemSpec, nf: NormalForm) -> Tuple[List[Series], Li
     return res_x, res_y
 
 
-def _apply_fast(nf: NormalForm, res_y: List[Series], g: int) -> None:
+def _assign(nf: NormalForm, residuals: List[Series], g: int, fast: bool) -> None:
+    """Clear grade ``g`` of one side: one solve per (component, monomial) with
+    its whole noise sum, one evolution and one transform series per component."""
     spec = nf.spec
-    for j in range(spec.n):
-        for (mono, expr), c in res_y[j].terms_of_grade(g):
-            asg = solve_fast({expr: c}, mono[1], j, spec.B_diag, nf.policy)
-            _accumulate(nf.G, nf.eta, j, mono, asg, nf, f"fast[{j}] {mono}")
-
-
-def _apply_slow(nf: NormalForm, res_x: List[Series], g: int) -> None:
-    spec = nf.spec
-    for i in range(spec.m):
-        for (mono, expr), c in res_x[i].terms_of_grade(g):
-            asg = solve_slow({expr: c}, mono[1], spec.B_diag, nf.policy)
-            _accumulate(nf.F, nf.xi, i, mono, asg, nf, f"slow[{i}] {mono}")
-
-
-def _accumulate(evo_list, xform_list, idx, mono, asg, nf, where: str) -> None:
-    dims, trunc = nf.spec.dims, nf.spec.trunc
-    if asg.evolution:
-        evo_list[idx] = evo_list[idx] + Series(
-            dims, trunc, {(mono, e): c for e, c in asg.evolution.items()})
-        if asg.note == "resonant":
-            for e in asg.evolution:
-                if e != noise.ONE and not any(noise.is_bare(a) for a in e):
-                    nf.diagnostics.append(
-                        f"memory term kept in evolution at {where}: {e}")
-    if asg.transform:
-        xform_list[idx] = xform_list[idx] + Series(
-            dims, trunc, {(mono, e): c for e, c in asg.transform.items()})
+    targets = (nf.G, nf.eta) if fast else (nf.F, nf.xi)
+    for k, res in enumerate(residuals):
+        forcing = {}
+        for (mono, expr), c in res.terms_of_grade(g):
+            forcing.setdefault(mono, {})[expr] = c
+        parts = ({}, {})
+        for mono, c in forcing.items():
+            asg = (solve_fast(c, mono[1], k, spec.B_diag, nf.policy) if fast
+                   else solve_slow(c, mono[1], spec.B_diag, nf.policy))
+            for part, solved in zip(parts, (asg.evolution, asg.transform)):
+                part.update(((mono, e), v) for e, v in solved.items())
+        for target, part in zip(targets, parts):
+            target[k] = target[k] + Series(spec.dims, spec.trunc, part)
 
 
 def refine_once(spec: SystemSpec, nf: NormalForm) -> bool:
@@ -104,12 +91,12 @@ def refine_once(spec: SystemSpec, nf: NormalForm) -> bool:
     res_x, res_y = compute_residual(spec, nf)
     gy = _lowest(res_y)
     if gy is not None:
-        _apply_fast(nf, res_y, gy)
+        _assign(nf, res_y, gy, fast=True)
         changed = True
         res_x, _ = compute_residual(spec, nf)
     gx = _lowest(res_x)
     if gx is not None:
-        _apply_slow(nf, res_x, gx)
+        _assign(nf, res_x, gx, fast=False)
         changed = True
     return changed
 

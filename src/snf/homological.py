@@ -1,7 +1,8 @@
-"""Per-term homological assignments a + db/dt - mu*b = c.
+"""Per-monomial homological assignments a + db/dt - mu*b = c.
 
-Each residual term c(t) X^p Y^q of a slow or fast equation is split into an
-evolution part ``a`` and a transform part ``b`` carrying the same monomial.
+Each residual monomial X^p Y^q of a slow or fast equation, with its whole
+noise coefficient c(t), is split into an evolution part ``a`` and a
+transform part ``b`` carrying the same monomial; the split is linear in c.
 The resonance rate decides the split:
 
     fast equation j:  mu = beta_j - sum_l q_l beta_l
@@ -29,17 +30,12 @@ class TermAssignment:
     """Evolution and transform coefficients solving a + db/dt - mu*b = c."""
     evolution: NoiseSum
     transform: NoiseSum
-    note: str = ""
 
 
 def _bounded_solution(mu: Fraction, c: NoiseSum) -> NoiseSum:
     # b = -sgn(mu) Z[mu] c satisfies db/dt - mu b = c.
     sgn = 1 if mu > 0 else -1
     return noise.n_scale(noise.conv(mu, c), -sgn)
-
-
-def _contains_anticipation(c: NoiseSum) -> bool:
-    return any(noise.anticipates(e) for e in c)
 
 
 def solve_fast(c: NoiseSum, q: Sequence[int], j: int,
@@ -59,17 +55,17 @@ def solve_slow(c: NoiseSum, q: Sequence[int],
 def _solve(mu: Fraction, c: NoiseSum, policy: Policy, slow: bool) -> TermAssignment:
     if mu == 0:
         evo, xform = noise.ibp_normalize(c)
-        return TermAssignment(evo, xform, "resonant")
+        return TermAssignment(evo, xform)
     if mu < 0:
         if slow:
             raise PolicyConflict("decaying rate cannot arise in a slow equation")
         if abs(mu) < policy.mu_min:
             # Near resonance the memory kernel is as slow as the model itself.
-            return TermAssignment(dict(c), {}, "near-resonant")
-        if not policy.anticipation and _contains_anticipation(c):
+            return TermAssignment(dict(c), {})
+        if not policy.anticipation and any(map(noise.anticipates, c)):
             raise PolicyConflict(
                 "memory assignment would embed an anticipatory forcing")
-        return TermAssignment({}, _bounded_solution(mu, c), "memory")
+        return TermAssignment({}, _bounded_solution(mu, c))    # memory
     if policy.anticipation:
-        return TermAssignment({}, _bounded_solution(mu, c), "anticipatory")
-    return TermAssignment(dict(c), {}, "coupled")
+        return TermAssignment({}, _bounded_solution(mu, c))    # anticipatory
+    return TermAssignment(dict(c), {})    # coupled

@@ -138,7 +138,7 @@ class _Parser:
 
     def __init__(self, text: str, dims: Dims, names):
         self.tokens = _tokenize(text)
-        self.k = 0
+        self.k = self.conv_depth = 0
         self.dims = dims
         self.where = name_index(names)
         self.text = text
@@ -217,11 +217,18 @@ class _Parser:
                 mu = self._rate()
                 self.take("rbrack")
                 self.take("lbrace")
+                self.conv_depth += 1
                 inner = self.expr()
+                self.conv_depth -= 1
                 self.take("rbrace")
                 return inner.map_noise(lambda e: noise.conv(mu, {e: Fraction(1)}))
             if name in self.where:
-                return Series.var(self.dims, self.trunc, *self.where[name])
+                part, k = self.where[name]
+                if part != 2 and self.conv_depth:
+                    # Only noise and constant parameters lie under a kernel.
+                    raise ParseError(f"variable {name!r} inside a convolution "
+                                     f"in {self.text!r}")
+                return Series.var(self.dims, self.trunc, part, k)
             raise ParseError(f"unknown symbol {name!r} in {self.text!r}")
         raise ParseError(f"unexpected {val!r} in {self.text!r}")
 

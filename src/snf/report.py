@@ -3,10 +3,12 @@ reconstructs the series values bit-exactly (used by `verify`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from . import noise
 from .analysis import expected_series, ssm_parametrisation, revert
 from .render import ParseError, new_names as _new_names, parse_series, render_series
 from .series import Series
@@ -51,9 +53,6 @@ def emit_report(nf: NormalForm) -> str:
         "certified: " + ("yes" if nf.certified
                          else f"NO ({'; '.join(nf.certification_failures())})"),
     ]
-    if nf.diagnostics:
-        for d in sorted(set(nf.diagnostics)):
-            lines.append(f"diagnostic: {d}")
     lines.append("transform:")
     for i, name in enumerate(spec.slow_names):
         lines.append(f"  {name} = {render_series(nf.transform_x()[i], names_new)}")
@@ -101,6 +100,8 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
     slow_new, fast_new = _new_names(spec)
     names_new = (slow_new, fast_new, spec.param_names)
     names_orig = (spec.slow_names, spec.fast_names, spec.param_names)
+    # Read unbounded, so a term the truncation would drop is refused, not lost.
+    unbounded = replace(spec.trunc, total=sys.maxsize, param_caps=())
     header: Dict[str, str] = {}
     sections: Dict[str, Dict[str, Series]] = {}
     current: Optional[str] = None
@@ -123,10 +124,19 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
         rhs = rhs.split("(+ unevaluable")[0].strip()
         names = names_orig if current == "reversion" else names_new
         try:
-            sections[current][lhs.strip()] = parse_series(
-                rhs, spec.dims, spec.trunc, names)
+            series = parse_series(rhs, spec.dims, unbounded, names)
         except ParseError as exc:
             raise ReportError(f"report line {lineno}: {exc}") from exc
+        for (mono, expr), c in series.terms.items():
+            if not spec.trunc.keeps(mono):
+                term = render_series(series.build_like({(mono, expr): c}), names)
+                raise ReportError(f"report line {lineno}: term {term} is outside "
+                                  f"the truncation window in {rhs!r}")
+            k = max(noise.symbols_of(expr), default=-1)
+            if k >= spec.n_noise:
+                raise ReportError(f"report line {lineno}: noise index {k} is out of "
+                                  f"range for {spec.n_noise} noise(s) in {rhs!r}")
+        sections[current][lhs.strip()] = series.with_trunc(spec.trunc)
     return ParsedReport(header, sections.get("transform", {}),
                         sections.get("evolution", {}), sections)
 

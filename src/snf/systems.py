@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -146,7 +146,6 @@ class NormalForm:
     G: List[Series]
     certified: bool = False
     residual_grade: Optional[int] = None
-    diagnostics: List[str] = field(default_factory=list)
 
     def xdot(self) -> List[Series]:
         lin = self.spec.linear_xdot()

@@ -3,10 +3,11 @@ coefficient, and the per-term noise rewrites match term-by-term references."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from snf import noise
-from snf.render import parse_series, render_rate, render_series
+from snf.render import ParseError, parse_series, render_rate, render_series
 from snf.series import Series
 from test_noise import atoms, memory_sums
 from test_series import DIMS, NAMES, TR, small_series
@@ -28,11 +29,12 @@ def noise_sums(draw, atom=atoms()):
 
 
 @st.composite
-def noisy_series(draw, atom=conv_atoms):
+def noisy_series(draw, atom=conv_atoms, variables=True):
+    """Noisy terms in x, y and sigma; in sigma alone without ``variables``."""
+    power = st.integers(0, 2 if variables else 0)
     terms = {}
     for expr, c in draw(noise_sums(atom)).items():
-        mono = ((draw(st.integers(0, 2)),), (draw(st.integers(0, 2)),),
-                (draw(st.integers(0, 1)),))
+        mono = ((draw(power),), (draw(power),), (draw(st.integers(0, 1)),))
         terms[(mono, expr)] = c
     return Series(DIMS, TR, terms)
 
@@ -101,7 +103,7 @@ def test_diff_noise_matches_per_term_diff(s):
     assert s.diff_noise().terms == _diff_noise_reference(s).terms
 
 
-@given(noisy_series(atoms()), rates)
+@given(noisy_series(atoms(), variables=False), rates)
 @settings(max_examples=80, deadline=None)
 def test_parsed_convolution_is_termwise_conv(inner, mu):
     text = render_series(inner, NAMES)
@@ -111,3 +113,10 @@ def test_parsed_convolution_is_termwise_conv(inner, mu):
         for e2, c2 in noise.conv(mu, {expr: c}).items():
             ref[(mono, e2)] = ref.get((mono, e2), F(0)) + c2
     assert got.terms == Series(DIMS, TR, ref).terms
+
+
+@pytest.mark.parametrize("text", ["Z[-1]{ x*phi[0] }", "sigma*Z[-1]{ Z[1]{ y } }"])
+def test_a_variable_inside_a_convolution_is_refused(text):
+    # only noise and constant parameters lie under a kernel
+    with pytest.raises(ParseError, match="inside a convolution"):
+        parse_series(text, DIMS, TR, NAMES)

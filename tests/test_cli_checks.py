@@ -298,6 +298,11 @@ def test_verify_of_a_report_with_an_unknown_symbol_exits_2(
     ("Z[-1/0]{ phi[0] }", "zero denominator in 1/0"),
     ("1/0*X", "zero denominator in 1/0"),
     ("Z[0]{ phi[0] }", "convolution rate must be non-zero"),
+    # a term the truncation would drop, a noise the system lacks, and a
+    # variable under a kernel are refused, not dropped or moved out
+    ("X^40", "term X^40 is outside the truncation window"),
+    ("sigma*X*phi[3]", "noise index 3 is out of range for 1 noise(s)"),
+    ("Z[-1]{ X*phi[0] } - X*Z[-1]{ phi[0] }", "variable 'X' inside a convolution"),
 ])
 def test_verify_of_a_report_with_a_malformed_number_exits_2(
         toy_path, tmp_path, toy3_report, capsys, bad, message):

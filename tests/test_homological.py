@@ -1,4 +1,5 @@
-"""Per-term homological assignments: the case table and the defining relation."""
+"""Per-monomial homological assignments: the case table, the defining
+relation and linearity in the forcing."""
 
 from fractions import Fraction
 
@@ -171,3 +172,29 @@ def test_forbidden_never_anticipates(c, q):
     for asg in (asg_f, asg_s):
         for e in list(asg.evolution) + list(asg.transform):
             assert not noise.anticipates(e)
+
+
+def _solved(solve, c):
+    try:
+        return solve(c)
+    except PolicyConflict:
+        return None
+
+
+@given(forcings(), forcings(), st.booleans(), st.integers(0, 3),
+       st.sampled_from([ALLOW, FORBID]))
+@settings(max_examples=80, deadline=None)
+def test_solve_is_linear_in_the_forcing(c1, c2, anticipating, q, policy):
+    """The engine solves a monomial's whole noise sum at once: that is the
+    sum of the solves of its parts, and conflicts only where a part has one."""
+    if anticipating:
+        c2 = n_add(c2, {(ZP,): F(1)})
+    for solve in (lambda c: solve_fast(c, (q,), 0, B, policy),
+                  lambda c: solve_slow(c, (q,), B, policy)):
+        whole = _solved(solve, n_add(c1, c2))
+        parts = [_solved(solve, c) for c in (c1, c2)]
+        if whole is None:
+            assert None in parts
+        elif None not in parts:
+            assert whole.evolution == n_add(parts[0].evolution, parts[1].evolution)
+            assert whole.transform == n_add(parts[0].transform, parts[1].transform)

@@ -1,10 +1,12 @@
 """Dead-name gate: every name `src/snf` defines at top level, and every
 method of its classes, is read somewhere in `src/`, `tests/` or
-`perfbench/`.
+`perfbench/`; and every name a `src/snf` module imports is read in that
+module.
 
 A name is read by a `Name` load, an attribute access or an import.
 Dunder names (`__all__`, `__init__`, ...) are exempt: the interpreter reads
-them.
+them.  So are `from __future__` imports and the names a module re-exports
+in its `__all__`.
 """
 
 import ast
@@ -70,3 +72,30 @@ def test_every_defined_name_is_read():
             if name not in read:
                 dead.append(f"{path.relative_to(PACKAGE)}: {kind} {qualname}")
     assert not dead, "defined but never read:\n" + "\n".join(dead)
+
+
+def _imported(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0]
+                        for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            yield from ast.literal_eval(node.value)
+
+
+def test_every_imported_name_is_read():
+    unread = []
+    for path, tree in _trees("src/snf"):
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        loaded.update(_exported(tree))
+        unread.extend(f"{path.relative_to(PACKAGE)}: import {name}"
+                      for name in _imported(tree) if name not in loaded)
+    assert not unread, "imported but never read:\n" + "\n".join(unread)
