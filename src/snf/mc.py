@@ -7,17 +7,19 @@ times its factors, added into its row in term order.  Memory convolutions
 appearing as coefficients become a bank of exponential filters, the
 package's one filter (``filter_weights``, ``trapezoid_input``,
 ``run_filter``; ``snf.paths`` samples it too).  The bank is warmed up before
-time zero and, driven by noise alone, advances a block of steps at a time,
-each filter one recursion along the block; the state is stepped one step at
-a time inside the block.
+time zero and, driven by noise alone, advances a block of steps at a time:
+each slot's input over the block is one vectorised expression, and the
+recursion then steps time-major, one run of mutually independent slots at a
+time, across every replicate at once.  The state is stepped one step at a
+time inside the block.
 
 A replicate chunk is one random stream: replicates are split into chunks,
 each drawing from its own stream spawned from the master seed, so results
 are reproducible from the master seed and independent across replicates.
-Each chunk warms up its own filters; over the horizon all chunks step as
-one array, each chunk's increments filling its own columns.  A chunk draws
-each block's increments in one call, which consumes its stream exactly as
-one draw per step would.
+Warm-up and horizon step all chunks as one array, in blocks of the same
+size, each chunk's increments filling its own columns.  A chunk draws each
+block's increments in one call, which consumes its stream exactly as one
+draw per step would.
 
 Heun (explicit midpoint) stepping: terms carrying one bare noise factor
 contribute coefficient * dW, terms without contribute coefficient * dt, and
@@ -41,11 +43,12 @@ from .series import Series
 from .systems import CompileError, SystemSpec, NormalForm
 
 
-# Steps per FilterBank.step call of a 512-replicate chunk's warm-up; over
-# the horizon a block holds as many elements, _BLOCK * 512 replicate-steps.
-# Longer blocks amortise the per-slot lfilter call but hold more memory: in
-# 512-replicate chunks of the toy chart's five filters, 32 steps added about
-# 2 MiB of peak RSS over stepping one step at a time, 64 steps about 6 MiB.
+# Steps per FilterBank.step call at 512 replicates: every block, warm-up and
+# horizon alike, holds _BLOCK * 512 replicate-steps whatever the ensemble's
+# width.  Longer blocks amortise the per-slot input expressions but hold
+# more memory: in 512-replicate chunks of the toy chart's five filters, 32
+# steps added about 2 MiB of peak RSS over stepping one step at a time, 64
+# steps about 6 MiB.
 _BLOCK = 32
 
 # Spin-up of a filter from a zero start, in its time constants.
@@ -75,7 +78,8 @@ def trapezoid_input(a: float, u_old, u_new, dt: float):
 
 
 def run_filter(a: float, x: np.ndarray, y0=0.0) -> np.ndarray:
-    """y[t] = a y[t-1] + x[t] along the last axis of x, from y[-1] = y0."""
+    """y[t] = a y[t-1] + x[t] along the last axis of x, from y[-1] = y0,
+    rounded as fl(a y[t-1]) + x[t], the bits of ``FilterBank.step``."""
     return lfilter([1.0], [1.0, -a], x, axis=-1, zi=np.asarray(a * y0)[..., None])[0]
 
 
@@ -131,31 +135,47 @@ class FilterBank:
         weights = [filter_weights(s.rate, dt) for s in self.slots]
         self._a, self._c = np.array(weights).reshape(-1, 2).T
         self._dt = dt
+        # Runs of consecutive slots none of which drives another in its run:
+        # a run's recursion steps as one (k, R) slab, its drivers finished.
+        self._groups, lo = [], 0
+        for i, s in enumerate(self.slots):
+            if any(d >= lo for d in s.driver_slots):
+                self._groups.append((lo, i))
+                lo = i
+        if self.slots:
+            self._groups.append((lo, self.n))
 
     def step(self, z: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """Advance every slot over a block of steps from state ``z`` (n, R);
         ``dw`` has shape (steps, n_noise, R).  Returns the state after each
-        step, shape (steps, n, R) (a view of a time-last array).
+        step, shape (steps, n, R).
 
-        Each slot is one ``run_filter`` recursion along time, its input c dW
-        (Brownian slot) or the trapezoid of its drivers' product (product
-        slot; drivers have lower slot numbers, so their trajectories are
-        already filled in).  This is bitwise the per-step recursion."""
+        Time-major, one run of slots (``prepare``) at a time: each slot's
+        input over the block is one vectorised expression, c dW (Brownian
+        slot) or the trapezoid of its drivers' product (product slot;
+        drivers sit in earlier runs, so their trajectories are filled in),
+        and then the run steps ``w[t+1] = a w[t] + x[t]`` on its (k, R) slab.
+        This is bitwise ``run_filter`` and the per-step recursion."""
         steps, _, R = dw.shape
-        out = np.empty((self.n, R, steps + 1))
-        out[:, :, 0] = z
-        dw_t = np.moveaxis(dw, 0, -1).copy()
-        for i, s in enumerate(self.slots):
-            a = self._a[i]
-            if s.driver_kind == "w":
-                x = self._c[i] * dw_t[s.driver_k]
-            else:
-                u = out[s.driver_slots[0]]
-                for d in s.driver_slots[1:]:
-                    u = u * out[d]
-                x = trapezoid_input(a, u[:, :-1], u[:, 1:], self._dt)
-            out[i, :, 1:] = run_filter(a, x, z[i])
-        return np.moveaxis(out[:, :, 1:], -1, 0)
+        out = np.empty((steps + 1, self.n, R))
+        out[0] = z
+        for lo, hi in self._groups:
+            x = np.empty((steps, hi - lo, R))
+            for i in range(lo, hi):
+                s = self.slots[i]
+                if s.driver_kind == "w":
+                    np.multiply(self._c[i], dw[:, s.driver_k], out=x[:, i - lo])
+                else:
+                    u = out[:, s.driver_slots[0]]
+                    for d in s.driver_slots[1:]:
+                        u = u * out[:, d]
+                    x[:, i - lo] = trapezoid_input(self._a[i], u[:-1], u[1:], self._dt)
+            # each step's (k, R) views made once, not indexed twice per step
+            a, w, x = self._a[lo:hi, None], list(out[:, lo:hi]), list(x)
+            for t in range(steps):
+                np.multiply(a, w[t], out=w[t + 1])
+                np.add(w[t + 1], x[t], out=w[t + 1])
+        return out[1:]
 
 
 @dataclass
@@ -402,9 +422,9 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
 
     A chunk of ``chunk`` replicates is one random stream spawned from the
     master seed: it draws its filters' warm-up, then its horizon increments.
-    Chunks warm up one after another; the horizon steps all replicates as
-    one array, each chunk's increments filling its own columns, so a
-    replicate's path does not depend on how many chunks step beside it.
+    Warm-up and horizon step all replicates as one array, each chunk's
+    increments filling its own columns, so a replicate's path does not
+    depend on how many chunks step beside it.
     Once every replicate has a non-finite component, stepping stops and the
     remaining sample times record NaN."""
     sample_times, sample_idx = sample_steps(sample_times, T, dt)
@@ -419,19 +439,18 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     rngs = [np.random.default_rng(child) for child in master.spawn(len(chunks))]
     sqdt = math.sqrt(dt)
 
-    def draw(steps, rng, R):
-        # one draw of (steps, n_noise, R) is the stream of `steps`
-        # successive (n_noise, R) draws
-        return rng.standard_normal((steps, sde.n_noise, R)) * sqdt
+    def draw(steps):
+        # each chunk's (steps, n_noise, R) draw, in its own columns, is its
+        # stream of `steps` successive (n_noise, R) draws
+        return np.concatenate([rng.standard_normal((steps, sde.n_noise, hi - lo)) * sqdt
+                               for rng, (lo, hi) in zip(rngs, chunks)], axis=2)
 
-    z = np.empty((sde.bank.n, n_rep))
-    for rng, (lo, hi) in zip(rngs, chunks):
-        z_c = sde.bank.make_state(hi - lo)
-        for b0 in range(0, warm_steps, _BLOCK):
-            z_c = sde.bank.step(z_c, draw(min(_BLOCK, warm_steps - b0), rng, hi - lo))[-1]
-        z[:, lo:hi] = z_c
-    state = np.tile(np.asarray(x0, dtype=float)[:, None], (1, n_rep))
+    # one block rule: every filter step holds at most _BLOCK*512 replicate-steps
     block = max(1, _BLOCK * 512 // n_rep)
+    z = sde.bank.make_state(n_rep)
+    for b0 in range(0, warm_steps, block):
+        z = sde.bank.step(z, draw(min(block, warm_steps - b0)))[-1]
+    state = np.tile(np.asarray(x0, dtype=float)[:, None], (1, n_rep))
     amp = sde.noise_amp[:, None]
     pos = 0
     for t_i in range(n_steps + 1):
@@ -447,10 +466,7 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
         j = t_i % block
         if j == 0:
             # filter the next block only now: one block is held at a time
-            steps = min(block, n_steps - t_i)
-            dw_block = np.concatenate([draw(steps, rng, hi - lo)
-                                       for rng, (lo, hi) in zip(rngs, chunks)],
-                                      axis=2)
+            dw_block = draw(min(block, n_steps - t_i))
             z_block = sde.bank.step(z, dw_block)
             dw_amp_block = dw_block * amp
         dw_amp = dw_amp_block[j]

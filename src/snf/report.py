@@ -104,6 +104,7 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
     unbounded = replace(spec.trunc, total=sys.maxsize, param_caps=())
     header: Dict[str, str] = {}
     sections: Dict[str, Dict[str, Series]] = {}
+    seen: Dict[Tuple[str, str], int] = {}    # (section, lhs) -> its line
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.strip() == "normal-form report" \
@@ -121,6 +122,11 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
             raise ReportError(f"report line {lineno}: series line outside any "
                               f"section: {raw.strip()!r}")
         lhs, _, rhs = raw.strip().partition("=")
+        lhs = lhs.strip()
+        first = seen.setdefault((current, lhs), lineno)
+        if first != lineno:
+            raise ReportError(f"report line {lineno}: '{lhs} = ...' repeats line "
+                              f"{first} in section {current}")
         rhs = rhs.split("(+ unevaluable")[0].strip()
         names = names_orig if current == "reversion" else names_new
         try:
@@ -136,7 +142,7 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
             if k >= spec.n_noise:
                 raise ReportError(f"report line {lineno}: noise index {k} is out of "
                                   f"range for {spec.n_noise} noise(s) in {rhs!r}")
-        sections[current][lhs.strip()] = series.with_trunc(spec.trunc)
+        sections[current][lhs] = series.with_trunc(spec.trunc)
     return ParsedReport(header, sections.get("transform", {}),
                         sections.get("evolution", {}), sections)
 

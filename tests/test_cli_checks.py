@@ -292,6 +292,17 @@ def test_verify_of_a_report_with_an_unknown_symbol_exits_2(
     assert err.startswith(f"error: report line {n + 1}: unknown symbol 'q'")
 
 
+def test_verify_of_a_report_repeating_a_line_exits_2(
+        toy_path, tmp_path, toy3_report, capsys):
+    # the later line would silently replace the real one
+    lines = toy3_report.splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if line.startswith("  dX/dt = "))
+    lines.insert(n, "  dX/dt = X^2 + 7*X\n")
+    assert _verify(toy_path, tmp_path, "".join(lines)) == EXIT_PARSE
+    assert capsys.readouterr().err == (f"error: report line {n + 2}: 'dX/dt = ...' "
+                                       f"repeats line {n + 1} in section evolution\n")
+
+
 @pytest.mark.parametrize("bad,message", [
     ("X^3/2", "expected an integer, got 3/2"),
     ("phi[1/2]", "expected an integer, got 1/2"),

@@ -449,6 +449,41 @@ def test_block_filter_step_is_the_per_step_recursion(toy_chart_model):
     assert np.all(z != 0)
 
 
+def test_filter_step_groups_the_toy_chart_into_three_runs(toy_chart_model):
+    bank = toy_chart_model[0].bank
+    bank.prepare(1e-2)
+    assert bank._groups == [(0, 1), (1, 3), (3, 5)]
+
+
+@pytest.mark.parametrize("R", [1, 3, 600])
+def test_block_filter_step_of_mixed_slots_is_the_per_step_recursion(R):
+    # A Brownian slot registered after a product slot joins its run; a
+    # product of both starts the next run.  Rates -1, -2 and -3, two noises.
+    z1 = noise.z_atom(F(-1), (noise.phi_atom(0),))
+    z2 = noise.z_atom(F(-2), (z1,))
+    z3 = noise.z_atom(F(-3), (noise.phi_atom(1),))
+    bank = FilterBank()
+    for atom in (z1, z2, z3, noise.z_atom(F(-1), (z2, z3)),
+                 noise.z_atom(F(-2), (noise.phi_atom(0),))):
+        bank.slot_for(atom)
+    assert [(s.driver_kind, s.driver_slots) for s in bank.slots] == [
+        ("w", ()), ("prod", (0,)), ("w", ()), ("prod", (1, 2)), ("w", ())]
+    dt = 1e-2
+    bank.prepare(dt)
+    assert bank._groups == [(0, 1), (1, 3), (3, 5)]
+    rng = np.random.default_rng(41)
+    z_ref = z = bank.make_state(R)
+    for steps in (1, 7, 130, 7, 1):
+        dw = rng.standard_normal((steps, 2, R)) * math.sqrt(dt)
+        block = bank.step(z, dw)
+        assert block.shape == (steps, bank.n, R)
+        for t in range(steps):
+            z_ref = _per_step(bank, z_ref, dw[t])
+            assert _same_bits(block[t], z_ref), (steps, t)
+        z = block[-1]
+    assert np.all(z != 0)
+
+
 def test_block_filter_step_of_an_empty_bank():
     bank = FilterBank()
     bank.prepare(1e-2)
@@ -618,6 +653,49 @@ def test_run_ensemble_uneven_chunks_are_the_per_step_loop(toy_chart_model, toy5,
                               observables=obs, chunk=R, warm=warm)
     assert _same_bits(got.samples, want)
     assert np.all(np.isfinite(want)) and len(np.unique(want[:, -1, 0])) == n_rep
+
+
+@pytest.mark.parametrize("model", ["reduced", "full"])
+def test_run_ensemble_in_blocks_of_three_steps_is_the_per_step_loop(toy_chart_model,
+                                                                    toy5, model):
+    # 5000 replicates step the filters three steps at a time, warm-up and
+    # horizon alike, the last block of each one step long.
+    dt, warm, T, n_rep = 1e-2, 0.76, 0.94, 5000
+    assert mc._BLOCK * 512 // n_rep == 3
+    assert int(math.ceil(warm / dt)) % 3 == 1 and int(round(T / dt)) % 3 == 1
+    times = [0.0, 0.05, 0.5, T]
+    if model == "reduced":
+        sde, obs = toy_chart_model
+        x0 = [0.3]
+    else:
+        sde, obs = compile_full_system(toy5.spec, {"sigma": 0.05}), None
+        x0 = [0.3, 0.09]
+    got = run_ensemble(sde, x0, T, dt, n_rep, 37, times, observables=obs,
+                       chunk=2500, warm=warm)
+    want = _per_step_ensemble(sde, x0, T, dt, n_rep, 37, times,
+                              observables=obs, chunk=2500, warm=warm)
+    assert _same_bits(got.samples, want)
+    assert np.all(np.isfinite(want)) and len(np.unique(want[:, -1, 0])) == n_rep
+
+
+def test_every_filter_step_holds_one_block_of_replicate_steps(toy_chart_model,
+                                                              monkeypatch):
+    # Warm-up and horizon share the block rule that bounds peak memory: no
+    # FilterBank.step call gets more than _BLOCK*512 replicate-steps.
+    sde, obs = toy_chart_model
+    calls, step = [], FilterBank.step
+
+    def spy(self, z, dw):
+        calls.append(dw.shape)
+        return step(self, z, dw)
+
+    monkeypatch.setattr(FilterBank, "step", spy)
+    dt, T, n_rep = 1e-2, 0.2, 1100
+    run_ensemble(sde, [0.3], T, dt, n_rep, 3, [T], observables=obs)
+    warm_steps = int(math.ceil(sde.bank.max_spin() / dt))
+    assert sum(steps for steps, _k, _r in calls) == warm_steps + int(round(T / dt))
+    assert {r for _s, _k, r in calls} == {n_rep}
+    assert max(steps * r for steps, _k, r in calls) <= mc._BLOCK * 512
 
 
 def test_zero_noise_ensemble_of_several_chunks_has_identical_replicates():
