@@ -43,6 +43,8 @@ def _policy(args, sf) -> Policy:
 def _load(args):
     spec, sf = load_system(args.system)
     if args.order is not None:
+        if args.order < 1:
+            raise SysFileError(f"--order: must be at least 1, got {args.order}")
         spec = spec.with_trunc(Trunc(args.order, spec.trunc.param_caps,
                                      spec.trunc.count_fast))
     return spec, sf

@@ -4,9 +4,11 @@ Starting from the identity transform, each sweep measures how badly the
 current transform-plus-evolution pair fails to satisfy the governing
 equations, then splits every lowest-grade residual monomial between
 transform and evolution by one homological solve.  Fast equations come
-first, then the slow equations against the updated transform.  Sweeps repeat
-until the residual vanishes below the truncation order; ``compute_residual``
-is the one residual formula, read by the sweeps and by ``verify_order``.
+first, then the slow equations against the updated transform, and each
+side's residual is computed once per sweep.  Sweeps repeat until the
+residual vanishes below the truncation order.  One residual formula serves
+both sides (``_residual``); the sweeps read it one side at a time, and
+``verify_order`` reads both through ``compute_residual``.
 """
 
 from __future__ import annotations
@@ -37,30 +39,33 @@ def identity_form(spec: SystemSpec, policy: Policy) -> NormalForm:
 
 
 def compute_residual(spec: SystemSpec, nf: NormalForm) -> Tuple[List[Series], List[Series]]:
-    """Residuals of the original equations at the current approximation.
+    """The slow and the fast residuals at the current approximation."""
+    return _residual(spec, nf, fast=False), _residual(spec, nf, fast=True)
 
-    res_x_i = (A xi)_i + f_i(X+xi, Y+eta) - F_i - d(xi_i)/dt
-    res_y_j = beta_j eta_j + g_j(X+xi, Y+eta) - G_j - d(eta_j)/dt
 
-    with d/dt taken along the current evolution (AX+F, BY+G).
+def _residual(spec: SystemSpec, nf: NormalForm, fast: bool) -> List[Series]:
+    """One side's residual of the original equations, per component k:
+
+    res_k = rhs_k(X+xi, Y+eta) - evo_k - d(xform_k)/dt + (M xform)_k
+
+    reading (g, G, eta, diag(B)) on the fast side and (f, F, xi, A) on the
+    slow side, with d/dt taken along the current evolution (AX+F, BY+G).
     """
     tx, ty = nf.transform_x(), nf.transform_y()
     xdot, ydot = nf.xdot(), nf.ydot()
-    res_x = []
-    for i in range(spec.m):
-        r = spec.f[i].substitute(slow=tx, fast=ty) - nf.F[i] \
-            - nf.xi[i].time_derivative(xdot, ydot)
-        for j in range(spec.m):
-            if spec.A[i][j]:
-                r = r + nf.xi[j].scale(spec.A[i][j])
-        res_x.append(r)
-    res_y = []
-    for j in range(spec.n):
-        r = spec.g[j].substitute(slow=tx, fast=ty) - nf.G[j] \
-            - nf.eta[j].time_derivative(xdot, ydot) \
-            + nf.eta[j].scale(spec.B_diag[j])
-        res_y.append(r)
-    return res_x, res_y
+    if fast:
+        rhs, evo, xform = spec.g, nf.G, nf.eta
+        M = [[b if j == k else 0 for j in range(spec.n)] for k, b in enumerate(spec.B_diag)]
+    else:
+        rhs, evo, xform, M = spec.f, nf.F, nf.xi, spec.A
+    res = []
+    for k, row in enumerate(M):
+        r = rhs[k].substitute(slow=tx, fast=ty) - evo[k] - xform[k].time_derivative(xdot, ydot)
+        for j, a in enumerate(row):
+            if a:
+                r = r + xform[j].scale(a)
+        res.append(r)
+    return res
 
 
 def _assign(nf: NormalForm, residuals: List[Series], g: int, fast: bool) -> None:
@@ -83,21 +88,15 @@ def _assign(nf: NormalForm, residuals: List[Series], g: int, fast: bool) -> None
 
 
 def refine_once(spec: SystemSpec, nf: NormalForm) -> bool:
-    """One sweep: clear the lowest residual grade, fast first then slow.
-
-    Returns True when any correction was made.
-    """
+    """One sweep: clear the lowest residual grade of the fast side, then of
+    the slow side against the updated transform.  True when either changed."""
     changed = False
-    res_x, res_y = compute_residual(spec, nf)
-    gy = _lowest(res_y)
-    if gy is not None:
-        _assign(nf, res_y, gy, fast=True)
-        changed = True
-        res_x, _ = compute_residual(spec, nf)
-    gx = _lowest(res_x)
-    if gx is not None:
-        _assign(nf, res_x, gx, fast=False)
-        changed = True
+    for fast in (True, False):
+        res = _residual(spec, nf, fast)
+        g = _lowest(res)
+        if g is not None:
+            _assign(nf, res, g, fast)
+            changed = True
     return changed
 
 

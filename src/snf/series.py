@@ -44,7 +44,7 @@ is the packed dict's insertion order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -467,13 +467,6 @@ class Series:
             k >>= 1
         return result
 
-    def truncate(self, total: Optional[int] = None,
-                 param_caps: Optional[Tuple[Optional[int], ...]] = None) -> "Series":
-        new_total = self.trunc.total if total is None else min(self.trunc.total, total)
-        caps = self.trunc.param_caps if param_caps is None else param_caps
-        t = replace(self.trunc, total=new_total, param_caps=caps)
-        return Series(self.dims, t, self.terms)
-
     def with_trunc(self, trunc: Trunc) -> "Series":
         return Series(self.dims, trunc, self.terms)
 
@@ -497,15 +490,21 @@ class Series:
     def coefficient(self, mono: Mono, expr: Expr = ONE) -> Fraction:
         return self.terms.get((mono, expr), Fraction(0))
 
-    def grade_filter(self, pred: Callable[[Mono], bool]) -> "Series":
-        return self.build_like({k: c for k, c in self.terms.items() if pred(k[0])})
-
     def map_noise(self, fn: Callable[[Expr], NoiseSum]) -> "Series":
-        """Replace each term's noise product by the noise sum ``fn`` gives."""
-        out: Dict[Key, Fraction] = {}
-        for (mono, expr), c in self.terms.items():
-            noise.add_into(out, (((mono, e2), c2) for e2, c2 in fn(expr).items()), c)
-        return self.build_like(out)
+        """Replace each term's noise product by the noise sum ``fn`` gives,
+        calling ``fn`` once per distinct noise product."""
+        images: Dict[int, List[Tuple[int, Fraction]]] = {}
+        for k in self._num:
+            nid = k & _NOISE_MASK
+            if nid not in images:
+                images[nid] = [(_noise_id(e), Fraction(c)) for e, c in fn(_EXPRS[nid]).items()]
+        den = lcm(*[c.denominator for image in images.values() for _i, c in image])
+        out: Dict[int, int] = {}
+        for k, v in self._num.items():
+            nid = k & _NOISE_MASK
+            noise.add_into(out, ((k - nid | i, c.numerator * (den // c.denominator))
+                                 for i, c in images[nid]), v)
+        return self._packed(out, self._den * den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series) or self.dims != other.dims:
@@ -568,12 +567,6 @@ class Series:
             if e:
                 out[key - unit] = v * e
         return self._packed(out, self._den)
-
-    def diff_slow(self, i: int) -> "Series":
-        return self.diff(0, i)
-
-    def diff_fast(self, j: int) -> "Series":
-        return self.diff(1, j)
 
     def diff_noise(self) -> "Series":
         """The explicit time derivative acting on noise atoms alone."""

@@ -14,8 +14,10 @@ Example::
     eq x: -x*y
     eq y: -y + x^2 - 2*y^2 + sigma*phi1
 
-One declaration per line, ``#`` comments, rational literals ``p/q``.  Noise
-symbols are ``phi1 .. phiK``.  The linear parts declared in ``A``/``B`` are
+One declaration per line, ``#`` comments, rational literals ``p/q``.  Only
+``A`` rows and ``B`` rates may be declared again; every other declaration
+is made once (``cap`` and ``eq`` once per name).  Noise symbols are
+``phi1 .. phiK``.  The linear parts declared in ``A``/``B`` are
 stripped from the equations (the ``-y`` above); everything else in an
 equation is collected into the nonlinear/noisy right-hand side.
 
@@ -92,16 +94,37 @@ def _int(text: str, ln: int) -> int:
         raise SysFileError(f"line {ln}: bad integer {text!r}")
 
 
+def _at_least(least: int, text: str, ln: int, what: str) -> int:
+    v = _int(text, ln)
+    if v < least:
+        raise SysFileError(f"line {ln}: {what} must be at least {least}, got {v}")
+    return v
+
+
+# Declarations a file makes at most once; 'cap <p>' and 'eq <var>' once per name.
+_SINGLE = {"noise", "order", "grade_fast", "policy", "mu_min", "rescale", "noise_scale"}
+_ON_OFF = {"on": True, "true": True, "1": True, "yes": True,
+           "off": False, "false": False, "0": False, "no": False}
+
+
 def parse_sysfile(text: str, label: str = "") -> SysFile:
     sf = SysFile(label=label)
     names = {"slow": sf.slow, "fast": sf.fast, "param": sf.params}
     declared: Dict[str, Tuple[str, int]] = {}
+    single: Dict[str, int] = {}     # 'order', 'cap <p>', 'eq <var>', ... -> line
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        decl = (head + " " + re.split(r"[\s:]", rest, maxsplit=1)[0] if head in ("cap", "eq")
+                else head if head in _SINGLE else None)
+        if decl is not None:
+            if decl in single:
+                raise SysFileError(f"line {ln}: {decl!r} is already declared on line "
+                                   f"{single[decl]}")
+            single[decl] = ln
         if head in names:
             for name in rest.split():
                 if name in declared:
@@ -111,20 +134,22 @@ def parse_sysfile(text: str, label: str = "") -> SysFile:
                 declared[name] = (head, ln)
                 names[head].append(name)
         elif head == "noise":
-            sf.n_noise = _int(rest, ln)
+            sf.n_noise = _at_least(1, rest, ln, "noise")
         elif head == "A":
             sf.A_rows.append([_rat(v, ln) for v in rest.split()])
         elif head == "B":
             sf.B.extend(_rat(v, ln) for v in rest.split())
         elif head == "order":
-            sf.order = _int(rest, ln)
+            sf.order = _at_least(1, rest, ln, "order")
         elif head == "cap":
             parts = rest.split()
             if len(parts) != 2:
                 raise SysFileError(f"line {ln}: expected 'cap <param> <max power>'")
-            sf.caps[parts[0]] = _int(parts[1], ln)
+            sf.caps[parts[0]] = _at_least(0, parts[1], ln, f"cap on {parts[0]}")
         elif head == "grade_fast":
-            sf.count_fast = rest.lower() not in ("off", "false", "0", "no")
+            if rest.lower() not in _ON_OFF:
+                raise SysFileError(f"line {ln}: grade_fast must be on or off, got {rest!r}")
+            sf.count_fast = _ON_OFF[rest.lower()]
         elif head == "policy":
             if rest not in ("anticipate", "no-anticipate"):
                 raise SysFileError(f"line {ln}: policy must be anticipate|no-anticipate")
@@ -352,6 +377,10 @@ def build_system(sf: SysFile) -> SystemSpec:
         ln, text = sf.equations[var]
         return to_series(_expr_terms(text, ln, sf), which, var)
 
+    for var, (ln, _text) in sf.equations.items():
+        if var not in sf.slow and var not in sf.fast:
+            raise SysFileError(f"line {ln}: equation for {var!r}, which is not a "
+                               "slow or fast variable")
     f = [equation(var, "slow") for var in sf.slow]
     g = [equation(var, "fast") for var in sf.fast]
     spec = SystemSpec(tuple(sf.slow), tuple(sf.fast), tuple(sf.params),

@@ -103,6 +103,30 @@ def test_diff_noise_matches_per_term_diff(s):
     assert s.diff_noise().terms == _diff_noise_reference(s).terms
 
 
+def _map_noise_reference(s, fn):
+    out = {}
+    for (mono, expr), c in s.terms.items():
+        noise.add_into(out, (((mono, e2), c2) for e2, c2 in fn(expr).items()), c)
+    return Series(s.dims, s.trunc, out)
+
+
+@given(noisy_series(), rates)
+@settings(max_examples=80, deadline=None)
+def test_map_noise_calls_fn_once_per_product(s, mu):
+    # every product of s on up to two monomials
+    t = s + s * Series.slow_var(DIMS, TR, 0)
+    calls = []
+
+    def fn(expr):
+        calls.append(expr)
+        return noise.conv(mu, {expr: F(1)})
+
+    got = t.map_noise(fn)
+    assert sorted(calls, key=repr) == sorted({e for _m, e in t.terms}, key=repr)
+    ref = _map_noise_reference(t, lambda e: noise.conv(mu, {e: F(1)}))
+    assert list(got.terms.items()) == list(ref.terms.items())
+
+
 @given(noisy_series(atoms(), variables=False), rates)
 @settings(max_examples=80, deadline=None)
 def test_parsed_convolution_is_termwise_conv(inner, mu):

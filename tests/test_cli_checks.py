@@ -147,11 +147,28 @@ eq y: -y + x^2 + s*phi1
     ("fast y", "fast y y"),
     ("param s", "param s x"),
     ("noise 1", "slow s"),
+    # out-of-range values
+    ("order 3", "order 0"),
+    ("noise 1", "noise 0"),
+    ("order 3", "cap s -1"),
+    ("order 3", "grade_fast of"),
+    ("eq y: -y + x^2 + s*phi1", "eq y: -y + x^2 + s*phi1\neq s: 5*x^2"),
+    # a declaration made twice; the error names the second line
+    ("eq y: -y + x^2 + s*phi1", "eq y: -y + x^2 + s*phi1\neq x: 5*x^2"),
+    ("order 3", "order 3\norder 4"),
+    ("order 3", "noise 2"),
+    ("order 3", "cap s 2\ncap s 3"),
+    ("order 3", "grade_fast off\ngrade_fast on"),
+    ("order 3", "policy anticipate\npolicy no-anticipate"),
+    ("order 3", "mu_min 0\nmu_min 1/8"),
+    ("order 3", "rescale s\nrescale s"),
+    ("order 3", "noise_scale s\nnoise_scale s"),
 ])
 def test_malformed_system_file_exits_2_with_its_line(tmp_path, capsys, old, new):
     text = SYSTEM.replace(old, new)
     assert text != SYSTEM
-    line = text.splitlines().index(new) + 1
+    # the last line of ``new`` is the one at fault
+    line = text.splitlines().index(new.splitlines()[0]) + len(new.splitlines())
     p = tmp_path / "bad.snf"
     p.write_text(text)
     assert main(["derive", str(p)]) == EXIT_PARSE
@@ -169,6 +186,8 @@ def test_cap_on_an_undeclared_parameter_exits_2(tmp_path, capsys):
     (["simulate", "--param", "sigma=abc"], "--param sigma: bad number 'abc'"),
     (["derive", "--mu-min", "abc"], "--mu-min: bad rational 'abc'"),
     (["derive", "--mu-min", "1/0"], "--mu-min: bad rational '1/0'"),
+    (["derive", "--order", "0"], "--order: must be at least 1, got 0"),
+    (["simulate", "--order", "0", "--model", "reduced"], "--order: must be at least 1, got 0"),
 ])
 def test_malformed_arguments_exit_2(toy_path, capsys, argv, message):
     rc = main([argv[0], toy_path, "--order", "2", *argv[1:]])
