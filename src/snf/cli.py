@@ -65,9 +65,13 @@ def _params(pairs: List[str], spec) -> Dict[str, float]:
 
 def _run_options(args) -> List[float]:
     """Check the ensemble options of simulate and compare; the sample times."""
-    from .mc import sample_steps
+    from .mc import grid_steps, sample_steps
     if args.T <= 0 or args.dt <= 0 or args.T < args.dt:
         raise SysFileError("need a positive horizon T >= dt")
+    try:
+        grid_steps(args.T, args.dt, "horizon")
+    except ValueError as exc:
+        raise SysFileError(f"--T {args.T:g} --dt {args.dt:g}: {exc}")
     if args.replicates < 2:
         raise SysFileError(f"--replicates: spread statistics need at least 2, "
                            f"got {args.replicates}")

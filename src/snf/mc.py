@@ -6,20 +6,25 @@ each distinct state power once per call, then each term as its coefficient
 times its factors, added into its row in term order.  Memory convolutions
 appearing as coefficients become a bank of exponential filters, the
 package's one filter (``filter_weights``, ``trapezoid_input``,
-``run_filter``; ``snf.paths`` samples it too).  The bank is warmed up before
-time zero and, driven by noise alone, advances a block of steps at a time:
-each slot's input over the block is one vectorised expression, and the
-recursion then steps time-major, one run of mutually independent slots at a
-time, across every replicate at once.  The state is stepped one step at a
-time inside the block.
+``run_filter``; ``snf.paths`` samples it too).  The slots linear in the
+noise (a filtered Brownian motion, or a filter of one such slot) start from
+the exact stationary law of their discrete recursion, a Gaussian whose
+covariance solves a discrete Lyapunov equation; only the other slots, the
+filters of products, spin up from zero before time zero.  Driven by noise
+alone, the bank advances a block of steps at a time: each slot's input over
+the block is one vectorised expression, and the recursion then steps
+time-major, one run of mutually independent slots at a time, across every
+replicate at once.  The state is stepped one step at a time inside the
+block.
 
 A replicate chunk is one random stream: replicates are split into chunks,
 each drawing from its own stream spawned from the master seed, so results
 are reproducible from the master seed and independent across replicates.
-Warm-up and horizon step all chunks as one array, in blocks of the same
-size, each chunk's increments filling its own columns.  A chunk draws each
-block's increments in one call, which consumes its stream exactly as one
-draw per step would.
+A chunk draws its linear slots' stationary start first, then its warm-up,
+then its horizon increments.  Warm-up and horizon step all chunks as one
+array, in blocks of the same size, each chunk's increments filling its own
+columns.  A chunk draws each block's increments in one call, which consumes
+its stream exactly as one draw per step would.
 
 Heun (explicit midpoint) stepping: terms carrying one bare noise factor
 contribute coefficient * dW, terms without contribute coefficient * dt, and
@@ -51,7 +56,8 @@ from .systems import CompileError, SystemSpec, NormalForm
 # steps about 6 MiB.
 _BLOCK = 32
 
-# Spin-up of a filter from a zero start, in its time constants.
+# Spin-up of a filter from a zero start, in its time constants: every filter
+# of a path sample, and the filter bank's slots that are not linear in the noise.
 SPINUP_TIME_CONSTANTS = 10.0
 
 
@@ -89,7 +95,7 @@ class FilterSlot:
     driver_kind: str                 # "w" (Brownian) or "prod" (slot product)
     driver_k: int = -1
     driver_slots: Tuple[int, ...] = ()
-    spin_time: float = 0.0
+    spin_time: float = 0.0           # 0: linear in the noise, starts stationary
 
 
 class FilterBank:
@@ -110,13 +116,15 @@ class FilterBank:
         if not noise.pointwise((atom,)):
             raise CompileError(f"no pointwise values: {render_noise((atom,))}")
         ks, rest = noise.split_bare(atom[2])
-        spin = SPINUP_TIME_CONSTANTS / abs(mu)
         if ks:
-            slot = FilterSlot(mu, "w", driver_k=ks[0], spin_time=spin)
+            slot = FilterSlot(mu, "w", driver_k=ks[0])
         else:
             subs = tuple(self.slot_for(a) for a in rest)
-            spin += max(self.slots[s].spin_time for s in subs)
-            slot = FilterSlot(mu, "prod", driver_slots=subs, spin_time=spin)
+            slot = FilterSlot(mu, "prod", driver_slots=subs)
+            if len(subs) > 1 or self.slots[subs[0]].spin_time:
+                # not linear in the noise: spins up from zero after its drivers
+                slot.spin_time = SPINUP_TIME_CONSTANTS / abs(mu) + max(
+                    self.slots[s].spin_time for s in subs)
         self.slots.append(slot)
         self._index[atom] = len(self.slots) - 1
         return len(self.slots) - 1
@@ -144,6 +152,46 @@ class FilterBank:
                 lo = i
         if self.slots:
             self._groups.append((lo, self.n))
+        self._stationary_start(dt)
+
+    def _stationary_start(self, dt: float):
+        """The stationary law of the linear slots under ``step``.
+
+        In slot order they form one chain s[t+1] = Phi s[t] + G dW[t]: a
+        Brownian slot contributes a on the diagonal of Phi and c in G, a
+        slot driven by one linear slot d contributes a e_i + (dt/2)(a e_d +
+        Phi_d) and (dt/2) G_d.  The covariance solves the discrete Lyapunov
+        equation P = Phi P Phi^T + dt G G^T, so the chain is stationary from
+        its first step.  P may be singular (Z[-2]{Z[-1]{phi}} is Z[-1]{phi}
+        - Z[-2]{phi}), so it is factored by ``eigh``, eigenvalues clipped at
+        zero: ``_start @ _start.T`` is P."""
+        self._lin = [i for i, s in enumerate(self.slots) if not s.spin_time]
+        row = {i: r for r, i in enumerate(self._lin)}
+        n = len(self._lin)
+        phi = np.zeros((n, n))
+        g = np.zeros((n, 1 + max((s.driver_k for s in self.slots), default=-1)))
+        for r, i in enumerate(self._lin):
+            s = self.slots[i]
+            phi[r, r] = self._a[i]
+            if s.driver_kind == "w":
+                g[r, s.driver_k] = self._c[i]
+            else:
+                d = row[s.driver_slots[0]]
+                phi[r] += (dt / 2.0) * phi[d]
+                phi[r, d] += (dt / 2.0) * self._a[i]
+                g[r] = (dt / 2.0) * g[d]
+        # row-major vec(Phi P Phi^T) = kron(Phi, Phi) vec(P)
+        p = np.linalg.solve(np.eye(n * n) - np.kron(phi, phi),
+                            (dt * g @ g.T).ravel()).reshape(n, n)
+        w, v = np.linalg.eigh((p + p.T) / 2.0)
+        self._start = v * np.sqrt(np.clip(w, 0.0, None))
+
+    def start(self, z: np.ndarray, rng: np.random.Generator):
+        """Draw the linear slots of the zero state ``z`` (n, R) from their
+        stationary law, one ``standard_normal((n_linear, R))`` draw from
+        ``rng``; a bank without linear slots draws nothing."""
+        if self._lin:
+            z[self._lin] = self._start @ rng.standard_normal((len(self._lin), z.shape[1]))
 
     def step(self, z: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """Advance every slot over a block of steps from state ``z`` (n, R);
@@ -402,15 +450,24 @@ class EnsembleResult:
         return "\n".join(lines) + "\n"
 
 
+def grid_steps(t: float, dt: float, what: str) -> int:
+    """t as a whole number of steps of dt; ValueError naming ``what`` when t
+    is off the step grid by more than 1e-9 steps."""
+    n = round(t / dt)
+    if abs(t / dt - n) > 1e-9:
+        raise ValueError(f"{what} {t:g} is not a whole number of steps of dt = {dt:g}")
+    return int(n)
+
+
 def sample_steps(sample_times: Sequence[float], T: float,
                  dt: float) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted sample times and their step indices; ValueError naming a time
-    outside [0, T]."""
+    outside [0, T] or off the step grid."""
     times = np.asarray(sorted(sample_times), dtype=float)
     for t in times:
         if not -1e-12 <= t <= T + 1e-12:
             raise ValueError(f"sample time {t:g} outside the horizon [0, {T:g}]")
-    return times, np.asarray([int(round(t / dt)) for t in times])
+    return times, np.asarray([grid_steps(t, dt, "sample time") for t in times])
 
 
 def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
@@ -421,14 +478,17 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     at the requested times.  Deterministic given the master seed.
 
     A chunk of ``chunk`` replicates is one random stream spawned from the
-    master seed: it draws its filters' warm-up, then its horizon increments.
+    master seed: it draws its linear filter slots' stationary start, then
+    the warm-up of the others (``warm`` time units, by default the bank's
+    ``max_spin``), then its horizon increments.  ``T`` and every sample time
+    must lie on the step grid (``grid_steps``).
     Warm-up and horizon step all replicates as one array, each chunk's
     increments filling its own columns, so a replicate's path does not
     depend on how many chunks step beside it.
     Once every replicate has a non-finite component, stepping stops and the
     remaining sample times record NaN."""
+    n_steps = grid_steps(T, dt, "horizon")
     sample_times, sample_idx = sample_steps(sample_times, T, dt)
-    n_steps = int(round(T / dt))
     warm_time = sde.bank.max_spin() if warm is None else warm
     warm_steps = int(math.ceil(warm_time / dt))
     sde.bank.prepare(dt)
@@ -448,6 +508,8 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     # one block rule: every filter step holds at most _BLOCK*512 replicate-steps
     block = max(1, _BLOCK * 512 // n_rep)
     z = sde.bank.make_state(n_rep)
+    for rng, (lo, hi) in zip(rngs, chunks):
+        sde.bank.start(z[:, lo:hi], rng)
     for b0 in range(0, warm_steps, block):
         z = sde.bank.step(z, draw(min(block, warm_steps - b0)))[-1]
     state = np.tile(np.asarray(x0, dtype=float)[:, None], (1, n_rep))

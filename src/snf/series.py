@@ -164,6 +164,16 @@ class _MergeRow(dict):
 
 _MERGED: Dict[int, _MergeRow] = {}
 
+# d/dt of each noise product met, process-wide; callers only read the sums.
+_DIFFS: Dict[Expr, NoiseSum] = {}
+
+
+def _noise_diff(expr: Expr) -> NoiseSum:
+    d = _DIFFS.get(expr)
+    if d is None:
+        d = _DIFFS[expr] = noise.diff({expr: Fraction(1)})
+    return d
+
 
 def _merge_row(a: int) -> _MergeRow:
     row = _MERGED.get(a)
@@ -570,7 +580,7 @@ class Series:
 
     def diff_noise(self) -> "Series":
         """The explicit time derivative acting on noise atoms alone."""
-        return self.map_noise(lambda expr: noise.diff({expr: Fraction(1)}))
+        return self.map_noise(_noise_diff)
 
     def time_derivative(self, xdot: Sequence["Series"], ydot: Sequence["Series"]) -> "Series":
         """d/dt along an evolution: dt-part on noise plus the chain rule."""

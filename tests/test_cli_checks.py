@@ -206,11 +206,37 @@ def test_malformed_arguments_exit_2(toy_path, capsys, argv, message):
      "--replicates: spread statistics need at least 2, got 1"),
     ("compare", ["--replicates", "4", "--times=-0.5"],
      "--times -0.5: sample time -0.5 outside the horizon [0, 0.1]"),
+    # off the step grid: no longer rounded to the nearest step
+    ("simulate", ["--replicates", "4", "--times", "0.05,0.055"],
+     "--times 0.05,0.055: sample time 0.055 is not a whole number of steps of dt = 0.01"),
+    ("compare", ["--replicates", "4", "--times", "0.025"],
+     "--times 0.025: sample time 0.025 is not a whole number of steps of dt = 0.01"),
+    ("simulate", ["--replicates", "4", "--T", "0.105", "--times", "0.1"],
+     "--T 0.105 --dt 0.01: horizon 0.105 is not a whole number of steps of dt = 0.01"),
+    ("compare", ["--replicates", "4", "--T", "0.095", "--times", "0.09"],
+     "--T 0.095 --dt 0.01: horizon 0.095 is not a whole number of steps of dt = 0.01"),
 ])
 def test_bad_ensemble_options_exit_2(toy_path, capsys, cmd, extra, message):
     rc = main([cmd, toy_path, "--order", "2", "--T", "0.1", "--dt", "0.01", *extra])
     assert rc == EXIT_PARSE
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("T,times,message", [
+    ("1", "0.3", "--T 1 --dt 0.3: horizon 1 is not a whole number of steps of dt = 0.3"),
+    ("0.9", "0.5,0.6",
+     "--times 0.5,0.6: sample time 0.5 is not a whole number of steps of dt = 0.3"),
+])
+def test_simulate_refuses_times_off_the_step_grid(tmp_path, capsys, T, times, message):
+    # rounding used to sample t = 0.5 and t = 0.6 both at step 2 (t = 0.6),
+    # and to step a horizon of 1 as three steps, to t = 0.9
+    p = tmp_path / "linear.snf"
+    p.write_text(bundled_text("linear.snf"))
+    rc = main(["simulate", str(p), "--model", "full", "--param", "eps=0.1",
+               "--T", T, "--dt", "0.3", "--replicates", "4", "--times", times])
+    assert rc == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("extra,option", [

@@ -370,7 +370,8 @@ def _per_step(bank, z, dw):
 def _per_step_ensemble(sde, x0, T, dt, n_rep, seed, sample_times,
                        observables=None, chunk=512, warm=None):
     """``run_ensemble`` drawing increments and stepping the filters one
-    step at a time (the reference for the block version)."""
+    step at a time (the reference for the block version).  A chunk's first
+    draw, when its bank has linear slots, is their stationary start."""
     sample_times = np.asarray(sorted(sample_times), dtype=float)
     n_steps = int(round(T / dt))
     sample_idx = [int(round(t / dt)) for t in sample_times]
@@ -386,6 +387,9 @@ def _per_step_ensemble(sde, x0, T, dt, n_rep, seed, sample_times,
         R = hi - lo
         state = np.tile(np.asarray(x0, dtype=float)[:, None], (1, R))
         z = sde.bank.make_state(R)
+        lin = sde.bank._lin
+        if lin:
+            z[lin] = sde.bank._start @ rng.standard_normal((len(lin), R))
         sqdt = math.sqrt(dt)
         for _ in range(warm_steps):
             z = _per_step(sde.bank, z, rng.standard_normal((sde.n_noise, R)) * sqdt)
@@ -415,18 +419,22 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.fixture(scope="module")
-def toy_chart_model(toy5):
-    """The toy reduced model with its chart as observables, as ``snf
-    compare`` builds them: five filters, Brownian and product slots."""
+def _chart_model(nf, params):
+    """The reduced model with its chart as observables, as ``snf compare``
+    builds them."""
     from snf.analysis import ssm_parametrisation
-    params = {"sigma": 0.05}
-    sde = compile_slow_model(toy5, params)
-    chart = ssm_parametrisation(toy5)
+    sde = compile_slow_model(nf, params)
+    chart = ssm_parametrisation(nf)
     obs = compile_observables([sampleable_part(s)[0] for s in chart.x_of_X],
-                              sde, params, toy5.spec.param_names,
+                              sde, params, nf.spec.param_names,
                               lambda m: tuple(m[0]))
     return sde, obs
+
+
+@pytest.fixture(scope="module")
+def toy_chart_model(toy5):
+    """The toy chart model: five filters, Brownian and product slots."""
+    return _chart_model(toy5, {"sigma": 0.05})
 
 
 def test_block_filter_step_is_the_per_step_recursion(toy_chart_model):
@@ -457,15 +465,7 @@ def test_filter_step_groups_the_toy_chart_into_three_runs(toy_chart_model):
 
 @pytest.mark.parametrize("R", [1, 3, 600])
 def test_block_filter_step_of_mixed_slots_is_the_per_step_recursion(R):
-    # A Brownian slot registered after a product slot joins its run; a
-    # product of both starts the next run.  Rates -1, -2 and -3, two noises.
-    z1 = noise.z_atom(F(-1), (noise.phi_atom(0),))
-    z2 = noise.z_atom(F(-2), (z1,))
-    z3 = noise.z_atom(F(-3), (noise.phi_atom(1),))
-    bank = FilterBank()
-    for atom in (z1, z2, z3, noise.z_atom(F(-1), (z2, z3)),
-                 noise.z_atom(F(-2), (noise.phi_atom(0),))):
-        bank.slot_for(atom)
+    bank = _mixed_bank()
     assert [(s.driver_kind, s.driver_slots) for s in bank.slots] == [
         ("w", ()), ("prod", (0,)), ("w", ()), ("prod", (1, 2)), ("w", ())]
     dt = 1e-2
@@ -482,6 +482,97 @@ def test_block_filter_step_of_mixed_slots_is_the_per_step_recursion(R):
             assert _same_bits(block[t], z_ref), (steps, t)
         z = block[-1]
     assert np.all(z != 0)
+
+
+# -- stationary start of the linear slots ----------------------------------
+
+def _linear_chain(bank, dt):
+    """Phi and G of the linear slots, built from the one-step update of
+    ``_per_step``, one unit increment of each state entry and noise at a
+    time."""
+    lin, n_noise = bank._lin, 1 + max(s.driver_k for s in bank.slots)
+    cols = []
+    for j in range(len(lin) + n_noise):
+        z, dw = np.zeros((bank.n, 1)), np.zeros((n_noise, 1))
+        if j < len(lin):
+            z[lin[j]] = 1.0
+        else:
+            dw[j - len(lin)] = 1.0
+        cols.append(_per_step(bank, z, dw)[lin, 0])
+    m = np.array(cols).T
+    return m[:, :len(lin)], m[:, len(lin):]
+
+
+def _mixed_bank():
+    # A Brownian slot registered after a product slot joins its run; a
+    # product of both starts the next run.  Rates -1, -2 and -3, two noises.
+    z1 = noise.z_atom(F(-1), (noise.phi_atom(0),))
+    z2 = noise.z_atom(F(-2), (z1,))
+    z3 = noise.z_atom(F(-3), (noise.phi_atom(1),))
+    bank = FilterBank()
+    for atom in (z1, z2, z3, noise.z_atom(F(-1), (z2, z3)),
+                 noise.z_atom(F(-2), (noise.phi_atom(0),))):
+        bank.slot_for(atom)
+    return bank
+
+
+@pytest.mark.parametrize("case", ["toy chart", "mixed"])
+@pytest.mark.parametrize("dt", [2e-3, 1e-2, 0.3])
+def test_stationary_start_solves_the_discrete_lyapunov_equation(toy_chart_model,
+                                                                case, dt):
+    bank = toy_chart_model[0].bank if case == "toy chart" else _mixed_bank()
+    bank.prepare(dt)
+    phi, g = _linear_chain(bank, dt)
+    p = bank._start @ bank._start.T
+    assert np.abs(p - phi @ p @ phi.T - dt * g @ g.T).max() < 1e-12
+
+
+def test_stationary_start_of_the_toy_chart_is_its_long_run_law(toy_chart_model):
+    bank = toy_chart_model[0].bank
+    bank.prepare(1e-2)
+    assert bank._lin == [0, 1]
+    p = bank._start @ bank._start.T
+    # Z[-1]{phi} and Z[-1]{Z[-1]{phi}}: variances 1/2, 1/4, covariance 1/4
+    assert np.abs(p - [[0.5, 0.25], [0.25, 0.25]]).max() < 1e-2
+    # from zero, 30 time units of the filters' own recursion forget the start
+    dt, R, steps = 1e-2, 2000, 3000
+    rng = np.random.default_rng(53)
+    z = bank.make_state(R)
+    for _ in range(0, steps, 100):
+        z = bank.step(z, rng.standard_normal((100, 1, R)) * math.sqrt(dt))[-1]
+    s = z[[0, 1]]
+    for i in range(2):
+        for j in range(2):
+            prod = s[i] * s[j]
+            assert abs(prod.mean() - p[i, j]) < 3 * prod.std() / math.sqrt(R), (i, j)
+
+
+def test_stationary_start_of_a_singular_chain_is_finite():
+    # Z[-2]{Z[-1]{phi0}} is Z[-1]{phi0} - Z[-2]{phi0}: the three phi0 slots
+    # span two dimensions, the phi1 slot one more
+    bank = _mixed_bank()
+    bank.prepare(1e-2)
+    assert bank._lin == [0, 1, 2, 4]
+    z = bank.make_state(5)
+    bank.start(z, np.random.default_rng(3))
+    assert np.all(np.isfinite(z)) and np.all(z[3] == 0)
+    p = bank._start @ bank._start.T
+    w = np.linalg.eigvalsh(p[np.ix_([0, 1, 3], [0, 1, 3])])
+    assert w[0] < 1e-12 * w[-1] < w[1]
+    assert np.linalg.matrix_rank(p, tol=1e-12) == 3
+
+
+def test_only_nonlinear_slots_spin_up(toy_chart_model, pk3):
+    # A slot is linear when Brownian, or driven by one linear slot; the
+    # others spin up for ten time constants after their slowest driver.
+    assert [s.spin_time for s in toy_chart_model[0].bank.slots] == [0, 0, 10, 10, 20]
+    assert toy_chart_model[0].bank.max_spin() == 20
+    pk = _chart_model(pk3, {"eps": 0.01, "sigma": 1.0})[0]
+    assert pk.bank.n == 2 and pk.bank.max_spin() == 0
+    bank = _mixed_bank()
+    two_slot_product = list(bank._index)[3]
+    assert bank.slots[bank.slot_for(noise.z_atom(F(-1), (two_slot_product,)))].spin_time == 20
+    assert [s.spin_time for s in bank.slots] == [0, 0, 0, 10, 0, 20]
 
 
 def test_block_filter_step_of_an_empty_bank():
@@ -515,7 +606,7 @@ def test_run_ensemble_is_the_per_step_loop(toy_chart_model, toy5, model, R):
 
 
 def test_run_ensemble_default_warmup_is_the_per_step_loop(toy_chart_model):
-    # the chart's nested filters need their full 30 time units of warm-up
+    # the chart's nonlinear filters need their full 20 time units of warm-up
     sde, obs = toy_chart_model
     got = run_ensemble(sde, [0.3], 0.1, 1e-2, 2, 5, [0.1], observables=obs)
     want = _per_step_ensemble(sde, [0.3], 0.1, 1e-2, 2, 5, [0.1], observables=obs)

@@ -322,3 +322,26 @@ def test_ungraded_fast_exponent_overflow_names_the_monomial():
         (S("sigma", t) + widest) * widest
     with pytest.raises(OverflowError, match=rf"exponent {top + 1} of monomial"):
         Series(DIMS, t, {(((0,), (top + 1,), (0,)), noise.ONE): F(1)})
+
+
+def test_noise_derivative_is_computed_once_per_product_across_a_construct(monkeypatch):
+    # Series.diff_noise reads d/dt of each noise product from one
+    # process-wide memo; no caller may change the sums it hands out.
+    from collections import Counter
+    from conftest import make_system
+    from snf import series
+    from snf.engine import construct
+    from snf.systems import ALLOW
+    calls, diff = Counter(), noise.diff
+
+    def spy(s):
+        calls.update(s)
+        return diff(s)
+
+    monkeypatch.setattr(series, "_DIFFS", {})
+    monkeypatch.setattr(noise, "diff", spy)
+    construct(make_system("toy.snf", total=5), ALLOW)
+    assert len(calls) > 10 and max(calls.values()) == 1
+    assert set(calls) == set(series._DIFFS)
+    for expr, d in series._DIFFS.items():
+        assert d == diff({expr: F(1)})
