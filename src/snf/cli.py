@@ -167,10 +167,7 @@ def cmd_simulate(args) -> int:
         if not nf.certified:
             return EXIT_CERT
         if args.model == "longtime":
-            lt = long_time_model(nf)
-            amps = {f.index: math.sqrt(float(f.intensity)) for f in lt.fresh}
-            sde = compile_slow_model(nf, params, n_noise=spec.n_noise + len(lt.fresh),
-                                     noise_amp=amps, F_override=lt.F)
+            sde = compile_slow_model(nf, params, long_time_model(nf))
         else:
             sde = compile_slow_model(nf, params)
         x0 = args.x0 or [0.0] * spec.m

@@ -4,18 +4,19 @@ A series-defined evolution compiles to drift/diffusion term lists over a
 numeric state vector, and to the plan that ``CompiledSDE.rates`` evaluates:
 each distinct state power once per call, then each term as its coefficient
 times its factors, added into its row in term order.  Memory convolutions
-appearing as coefficients become a bank of exponential filters, the
-package's one filter (``filter_weights``, ``trapezoid_input``,
-``run_filter``; ``snf.paths`` samples it too).  The slots linear in the
-noise (a filtered Brownian motion, or a filter of one such slot) start from
-the exact stationary law of their discrete recursion, a Gaussian whose
-covariance solves a discrete Lyapunov equation; only the other slots, the
-filters of products, spin up from zero before time zero.  Driven by noise
-alone, the bank advances a block of steps at a time: each slot's input over
-the block is one vectorised expression, and the recursion then steps
-time-major, one run of mutually independent slots at a time, across every
-replicate at once.  The state is stepped one step at a time inside the
-block.
+appearing as coefficients become a bank of exponential filters: the
+package's one decomposition of an atom into filter slots (``FilterSlots``,
+which ``snf.paths`` samples along a path too), each slot the package's one
+filter (``filter_weights``, ``trapezoid_input``, ``run_filter``).  The
+slots linear in the noise (a filtered Brownian motion, or a filter of one
+such slot) start from the exact stationary law of their discrete
+recursion, a Gaussian whose covariance solves a discrete Lyapunov
+equation; only the other slots, the filters of products, spin up from
+zero before time zero.  Driven by noise alone, the bank advances a block
+of steps at a time: each slot's input over the block is one vectorised
+expression, and the recursion then steps time-major, one run of mutually
+independent slots at a time, across every replicate at once.  The state
+is stepped one step at a time inside the block.
 
 A replicate chunk is one random stream: replicates are split into chunks,
 each drawing from its own stream spawned from the master seed, so results
@@ -45,7 +46,8 @@ from scipy.signal import lfilter
 from . import noise
 from .render import render_noise, render_series
 from .series import Series
-from .systems import CompileError, SystemSpec, NormalForm
+from .analysis import LongTimeModel
+from .systems import CompileError, IllFormedForSampling, NormalForm, SystemSpec
 
 
 # Steps per FilterBank.step call at 512 replicates: every block, warm-up and
@@ -98,8 +100,13 @@ class FilterSlot:
     spin_time: float = 0.0           # 0: linear in the noise, starts stationary
 
 
-class FilterBank:
-    """Cascade of forward exponential filters z' = mu z + (input)."""
+class FilterSlots:
+    """The one decomposition of convolution atoms into a cascade of
+    exponential filters z' = mu z + (input), drivers first: a filter of
+    Brownian motion (``"w"``) or of a product of earlier slots
+    (``"prod"``).  ``FilterBank`` steps them forward across replicates and
+    ``snf.paths.PathSampler`` filters them along one path, anticipating
+    slots (rate > 0) on reversed time."""
 
     def __init__(self):
         self.slots: List[FilterSlot] = []
@@ -108,13 +115,9 @@ class FilterBank:
     def slot_for(self, atom) -> int:
         if atom in self._index:
             return self._index[atom]
-        mu = float(atom[1])
-        if mu >= 0:
-            raise CompileError(
-                "anticipatory convolutions cannot be pre-sampled in a forward "
-                f"simulation (rate {atom[1]})")
         if not noise.pointwise((atom,)):
-            raise CompileError(f"no pointwise values: {render_noise((atom,))}")
+            raise IllFormedForSampling(f"no pointwise values: {render_noise((atom,))}")
+        mu = float(atom[1])
         ks, rest = noise.split_bare(atom[2])
         if ks:
             slot = FilterSlot(mu, "w", driver_k=ks[0])
@@ -132,6 +135,16 @@ class FilterBank:
     @property
     def n(self) -> int:
         return len(self.slots)
+
+
+class FilterBank(FilterSlots):
+    """The slots of forward filters, stepped across all replicates at once."""
+
+    def slot_for(self, atom) -> int:
+        if noise.anticipates((atom,)):
+            raise CompileError("anticipatory convolutions cannot be pre-sampled in a "
+                               f"forward simulation: {render_noise((atom,))}")
+        return super().slot_for(atom)
 
     def max_spin(self) -> float:
         return max((s.spin_time for s in self.slots), default=0.0)
@@ -308,7 +321,8 @@ def compile_series(series_list: Sequence[Series], state_names: Sequence[str],
 
     ``state_of`` maps a monomial to state exponents; parameter exponents are
     folded into the coefficient using ``params``.  ``bank.slot_for`` numbers
-    the convolution factors; a ``FilterBank`` rejects anticipatory rates.
+    the convolution factors: a ``FilterBank`` rejects anticipatory ones, a
+    ``snf.paths.PathSampler`` samples them on its path.
     """
     bank = FilterBank() if bank is None else bank
     all_terms: List[List[CompiledTerm]] = []
@@ -346,12 +360,15 @@ def compile_full_system(spec: SystemSpec, params: Dict[str, float]) -> CompiledS
 
 
 def compile_slow_model(nf: NormalForm, params: Dict[str, float],
-                       n_noise: Optional[int] = None,
-                       noise_amp: Optional[Dict[int, float]] = None,
-                       F_override: Optional[Sequence[Series]] = None) -> CompiledSDE:
-    """The decoupled slow evolution dX = AX + F, state (slow...)."""
+                       long_time: Optional[LongTimeModel] = None) -> CompiledSDE:
+    """The decoupled slow evolution dX = AX + F, state (slow...).  With
+    ``long_time``, F is its drift and its fresh noises follow the system's,
+    each with amplitude sqrt(intensity)."""
     spec = nf.spec
-    F = list(F_override) if F_override is not None else nf.F
+    F, n_noise, amps = nf.F, spec.n_noise, None
+    if long_time is not None:
+        F, n_noise = long_time.F, n_noise + len(long_time.fresh)
+        amps = {f.index: math.sqrt(float(f.intensity)) for f in long_time.fresh}
     xdot = [spec.linear_xdot()[i] + F[i] for i in range(spec.m)]
     for s in xdot:
         for (mono, _e), _c in s.terms.items():
@@ -362,7 +379,7 @@ def compile_slow_model(nf: NormalForm, params: Dict[str, float],
         return tuple(mono[0])
 
     return compile_series(xdot, spec.slow_names, state_of, params,
-                          spec.param_names, n_noise or spec.n_noise, noise_amp)
+                          spec.param_names, n_noise, amps)
 
 
 def sampleable_part(s: Series) -> Tuple[Series, List[Tuple]]:

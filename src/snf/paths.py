@@ -4,27 +4,26 @@ A path carries increments ``dW ~ N(0, dt)`` on a grid that extends beyond
 the working window ``[0, T]`` by a spin-up prefix and a trim suffix, so that
 memory convolutions (rate < 0, filtered forward) and anticipatory
 convolutions (rate > 0, filtered backward from the end) are stationary over
-the whole working window.  The filter is the one of ``snf.mc``.
+the whole working window.  A ``PathSampler`` filters the slots of its own
+``snf.mc.FilterSlots``, the decomposition the ensemble filter bank steps,
+with the filter of ``snf.mc``: a memory slot along the path, an
+anticipating slot as the memory filter on reversed time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import noise
-from .mc import (SPINUP_TIME_CONSTANTS, compile_series, filter_weights,
-                 run_filter, trapezoid_input)
-from .noise import Expr, ONE
+from .mc import (SPINUP_TIME_CONSTANTS, FilterSlot, FilterSlots, compile_series,
+                 filter_weights, run_filter, trapezoid_input)
+from .noise import Expr
 from .render import render_noise
-
-
-class IllFormedForSampling(ValueError):
-    """A product without pointwise values, or a path too short to sample it."""
+from .systems import IllFormedForSampling
 
 
 @dataclass
@@ -72,15 +71,10 @@ class NoisePath:
     def main_slice(self) -> slice:
         return slice(self.main_lo, self.main_hi + 1)
 
-    def reversed(self) -> "NoisePath":
-        return NoisePath(self.dt, self.n_main, self.n_trim, self.n_spin,
-                         self.increments[:, ::-1].copy(), self.seed)
-
 
 @dataclass
 class ConvolutionSample:
     """A filtered-noise trajectory on the path grid with its valid window."""
-    rate: Fraction
     values: np.ndarray
     valid_lo: int
     valid_hi: int
@@ -92,90 +86,56 @@ class ConvolutionSample:
         return self.values[path.main_slice()]
 
 
-def _forward(path: NoisePath, mu: float, a: float, x, lo: int, hi: int) -> ConvolutionSample:
-    # from zero at the first grid point; valid ten time constants after lo
-    z = np.concatenate(([0.0], run_filter(a, x)))
-    spin = int(math.ceil(SPINUP_TIME_CONSTANTS / (abs(mu) * path.dt)))
-    return ConvolutionSample(Fraction(mu), z, lo + spin, hi)
-
-
-def _filter_forward_dw(path: NoisePath, mu: float, k: int) -> ConvolutionSample:
-    a, c = filter_weights(mu, path.dt)
-    return _forward(path, mu, a, c * path.increments[k], 0, path.n_total)
-
-
-def _filter_forward_signal(path: NoisePath, mu: float,
-                           f: ConvolutionSample) -> ConvolutionSample:
-    a, _c = filter_weights(mu, path.dt)
-    x = trapezoid_input(a, f.values[:-1], f.values[1:], path.dt)
-    return _forward(path, mu, a, x, f.valid_lo, f.valid_hi)
-
-
-def _mirror(s: ConvolutionSample, n_total: int) -> ConvolutionSample:
-    """The same sample on the time-reversed grid (point i <-> n_total - i),
-    with the rate negated."""
-    return ConvolutionSample(-s.rate, s.values[::-1], n_total - s.valid_hi,
-                             n_total - s.valid_lo)
-
-
 class PathSampler:
-    """Evaluates pointwise noise products on a path, caching filters."""
+    """Evaluates pointwise noise products on a path: each convolution atom
+    is a slot of ``slots``, filtered once along the path."""
 
     def __init__(self, path: NoisePath):
         self.path = path
+        self.slots = FilterSlots()
+        self.samples: List[ConvolutionSample] = []
         self._cache: Dict[Expr, ConvolutionSample] = {}
 
-    def atom(self, a) -> ConvolutionSample:
-        return self.expr((a,))
+    def slot_for(self, atom) -> int:
+        """The atom's slot; every slot this adds is filtered, drivers first."""
+        i = self.slots.slot_for(atom)
+        for s in self.slots.slots[len(self.samples):]:
+            self.samples.append(self._filter(s))
+        return i
 
     def expr(self, expr: Expr) -> ConvolutionSample:
-        if expr in self._cache:
-            return self._cache[expr]
-        if expr == ONE:
-            out = ConvolutionSample(Fraction(0), np.ones(self.path.n_points),
-                                    0, self.path.n_total)
-        elif len(expr) == 1:
-            out = self._single(expr[0])
+        if expr not in self._cache:
+            self._cache[expr] = self._product([self.slot_for(a) for a in expr])
+        return self._cache[expr]
+
+    def _product(self, slots: Sequence[int]) -> ConvolutionSample:
+        parts = [self.samples[i] for i in slots]
+        if len(parts) == 1:
+            return parts[0]
+        vals = np.ones(self.path.n_points)
+        for p in parts:
+            vals *= p.values
+        return ConvolutionSample(vals, max((p.valid_lo for p in parts), default=0),
+                                 min((p.valid_hi for p in parts),
+                                     default=self.path.n_total))
+
+    def _filter(self, s: FilterSlot) -> ConvolutionSample:
+        """A memory slot filtered forward from zero at the first grid point,
+        valid ten time constants after its input's window opens; an
+        anticipating slot the same on reversed time (d = -1), valid until
+        ten time constants before its input's window closes."""
+        path, d = self.path, 1 if s.rate < 0 else -1
+        a, c = filter_weights(-abs(s.rate), path.dt)
+        if s.driver_kind == "w":
+            x, lo, hi = c * path.increments[s.driver_k, ::d], 0, path.n_total
         else:
-            parts = [self.expr((a,)) for a in expr]
-            vals = parts[0].values.copy()
-            for p in parts[1:]:
-                vals *= p.values
-            out = ConvolutionSample(Fraction(0), vals,
-                                    max(p.valid_lo for p in parts),
-                                    min(p.valid_hi for p in parts))
-        self._cache[expr] = out
-        return out
-
-    def _single(self, a) -> ConvolutionSample:
-        if not noise.pointwise((a,)):
-            raise IllFormedForSampling(f"no pointwise values: {render_noise((a,))}")
-        mu, child = float(a[1]), a[2]
-        path, n = self.path, self.path.n_total
-        ks, _rest = noise.split_bare(child)
-        if ks:
-            if mu < 0:
-                return _filter_forward_dw(path, mu, ks[0])
-            # An anticipating filter is the memory filter on reversed time.
-            return _mirror(_filter_forward_dw(path.reversed(), -mu, ks[0]), n)
-        inner = self.expr(child)
-        if mu < 0:
-            return _filter_forward_signal(path, mu, inner)
-        return _mirror(_filter_forward_signal(path, -mu, _mirror(inner, n)), n)
-
-
-def sample_convolution(path: NoisePath, expr: Expr) -> ConvolutionSample:
-    """Pointwise values of a noise product on the path grid."""
-    return PathSampler(path).expr(expr)
-
-
-class _AtomSlots(list):
-    """Convolution atoms of either rate sign, numbered for compile_series."""
-
-    def slot_for(self, atom) -> int:
-        if atom not in self:
-            self.append(atom)
-        return self.index(atom)
+            u = self._product(s.driver_slots)
+            r = u.values[::d]
+            x, lo, hi = trapezoid_input(a, r[:-1], r[1:], path.dt), u.valid_lo, u.valid_hi
+        z = np.concatenate(([0.0], run_filter(a, x)))[::d]
+        spin = int(math.ceil(SPINUP_TIME_CONSTANTS / (abs(s.rate) * path.dt)))
+        return (ConvolutionSample(z, lo + spin, hi) if d == 1
+                else ConvolutionSample(z, lo, hi - spin))
 
 
 def evaluate_series(sampler: PathSampler, series, params: Dict[str, float],
@@ -189,13 +149,12 @@ def evaluate_series(sampler: PathSampler, series, params: Dict[str, float],
     for (_mono, expr), _c in series.terms.items():
         if not noise.pointwise(expr):
             raise IllFormedForSampling(f"no pointwise values: {render_noise(expr)}")
-    slots = _AtomSlots()
     sde = compile_series([series], ("value",),
                          lambda mono: tuple(mono[0]) + tuple(mono[1]), params,
-                         series.dims.params, series.dims.noises, bank=slots)
+                         series.dims.params, series.dims.noises, bank=sampler)
     n = sampler.path.n_points
     state = np.array([np.broadcast_to(v, n) for v in (*slow, *fast)]).reshape(-1, n)
-    z = np.array([sampler.atom(a).values for a in slots]).reshape(-1, n)
+    z = [s.values for s in sampler.samples]
     return sde.rates(state, z)[0][0]
 
 

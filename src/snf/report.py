@@ -20,6 +20,11 @@ class ReportError(ValueError):
     component."""
 
 
+# the header lines emit_report writes, in its order
+_HEADER_KEYS = ("system", "policy", "mu_min", "order", "param_caps", "grade_fast",
+                "certified")
+
+
 def truncation_header(spec: SystemSpec) -> List[Tuple[str, str]]:
     """The header fields that state the truncation a report was derived at."""
     caps = ", ".join(f"{p}<={c}" for p, c in zip(spec.param_names, spec.trunc.param_caps)
@@ -104,6 +109,7 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
     unbounded = replace(spec.trunc, total=sys.maxsize, param_caps=())
     header: Dict[str, str] = {}
     sections: Dict[str, Dict[str, Series]] = {}
+    header_line: Dict[str, int] = {}
     seen: Dict[Tuple[str, str], int] = {}    # (section, lhs) -> its line
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -116,7 +122,14 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
                 current = key.strip()
                 sections.setdefault(current, {})
             else:
-                header[key.strip()] = val.strip()
+                key = key.strip()
+                if key not in _HEADER_KEYS:
+                    raise ReportError(f"report line {lineno}: unknown header key {key!r}")
+                first = header_line.setdefault(key, lineno)
+                if first != lineno:
+                    raise ReportError(f"report line {lineno}: header '{key}: ...' "
+                                      f"repeats line {first}")
+                header[key] = val.strip()
             continue
         if current is None:
             raise ReportError(f"report line {lineno}: series line outside any "

@@ -19,6 +19,10 @@ class CompileError(ValueError):
     """The series cannot be integrated as a forward SDE."""
 
 
+class IllFormedForSampling(CompileError):
+    """A product without pointwise values, or a path too short to sample it."""
+
+
 class PolicyConflict(Exception):
     """A forcing arose that the active anticipation policy cannot assign."""
 

@@ -146,9 +146,7 @@ def test_criterion_3_two_scale_system():
                 and lt.fresh[0].rate == F(-1) and not lt.leftovers)
     # slow-time restoration at sigma = 1: numeric drift/diffusion of (4.12)
     eps = 0.01
-    sde = compile_slow_model(
-        nf, {"eps": eps, "sigma": 1.0}, n_noise=2,
-        noise_amp={1: math.sqrt(0.5)}, F_override=lt.F)
+    sde = compile_slow_model(nf, {"eps": eps, "sigma": 1.0}, lt)
     state = np.array([[0.3]])
     z = sde.bank.make_state(1)
     drift, diff = sde.rates(state, z)

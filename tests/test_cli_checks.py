@@ -348,6 +348,22 @@ def test_verify_of_a_report_repeating_a_line_exits_2(
                                        f"repeats line {n + 1} in section evolution\n")
 
 
+@pytest.mark.parametrize("after,extra,message", [
+    # the verdict would follow the second policy line
+    ("policy: anticipate\n", "policy: no-anticipate\n", "header 'policy: ...' repeats line {}"),
+    ("order: 3\n", "order: 3\n", "header 'order: ...' repeats line {}"),
+    ("order: 3\n", "foo: bar\n", "unknown header key 'foo'"),
+])
+def test_verify_of_a_report_with_a_bad_header_line_exits_2(
+        toy_path, tmp_path, toy3_report, capsys, after, extra, message):
+    lines = toy3_report.splitlines(keepends=True)
+    n = lines.index(after)
+    lines.insert(n + 1, extra)
+    assert _verify(toy_path, tmp_path, "".join(lines)) == EXIT_PARSE
+    assert capsys.readouterr().err == (f"error: report line {n + 2}: "
+                                       f"{message.format(n + 1)}\n")
+
+
 @pytest.mark.parametrize("bad,message", [
     ("X^3/2", "expected an integer, got 3/2"),
     ("phi[1/2]", "expected an integer, got 1/2"),

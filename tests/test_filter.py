@@ -1,5 +1,6 @@
-"""The exponential filter has one definition: a path sample and the Monte
-Carlo filter bank give bitwise equal trajectories on the same increments."""
+"""The exponential filter and its slot decomposition have one definition: a
+path sampler and the Monte Carlo filter bank build the same slots and give
+bitwise equal trajectories on the same increments."""
 
 from fractions import Fraction
 
@@ -35,6 +36,23 @@ def test_path_sample_is_the_filter_bank_trajectory(name, dt):
     # one replicate, the path's increments as (steps, n_noise, R)
     block = bank.step(bank.make_state(1), path.increments.T[:, :, None])
     got = np.concatenate(([0.0], block[:, slot, 0]))
-    want = PathSampler(path).atom(atom).values
+    want = PathSampler(path).expr((atom,)).values
     assert got.tobytes() == want.tobytes()
     assert np.count_nonzero(want) == path.n_total
+
+
+def path_slots(atoms):
+    """The slots a path sampler builds for ``atoms``, taken in order."""
+    sampler = PathSampler(NoisePath.generate(1.0, 1e-2, seed=3, spin=0.0))
+    for atom in atoms:
+        sampler.slot_for(atom)
+    return sampler.slots.slots
+
+
+@pytest.mark.parametrize("name", sorted(SLOTS))
+def test_path_sampler_builds_the_filter_bank_slots(name):
+    atom = SLOTS[name][0]
+    bank = FilterBank()
+    bank.slot_for(atom)
+    assert path_slots([atom]) == bank.slots
+

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -148,7 +149,15 @@ def test_anticipatory_model_rejected(toy3):
     spec = toy3.spec
     bad = parse_series_for("x*Z[+1]{ phi[0] }", spec)
     with pytest.raises(CompileError):
-        compile_slow_model(toy3, {"sigma": 0.1}, F_override=[bad])
+        compile_slow_model(replace(toy3, F=[bad]), {"sigma": 0.1})
+
+
+def test_filter_bank_names_the_anticipating_product():
+    # refused at compile time, naming the whole product, not its inner rate
+    inner = noise.z_atom(F(1), (noise.phi_atom(0),))
+    with pytest.raises(CompileError, match=r"forward simulation: "
+                       r"Z\[-1\]\{ Z\[\+1\]\{ phi\[0\] \} \}$"):
+        FilterBank().slot_for(noise.z_atom(F(-1), (inner,)))
 
 
 def test_filter_bank_names_a_product_without_pointwise_values(toy3):
@@ -157,7 +166,7 @@ def test_filter_bank_names_a_product_without_pointwise_values(toy3):
     bad = parse_series_for("x*Z[-1]{ phi[0]*Z[-1]{ phi[0] } }", toy3.spec)
     with pytest.raises(CompileError, match=r"^no pointwise values: "
                        r"Z\[-1\]\{ phi\[0\]\*Z\[-1\]\{ phi\[0\] \} \}$"):
-        compile_slow_model(toy3, {"sigma": 0.1}, F_override=[bad])
+        compile_slow_model(replace(toy3, F=[bad]), {"sigma": 0.1})
 
 
 def test_slow_model_must_not_depend_on_fast(toy3_noanticipate):
@@ -278,7 +287,7 @@ def test_linear_chain_noise_coefficient_against_exact_variance():
     times = [80.0, 100.0, 120.0]
 
     def stationary_var(F_series, seed):
-        sde = compile_slow_model(nf, params, F_override=[F_series])
+        sde = compile_slow_model(replace(nf, F=[F_series]), params)
         obs = compile_observables(chart.x_of_X, sde, params, spec.param_names,
                                   lambda m: tuple(m[0]))
         r = run_ensemble(sde, [0.0], 120.0, 2e-3, 512, seed, times,
@@ -455,6 +464,14 @@ def test_block_filter_step_is_the_per_step_recursion(toy_chart_model):
             assert _same_bits(block[t], z_ref), (steps, t)
         z = block[-1]
     assert np.all(z != 0)
+
+
+def test_path_sampler_builds_the_toy_chart_bank(toy_chart_model):
+    from test_filter import path_slots
+    bank = toy_chart_model[0].bank
+    atoms = list(bank._index)       # in slot order
+    assert len(atoms) == 5
+    assert path_slots(atoms) == bank.slots
 
 
 def test_filter_step_groups_the_toy_chart_into_three_runs(toy_chart_model):
@@ -681,9 +698,7 @@ def test_rates_is_the_per_term_evaluator(request, toy_chart_model, case):
                    else compile_slow_model(nf, params))
         else:
             from snf.analysis import long_time_model
-            sde = compile_slow_model(nf, params, n_noise=2,
-                                     noise_amp={1: math.sqrt(0.5)},
-                                     F_override=long_time_model(nf).F)
+            sde = compile_slow_model(nf, params, long_time_model(nf))
             assert sde.n_noise == 2 and any(t.noise_k == 1 for t in sde.terms[0])
     _check_rates(sde, sde.bank.n)
 

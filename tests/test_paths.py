@@ -9,8 +9,9 @@ import pytest
 
 from snf import noise
 from snf.noise import phi_atom, product, z_atom
+from snf.mc import filter_weights, run_filter, trapezoid_input
 from snf.paths import (IllFormedForSampling, NoisePath, PathSampler,
-                       evaluate_series, integrate_expression, sample_convolution)
+                       evaluate_series, integrate_expression)
 
 F = Fraction
 PHI = phi_atom(0)
@@ -31,7 +32,7 @@ def test_definition_matches_direct_quadrature():
     # Z[-1] phi at a grid point versus the brute-force Riemann sum of
     # exp(-(t - tau)) dW over the whole available past.
     p = NoisePath.generate(10.0, DT, 1, seed=3, spin=30.0)
-    s = sample_convolution(p, (ZM,))
+    s = PathSampler(p).expr((ZM,))
     i = p.main_hi
     taus = (np.arange(p.n_total) + 0.5 - p.n_spin) * DT
     t = (i - p.n_spin) * DT
@@ -43,11 +44,10 @@ def test_constant_input():
     # Z[mu] 1 = 1/|mu| : a filter driven by the unit signal converges to 1/2
     # for mu = -2 after its spin-up window.
     p = NoisePath.generate(10.0, DT, 1, seed=4, spin=30.0)
-    smp = PathSampler(p)
-    one = smp.expr(noise.ONE)
-    from snf.paths import _filter_forward_signal
-    out = _filter_forward_signal(p, -2.0, one)
-    assert abs(out.values[p.main_hi] - 0.5) < 1e-6
+    one = PathSampler(p).expr(noise.ONE).values
+    a, _c = filter_weights(-2.0, p.dt)
+    out = np.concatenate(([0.0], run_filter(a, trapezoid_input(a, one[:-1], one[1:], p.dt))))
+    assert abs(out[p.main_hi] - 0.5) < 1e-6
 
 
 def test_stationary_second_moments():
@@ -163,10 +163,10 @@ def test_canonical_product_samples_as_pointwise_product():
 
 def test_time_reversal_duality():
     p = NoisePath.generate(20.0, DT, 1, seed=37, spin=30.0, trim=30.0)
-    rev = p.reversed()
+    rev = NoisePath(p.dt, p.n_main, p.n_trim, p.n_spin, p.increments[:, ::-1].copy(), p.seed)
     sl = p.main_slice()
-    fwd = sample_convolution(p, (ZP,)).values[sl]
-    dual = sample_convolution(rev, (ZM,)).values[::-1][sl]
+    fwd = PathSampler(p).expr((ZP,)).values[sl]
+    dual = PathSampler(rev).expr((ZM,)).values[::-1][sl]
     assert np.max(np.abs(fwd - dual)) < 1e-12
 
 
@@ -183,7 +183,7 @@ def test_bare_noise_rejected_pointwise():
 
 def test_window_too_short_rejected():
     p = NoisePath.generate(5.0, DT, 1, seed=43, spin=1.0)
-    s = sample_convolution(p, (ZM,))
+    s = PathSampler(p).expr((ZM,))
     with pytest.raises(IllFormedForSampling):
         s.main_values(p)
 
@@ -195,14 +195,14 @@ def test_filter_error_shrinks_with_dt():
     seed = 51
     fine_dt = 2.5e-4
     ref = NoisePath.generate(5.0, fine_dt, 1, seed=seed, spin=20.0)
-    ref_z = sample_convolution(ref, (ZM,)).values
+    ref_z = PathSampler(ref).expr((ZM,)).values
     for factor in (8, 4, 2):
         dt = fine_dt * factor
         # coarse path uses the same Brownian motion: sum fine increments
         inc = ref.increments[0].reshape(-1, factor).sum(axis=1)[None, :]
         coarse = NoisePath(dt, int(round(5.0 / dt)), int(ref.n_spin / factor),
                            0, inc, seed)
-        z = sample_convolution(coarse, (ZM,)).values
+        z = PathSampler(coarse).expr((ZM,)).values
         errs.append(np.max(np.abs(z[coarse.main_slice()]
                                   - ref_z[::factor][coarse.main_slice()])))
     assert errs[0] > errs[1] > errs[2]
@@ -221,7 +221,7 @@ def test_evaluate_series_samples_anticipating_factors():
     x = np.linspace(0.1, 0.4, p.n_points)
     sigma, y = 0.3, 0.2
     got = evaluate_series(smp, s, {"sigma": sigma}, [x], [y])
-    zm, zp = smp.atom(ZM).values, smp.atom(ZP).values
+    zm, zp = smp.expr((ZM,)).values, smp.expr((ZP,)).values
     want = x * zp - 1.5 * sigma ** 2 * x ** 2 * y * zm * zp + 5 * x
     assert np.max(np.abs(got - want)) < 1e-12
     with pytest.raises(IllFormedForSampling):
