@@ -63,9 +63,16 @@ def _params(pairs: List[str], spec) -> Dict[str, float]:
     return out
 
 
+def _seed_option(args) -> None:
+    """Refuse a negative ``--seed``, which numpy's seeding rejects."""
+    if args.seed < 0:
+        raise SysFileError(f"--seed: need a non-negative integer, got {args.seed}")
+
+
 def _run_options(args) -> List[float]:
     """Check the ensemble options of simulate and compare; the sample times."""
     from .mc import grid_steps, sample_steps
+    _seed_option(args)
     if args.T <= 0 or args.dt <= 0 or args.T < args.dt:
         raise SysFileError("need a positive horizon T >= dt")
     try:
@@ -258,6 +265,7 @@ def _hopf_options(args) -> None:
                            f"offset; got {args.T:g}")
     if args.replicates < 1:
         raise SysFileError(f"--replicates: need at least 1, got {args.replicates}")
+    _seed_option(args)
 
 
 def cmd_hopf(args) -> int:

@@ -15,8 +15,10 @@ equation; only the other slots, the filters of products, spin up from
 zero before time zero.  Driven by noise alone, the bank advances a block
 of steps at a time: each slot's input over the block is one vectorised
 expression, and the recursion then steps time-major, one run of mutually
-independent slots at a time, across every replicate at once.  The state
-is stepped one step at a time inside the block.
+independent slots at a time, across every replicate at once.  Both are
+written in place into one workspace that the bank keeps for its replicate
+width, so a block it returns is valid until its next step.  The state is
+stepped one step at a time inside the block.
 
 A replicate chunk is one random stream: replicates are split into chunks,
 each drawing from its own stream spawned from the master seed, so results
@@ -24,8 +26,9 @@ are reproducible from the master seed and independent across replicates.
 A chunk draws its linear slots' stationary start first, then its warm-up,
 then its horizon increments.  Warm-up and horizon step all chunks as one
 array, in blocks of the same size, each chunk's increments filling its own
-columns.  A chunk draws each block's increments in one call, which consumes
-its stream exactly as one draw per step would.
+columns.  A chunk draws each block's increments in one call into a buffer
+of its own, which consumes its stream exactly as one draw per step would,
+and scales them into its columns of one increment block reused throughout.
 
 Heun (explicit midpoint) stepping: terms carrying one bare noise factor
 contribute coefficient * dW, terms without contribute coefficient * dt, and
@@ -53,9 +56,9 @@ from .systems import CompileError, IllFormedForSampling, NormalForm, SystemSpec
 # Steps per FilterBank.step call at 512 replicates: every block, warm-up and
 # horizon alike, holds _BLOCK * 512 replicate-steps whatever the ensemble's
 # width.  Longer blocks amortise the per-slot input expressions but hold
-# more memory: in 512-replicate chunks of the toy chart's five filters, 32
-# steps added about 2 MiB of peak RSS over stepping one step at a time, 64
-# steps about 6 MiB.
+# more memory: in 512-replicate chunks of the toy chart's five filters (R =
+# 512 and 4096, dt = 2e-3, T = 2), 32 steps added about 1 MiB of peak RSS
+# over stepping one step at a time, 64 steps about 2 MiB.
 _BLOCK = 32
 
 # Spin-up of a filter from a zero start, in its time constants: every filter
@@ -80,9 +83,15 @@ def filter_weights(rate: float, dt: float) -> Tuple[float, float]:
     return a, math.sqrt((1.0 - a * a) / (2.0 * abs(rate)) / dt)
 
 
-def trapezoid_input(a: float, u_old, u_new, dt: float):
-    """The filter's input over one step from a signal u, by the trapezoid."""
-    return (dt / 2.0) * (a * u_old + u_new)
+def trapezoid_input(a: float, u_old, u_new, dt: float, out=None):
+    """The filter's input over one step from a signal u, by the trapezoid,
+    (dt/2)(a u_old + u_new), computed in place in ``out`` (a new array by
+    default)."""
+    if out is None:
+        out = np.empty(np.broadcast(u_old, u_new).shape)
+    np.multiply(a, u_old, out=out)
+    np.add(out, u_new, out=out)
+    return np.multiply(dt / 2.0, out, out=out)
 
 
 def run_filter(a: float, x: np.ndarray, y0=0.0) -> np.ndarray:
@@ -165,6 +174,7 @@ class FilterBank(FilterSlots):
                 lo = i
         if self.slots:
             self._groups.append((lo, self.n))
+        self._work = None
         self._stationary_start(dt)
 
     def _stationary_start(self, dt: float):
@@ -206,36 +216,56 @@ class FilterBank(FilterSlots):
         if self._lin:
             z[self._lin] = self._start @ rng.standard_normal((len(self._lin), z.shape[1]))
 
+    def _workspace(self, steps: int, R: int):
+        """The arrays ``step`` writes, kept from call to call: the (steps+1,
+        n, R) output, one (steps+1, R) product row, one (k_max, R) row of
+        decayed states for a run of k <= k_max slots, and per run its
+        decays broadcast to (k, R) (numpy multiplies by a full operand
+        about twice as fast as by a broadcast column) and its per-step
+        (k, R) output views.  Made afresh only for a new replicate width or
+        a longer block."""
+        if self._work is None or len(self._work[0]) <= steps or self._work[1].shape[1] != R:
+            k_max = max((hi - lo for lo, hi in self._groups), default=0)
+            out, decayed = np.empty((steps + 1, self.n, R)), np.empty((k_max, R))
+            a = np.repeat(self._a[:, None], R, axis=1)
+            runs = [(a[lo:hi], decayed[:hi - lo], list(out[:, lo:hi]))
+                    for lo, hi in self._groups]
+            self._work = (out, np.empty((steps + 1, R)), runs)
+        return self._work
+
     def step(self, z: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """Advance every slot over a block of steps from state ``z`` (n, R);
         ``dw`` has shape (steps, n_noise, R).  Returns the state after each
-        step, shape (steps, n, R).
+        step, shape (steps, n, R), in the bank's workspace: it is valid
+        until the next ``step`` call, which may overwrite it (``z`` may be
+        a row of it).
 
         Time-major, one run of slots (``prepare``) at a time: each slot's
         input over the block is one vectorised expression, c dW (Brownian
         slot) or the trapezoid of its drivers' product (product slot;
         drivers sit in earlier runs, so their trajectories are filled in),
-        and then the run steps ``w[t+1] = a w[t] + x[t]`` on its (k, R) slab.
-        This is bitwise ``run_filter`` and the per-step recursion."""
+        written where the slot's trajectory goes; then the run steps
+        ``w[t+1] = a w[t] + x[t]`` on its (k, R) slab, adding the decayed
+        state to the input in place.  This is bitwise ``run_filter`` and
+        the per-step recursion."""
         steps, _, R = dw.shape
-        out = np.empty((steps + 1, self.n, R))
+        out, prod, runs = self._workspace(steps, R)
+        out, prod = out[:steps + 1], prod[:steps + 1]
         out[0] = z
-        for lo, hi in self._groups:
-            x = np.empty((steps, hi - lo, R))
+        for (lo, hi), (a, decayed, w) in zip(self._groups, runs):
             for i in range(lo, hi):
                 s = self.slots[i]
                 if s.driver_kind == "w":
-                    np.multiply(self._c[i], dw[:, s.driver_k], out=x[:, i - lo])
+                    np.multiply(self._c[i], dw[:, s.driver_k], out=out[1:, i])
                 else:
                     u = out[:, s.driver_slots[0]]
                     for d in s.driver_slots[1:]:
-                        u = u * out[:, d]
-                    x[:, i - lo] = trapezoid_input(self._a[i], u[:-1], u[1:], self._dt)
-            # each step's (k, R) views made once, not indexed twice per step
-            a, w, x = self._a[lo:hi, None], list(out[:, lo:hi]), list(x)
+                        u = np.multiply(u, out[:, d], out=prod)
+                    trapezoid_input(self._a[i], u[:-1], u[1:], self._dt,
+                                    out=out[1:, i])
             for t in range(steps):
-                np.multiply(a, w[t], out=w[t + 1])
-                np.add(w[t + 1], x[t], out=w[t + 1])
+                np.multiply(a, w[t], out=decayed)
+                np.add(decayed, w[t + 1], out=w[t + 1])
         return out[1:]
 
 
@@ -515,16 +545,24 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     chunks = [(lo, min(lo + chunk, n_rep)) for lo in range(0, n_rep, chunk)]
     rngs = [np.random.default_rng(child) for child in master.spawn(len(chunks))]
     sqdt = math.sqrt(dt)
+    # one block rule: every filter step holds at most _BLOCK*512 replicate-steps
+    block = max(1, _BLOCK * 512 // n_rep)
+    # one block of increments, drawn chunk by chunk and reused for every block
+    normals = [np.empty((block, sde.n_noise, hi - lo)) for lo, hi in chunks]
+    dw_block = np.empty((block, sde.n_noise, n_rep))
+    dw_amp_block = np.empty_like(dw_block)
 
     def draw(steps):
         # each chunk's (steps, n_noise, R) draw, in its own columns, is its
         # stream of `steps` successive (n_noise, R) draws
-        return np.concatenate([rng.standard_normal((steps, sde.n_noise, hi - lo)) * sqdt
-                               for rng, (lo, hi) in zip(rngs, chunks)], axis=2)
+        for rng, g, (lo, hi) in zip(rngs, normals, chunks):
+            rng.standard_normal(out=g[:steps])
+            np.multiply(g[:steps], sqdt, out=dw_block[:steps, :, lo:hi])
+        return dw_block[:steps]
 
-    # one block rule: every filter step holds at most _BLOCK*512 replicate-steps
-    block = max(1, _BLOCK * 512 // n_rep)
-    z = sde.bank.make_state(n_rep)
+    # z0 also carries the state into each horizon block: a block overwrites
+    # the bank's workspace, and with it the previous block's last row
+    z = z0 = sde.bank.make_state(n_rep)
     for rng, (lo, hi) in zip(rngs, chunks):
         sde.bank.start(z[:, lo:hi], rng)
     for b0 in range(0, warm_steps, block):
@@ -545,9 +583,11 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
         j = t_i % block
         if j == 0:
             # filter the next block only now: one block is held at a time
-            dw_block = draw(min(block, n_steps - t_i))
-            z_block = sde.bank.step(z, dw_block)
-            dw_amp_block = dw_block * amp
+            z0[...] = z
+            z = z0
+            dw = draw(min(block, n_steps - t_i))
+            z_block = sde.bank.step(z, dw)
+            np.multiply(dw, amp, out=dw_amp_block[:len(dw)])
         dw_amp = dw_amp_block[j]
         z_ends = (z, z_block[j])
 

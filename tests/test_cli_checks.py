@@ -215,6 +215,11 @@ def test_malformed_arguments_exit_2(toy_path, capsys, argv, message):
      "--T 0.105 --dt 0.01: horizon 0.105 is not a whole number of steps of dt = 0.01"),
     ("compare", ["--replicates", "4", "--T", "0.095", "--times", "0.09"],
      "--T 0.095 --dt 0.01: horizon 0.095 is not a whole number of steps of dt = 0.01"),
+    # numpy's seeding used to die on these with a traceback
+    ("simulate", ["--replicates", "4", "--seed", "-3"],
+     "--seed: need a non-negative integer, got -3"),
+    ("compare", ["--replicates", "4", "--times", "0.1", "--seed", "-3"],
+     "--seed: need a non-negative integer, got -3"),
 ])
 def test_bad_ensemble_options_exit_2(toy_path, capsys, cmd, extra, message):
     rc = main([cmd, toy_path, "--order", "2", "--T", "0.1", "--dt", "0.01", *extra])
@@ -249,12 +254,15 @@ def test_simulate_refuses_times_off_the_step_grid(tmp_path, capsys, T, times, me
     (["--T", "20"], "--T"),
     # the frequency-2 band would reach above Nyquist
     (["--dt", "1.5", "--T", "400"], "--dt"),
+    (["--seed", "-3"], "--seed"),
 ])
 def test_bad_hopf_options_exit_2(capsys, extra, option):
     assert main(["hopf", *extra]) == EXIT_PARSE
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {option}: ")
+    if option == "--seed":
+        assert err == "error: --seed: need a non-negative integer, got -3\n"
 
 
 # -- the full model is the system as written ---------------------------------

@@ -501,6 +501,45 @@ def test_block_filter_step_of_mixed_slots_is_the_per_step_recursion(R):
     assert np.all(z != 0)
 
 
+def test_filter_bank_stepped_at_changing_widths_is_the_per_step_recursion():
+    # One bank at R = 3, 600, then 3 again, from random states and with a
+    # longer block after a shorter one: a workspace made for another width
+    # or a shorter block is never read.
+    bank = _mixed_bank()
+    dt = 1e-2
+    bank.prepare(dt)
+    rng = np.random.default_rng(43)
+    for R in (3, 600, 3):
+        z_ref = z = rng.standard_normal((bank.n, R))
+        for steps in (7, 1, 12):
+            dw = rng.standard_normal((steps, 2, R)) * math.sqrt(dt)
+            block = bank.step(z, dw)
+            for t in range(steps):
+                z_ref = _per_step(bank, z_ref, dw[t])
+                assert _same_bits(block[t], z_ref), (R, steps, t)
+            z = block[-1]
+
+
+def test_filter_step_allocates_no_block_after_the_first(toy_chart_model):
+    # Each block writes the bank's workspace: stepping the benchmark's
+    # widest ensemble allocates less than one block's output per call.
+    import tracemalloc
+    bank = toy_chart_model[0].bank
+    dt, R = 2e-3, 4096
+    bank.prepare(dt)
+    steps = mc._BLOCK * 512 // R
+    dw = np.random.default_rng(59).standard_normal((steps, 1, R)) * math.sqrt(dt)
+    z = bank.step(bank.make_state(R), dw)[-1]
+    tracemalloc.start()
+    try:
+        for _ in range(50):
+            z = bank.step(z, dw)[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (steps + 1) * bank.n * R * 8
+
+
 # -- stationary start of the linear slots ----------------------------------
 
 def _linear_chain(bank, dt):
@@ -628,6 +667,20 @@ def test_run_ensemble_default_warmup_is_the_per_step_loop(toy_chart_model):
     got = run_ensemble(sde, [0.3], 0.1, 1e-2, 2, 5, [0.1], observables=obs)
     want = _per_step_ensemble(sde, [0.3], 0.1, 1e-2, 2, 5, [0.1], observables=obs)
     assert _same_bits(got.samples, want)
+
+
+@pytest.mark.parametrize("observe", [True, False])
+def test_a_second_run_leaves_the_first_result_unchanged(toy_chart_model, observe):
+    # a run's filter states live in the bank's workspace; the samples it
+    # returns are its own
+    sde, obs = toy_chart_model
+    obs = obs if observe else None
+    times = [0.0, 0.05, 0.1]
+    first = run_ensemble(sde, [0.3], 0.1, 1e-2, 4, 5, times, observables=obs, warm=0.5)
+    kept = first.samples.copy()
+    again = run_ensemble(sde, [0.3], 0.1, 1e-2, 4, 6, times, observables=obs, warm=0.5)
+    assert _same_bits(first.samples, kept)
+    assert not np.array_equal(again.samples[:, -1], kept[:, -1])
 
 
 @pytest.mark.parametrize("times", [[-0.5, 0.1], [0.05, 0.2]])
