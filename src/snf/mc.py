@@ -15,10 +15,10 @@ equation; only the other slots, the filters of products, spin up from
 zero before time zero.  Driven by noise alone, the bank advances a block
 of steps at a time: each slot's input over the block is one vectorised
 expression, and the recursion then steps time-major, one run of mutually
-independent slots at a time, across every replicate at once.  Both are
-written in place into one workspace that the bank keeps for its replicate
-width, so a block it returns is valid until its next step.  The state is
-stepped one step at a time inside the block.
+independent slots at a time, across every replicate at once.  The block's
+output and scratch rows are one workspace that the bank keeps for its
+replicate width, so a block it returns is valid until its next step.  The
+state is stepped one step at a time inside the block.
 
 A replicate chunk is one random stream: replicates are split into chunks,
 each drawing from its own stream spawned from the master seed, so results
@@ -83,15 +83,9 @@ def filter_weights(rate: float, dt: float) -> Tuple[float, float]:
     return a, math.sqrt((1.0 - a * a) / (2.0 * abs(rate)) / dt)
 
 
-def trapezoid_input(a: float, u_old, u_new, dt: float, out=None):
-    """The filter's input over one step from a signal u, by the trapezoid,
-    (dt/2)(a u_old + u_new), computed in place in ``out`` (a new array by
-    default)."""
-    if out is None:
-        out = np.empty(np.broadcast(u_old, u_new).shape)
-    np.multiply(a, u_old, out=out)
-    np.add(out, u_new, out=out)
-    return np.multiply(dt / 2.0, out, out=out)
+def trapezoid_input(a: float, u_old, u_new, dt: float):
+    """The filter's input over one step from a signal u, by the trapezoid."""
+    return (dt / 2.0) * (a * u_old + u_new)
 
 
 def run_filter(a: float, x: np.ndarray, y0=0.0) -> np.ndarray:
@@ -218,19 +212,13 @@ class FilterBank(FilterSlots):
 
     def _workspace(self, steps: int, R: int):
         """The arrays ``step`` writes, kept from call to call: the (steps+1,
-        n, R) output, one (steps+1, R) product row, one (k_max, R) row of
-        decayed states for a run of k <= k_max slots, and per run its
-        decays broadcast to (k, R) (numpy multiplies by a full operand
-        about twice as fast as by a broadcast column) and its per-step
-        (k, R) output views.  Made afresh only for a new replicate width or
-        a longer block."""
+        n, R) output, one (steps+1, R) product row and one (k_max, R) row of
+        decayed states for a run of k <= k_max slots.  Made afresh only for
+        a new replicate width or a longer block."""
         if self._work is None or len(self._work[0]) <= steps or self._work[1].shape[1] != R:
             k_max = max((hi - lo for lo, hi in self._groups), default=0)
-            out, decayed = np.empty((steps + 1, self.n, R)), np.empty((k_max, R))
-            a = np.repeat(self._a[:, None], R, axis=1)
-            runs = [(a[lo:hi], decayed[:hi - lo], list(out[:, lo:hi]))
-                    for lo, hi in self._groups]
-            self._work = (out, np.empty((steps + 1, R)), runs)
+            self._work = (np.empty((steps + 1, self.n, R)), np.empty((steps + 1, R)),
+                          np.empty((k_max, R)))
         return self._work
 
     def step(self, z: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -249,10 +237,10 @@ class FilterBank(FilterSlots):
         state to the input in place.  This is bitwise ``run_filter`` and
         the per-step recursion."""
         steps, _, R = dw.shape
-        out, prod, runs = self._workspace(steps, R)
+        out, prod, decayed = self._workspace(steps, R)
         out, prod = out[:steps + 1], prod[:steps + 1]
         out[0] = z
-        for (lo, hi), (a, decayed, w) in zip(self._groups, runs):
+        for lo, hi in self._groups:
             for i in range(lo, hi):
                 s = self.slots[i]
                 if s.driver_kind == "w":
@@ -261,11 +249,12 @@ class FilterBank(FilterSlots):
                     u = out[:, s.driver_slots[0]]
                     for d in s.driver_slots[1:]:
                         u = np.multiply(u, out[:, d], out=prod)
-                    trapezoid_input(self._a[i], u[:-1], u[1:], self._dt,
-                                    out=out[1:, i])
+                    out[1:, i] = trapezoid_input(self._a[i], u[:-1], u[1:], self._dt)
+            # each step's (k, R) views made once, not indexed twice per step
+            a, w, dec = self._a[lo:hi, None], list(out[:, lo:hi]), decayed[:hi - lo]
             for t in range(steps):
-                np.multiply(a, w[t], out=decayed)
-                np.add(decayed, w[t + 1], out=w[t + 1])
+                np.multiply(a, w[t], out=dec)
+                np.add(dec, w[t + 1], out=w[t + 1])
         return out[1:]
 
 

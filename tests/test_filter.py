@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from snf import noise
-from snf.mc import FilterBank, filter_weights, trapezoid_input
+from snf.mc import FilterBank
 from snf.paths import NoisePath, PathSampler
 
 F = Fraction
@@ -56,25 +56,3 @@ def test_path_sampler_builds_the_filter_bank_slots(name):
     bank.slot_for(atom)
     assert path_slots([atom]) == bank.slots
 
-
-@pytest.mark.parametrize("case", ["scalar", "row", "strided"])
-def test_trapezoid_input_written_in_place_is_the_allocating_form(case):
-    # a path's row, and a driver's (steps, R) column of a filter block
-    # written into another slot's column, as FilterBank.step writes it
-    rng = np.random.default_rng(61)
-    dt = 2e-3
-    a = filter_weights(-1.0, dt)[0]
-    if case == "scalar":
-        u_old, u_new = float(rng.standard_normal()), float(rng.standard_normal())
-        out = np.empty(())
-    elif case == "row":
-        u = rng.standard_normal(101)
-        u_old, u_new, out = u[:-1], u[1:], np.empty(100)
-    else:
-        block = rng.standard_normal((6, 5, 7))
-        u = block[:, 3]
-        u_old, u_new, out = u[:-1], u[1:], block[1:, 2]
-    want = np.asarray((dt / 2.0) * (a * u_old + u_new)).tobytes()
-    assert np.asarray(trapezoid_input(a, u_old, u_new, dt)).tobytes() == want
-    assert trapezoid_input(a, u_old, u_new, dt, out=out) is out
-    assert out.tobytes() == want
