@@ -50,6 +50,18 @@ def _load(args):
     return spec, sf
 
 
+def _finite(text: str) -> float:
+    """A finite number: the argparse type of every float option, and the
+    check of every ``--param`` value."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return value
+
+
 def _params(pairs: List[str], spec) -> Dict[str, float]:
     out = {name: 1.0 for name in spec.param_names}
     for p in pairs or []:
@@ -57,9 +69,9 @@ def _params(pairs: List[str], spec) -> Dict[str, float]:
         if name not in spec.param_names:
             raise SysFileError(f"unknown parameter {name!r}")
         try:
-            out[name] = float(val)
-        except ValueError:
-            raise SysFileError(f"--param {name}: bad number {val!r}")
+            out[name] = _finite(val)
+        except argparse.ArgumentTypeError as exc:
+            raise SysFileError(f"--param {name}: {exc}")
     return out
 
 
@@ -168,7 +180,7 @@ def cmd_simulate(args) -> int:
     times = _run_options(args)
     if args.model == "full":
         sde = compile_full_system(system_as_written(sf), params)
-        x0 = args.x0 or [0.0] * (spec.m + spec.n)
+        x0 = [0.0] * (spec.m + spec.n) if args.x0 is None else args.x0
     else:
         nf = _construct(spec, sf, args)
         if not nf.certified:
@@ -177,9 +189,9 @@ def cmd_simulate(args) -> int:
             sde = compile_slow_model(nf, params, long_time_model(nf))
         else:
             sde = compile_slow_model(nf, params)
-        x0 = args.x0 or [0.0] * spec.m
+        x0 = [0.0] * spec.m if args.x0 is None else args.x0
     if len(x0) != sde.dim:
-        raise SysFileError(f"--x0 needs {sde.dim} values")
+        raise SysFileError(f"--x0: need {sde.dim} values, got {len(x0)}")
     with _quiet_overflow():
         res = run_ensemble(sde, x0, args.T, args.dt, args.replicates, args.seed, times)
     if _diverged(res, args.model):
@@ -326,35 +338,35 @@ def build_parser() -> argparse.ArgumentParser:
     common(s)
     s.add_argument("--model", choices=["full", "reduced", "longtime"], default="full")
     s.add_argument("--param", action="append", metavar="name=value")
-    s.add_argument("--T", type=float, default=10.0)
-    s.add_argument("--dt", type=float, default=1e-3)
+    s.add_argument("--T", type=_finite, default=10.0)
+    s.add_argument("--dt", type=_finite, default=1e-3)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--replicates", type=int, default=100)
     s.add_argument("--times")
-    s.add_argument("--x0", type=float, nargs="*")
+    s.add_argument("--x0", type=_finite, nargs="*")
     s.add_argument("--out")
     s.set_defaults(func=cmd_simulate)
 
     c = sub.add_parser("compare", help="full-vs-reduced ensemble statistics")
     common(c)
     c.add_argument("--param", action="append", metavar="name=value")
-    c.add_argument("--T", type=float, default=20.0)
-    c.add_argument("--dt", type=float, default=1e-3)
+    c.add_argument("--T", type=_finite, default=20.0)
+    c.add_argument("--dt", type=_finite, default=1e-3)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--replicates", type=int, default=200)
     c.add_argument("--times", default="5,20")
-    c.add_argument("--x0v", type=float, default=0.3)
-    c.add_argument("--tol-se", dest="tol_se", type=float, default=3.0)
+    c.add_argument("--x0v", type=_finite, default=0.3)
+    c.add_argument("--tol-se", dest="tol_se", type=_finite, default=3.0)
     c.set_defaults(func=cmd_compare)
 
     h = sub.add_parser("hopf", help="band noises, quadratic noise scales, Mathieu")
-    h.add_argument("--delta", type=float, default=0.2)
-    h.add_argument("--T", type=float, default=2000.0)
-    h.add_argument("--dt", type=float, default=0.05)
+    h.add_argument("--delta", type=_finite, default=0.2)
+    h.add_argument("--T", type=_finite, default=2000.0)
+    h.add_argument("--dt", type=_finite, default=0.05)
     h.add_argument("--seed", type=int, default=0)
     h.add_argument("--replicates", type=int, default=8)
-    h.add_argument("--beta", type=float, default=0.05)
-    h.add_argument("--sigma", type=float, default=0.3)
+    h.add_argument("--beta", type=_finite, default=0.05)
+    h.add_argument("--sigma", type=_finite, default=0.3)
     h.add_argument("--out")
     h.set_defaults(func=cmd_hopf)
     return p

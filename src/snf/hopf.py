@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .bands import QuadNoise, band_component, quad_resonant_noise
-from .mc import heun_step
+from .mc import heun_path
 
 
 def simulate_dvdp(alpha: float, beta: float, sigma: float,
@@ -25,21 +25,21 @@ def simulate_dvdp(alpha: float, beta: float, sigma: float,
                   init: Tuple[float, float]) -> Tuple[np.ndarray, np.ndarray]:
     """Stratonovich Heun integration of the oscillator driven by given
     Brownian increments (shape (n,) or (R, n)); returns (x1, v) arrays with
-    one more sample than increments."""
+    one more sample than increments.  Each replicate steps alone, x1 + i v."""
     dw = np.atleast_2d(dw)
     R, n = dw.shape
-    s = np.empty((n + 1, 2, R))
-    s[0, 0], s[0, 1] = init
+    s = np.empty((R, n + 1), dtype=complex)
+    for r in range(R):
+        dwr = dw[r].tolist()
 
-    def increment(z, dwi):
-        x, v = z
-        acc = alpha * x + beta * v - x ** 3 - x ** 2 * v
-        # parametric noise sigma*x1 o dW enters the velocity equation
-        return np.array([v * dt, acc * dt + sigma * x * dwi])
+        def increment(z, i, _end):
+            x, v = z.real, z.imag
+            acc = alpha * x + beta * v - x ** 3 - x ** 2 * v
+            # parametric noise sigma*x1 o dW enters the velocity equation
+            return complex(v * dt, acc * dt + sigma * x * dwr[i])
 
-    for i, dwi in enumerate(dw.T):
-        s[i + 1] = heun_step(s[i], lambda z, _end: increment(z, dwi))
-    return s[:, 0].T, s[:, 1].T
+        s[r] = heun_path(complex(*init), n, increment)
+    return s.real, s.imag
 
 
 @dataclass
@@ -75,6 +75,9 @@ def simulate_amplitude(order: int, beta: float, sigma: float, delta: float,
     if order == 2 and drivers.psi is None:
         raise ValueError("order-2 model needs the quadratic noise drivers")
     n = len(drivers.phi0) - 1 if n_steps is None else n_steps
+    if not 0 <= n < len(drivers.phi0):
+        raise ValueError(f"n_steps = {n}: the drivers hold {len(drivers.phi0)} "
+                         f"samples, enough for 0 to {len(drivers.phi0) - 1} steps")
     amp = math.sqrt(delta / 2.0)
     # Python scalars: one step is far cheaper than on numpy scalars.
     phi0 = drivers.phi0[:n + 1].tolist()
@@ -94,10 +97,7 @@ def simulate_amplitude(order: int, beta: float, sigma: float, delta: float,
                 + 0.125 * phi2[i] * phi2[i].conjugate()) * a
         return out
 
-    a = [complex(a0)]
-    for i in range(n):
-        a.append(heun_step(a[i], lambda y, end: rhs(y, i + end) * dt))
-    return np.array(a)
+    return np.array(heun_path(complex(a0), n, lambda y, i, end: rhs(y, i + end) * dt))
 
 
 def simulate_amplitude_longtime(beta: float, sigma: float, c_r: float,
@@ -115,13 +115,10 @@ def simulate_amplitude_longtime(beta: float, sigma: float, c_r: float,
     dWi = (rng.standard_normal(n) * sq).tolist()
     gr, gi = 0.5j * c_r * sigma ** 2, 0.5 * c_i * sigma ** 2
 
-    def increment(y, i):
+    def increment(y, i, _end):
         return landau_rhs(y, beta) * dt + gr * y * dWr[i] - gi * y * dWi[i]
 
-    a = [complex(a0)]
-    for i in range(n):
-        a.append(heun_step(a[i], lambda y, _end: increment(y, i)))
-    return np.array(a)
+    return np.array(heun_path(complex(a0), n, increment))
 
 
 def reconstruct_x1(a: np.ndarray, dt: float) -> np.ndarray:
@@ -152,20 +149,17 @@ def mathieu_growth(beta: float, sigma: float, T: float = 80.0,
     n = int(round(T / dt))
     # The pair starts conjugate and its coefficients are real, so b stays
     # exactly conj(a) and one complex equation carries both.
-    a = [0.01 + 0.003j]
-    for i in range(n):
-        a.append(heun_step(a[i], lambda y, _end: (
-            0.5 * beta * y + 0.25 * sigma * y.conjugate()) * dt))
+    a = heun_path(0.01 + 0.003j, n, lambda y, _i, _end: (
+        0.5 * beta * y + 0.25 * sigma * y.conjugate()) * dt)
     model_rate = fit_growth_rate(2 * np.abs(a), dt)
 
     # linearised full oscillator, state (x1, v) carried as x1 + i v
-    def increment(y, t):
+    def increment(y, i, end):
         x, v = y.real, y.imag
+        t = (i + end) * dt
         return complex(v, (-1.0 + sigma * math.cos(2 * t)) * x + beta * v) * dt
 
-    s = [0.01 + 0.0j]
-    for i in range(n):
-        s.append(heun_step(s[i], lambda y, end: increment(y, (i + end) * dt)))
+    s = heun_path(0.01 + 0.0j, n, increment)
     full_rate = fit_growth_rate(np.abs(s), dt)
     return {"model": model_rate, "full": full_rate,
             "predicted": 0.5 * beta + 0.25 * sigma}

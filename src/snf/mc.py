@@ -34,7 +34,7 @@ Heun (explicit midpoint) stepping: terms carrying one bare noise factor
 contribute coefficient * dW, terms without contribute coefficient * dt, and
 the corrector averages coefficients at the step's two ends, which is what
 makes the scheme converge to the Stratonovich solution.  Every integrator
-of the package steps with ``heun_step``.
+of the package steps with ``heun_step``; single paths walk ``heun_path``.
 """
 
 from __future__ import annotations
@@ -74,6 +74,15 @@ def heun_step(x, increment):
     d0 = increment(x, 0)
     d1 = increment(x + d0, 1)
     return x + (d0 + d1) / 2
+
+
+def heun_path(x0, n, increment):
+    """The ``n + 1`` points of ``n`` Heun steps from ``x0``; step i is
+    ``heun_step`` with ``increment(y, i, end)``."""
+    path = [x0]
+    for i in range(n):
+        path.append(heun_step(path[i], lambda y, end: increment(y, i, end)))
+    return path
 
 
 def filter_weights(rate: float, dt: float) -> Tuple[float, float]:

@@ -57,9 +57,6 @@ class NoisePath:
     def n_points(self) -> int:
         return self.n_total + 1
 
-    def times(self) -> np.ndarray:
-        return (np.arange(self.n_points) - self.n_spin) * self.dt
-
     @property
     def main_lo(self) -> int:
         return self.n_spin

@@ -188,11 +188,32 @@ def test_cap_on_an_undeclared_parameter_exits_2(tmp_path, capsys):
     (["derive", "--mu-min", "1/0"], "--mu-min: bad rational '1/0'"),
     (["derive", "--order", "0"], "--order: must be at least 1, got 0"),
     (["simulate", "--order", "0", "--model", "reduced"], "--order: must be at least 1, got 0"),
+    # non-finite numbers used to end in a traceback (exit 1), a divergence
+    # count, a FAIL against a nan threshold or nan growth rates (exit 4)
+    (["simulate", "--T", "inf"], "argument --T: need a finite number, got 'inf'"),
+    (["simulate", "--x0", "0.1", "inf"], "argument --x0: need a finite number, got 'inf'"),
+    (["simulate", "--param", "sigma=nan", "--T", "0.01"],
+     "--param sigma: need a finite number, got 'nan'"),
+    (["compare", "--x0v", "nan"], "argument --x0v: need a finite number, got 'nan'"),
+    (["compare", "--tol-se", "nan"], "argument --tol-se: need a finite number, got 'nan'"),
+    (["compare", "--dt", "nan"], "argument --dt: need a finite number, got 'nan'"),
+    (["hopf", "--T", "nan"], "argument --T: need a finite number, got 'nan'"),
+    (["hopf", "--T", "inf"], "argument --T: need a finite number, got 'inf'"),
+    (["hopf", "--beta", "nan"], "argument --beta: need a finite number, got 'nan'"),
+    (["hopf", "--sigma", "inf"], "argument --sigma: need a finite number, got 'inf'"),
+    (["hopf", "--delta", "nan"], "argument --delta: need a finite number, got 'nan'"),
 ])
 def test_malformed_arguments_exit_2(toy_path, capsys, argv, message):
-    rc = main([argv[0], toy_path, "--order", "2", *argv[1:]])
+    if argv[0] != "hopf":
+        argv = [argv[0], toy_path, "--order", "2", *argv[1:]]
+    try:
+        rc = main(argv)
+        assert capsys.readouterr().err == f"error: {message}\n"
+    except SystemExit as exc:
+        # argparse refuses an option value itself, after its usage line
+        rc = exc.code
+        assert capsys.readouterr().err.endswith(f"snf {argv[0]}: error: {message}\n")
     assert rc == EXIT_PARSE
-    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("cmd,extra,message", [
@@ -220,6 +241,9 @@ def test_malformed_arguments_exit_2(toy_path, capsys, argv, message):
      "--seed: need a non-negative integer, got -3"),
     ("compare", ["--replicates", "4", "--times", "0.1", "--seed", "-3"],
      "--seed: need a non-negative integer, got -3"),
+    # an empty --x0 used to start the run at zero
+    ("simulate", ["--replicates", "4", "--x0"], "--x0: need 2 values, got 0"),
+    ("simulate", ["--replicates", "4", "--x0", "0.1"], "--x0: need 2 values, got 1"),
 ])
 def test_bad_ensemble_options_exit_2(toy_path, capsys, cmd, extra, message):
     rc = main([cmd, toy_path, "--order", "2", "--T", "0.1", "--dt", "0.01", *extra])

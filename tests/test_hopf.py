@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import snf.hopf
 from snf.bands import band_component
 from snf.hopf import (AmplitudeDrivers, fit_growth_rate, landau_rhs,
                       mathieu_growth, reconstruct_x1, simulate_amplitude,
                       simulate_amplitude_longtime, simulate_dvdp)
+from snf.mc import heun_step
 
 DT = 1e-2
 
@@ -40,6 +42,47 @@ def test_dvdp_deterministic_cycle_amplitude():
     assert abs(amp - 2 * math.sqrt(beta)) < 0.05 * 2 * math.sqrt(beta)
 
 
+def dvdp_array_reference(alpha, beta, sigma, dw, dt, init):
+    """The oscillator stepped as one (2, R) numpy state for all replicates,
+    an independent check on the path-at-a-time ``simulate_dvdp``."""
+    dw = np.atleast_2d(dw)
+    R, n = dw.shape
+    s = np.empty((n + 1, 2, R))
+    s[0, 0], s[0, 1] = init
+
+    def increment(z, dwi):
+        x, v = z
+        acc = alpha * x + beta * v - x ** 3 - x ** 2 * v
+        return np.array([v * dt, acc * dt + sigma * x * dwi])
+
+    for i, dwi in enumerate(dw.T):
+        s[i + 1] = heun_step(s[i], lambda z, _end: increment(z, dwi))
+    return s[:, 0].T, s[:, 1].T
+
+
+def test_dvdp_matches_the_array_stepper():
+    rng = np.random.default_rng(8)
+    dw = rng.standard_normal((3, 2000)) * math.sqrt(1e-2)
+    args = (-1.0, 0.1, 0.5, dw, 1e-2, (0.3, -0.2))
+    x, v = simulate_dvdp(*args)
+    x_ref, v_ref = dvdp_array_reference(*args)
+    assert x.shape == v.shape == (3, 2001)
+    assert np.max(np.abs(x - x_ref)) < 1e-12
+    assert np.max(np.abs(v - v_ref)) < 1e-12
+    # the paths move well away from the start, so the check has teeth
+    assert np.ptp(x, axis=1).min() > 0.1
+
+
+def test_dvdp_replicates_step_alone():
+    rng = np.random.default_rng(9)
+    dw = rng.standard_normal((3, 500)) * math.sqrt(1e-2)
+    x, v = simulate_dvdp(-1.0, 0.1, 0.5, dw, 1e-2, (0.3, 0.0))
+    for r in range(3):
+        xr, vr = simulate_dvdp(-1.0, 0.1, 0.5, dw[r], 1e-2, (0.3, 0.0))
+        assert xr.shape == (1, 501)
+        assert np.array_equal(x[r], xr[0]) and np.array_equal(v[r], vr[0])
+
+
 def test_dvdp_noisy_bifurcation_regimes():
     rng = np.random.default_rng(42)
     dw = rng.standard_normal((4, 150000)) * math.sqrt(1e-3)
@@ -50,6 +93,17 @@ def test_dvdp_noisy_bifurcation_regimes():
     # super-critical orbits at the sqrt(beta) scale, sub-critical hugs origin
     assert rms_p > 0.5 * math.sqrt(0.1)
     assert rms_m < 0.1
+
+
+@pytest.mark.parametrize("n_steps", [30, -1])
+def test_amplitude_refuses_steps_beyond_its_drivers(monkeypatch, n_steps):
+    def no_path(*_args):
+        raise AssertionError("integrated before checking n_steps")
+    monkeypatch.setattr(snf.hopf, "heun_path", no_path)
+    with pytest.raises(ValueError, match=rf"n_steps = {n_steps}: the drivers "
+                                         r"hold 21 samples, enough for 0 to 20 steps"):
+        simulate_amplitude(1, 0.1, 0.0, 0.2, flat_drivers(20), DT, 0.04 + 0.01j,
+                           n_steps=n_steps)
 
 
 def test_reconstruction_is_real_scale():

@@ -13,8 +13,8 @@ from conftest import make_system
 from snf import mc, noise
 from snf.engine import construct
 from snf.mc import (CompileError, FilterBank, compile_full_system,
-                    compile_observables, compile_slow_model, heun_step,
-                    run_ensemble, sampleable_part)
+                    compile_observables, compile_slow_model, heun_path,
+                    heun_step, run_ensemble, sampleable_part)
 from snf.render import parse_series_for
 from snf.systems import ALLOW
 
@@ -357,6 +357,20 @@ def test_heun_step_second_order_on_linear_ode():
         errs.append(abs(x - np.exp(lam * T)))
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.6 < coarse / fine < 4.4, errs
+
+
+def test_heun_path_is_heun_steps_with_their_index():
+    # a time-dependent increment, so that each step must see its own i
+    dt = 0.1
+    path = heun_path(1.0 + 0.5j, 7, lambda y, i, end: (
+        math.cos((i + end) * dt) * y + 1j) * dt)
+    x = 1.0 + 0.5j
+    want = [x]
+    for i in range(7):
+        x = heun_step(x, lambda y, end: (math.cos((i + end) * dt) * y + 1j) * dt)
+        want.append(x)
+    assert path == want
+    assert heun_path(2.0, 0, None) == [2.0]
 
 
 # -- the block filter step against the per-step recursion ------------------
