@@ -13,8 +13,6 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from . import engine
 from .analysis import AnalysisError, long_time_model, ssm_parametrisation
 from .noise import ONE, NoiseError
@@ -25,6 +23,8 @@ from .sysfile import SysFileError, load_system, system_as_written
 from .systems import CompileError, Policy
 
 EXIT_OK, EXIT_PARSE, EXIT_CERT, EXIT_TOL = 0, 2, 3, 4
+# the value of every parameter that no --param gives
+DEFAULT_PARAM = 1.0
 
 
 def _policy(args, sf) -> Policy:
@@ -63,7 +63,7 @@ def _finite(text: str) -> float:
 
 
 def _params(pairs: List[str], spec) -> Dict[str, float]:
-    out = {name: 1.0 for name in spec.param_names}
+    out = {name: DEFAULT_PARAM for name in spec.param_names}
     for p in pairs or []:
         name, _, val = p.partition("=")
         if name not in spec.param_names:
@@ -106,18 +106,30 @@ def _run_options(args) -> List[float]:
 def _quiet_overflow():
     """numpy error state for CLI ensembles: a diverging replicate is named
     by ``_diverged``, not by a flood of overflow and NaN warnings."""
+    import numpy as np
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _diverged(res, model: str) -> bool:
-    """Name on stderr how many replicates went non-finite, and by which
-    sample time; True when any did."""
-    counts = res.diverged()
-    if not counts[-1]:
+def _diverged(args, spec, *runs) -> bool:
+    """Name on stderr, for each (result, model) run, how many replicates
+    went non-finite and by which sample time; True when any did.  A note
+    first names the parameters no ``--param`` gave: a noise amplitude
+    silently left at 1 is the usual cause."""
+    errors = []
+    for res, model in runs:
+        counts = res.diverged()
+        if counts[-1]:
+            t = res.times[(counts == counts[-1]).argmax()]
+            errors.append(f"error: {counts[-1]} of {res.n_rep} {model} "
+                          f"replicates diverged before t = {t:g}")
+    if not errors:
         return False
-    t = res.times[np.argmax(counts == counts[-1])]
-    print(f"error: {counts[-1]} of {res.n_rep} {model} replicates diverged "
-          f"before t = {t:g}", file=sys.stderr)
+    given = {p.partition("=")[0] for p in args.param or []}
+    defaulted = [name for name in spec.param_names if name not in given]
+    if defaulted:
+        print(f"note: {', '.join(defaulted)} left at the default {DEFAULT_PARAM}; "
+              f"give each with --param name=value", file=sys.stderr)
+    print("\n".join(errors), file=sys.stderr)
     return True
 
 
@@ -194,7 +206,7 @@ def cmd_simulate(args) -> int:
         raise SysFileError(f"--x0: need {sde.dim} values, got {len(x0)}")
     with _quiet_overflow():
         res = run_ensemble(sde, x0, args.T, args.dt, args.replicates, args.seed, times)
-    if _diverged(res, args.model):
+    if _diverged(args, spec, (res, args.model)):
         return EXIT_TOL
     table = res.summary_table()
     if args.out:
@@ -206,6 +218,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    import numpy as np
     from .mc import (compile_full_system, compile_observables, compile_series,
                      compile_slow_model, run_ensemble, sampleable_part)
     spec, sf = _load(args)
@@ -240,8 +253,7 @@ def cmd_compare(args) -> int:
                              args.seed, times)
         res_r = run_ensemble(sde_r, x0_slow, args.T, args.dt, args.replicates,
                              args.seed + 1, times, observables=obs)
-    # both checked, so that each model's count is named
-    if _diverged(res_f, "full") | _diverged(res_r, "reduced"):
+    if _diverged(args, spec, (res_f, "full"), (res_r, "reduced")):
         return EXIT_TOL
     ok = True
     print("time\tfull_mean\tred_mean\tmean_z\tfull_var\tred_var\tvar_z")
@@ -281,6 +293,7 @@ def _hopf_options(args) -> None:
 
 
 def cmd_hopf(args) -> int:
+    import numpy as np
     from .bands import band_component, quad_resonant_noise
     from .hopf import mathieu_growth
     _hopf_options(args)

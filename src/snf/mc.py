@@ -35,6 +35,12 @@ contribute coefficient * dW, terms without contribute coefficient * dt, and
 the corrector averages coefficients at the step's two ends, which is what
 makes the scheme converge to the Stratonovich solution.  Every integrator
 of the package steps with ``heun_step``; single paths walk ``heun_path``.
+
+``run_filter`` is ``scipy.signal.lfilter``, imported at its first call and
+not with this module.  Only path sampling runs it; ensembles step the bank
+themselves.  Importing it up front made ``scipy.signal`` (and with it
+``scipy.stats``) most of the start-up time and memory of every process that
+imports this module, ``snf simulate``, ``compare`` and ``hopf`` among them.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import noise
 from .render import render_noise, render_series
@@ -99,7 +104,12 @@ def trapezoid_input(a: float, u_old, u_new, dt: float):
 
 def run_filter(a: float, x: np.ndarray, y0=0.0) -> np.ndarray:
     """y[t] = a y[t-1] + x[t] along the last axis of x, from y[-1] = y0,
-    rounded as fl(a y[t-1]) + x[t], the bits of ``FilterBank.step``."""
+    rounded as fl(a y[t-1]) + x[t], the bits of ``FilterBank.step``.
+
+    ``scipy.signal`` is imported here, at the first call, and not with the
+    module: it costs most of a second and about 70 MiB, and only path
+    sampling calls this filter.  Later calls find it in ``sys.modules``."""
+    from scipy.signal import lfilter
     return lfilter([1.0], [1.0, -a], x, axis=-1, zi=np.asarray(a * y0)[..., None])[0]
 
 

@@ -23,6 +23,8 @@ class ReportError(ValueError):
 # the header lines emit_report writes, in its order
 _HEADER_KEYS = ("system", "policy", "mu_min", "order", "param_caps", "grade_fast",
                 "certified")
+# the sections emit_report writes, in its order; a report needs every one
+_SECTIONS = ("transform", "evolution", "ssm", "expected_ssm", "reversion")
 
 
 def truncation_header(spec: SystemSpec) -> List[Tuple[str, str]]:
@@ -120,6 +122,8 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
             key, _, val = raw.partition(":")
             if raw.rstrip().endswith(":") and not val.strip():
                 current = key.strip()
+                if current not in _SECTIONS:
+                    raise ReportError(f"report line {lineno}: unknown section {current!r}")
                 sections.setdefault(current, {})
             else:
                 key = key.strip()
@@ -156,8 +160,10 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
                 raise ReportError(f"report line {lineno}: noise index {k} is out of "
                                   f"range for {spec.n_noise} noise(s) in {rhs!r}")
         sections[current][lhs] = series.with_trunc(spec.trunc)
-    return ParsedReport(header, sections.get("transform", {}),
-                        sections.get("evolution", {}), sections)
+    for name in _SECTIONS:
+        if name not in sections:
+            raise ReportError(f"report has no '{name}:' section")
+    return ParsedReport(header, sections["transform"], sections["evolution"], sections)
 
 
 def rebuild_normal_form(rep: ParsedReport, spec: SystemSpec,

@@ -162,10 +162,50 @@ def test_module_entry_point():
 def test_cli_import_leaves_out_the_monte_carlo_stack():
     # derive and verify simulate nothing; scipy.signal alone imports in ~1 s
     code = ("import sys, snf.cli; print([m for m in "
-            "('snf.mc', 'snf.paths', 'scipy.signal') if m in sys.modules])")
+            "('snf.mc', 'snf.paths', 'scipy.signal', 'numpy') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _fresh(code: str) -> str:
+    """The last line ``code`` prints in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_monte_carlo_modules_leave_out_scipy_signal():
+    # only a path sample's first run_filter call imports it
+    assert _fresh("import sys, snf.mc, snf.paths, snf.hopf, snf.bands; "
+                  "print('scipy.signal' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "reduced"],
+    ["compare", "--param", "sigma=0.05", "--times", "0.1"],
+])
+def test_ensemble_commands_leave_out_scipy_signal(toy_path, argv):
+    run = [argv[0], toy_path, *argv[1:], "--order", "3", "--T", "0.1",
+           "--dt", "0.01", "--replicates", "8"]
+    assert _fresh(f"import sys, snf.cli; rc = snf.cli.main({run!r}); "
+                  f"print(rc, 'scipy.signal' in sys.modules)") == "0 False"
+
+
+def test_run_filter_imports_lfilter_at_its_first_call():
+    code = """
+import sys
+import numpy as np
+from snf.mc import run_filter
+x = np.random.default_rng(5).standard_normal((3, 400))
+before = 'scipy.signal' in sys.modules
+y = run_filter(0.97, x, y0=np.array([0.5, -1.0, 2.0]))
+from scipy.signal import lfilter
+want = lfilter([1.0], [1.0, -0.97], x, axis=-1,
+               zi=(0.97 * np.array([0.5, -1.0, 2.0]))[:, None])[0]
+print(before, 'scipy.signal' in sys.modules, y.tobytes() == want.tobytes())
+"""
+    assert _fresh(code) == "False True True"
 
 
 def test_console_script_installed():

@@ -47,6 +47,9 @@ transform:
 evolution:
   dX/dt = -X*Y
   dY/dt = -Y + X^2 - 2*Y^2 + sigma*phi[0]
+ssm:
+expected_ssm:
+reversion:
 """
 
 
@@ -380,6 +383,30 @@ def test_verify_of_a_report_repeating_a_line_exits_2(
                                        f"repeats line {n + 1} in section evolution\n")
 
 
+def test_verify_of_a_report_with_an_unknown_section_exits_2(
+        toy_path, tmp_path, toy3_report, capsys):
+    lines = toy3_report.splitlines(keepends=True)
+    n = lines.index("reversion:\n")
+    lines[n] = "bogus:\n"
+    assert _verify(toy_path, tmp_path, "".join(lines)) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: report line {n + 1}: unknown section 'bogus'\n"
+
+
+@pytest.mark.parametrize("section", ["transform", "evolution", "ssm", "expected_ssm",
+                                     "reversion"])
+def test_verify_of_a_report_missing_a_section_exits_2(
+        toy_path, tmp_path, toy3_report, capsys, section):
+    # the section's header and every line under it deleted
+    lines = toy3_report.splitlines(keepends=True)
+    start = lines.index(f"{section}:\n")
+    end = next((i for i in range(start + 1, len(lines))
+                if not lines[i].startswith("  ")), len(lines))
+    assert end - start > 1
+    del lines[start:end]
+    assert _verify(toy_path, tmp_path, "".join(lines)) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: report has no '{section}:' section\n"
+
+
 @pytest.mark.parametrize("after,extra,message", [
     # the verdict would follow the second policy line
     ("policy: anticipate\n", "policy: no-anticipate\n", "header 'policy: ...' repeats line {}"),
@@ -494,6 +521,34 @@ def test_diverged_replicates_exit_4(tmp_path, capsys, argv, errors):
     out, err = capsys.readouterr()
     assert "nan" not in out
     assert err.endswith("".join(errors))
+
+
+NOTE_SIGMA = "note: sigma left at the default 1.0; give each with --param name=value\n"
+
+
+@pytest.mark.parametrize("param,note", [([], NOTE_SIGMA), (["--param", "sigma=1"], "")],
+                         ids=["defaulted", "given"])
+def test_diverged_run_names_the_parameters_left_at_their_default(
+        toy_path, capsys, param, note):
+    # the toy at sigma = 1 loses 10 of 64 replicates by t = 1; a sigma given
+    # as 1 is the user's choice and gets no note
+    rc = main(["simulate", toy_path, "--model", "full", "--T", "1",
+               "--replicates", "64", "--seed", "1", *param])
+    assert rc == EXIT_TOL
+    assert capsys.readouterr().err == (
+        note + "error: 10 of 64 full replicates diverged before t = 1\n")
+
+
+def test_diverged_compare_notes_the_defaults_once(tmp_path, capsys):
+    p = tmp_path / "blowup.snf"
+    p.write_text(BLOWUP)
+    rc = main(["compare", str(p), "--x0v", "2", "--times", "0.5,1", "--T", "1",
+               "--dt", "0.01", "--replicates", "4"])
+    assert rc == EXIT_TOL
+    assert capsys.readouterr().err == (
+        "note: s left at the default 1.0; give each with --param name=value\n"
+        "error: 4 of 4 full replicates diverged before t = 0.5\n"
+        "error: 4 of 4 reduced replicates diverged before t = 0.5\n")
 
 
 def test_direct_ensemble_keeps_numpy_overflow_warnings():

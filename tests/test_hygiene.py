@@ -7,6 +7,9 @@ A name is read by a `Name` load, an attribute access or an import.
 Dunder names (`__all__`, `__init__`, ...) are exempt: the interpreter reads
 them.  So are `from __future__` imports and the names a module re-exports
 in its `__all__`.
+
+Import gate: no `src/snf` module imports scipy when it is imported itself.
+scipy is imported inside the one function that calls it.
 """
 
 import ast
@@ -99,3 +102,33 @@ def test_every_imported_name_is_read():
         unread.extend(f"{path.relative_to(PACKAGE)}: import {name}"
                       for name in _imported(tree) if name not in loaded)
     assert not unread, "imported but never read:\n" + "\n".join(unread)
+
+
+def _runs_at_import(nodes):
+    """The statements a module runs when it is imported: its own, and those
+    nested in its classes and compound statements, but none in a function."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _runs_at_import(getattr(node, field, []))
+
+
+def _imports_scipy(node):
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        names = [node.module]
+    else:
+        return False
+    return any(name.partition(".")[0] == "scipy" for name in names)
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # scipy.signal alone takes most of a second and ~70 MiB to import, and
+    # only path sampling needs it
+    eager = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path, tree in _trees("src/snf")
+             for node in _runs_at_import(tree.body) if _imports_scipy(node)]
+    assert not eager, "scipy imported at module level:\n" + "\n".join(eager)
