@@ -14,11 +14,12 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import engine
-from .analysis import AnalysisError, long_time_model, ssm_parametrisation
+from .analysis import (AnalysisError, expected_series, long_time_model,
+                       ssm_parametrisation)
 from .noise import ONE, NoiseError
-from .report import (ReportError, emit_report, header_policy, parse_report,
+from .report import (ReportError, _layout, emit_report, header_policy, parse_report,
                      rebuild_normal_form, truncation_header)
-from .series import Trunc
+from .series import Series, Trunc
 from .sysfile import SysFileError, load_system, system_as_written
 from .systems import CompileError, Policy
 
@@ -156,8 +157,9 @@ def cmd_derive(args) -> int:
 def verify_report(text: str, spec) -> List[str]:
     """Why a saved report fails re-certification against ``spec``, as
     ``snf verify`` judges it; empty when it passes.  The header must state
-    the system's truncation and a policy, and the normal form rebuilt under
-    that policy must pass the structural checks and clear the residual."""
+    the system's truncation and a policy, the normal form rebuilt under
+    that policy must pass the structural checks and clear the residual, and
+    then every derived section must follow from it (``_section_failures``)."""
     rep = parse_report(text, spec)
     failures = [f"report header {key}: {rep.header.get(key, '(missing)')!r}, "
                 f"system {want!r}"
@@ -170,7 +172,34 @@ def verify_report(text: str, spec) -> List[str]:
         return failures
     nf = rebuild_normal_form(rep, spec, policy)
     nf.residual_grade = engine.verify_order(spec, nf)
-    return nf.certification_failures()
+    return nf.certification_failures() or _section_failures(rep, nf)
+
+
+def _section_failures(rep, nf) -> List[str]:
+    """Each line of a derived section that the rebuilt form contradicts:
+    ``ssm`` must be its slow-manifold chart, each ``expected_ssm`` line the
+    expectation of the report's own ``ssm`` line, and the ``reversion``
+    must invert the transform within the truncation window, one
+    ``substitute`` per transform line.  The ``(+ unevaluable terms)`` marker
+    and its comment are not checked."""
+    spec, sections = nf.spec, rep.sections
+    lhss = {section: lhss for section, lhss, _names in _layout(spec)}
+    chart = ssm_parametrisation(nf)
+    failures = [f"ssm line '{lhs} = ...' is not the slow-manifold chart of the transform"
+                for lhs, want in zip(lhss["ssm"], chart.x_of_X + chart.y_of_X)
+                if sections["ssm"][lhs] != want]
+    failures += [f"expected_ssm line '{e} = ...' is not the expectation of ssm "
+                 f"line '{x} = ...'" for e, x in zip(lhss["expected_ssm"], lhss["ssm"])
+                 if sections["expected_ssm"][e] != expected_series(sections["ssm"][x]).value]
+    inverse = [sections["reversion"][lhs] for lhs in lhss["reversion"]]
+    dims, trunc = spec.dims, spec.trunc
+    idents = ([Series.slow_var(dims, trunc, i) for i in range(spec.m)]
+              + [Series.fast_var(dims, trunc, j) for j in range(spec.n)])
+    failures += [f"reversion lines do not invert transform line '{lhs} = ...'"
+                 for lhs, ident in zip(lhss["transform"], idents)
+                 if sections["transform"][lhs].substitute(
+                     slow=inverse[:spec.m], fast=inverse[spec.m:]) != ident]
+    return failures
 
 
 def cmd_verify(args) -> int:

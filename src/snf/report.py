@@ -1,5 +1,6 @@
 """Deterministic text reports for derived normal forms, with a parser that
-reconstructs the series values bit-exactly (used by `verify`)."""
+reconstructs the series values bit-exactly (used by `verify`).  Writer and
+parser read one section table, ``_layout``."""
 
 from __future__ import annotations
 
@@ -23,8 +24,21 @@ class ReportError(ValueError):
 # the header lines emit_report writes, in its order
 _HEADER_KEYS = ("system", "policy", "mu_min", "order", "param_caps", "grade_fast",
                 "certified")
-# the sections emit_report writes, in its order; a report needs every one
-_SECTIONS = ("transform", "evolution", "ssm", "expected_ssm", "reversion")
+
+
+def _layout(spec: SystemSpec) -> Tuple[Tuple[str, Tuple[str, ...], tuple], ...]:
+    """The sections emit_report writes, in its order, each with the
+    left-hand sides of its lines in order and the (slow, fast, parameter)
+    names its series are written in.  A report needs every section, and each
+    section exactly its lines."""
+    slow_new, fast_new = _new_names(spec)
+    orig, new = spec.slow_names + spec.fast_names, slow_new + fast_new
+    names_new = (slow_new, fast_new, spec.param_names)
+    return (("transform", orig, names_new),
+            ("evolution", tuple(f"d{n}/dt" for n in new), names_new),
+            ("ssm", orig, names_new),
+            ("expected_ssm", tuple(f"E[{n}]" for n in orig), names_new),
+            ("reversion", new, (spec.slow_names, spec.fast_names, spec.param_names)))
 
 
 def truncation_header(spec: SystemSpec) -> List[Tuple[str, str]]:
@@ -47,66 +61,45 @@ def header_policy(header: Dict[str, str]) -> Policy:
 
 
 def emit_report(nf: NormalForm) -> str:
-    spec = nf.spec
-    slow_new, fast_new = _new_names(spec)
-    names_new = (slow_new, fast_new, spec.param_names)
-    names_orig = (spec.slow_names, spec.fast_names, spec.param_names)
+    spec, failures = nf.spec, nf.certification_failures()
     lines = [
         "normal-form report",
         f"system: {spec.label or 'unnamed'}",
         f"policy: {nf.policy.label()}",
         f"mu_min: {nf.policy.mu_min}",
         *(f"{key}: {value}" for key, value in truncation_header(spec)),
-        "certified: " + ("yes" if nf.certified
-                         else f"NO ({'; '.join(nf.certification_failures())})"),
+        "certified: " + (f"NO ({'; '.join(failures)})" if failures else "yes"),
     ]
-    lines.append("transform:")
-    for i, name in enumerate(spec.slow_names):
-        lines.append(f"  {name} = {render_series(nf.transform_x()[i], names_new)}")
-    for j, name in enumerate(spec.fast_names):
-        lines.append(f"  {name} = {render_series(nf.transform_y()[j], names_new)}")
-    lines.append("evolution:")
-    for i, name in enumerate(slow_new):
-        lines.append(f"  d{name}/dt = {render_series(nf.xdot()[i], names_new)}")
-    for j, name in enumerate(fast_new):
-        lines.append(f"  d{name}/dt = {render_series(nf.ydot()[j], names_new)}")
     chart = ssm_parametrisation(nf)
-    lines.append("ssm:")
-    for i, name in enumerate(spec.slow_names):
-        lines.append(f"  {name} = {render_series(chart.x_of_X[i], names_new)}")
-    for j, name in enumerate(spec.fast_names):
-        lines.append(f"  {name} = {render_series(chart.y_of_X[j], names_new)}")
-    lines.append("expected_ssm:")
-    for name, series in zip(spec.slow_names + spec.fast_names,
-                            chart.x_of_X + chart.y_of_X):
-        e = expected_series(series)
-        tail = " (+ unevaluable terms)" if e.unevaluable else ""
-        lines.append(f"  E[{name}] = {render_series(e.value, names_new)}{tail}")
-        if e.unevaluable:
-            rest = Series(series.dims, series.trunc, dict(e.unevaluable))
-            lines.append(f"  # unevaluable in E[{name}]: "
-                         f"E[{render_series(rest, names_new)}]")
+    ssm = chart.x_of_X + chart.y_of_X
+    expected = [expected_series(s) for s in ssm]
     rv = revert(nf)
-    lines.append("reversion:")
-    for i, name in enumerate(slow_new):
-        lines.append(f"  {name} = {render_series(rv.X_of_xy[i], names_orig)}")
-    for j, name in enumerate(fast_new):
-        lines.append(f"  {name} = {render_series(rv.Y_of_xy[j], names_orig)}")
+    values = {"transform": nf.transform_x() + nf.transform_y(),
+              "evolution": nf.xdot() + nf.ydot(), "ssm": ssm,
+              "expected_ssm": expected, "reversion": rv.X_of_xy + rv.Y_of_xy}
+    for section, lhss, names in _layout(spec):
+        lines.append(f"{section}:")
+        for lhs, value in zip(lhss, values[section]):
+            rest = ()
+            if section == "expected_ssm":
+                value, rest = value.value, value.unevaluable
+            tail = " (+ unevaluable terms)" if rest else ""
+            lines.append(f"  {lhs} = {render_series(value, names)}{tail}")
+            if rest:
+                rest_series = Series(spec.dims, spec.trunc, dict(rest))
+                lines.append(f"  # unevaluable in {lhs}: "
+                             f"E[{render_series(rest_series, names)}]")
     return "\n".join(lines) + "\n"
 
 
 @dataclass
 class ParsedReport:
     header: Dict[str, str]
-    transform: Dict[str, Series]
-    evolution: Dict[str, Series]
     sections: Dict[str, Dict[str, Series]]
 
 
 def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
-    slow_new, fast_new = _new_names(spec)
-    names_new = (slow_new, fast_new, spec.param_names)
-    names_orig = (spec.slow_names, spec.fast_names, spec.param_names)
+    layout = {section: (lhss, names) for section, lhss, names in _layout(spec)}
     # Read unbounded, so a term the truncation would drop is refused, not lost.
     unbounded = replace(spec.trunc, total=sys.maxsize, param_caps=())
     header: Dict[str, str] = {}
@@ -122,7 +115,7 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
             key, _, val = raw.partition(":")
             if raw.rstrip().endswith(":") and not val.strip():
                 current = key.strip()
-                if current not in _SECTIONS:
+                if current not in layout:
                     raise ReportError(f"report line {lineno}: unknown section {current!r}")
                 sections.setdefault(current, {})
             else:
@@ -140,12 +133,15 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
                               f"section: {raw.strip()!r}")
         lhs, _, rhs = raw.strip().partition("=")
         lhs = lhs.strip()
+        lhss, names = layout[current]
+        if lhs not in lhss:
+            raise ReportError(f"report line {lineno}: '{lhs} = ...' is not a line "
+                              f"of section {current}")
         first = seen.setdefault((current, lhs), lineno)
         if first != lineno:
             raise ReportError(f"report line {lineno}: '{lhs} = ...' repeats line "
                               f"{first} in section {current}")
-        rhs = rhs.split("(+ unevaluable")[0].strip()
-        names = names_orig if current == "reversion" else names_new
+        rhs = rhs.strip().removesuffix(" (+ unevaluable terms)")
         try:
             series = parse_series(rhs, spec.dims, unbounded, names)
         except ParseError as exc:
@@ -160,29 +156,24 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
                 raise ReportError(f"report line {lineno}: noise index {k} is out of "
                                   f"range for {spec.n_noise} noise(s) in {rhs!r}")
         sections[current][lhs] = series.with_trunc(spec.trunc)
-    for name in _SECTIONS:
-        if name not in sections:
-            raise ReportError(f"report has no '{name}:' section")
-    return ParsedReport(header, sections["transform"], sections["evolution"], sections)
+    for section, (lhss, _names) in layout.items():
+        if section not in sections:
+            raise ReportError(f"report has no '{section}:' section")
+        for lhs in lhss:
+            if lhs not in sections[section]:
+                raise ReportError(f"report has no {section} line '{lhs} = ...'")
+    return ParsedReport(header, sections)
 
 
 def rebuild_normal_form(rep: ParsedReport, spec: SystemSpec,
                         policy: Policy) -> NormalForm:
     """Reconstruct a NormalForm from a parsed report for re-certification."""
-    slow_new, fast_new = _new_names(spec)
-    dims, trunc = spec.dims, spec.trunc
-
-    def line(section: str, lhs: str) -> Series:
-        series = getattr(rep, section).get(lhs)
-        if series is None:
-            raise ReportError(f"report has no {section} line '{lhs} = ...'")
-        return series
-
-    xi = [line("transform", n) - Series.slow_var(dims, trunc, i)
-          for i, n in enumerate(spec.slow_names)]
-    eta = [line("transform", n) - Series.fast_var(dims, trunc, j)
-           for j, n in enumerate(spec.fast_names)]
-    lin_x, lin_y = spec.linear_xdot(), spec.linear_ydot()
-    F = [line("evolution", f"d{n}/dt") - lin_x[i] for i, n in enumerate(slow_new)]
-    G = [line("evolution", f"d{n}/dt") - lin_y[j] for j, n in enumerate(fast_new)]
-    return NormalForm(spec=spec, policy=policy, xi=xi, eta=eta, F=F, G=G)
+    dims, trunc, m = spec.dims, spec.trunc, spec.m
+    (_, transform, _), (_, evolution, _) = _layout(spec)[:2]
+    idents = ([Series.slow_var(dims, trunc, i) for i in range(m)]
+              + [Series.fast_var(dims, trunc, j) for j in range(spec.n)])
+    xi_eta = [rep.sections["transform"][lhs] - v for lhs, v in zip(transform, idents)]
+    F_G = [rep.sections["evolution"][lhs] - v
+           for lhs, v in zip(evolution, spec.linear_xdot() + spec.linear_ydot())]
+    return NormalForm(spec=spec, policy=policy, xi=xi_eta[:m], eta=xi_eta[m:],
+                      F=F_G[:m], G=F_G[m:])

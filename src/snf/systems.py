@@ -148,8 +148,11 @@ class NormalForm:
     eta: List[Series]
     F: List[Series]
     G: List[Series]
-    certified: bool = False
     residual_grade: Optional[int] = None
+
+    @property
+    def certified(self) -> bool:
+        return not self.certification_failures()
 
     def xdot(self) -> List[Series]:
         lin = self.spec.linear_xdot()

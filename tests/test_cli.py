@@ -9,11 +9,11 @@ import pytest
 
 from conftest import bundled_text, make_system
 from snf import report
-from snf.analysis import AnalysisError
-from snf.cli import EXIT_CERT, main
+from snf.analysis import AnalysisError, expected_series, revert, ssm_parametrisation
+from snf.cli import EXIT_CERT, main, verify_report
 from snf.engine import construct, verify_order
 from snf.report import emit_report, parse_report, rebuild_normal_form
-from snf.systems import ALLOW
+from snf.systems import ALLOW, FORBID
 
 
 @pytest.fixture(scope="module")
@@ -23,15 +23,29 @@ def toy_path(tmp_path_factory):
     return str(p)
 
 
-def test_report_roundtrip_exact(toy3):
-    rep_text = emit_report(toy3)
-    rep = parse_report(rep_text, toy3.spec)
-    slow_new = ("X",)
-    assert rep.transform["x"] == toy3.transform_x()[0]
-    assert rep.transform["y"] == toy3.transform_y()[0]
-    assert rep.evolution["dX/dt"] == toy3.xdot()[0]
-    assert rep.evolution["dY/dt"] == toy3.ydot()[0]
-    assert rep.sections["ssm"]["x"].terms  # analyses present
+def test_report_roundtrip_exact():
+    # every section parses back to exactly what emit_report wrote, and the
+    # report re-certifies
+    for name in ("linear.snf", "papavasiliou.snf", "toy.snf"):
+        for policy in (ALLOW, FORBID):
+            for order in (2, 3, 4):
+                nf = construct(make_system(name, total=order), policy)
+                spec, text = nf.spec, emit_report(nf)
+                orig = spec.slow_names + spec.fast_names
+                new = sum(report._new_names(spec), ())
+                chart, rv = ssm_parametrisation(nf), revert(nf)
+                ssm = chart.x_of_X + chart.y_of_X
+                wrote = {
+                    "transform": dict(zip(orig, nf.transform_x() + nf.transform_y())),
+                    "evolution": dict(zip((f"d{n}/dt" for n in new), nf.xdot() + nf.ydot())),
+                    "ssm": dict(zip(orig, ssm)),
+                    "expected_ssm": {f"E[{n}]": expected_series(s).value
+                                     for n, s in zip(orig, ssm)},
+                    "reversion": dict(zip(new, rv.X_of_xy + rv.Y_of_xy)),
+                }
+                where = f"{name}@{order} {policy.label()}"
+                assert parse_report(text, spec).sections == wrote, where
+                assert verify_report(text, spec) == [], where
 
 
 def test_report_byte_identical_across_runs():
@@ -64,6 +78,13 @@ def test_rebuilt_normal_form_recertifies(toy3):
     assert verify_order(toy3.spec, nf2) is None
 
 
+def test_rebuilt_normal_form_emits_the_report_it_was_read_from(toy3):
+    # certified is read off the form, so the rebuilt one says yes too
+    text = emit_report(toy3)
+    nf2 = rebuild_normal_form(parse_report(text, toy3.spec), toy3.spec, toy3.policy)
+    assert emit_report(nf2) == text
+
+
 def test_cli_derive_and_verify(toy_path, tmp_path):
     out = str(tmp_path / "report.txt")
     assert main(["derive", toy_path, "--order", "3", "--out", out]) == 0
@@ -89,6 +110,16 @@ def test_cli_papavasiliou_order4_derives_and_verifies(tmp_path):
     assert main(["derive", str(p), "--order", "4", "--out", out]) == 0
     assert "certified: yes\n" in open(out).read()
     assert main(["verify", str(p), "--order", "4", out]) == 0
+
+
+def test_cli_papavasiliou_order5_no_anticipate_derives_and_verifies(tmp_path):
+    # under grade_fast off the construction needs 12 sweeps at order 5
+    p = tmp_path / "pk.snf"
+    p.write_text(bundled_text("papavasiliou.snf"))
+    out = str(tmp_path / "report.txt")
+    assert main(["derive", str(p), "--order", "5", "--policy", "no-anticipate",
+                 "--out", out]) == 0
+    assert main(["verify", str(p), "--order", "5", out]) == 0
 
 
 def test_cli_analysis_error_exit_code(toy_path, tmp_path, monkeypatch, capsys):

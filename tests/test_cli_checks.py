@@ -48,8 +48,14 @@ evolution:
   dX/dt = -X*Y
   dY/dt = -Y + X^2 - 2*Y^2 + sigma*phi[0]
 ssm:
+  x = X
+  y = 0
 expected_ssm:
+  E[x] = X
+  E[y] = 0
 reversion:
+  X = x
+  Y = y
 """
 
 
@@ -405,6 +411,52 @@ def test_verify_of_a_report_missing_a_section_exits_2(
     del lines[start:end]
     assert _verify(toy_path, tmp_path, "".join(lines)) == EXIT_PARSE
     assert capsys.readouterr().err == f"error: report has no '{section}:' section\n"
+
+
+def test_verify_of_a_report_cut_after_its_reversion_header_exits_2(
+        toy_path, tmp_path, toy3_report, capsys):
+    # an empty section must not certify
+    cut = toy3_report[:toy3_report.index("reversion:\n") + len("reversion:\n")]
+    assert _verify(toy_path, tmp_path, cut) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: report has no reversion line 'X = ...'\n"
+
+
+def test_verify_of_a_report_with_an_extra_line_exits_2(toy_path, tmp_path, toy3_report,
+                                                      capsys):
+    lines = toy3_report.splitlines(keepends=True)
+    n = lines.index("ssm:\n")
+    lines.insert(n + 1, "  z = X\n")
+    assert _verify(toy_path, tmp_path, "".join(lines)) == EXIT_PARSE
+    assert capsys.readouterr().err == (f"error: report line {n + 2}: 'z = ...' "
+                                       f"is not a line of section ssm\n")
+
+
+def test_verify_of_a_report_with_terms_after_the_unevaluable_marker_exits_2(
+        toy_path, tmp_path, toy3_report, capsys):
+    # nothing after the marker may be dropped unread
+    lines = toy3_report.splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if line.startswith("  dX/dt = "))
+    lines[n] = lines[n].rstrip("\n") + " (+ unevaluable terms) + 7*X^2\n"
+    assert _verify(toy_path, tmp_path, "".join(lines)) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"error: report line {n + 1}: unexpected '('")
+
+
+@pytest.mark.parametrize("old,new,failure", [
+    ("  X = x - x*y ", "  X = x + 5*x*y ",
+     "reversion lines do not invert transform line 'x = ...'"),
+    ("  E[x] = X - 5/4*sigma^2*X\n", "  E[x] = 7*X\n",
+     "expected_ssm line 'E[x] = ...' is not the expectation of ssm line 'x = ...'"),
+    ("  y = sigma*Z[-1]{ phi[0] } - 2*sigma^2", "  y = sigma*Z[-1]{ phi[0] } + 2*sigma^2",
+     "ssm line 'y = ...' is not the slow-manifold chart of the transform"),
+], ids=["reversion", "expected_ssm", "ssm"])
+def test_verify_rejects_a_derived_section_the_form_contradicts(
+        toy_path, tmp_path, toy3_report, capsys, old, new, failure):
+    # each edited line parses, so only the section checks can refuse it
+    assert toy3_report.count(old) == 1
+    assert _verify(toy_path, tmp_path, toy3_report.replace(old, new)) == EXIT_CERT
+    out = capsys.readouterr().out
+    assert f"certification FAILED: {failure}\n" in out
+    assert "residual" not in out
 
 
 @pytest.mark.parametrize("after,extra,message", [
