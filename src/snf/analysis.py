@@ -5,7 +5,7 @@ the long-time replacement of irreducible quadratic noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -90,39 +90,90 @@ def revert(nf: NormalForm) -> Reversion:
     """Compositional inverse of the near-identity transform to the working
     order: X = x - xi(X, Y), Y = y - eta(X, Y).
 
-    The inverse is built grade by grade (the order-by-order composition
-    inverse of Brent & Kung, J. ACM 25, 1978): at working order k the
-    transform and the order-(k-1) inverse are truncated to order k and the
-    iteration runs to its fixed point there.  Only grade k is wrong at the
-    start of a level, and a sweep passes that error on through the
-    grade-preserving part of the transform alone (linear couplings such as
-    ``y = Y + X`` under ``grade_fast off``).  That part must be nilpotent for
-    the inverse to exist as a series, so one sweep per component clears the
-    error and one more sees the fixed point.
+    The inverse ``U``, ``V`` is built grade by grade (the order-by-order
+    composition inverse of Brent & Kung, J. ACM 25, 1978), and each grade is
+    computed once (online composition, van der Hoeven, J. Symb. Comput. 34,
+    2002).  Grades add under products, so the grade-k slice of
+    ``xi(U, V)`` reads ``U``, ``V`` through grade k only, and a level's grade
+    is final once the level reaches its fixed point.
+
+    A cache kept across levels holds the image under ``(U, V)`` of every
+    monomial of ``xi`` and ``eta`` and of every prefix of one (its factors in
+    slow, fast, parameter order); parameters map to themselves.  A
+    monomial's image is the image of its prefix one factor shorter times the
+    image of its last factor, so its grade-k slice is a sum of
+    ``Series.mul_grade`` products.  The pairs of grades below k are final and
+    are multiplied once per level.  Only the pairs of a grade-k slice with a
+    grade-0 part, known after level 0, are redone at each sweep, and only
+    the images that have a grade-0 part take them.
+
+    Only grade k is wrong at the start of a level, and a sweep passes that
+    error on through the grade-preserving part of the transform alone
+    (linear couplings such as ``y = Y + X`` under ``grade_fast off``).  That
+    part must be nilpotent for the inverse to exist as a series, so one sweep
+    per component clears the error and one more sees the grade-k slice
+    unchanged: each level has ``m + n + 1`` sweeps.
     """
-    dims, full = nf.spec.dims, nf.spec.trunc
-    sweeps = dims.m + dims.n + 1
-    U = [Series.slow_var(dims, full, i) for i in range(dims.m)]
-    V = [Series.fast_var(dims, full, j) for j in range(dims.n)]
-    for k in range(full.total + 1):
-        trunc = replace(full, total=k)
-        xi = [s.with_trunc(trunc) for s in nf.xi]
-        eta = [s.with_trunc(trunc) for s in nf.eta]
-        x_vars = [Series.slow_var(dims, trunc, i) for i in range(dims.m)]
-        y_vars = [Series.fast_var(dims, trunc, j) for j in range(dims.n)]
-        U = [u.with_trunc(trunc) for u in U]
-        V = [v.with_trunc(trunc) for v in V]
+    dims, trunc = nf.spec.dims, nf.spec.trunc
+    sweeps, nvar = dims.m + dims.n + 1, dims.m + dims.n
+    zero, const = Series.zero(dims, trunc), dims.mono()
+    # The monomials that take no product: 1 and each single factor, keyed by
+    # its position in the exponent vector (variables, then parameters).
+    atoms = {(): Series.const(dims, trunc, 1)}
+    atoms.update(((v,), Series.var(dims, trunc, part, i)) for v, (part, i) in enumerate(
+        (part, i) for part, size in enumerate(dims.sizes) for i in range(size)))
+    # Each component as (monomial, its noise coefficients) pairs, a monomial
+    # written as its factors, each repeated by its exponent.
+    comps = []
+    for series in nf.xi + nf.eta:
+        by_mono: Dict[Tuple[int, ...], Dict] = {}
+        for (mono, expr), c in series.terms.items():
+            exps = [e for part in mono for e in part]
+            factors = tuple(v for v, e in enumerate(exps) for _ in range(e))
+            by_mono.setdefault(factors, {})[(const, expr)] = c
+        comps.append([(f, Series(dims, trunc, t)) for f, t in by_mono.items()])
+    products = sorted({f[:j] for comp in comps for f, _c in comp
+                       for j in range(2, len(f) + 1)}, key=len)
+    done = dict.fromkeys(list(atoms) + products, zero)   # each image below grade k
+    ground = {}                           # each image's grade-0 part, if it has one
+    for k in range(trunc.total + 1):
+        fixed = {f: done[f[:-1]].mul_grade(done[f[-1:]], k) for f in products}
+        part = {a: x if x.lowest_grade() == k else zero for a, x in atoms.items()}
+        target = [part[(v,)] for v in range(nvar)]
+        part.update(((v,), zero) for v in range(nvar))
+        # (component, monomial) -> (slice, slice times its coefficients), kept
+        # while a sweep leaves the slice the same object
+        memo = {}
+
+        def term(v, f, c):
+            got = memo.get((v, f))
+            if got is None or got[0] is not part[f]:
+                got = memo[(v, f)] = (part[f], part[f].mul_grade(c, k))
+            return got[1]
+
         for _ in range(sweeps):
-            U2 = [x_vars[i] - xi[i].substitute(slow=U, fast=V) for i in range(dims.m)]
-            V2 = [y_vars[j] - eta[j].substitute(slow=U, fast=V) for j in range(dims.n)]
-            if U2 == U and V2 == V:
+            for f in products:
+                head, last = f[:-1], f[-1:]
+                if k == 0:
+                    part[f] = part[head].mul_grade(part[last], 0)
+                    continue
+                cross = [part[a].mul_grade(ground[b], k)
+                         for a, b in ((last, head), (head, last)) if b in ground]
+                part[f] = fixed[f].plus(cross) if cross else fixed[f]
+            new = [target[v] - zero.plus(term(v, f, c) for f, c in comps[v])
+                   for v in range(nvar)]
+            if all(new[v] == part[(v,)] for v in range(nvar)):
                 break
-            U, V = U2, V2
+            part.update(((v,), x) for v, x in enumerate(new))
         else:
             raise AnalysisError(
                 f"reversion did not reach a fixed point at grade {k} "
                 f"within {sweeps} sweeps")
-    return Reversion(U, V)
+        done = {f: x + part[f] for f, x in done.items()}
+        if k == 0:
+            ground = {f: x for f, x in done.items() if not x.is_zero()}
+    return Reversion([done[(i,)] for i in range(dims.m)],
+                     [done[(dims.m + j,)] for j in range(dims.n)])
 
 
 @dataclass

@@ -24,6 +24,8 @@ class ReportError(ValueError):
 # the header lines emit_report writes, in its order
 _HEADER_KEYS = ("system", "policy", "mu_min", "order", "param_caps", "grade_fast",
                 "certified")
+# how an expected_ssm line ends when some of its terms have no table value
+_UNEVALUABLE = " (+ unevaluable terms)"
 
 
 def _layout(spec: SystemSpec) -> Tuple[Tuple[str, Tuple[str, ...], tuple], ...]:
@@ -83,7 +85,7 @@ def emit_report(nf: NormalForm) -> str:
             rest = ()
             if section == "expected_ssm":
                 value, rest = value.value, value.unevaluable
-            tail = " (+ unevaluable terms)" if rest else ""
+            tail = _UNEVALUABLE if rest else ""
             lines.append(f"  {lhs} = {render_series(value, names)}{tail}")
             if rest:
                 rest_series = Series(spec.dims, spec.trunc, dict(rest))
@@ -141,7 +143,12 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
         if first != lineno:
             raise ReportError(f"report line {lineno}: '{lhs} = ...' repeats line "
                               f"{first} in section {current}")
-        rhs = rhs.strip().removesuffix(" (+ unevaluable terms)")
+        rhs = rhs.strip()
+        if rhs.endswith(_UNEVALUABLE):
+            if current != "expected_ssm":
+                raise ReportError(f"report line {lineno}: only expected_ssm lines end "
+                                  f"in '{_UNEVALUABLE.strip()}'")
+            rhs = rhs.removesuffix(_UNEVALUABLE)
         try:
             series = parse_series(rhs, spec.dims, unbounded, names)
         except ParseError as exc:

@@ -50,7 +50,7 @@ from functools import reduce
 from math import gcd, lcm
 from operator import or_
 from types import MappingProxyType
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import noise
 from .noise import Expr, NoiseSum, ONE
@@ -426,18 +426,31 @@ class Series:
         overflow the total cap.  The buckets also split by the exponents of
         the capped parameters, so a left term passes or skips a whole
         bucket on the parameter caps, by one subtraction of packed fields
-        (``_Layout.caps_of``) that always passes when no cap is set."""
+        (``_Layout.caps_of``) that always passes when no cap is set.  The
+        walk also has a lowest product grade, below which a left term skips
+        buckets: 0 here, ``k`` in ``mul_grade``."""
+        return self._product(other, 0, self.trunc.total)
+
+    def mul_grade(self, other: "Series", k: int) -> "Series":
+        """The grade-``k`` terms of ``self * other`` (none past the total
+        cap): each left term of grade g reads only the right operand's
+        buckets of grade k - g."""
+        return self._product(other, k, min(k, self.trunc.total))
+
+    def _product(self, other: "Series", lowest: int, highest: int) -> "Series":
+        """The terms of ``self * other`` of grade ``lowest`` to ``highest``,
+        by the ladder walk ``__mul__`` describes."""
         self._check(other)
         lay = self._lay
         ladder = other._bucket_ladder()
-        total, gshift = self.trunc.total, lay.gshift
+        gshift = lay.gshift
         caps, cmask, room_bits = lay._caps, lay.capped_mask, lay.room_bits
         merged = _MERGED
         out: Dict[int, int] = {}
         get = out.get
         for ka, ca in self._num.items():
-            na = ka & _NOISE_MASK
-            ha, room = ka - na, total - (ka >> gshift)
+            na, ga = ka & _NOISE_MASK, ka >> gshift
+            ha, room, low = ka - na, highest - ga, lowest - ga
             row = merged.get(na)
             if row is None:
                 row = _merge_row(na)
@@ -445,7 +458,7 @@ class Series:
             for g, used, bucket in ladder:
                 if g > room:
                     break
-                if (spare - used) & room_bits != room_bits:
+                if g < low or (spare - used) & room_bits != room_bits:
                     continue
                 for hb, nb, cb in bucket:
                     # Inline rather than noise.add_into: this is the hot
@@ -548,17 +561,27 @@ class Series:
                  for part, (given, size) in enumerate(zip((slow, fast, par), dims.sizes))]
         slots = [(part, k) for part, size in enumerate(dims.sizes) for k in range(size)]
         powers: Dict[Tuple[int, int, int], Series] = {}
-        total: Dict[int, int] = {}
-        den = 1
-        for key, c in self._num.items():
-            piece = self._packed({key & _NOISE_MASK: c}, self._den)
-            for (part, k), (off, mask, _counted) in zip(slots, lay.fields):
-                e = (key >> off) & mask
-                if e:
-                    power = powers.get((part, k, e))
-                    if power is None:
-                        power = powers[(part, k, e)] = bases[part][k].pow(e)
-                    piece = piece * power
+
+        def pieces():
+            for key, c in self._num.items():
+                piece = self._packed({key & _NOISE_MASK: c}, self._den)
+                for (part, k), (off, mask, _counted) in zip(slots, lay.fields):
+                    e = (key >> off) & mask
+                    if e:
+                        power = powers.get((part, k, e))
+                        if power is None:
+                            power = powers[(part, k, e)] = bases[part][k].pow(e)
+                        piece = piece * power
+                yield piece
+        return Series.zero(dims, trunc).plus(pieces())
+
+    def plus(self, pieces: Iterable["Series"]) -> "Series":
+        """This series plus every series of ``pieces``, added up in one dict
+        over a common denominator that grows to the least common multiple
+        of theirs."""
+        total, den = dict(self._num), self._den
+        for piece in pieces:
+            self._check(piece)
             if den % piece._den:
                 grow = piece._den // gcd(den, piece._den)
                 total = {k: v * grow for k, v in total.items()}

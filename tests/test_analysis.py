@@ -1,19 +1,21 @@
 """Slow-manifold charts, expectations, reversion, initial conditions, and
 the long-time quadratic-noise replacement."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_system
 from snf import noise
-from snf.analysis import (AnalysisError, expected_series, expected_ssm,
+from snf.analysis import (AnalysisError, Reversion, expected_series, expected_ssm,
                           long_time_model, project_initial_condition, revert,
                           ssm_parametrisation)
 from snf.engine import construct
 from snf.render import parse_series_for
 from snf.series import Series
-from snf.systems import ALLOW, NormalForm
+from snf.systems import ALLOW, FORBID, NormalForm
+from test_engine_vector import two_fast_system
 
 F = Fraction
 
@@ -111,6 +113,62 @@ def test_reversion_without_fixed_point_names_grade(pk3):
                     eta=[y * y], F=pk3.F, G=pk3.G)
     with pytest.raises(AnalysisError, match="at grade 0 within 3 sweeps"):
         revert(nf)
+
+
+# The level-by-level inverse that ``revert`` replaced: at each working order
+# it substitutes the whole inverse again.  Kept as the reference ``revert``
+# must equal.
+def _revert_reference(nf: NormalForm) -> Reversion:
+    """Compositional inverse of the near-identity transform to the working
+    order: X = x - xi(X, Y), Y = y - eta(X, Y).
+
+    The inverse is built grade by grade (the order-by-order composition
+    inverse of Brent & Kung, J. ACM 25, 1978): at working order k the
+    transform and the order-(k-1) inverse are truncated to order k and the
+    iteration runs to its fixed point there.  Only grade k is wrong at the
+    start of a level, and a sweep passes that error on through the
+    grade-preserving part of the transform alone (linear couplings such as
+    ``y = Y + X`` under ``grade_fast off``).  That part must be nilpotent for
+    the inverse to exist as a series, so one sweep per component clears the
+    error and one more sees the fixed point.
+    """
+    dims, full = nf.spec.dims, nf.spec.trunc
+    sweeps = dims.m + dims.n + 1
+    U = [Series.slow_var(dims, full, i) for i in range(dims.m)]
+    V = [Series.fast_var(dims, full, j) for j in range(dims.n)]
+    for k in range(full.total + 1):
+        trunc = replace(full, total=k)
+        xi = [s.with_trunc(trunc) for s in nf.xi]
+        eta = [s.with_trunc(trunc) for s in nf.eta]
+        x_vars = [Series.slow_var(dims, trunc, i) for i in range(dims.m)]
+        y_vars = [Series.fast_var(dims, trunc, j) for j in range(dims.n)]
+        U = [u.with_trunc(trunc) for u in U]
+        V = [v.with_trunc(trunc) for v in V]
+        for _ in range(sweeps):
+            U2 = [x_vars[i] - xi[i].substitute(slow=U, fast=V) for i in range(dims.m)]
+            V2 = [y_vars[j] - eta[j].substitute(slow=U, fast=V) for j in range(dims.n)]
+            if U2 == U and V2 == V:
+                break
+            U, V = U2, V2
+        else:
+            raise AnalysisError(
+                f"reversion did not reach a fixed point at grade {k} "
+                f"within {sweeps} sweeps")
+    return Reversion(U, V)
+
+
+@pytest.mark.parametrize("policy", [ALLOW, FORBID], ids=["anticipate", "no-anticipate"])
+@pytest.mark.parametrize("name,order", [("toy.snf", o) for o in range(3, 8)]
+                         + [("papavasiliou.snf", o) for o in range(3, 6)]
+                         # linear's eta holds Z[-1]{ phi[0] } at grade 0, so an
+                         # image of Y starts below its monomial's grade
+                         + [("linear.snf", 3), ("two-fast", 5)])
+def test_revert_equals_the_level_by_level_reference(name, order, policy):
+    spec = (two_fast_system(total=order) if name == "two-fast"
+            else make_system(name, total=order))
+    nf = construct(spec, policy)
+    rv, ref = revert(nf), _revert_reference(nf)
+    assert rv.X_of_xy == ref.X_of_xy and rv.Y_of_xy == ref.Y_of_xy
 
 
 def test_toy_reversion_slow(toy3):

@@ -63,6 +63,8 @@ GOLDEN_DIGESTS = [
     ("papavasiliou.snf", 3, "a938aa7fac03b7372ea83fa36efb5a4e6e5d92cad8ea84cf135832f56a9f0263"),
     ("papavasiliou.snf", 5, "cd2d4ae35124b1fc07d9bdacc7e4087db96d971a4e14adeeb4c516d6313974e3"),
     ("linear.snf", 3, "33038a4a35583f7512a68f606cf73aac52303fe92e2c9952cb51569c365c978a"),
+    ("papavasiliou.snf", 6, "ac24d58c1dd9de18a99749b1cc6ce27de17703675e578eb7b96fdd4cacc5e5a8"),
+    ("toy.snf", 9, "8ba0f92112e89a8f0b3e8feade2644a14d8eb83f5490e95e71ae71b056480f2e"),
 ]
 
 

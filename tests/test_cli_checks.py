@@ -441,6 +441,23 @@ def test_verify_of_a_report_with_terms_after_the_unevaluable_marker_exits_2(
     assert capsys.readouterr().err.startswith(f"error: report line {n + 1}: unexpected '('")
 
 
+@pytest.mark.parametrize("lhs", ["x = ", "dX/dt = ", "y = ", "X = "],
+                         ids=["transform", "evolution", "ssm", "reversion"])
+def test_verify_of_a_report_with_the_unevaluable_marker_outside_expected_ssm_exits_2(
+        toy_path, tmp_path, toy3_report, capsys, lhs):
+    # only expected_ssm lines may end in the marker; the first line with
+    # ``lhs`` is in the transform, evolution, ssm or reversion section
+    lines = toy3_report.splitlines(keepends=True)
+    section = {"x = ": "transform:", "dX/dt = ": "evolution:", "y = ": "ssm:",
+               "X = ": "reversion:"}[lhs]
+    start = lines.index(section + "\n")
+    n = next(i for i in range(start, len(lines)) if lines[i].startswith("  " + lhs))
+    lines[n] = lines[n].rstrip("\n") + " (+ unevaluable terms)\n"
+    assert _verify(toy_path, tmp_path, "".join(lines)) == EXIT_PARSE
+    assert capsys.readouterr().err == (f"error: report line {n + 1}: only expected_ssm "
+                                       "lines end in '(+ unevaluable terms)'\n")
+
+
 @pytest.mark.parametrize("old,new,failure", [
     ("  X = x - x*y ", "  X = x + 5*x*y ",
      "reversion lines do not invert transform line 'x = ...'"),

@@ -305,6 +305,25 @@ def test_trusted_results_hold_the_invariant(count_fast, capped, data):
     assert a - b + b == a and (a - b) * subs[0] + b * subs[0] == a * subs[0]
 
 
+@pytest.mark.parametrize("count_fast", [True, False])
+@pytest.mark.parametrize("capped", [True, False])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_mul_grade_is_the_product_cut_to_one_grade(count_fast, capped, data):
+    a, b, _c, subs = data.draw(trusted_case(count_fast, capped))
+    trunc = a.trunc
+    for left, right in ((a, b), (b, a), (a, a), (subs[0] + a, subs[1] - b)):
+        full = left * right
+        slices = []
+        for k in range(trunc.total + 2):
+            got = left.mul_grade(right, k)
+            _holds_invariant(got)
+            assert got == full.build_like({key: c for key, c in full.terms.items()
+                                           if trunc.grade_of(key[0]) == k})
+            slices.append(got)
+        assert Series.zero(DIMS2, trunc).plus(slices) == full
+
+
 # -- packed exponent fields --------------------------------------------------
 
 def test_ungraded_fast_exponent_overflow_names_the_monomial():
@@ -322,6 +341,13 @@ def test_ungraded_fast_exponent_overflow_names_the_monomial():
         (S("sigma", t) + widest) * widest
     with pytest.raises(OverflowError, match=rf"exponent {top + 1} of monomial"):
         Series(DIMS, t, {(((0,), (top + 1,), (0,)), noise.ONE): F(1)})
+    # the grade-windowed product keeps the guard for the grades it computes
+    with pytest.raises(OverflowError, match=rf"\[0, {top + 1}, 0\]"):
+        widest.mul_grade(y, 0)
+    with pytest.raises(OverflowError, match=rf"\[0, {2 * top}, 0\]"):
+        (S("sigma", t) + widest).mul_grade(widest, 0)
+    assert (S("sigma", t) + widest).mul_grade(widest, 1) == S("sigma", t) * widest
+    assert widest.mul_grade(y, 1).is_zero()
 
 
 def test_noise_derivative_is_computed_once_per_product_across_a_construct(monkeypatch):
