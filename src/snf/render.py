@@ -13,11 +13,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import groupby
-from typing import List, Optional, Tuple
+from operator import add
+from typing import Dict, List, Tuple, Union
 
 from . import noise
 from .noise import Expr, ONE
-from .series import Dims, Series, Trunc, grade, name_index
+from .series import Dims, Series, Trunc, name_index
 
 
 class ParseError(ValueError):
@@ -47,8 +48,11 @@ def _render_atom(a) -> str:
 def render_series(s: Series, names) -> str:
     """``s`` in the (slow, fast, parameter) name triple ``names``; each
     term's factors print parameters first, then slow, then fast."""
-    names = _names(names)
-    items = s.sorted_terms()
+    return _render_terms(s.sorted_terms(), _names(names))
+
+
+def _render_terms(items, names) -> str:
+    """Sorted ``((mono, expr), coefficient)`` items as series text."""
     if not items:
         return "0"
     out = []
@@ -101,6 +105,14 @@ def _names(names):
 
 # ---------------------------------------------------------------------------
 # parsing
+#
+# The parser's values are plain term dicts {(flat exponents, noise product):
+# coefficient}, the slow, fast and parameter exponents in one tuple and each
+# coefficient an int until a p/q token or a convolution weight makes it a
+# Fraction.  parse_series packs the finished dict into one Series.
+
+Terms = Dict[Tuple[Tuple[int, ...], Expr], Union[int, Fraction]]
+_SIGNS, _MUL_DIV = (("op", "+"), ("op", "-")), (("op", "*"), ("op", "/"))
 
 _TOKEN = re.compile(r"""
     (?P<num>\d+(?:/\d+)?)
@@ -110,21 +122,33 @@ _TOKEN = re.compile(r"""
   | (?P<lparen>\() | (?P<rparen>\))
   | (?P<op>[-+*/^])
   | (?P<ws>\s+)
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 
 def _tokenize(text: str) -> List[Tuple[str, str]]:
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"bad character at column {pos + 1}: {text[pos]!r}")
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"bad character at column {m.start() + 1}: {m.group()!r}")
         if kind != "ws":
             out.append((kind, m.group()))
     out.append(("end", ""))
+    return out
+
+
+def _product(a: Terms, b: Terms) -> Terms:
+    """Exponents add and noise products merge, pair by pair; every factor
+    of a report line is one term, which takes the first branch."""
+    if len(a) == 1 == len(b):
+        ((ea, na), ca), = a.items()
+        ((eb, nb), cb), = b.items()
+        return {(tuple(map(add, ea, eb)), noise.merge(na, nb)): ca * cb}
+    out: Terms = {}
+    for (ea, na), ca in a.items():
+        noise.add_into(out, (((tuple(map(add, ea, eb)), noise.merge(na, nb)), ca * cb)
+                             for (eb, nb), cb in b.items()))
     return out
 
 
@@ -139,9 +163,13 @@ class _Parser:
     def __init__(self, text: str, dims: Dims, names):
         self.tokens = _tokenize(text)
         self.k = self.conv_depth = 0
-        self.dims = dims
-        self.where = name_index(names)
+        # each name's part and flat unit exponents
+        width, first = sum(dims.sizes), (0, dims.m, dims.m + dims.n)
+        self.symbols = {name: (part, tuple(int(i == first[part] + k) for i in range(width)))
+                        for name, (part, k) in name_index(names).items()}
+        self.one = ((0,) * width, ONE)
         self.text = text
+        self.convs: Dict[tuple, noise.NoiseSum] = {}   # (mu, product) -> Z[mu] of it
 
     def peek(self):
         return self.tokens[self.k]
@@ -153,53 +181,57 @@ class _Parser:
         self.k += 1
         return tv
 
-    def parse(self, trunc: Trunc) -> Series:
-        self.trunc = trunc
+    def parse(self) -> Terms:
         s = self.expr()
         self.take("end")
         return s
 
-    def expr(self) -> Series:
+    def expr(self) -> Terms:
         sign = 1
-        while self.peek() == ("op", "-") or self.peek() == ("op", "+"):
+        while self.peek() in _SIGNS:
             if self.take("op") == "-":
                 sign = -sign
-        s = self.term().scale(sign)
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+        s = self.term()
+        if sign < 0:
+            s = {key: -c for key, c in s.items()}
+        while self.peek() in _SIGNS:
             op = self.take("op")
-            t = self.term()
-            s = s + (t if op == "+" else -t)
+            noise.add_into(s, self.term().items(), -1 if op == "-" else None)
         return s
 
-    def term(self) -> Series:
+    def term(self) -> Terms:
         s = self.factor()
-        while self.peek()[0] == "op" and self.peek()[1] in ("*", "/"):
+        while self.peek() in _MUL_DIV:
             op = self.take("op")
             f = self.factor()
             if op == "*":
-                s = s * f
+                s = _product(s, f)
             else:
                 # Division only by pure rational factors.
-                c = _as_constant(f)
-                if c is None or c == 0:
+                c = f.get(self.one, 0) if len(f) == 1 else 0
+                if not c:
                     raise ParseError("division only by non-zero rationals")
-                s = s.scale(Fraction(1) / c)
+                inv = Fraction(1) / c
+                s = {key: v * inv for key, v in s.items()}
         return s
 
-    def factor(self) -> Series:
+    def factor(self) -> Terms:
         if self.peek() == ("op", "-"):
             self.take("op")
-            return -self.factor()
+            return {key: -c for key, c in self.factor().items()}
         s = self.atom()
         while self.peek() == ("op", "^"):
             self.take("op")
-            s = s.pow(self._int())
+            base, s = s, {self.one: 1}
+            for _ in range(self._int()):
+                s = _product(s, base)
         return s
 
-    def atom(self) -> Series:
+    def atom(self) -> Terms:
         kind, val = self.peek()
         if kind == "num":
-            return Series.const(self.dims, self.trunc, self._number())
+            c = self._number()
+            return {self.one: c} if c else {}
         if kind == "lparen":
             self.take("lparen")
             s = self.expr()
@@ -211,7 +243,7 @@ class _Parser:
                 self.take("lbrack")
                 k = self._int()
                 self.take("rbrack")
-                return Series.noise_sum(self.dims, self.trunc, noise.nsum_bare(k))
+                return {(self.one[0], (noise.phi_atom(k),)): 1}
             if name == "Z" and self.peek()[0] == "lbrack":
                 self.take("lbrack")
                 mu = self._rate()
@@ -221,20 +253,26 @@ class _Parser:
                 inner = self.expr()
                 self.conv_depth -= 1
                 self.take("rbrace")
-                return inner.map_noise(lambda e: noise.conv(mu, {e: Fraction(1)}))
-            if name in self.where:
-                part, k = self.where[name]
+                out: Terms = {}
+                for (exps, expr), c in inner.items():
+                    image = self.convs.get((mu, expr))
+                    if image is None:
+                        image = self.convs[(mu, expr)] = noise.conv(mu, {expr: 1})
+                    noise.add_into(out, (((exps, e), w) for e, w in image.items()), c)
+                return out
+            if name in self.symbols:
+                part, unit = self.symbols[name]
                 if part != 2 and self.conv_depth:
                     # Only noise and constant parameters lie under a kernel.
                     raise ParseError(f"variable {name!r} inside a convolution "
                                      f"in {self.text!r}")
-                return Series.var(self.dims, self.trunc, part, k)
+                return {(unit, ONE): 1}
             raise ParseError(f"unknown symbol {name!r} in {self.text!r}")
         raise ParseError(f"unexpected {val!r} in {self.text!r}")
 
-    def _rate(self) -> Fraction:
+    def _rate(self) -> Union[int, Fraction]:
         sign = 1
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+        while self.peek() in _SIGNS:
             if self.take("op") == "-":
                 sign = -sign
         mu = sign * self._number()
@@ -242,12 +280,14 @@ class _Parser:
             raise ParseError(f"convolution rate must be non-zero in {self.text!r}")
         return mu
 
-    def _number(self) -> Fraction:
+    def _number(self) -> Union[int, Fraction]:
         """An integer or p/q token with a non-zero q."""
         p, _, q = self.take("num").partition("/")
-        if q and not int(q):
+        if not q:
+            return int(p)
+        if not int(q):
             raise ParseError(f"zero denominator in {p}/{q} in {self.text!r}")
-        return Fraction(int(p), int(q or 1))
+        return Fraction(int(p), int(q))
 
     def _int(self) -> int:
         """An integer token: an exponent or a noise index."""
@@ -257,19 +297,18 @@ class _Parser:
         return int(val)
 
 
-def _as_constant(s: Series) -> Optional[Fraction]:
-    if not s.terms:
-        return Fraction(0)
-    if len(s.terms) == 1:
-        (mono, expr), c = next(iter(s.terms.items()))
-        if grade(mono) == 0 and expr == ONE:
-            return c
-    return None
-
-
 def parse_series(text: str, dims: Dims, trunc: Trunc, names) -> Series:
-    """Parse a rendered series back into a value (inverse of render_series)."""
-    return _Parser(text, dims, names).parse(trunc)
+    """Parse a rendered series back into a value (inverse of render_series),
+    packed once at the truncation ``trunc``.  A term ``trunc`` does not keep
+    is refused, not dropped."""
+    m, mn = dims.m, dims.m + dims.n
+    terms = {((exps[:m], exps[m:mn], exps[mn:]), expr): c
+             for (exps, expr), c in _Parser(text, dims, names).parse().items()}
+    for (mono, expr), c in terms.items():
+        if not trunc.keeps(mono):
+            term = _render_terms([((mono, expr), c)], _names(names))
+            raise ParseError(f"term {term} is outside the truncation window in {text!r}")
+    return Series(dims, trunc, terms)
 
 
 def parse_series_for(text: str, spec) -> Series:

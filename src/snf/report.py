@@ -4,8 +4,7 @@ parser read one section table, ``_layout``."""
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -24,8 +23,10 @@ class ReportError(ValueError):
 # the header lines emit_report writes, in its order
 _HEADER_KEYS = ("system", "policy", "mu_min", "order", "param_caps", "grade_fast",
                 "certified")
-# how an expected_ssm line ends when some of its terms have no table value
+# how an expected_ssm line ends when some of its terms have no table value,
+# and how the comment line after it that lists those terms begins
 _UNEVALUABLE = " (+ unevaluable terms)"
+_UNEVALUABLE_NOTE = "# unevaluable in "
 
 
 def _layout(spec: SystemSpec) -> Tuple[Tuple[str, Tuple[str, ...], tuple], ...]:
@@ -89,7 +90,7 @@ def emit_report(nf: NormalForm) -> str:
             lines.append(f"  {lhs} = {render_series(value, names)}{tail}")
             if rest:
                 rest_series = Series(spec.dims, spec.trunc, dict(rest))
-                lines.append(f"  # unevaluable in {lhs}: "
+                lines.append(f"  {_UNEVALUABLE_NOTE}{lhs}: "
                              f"E[{render_series(rest_series, names)}]")
     return "\n".join(lines) + "\n"
 
@@ -98,20 +99,50 @@ def emit_report(nf: NormalForm) -> str:
 class ParsedReport:
     header: Dict[str, str]
     sections: Dict[str, Dict[str, Series]]
+    # the terms each marked expected_ssm line lists as unevaluable, by lhs
+    unevaluable: Dict[str, Series] = field(default_factory=dict)
 
 
 def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
     layout = {section: (lhss, names) for section, lhss, names in _layout(spec)}
-    # Read unbounded, so a term the truncation would drop is refused, not lost.
-    unbounded = replace(spec.trunc, total=sys.maxsize, param_caps=())
     header: Dict[str, str] = {}
     sections: Dict[str, Dict[str, Series]] = {}
+    unevaluable: Dict[str, Series] = {}
     header_line: Dict[str, int] = {}
     seen: Dict[Tuple[str, str], int] = {}    # (section, lhs) -> its line
+    marked = set()                           # expected_ssm lhss with the marker
+    noted: Dict[str, int] = {}               # expected_ssm lhs -> its comment line
+
+    def read(lineno: int, rhs: str, names) -> Series:
+        try:
+            series = parse_series(rhs, spec.dims, spec.trunc, names)
+        except ParseError as exc:
+            raise ReportError(f"report line {lineno}: {exc}") from exc
+        for (_mono, expr), _c in series.terms.items():
+            k = max(noise.symbols_of(expr), default=-1)
+            if k >= spec.n_noise:
+                raise ReportError(f"report line {lineno}: noise index {k} is out of "
+                                  f"range for {spec.n_noise} noise(s) in {rhs!r}")
+        return series
+
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip() or raw.strip() == "normal-form report" \
-                or raw.lstrip().startswith("#"):
+        line = raw.strip()
+        if line.startswith(_UNEVALUABLE_NOTE):
+            lhs, _, rest = line.removeprefix(_UNEVALUABLE_NOTE).partition(":")
+            lhs, rest = lhs.strip(), rest.strip()
+            lhss, names = layout["expected_ssm"]
+            at = f"report line {lineno}: '{_UNEVALUABLE_NOTE}{lhs}: ...'"
+            if lhs not in lhss:
+                raise ReportError(f"{at} names no expected_ssm line")
+            first = noted.setdefault(lhs, lineno)
+            if first != lineno:
+                raise ReportError(f"{at} repeats line {first}")
+            if not (rest.startswith("E[") and rest.endswith("]")):
+                raise ReportError(f"{at} does not read 'E[...]'")
+            unevaluable[lhs] = read(lineno, rest[2:-1], names)
+            continue
+        if not line or line == "normal-form report" or line.startswith("#"):
             continue
         if not raw.startswith("  "):
             key, _, val = raw.partition(":")
@@ -132,8 +163,8 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
             continue
         if current is None:
             raise ReportError(f"report line {lineno}: series line outside any "
-                              f"section: {raw.strip()!r}")
-        lhs, _, rhs = raw.strip().partition("=")
+                              f"section: {line!r}")
+        lhs, _, rhs = line.partition("=")
         lhs = lhs.strip()
         lhss, names = layout[current]
         if lhs not in lhss:
@@ -149,27 +180,23 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
                 raise ReportError(f"report line {lineno}: only expected_ssm lines end "
                                   f"in '{_UNEVALUABLE.strip()}'")
             rhs = rhs.removesuffix(_UNEVALUABLE)
-        try:
-            series = parse_series(rhs, spec.dims, unbounded, names)
-        except ParseError as exc:
-            raise ReportError(f"report line {lineno}: {exc}") from exc
-        for (mono, expr), c in series.terms.items():
-            if not spec.trunc.keeps(mono):
-                term = render_series(series.build_like({(mono, expr): c}), names)
-                raise ReportError(f"report line {lineno}: term {term} is outside "
-                                  f"the truncation window in {rhs!r}")
-            k = max(noise.symbols_of(expr), default=-1)
-            if k >= spec.n_noise:
-                raise ReportError(f"report line {lineno}: noise index {k} is out of "
-                                  f"range for {spec.n_noise} noise(s) in {rhs!r}")
-        sections[current][lhs] = series.with_trunc(spec.trunc)
+            marked.add(lhs)
+        sections[current][lhs] = read(lineno, rhs, names)
     for section, (lhss, _names) in layout.items():
         if section not in sections:
             raise ReportError(f"report has no '{section}:' section")
         for lhs in lhss:
             if lhs not in sections[section]:
                 raise ReportError(f"report has no {section} line '{lhs} = ...'")
-    return ParsedReport(header, sections)
+    for lhs in layout["expected_ssm"][0]:
+        at = f"report line {seen[('expected_ssm', lhs)]}: '{lhs} = ...'"
+        if lhs in marked and lhs not in noted:
+            raise ReportError(f"{at} ends in '{_UNEVALUABLE.strip()}' but no "
+                              f"'{_UNEVALUABLE_NOTE}{lhs}: ...' comment lists its terms")
+        if lhs in noted and lhs not in marked:
+            raise ReportError(f"{at} does not end in '{_UNEVALUABLE.strip()}' but "
+                              f"line {noted[lhs]} lists its unevaluable terms")
+    return ParsedReport(header, sections, unevaluable)
 
 
 def rebuild_normal_form(rep: ParsedReport, spec: SystemSpec,

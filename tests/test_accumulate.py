@@ -1,6 +1,8 @@
 """The one add-and-drop-zeros path: noise sums and series never keep a zero
-coefficient, and the per-term noise rewrites match term-by-term references."""
+coefficient, the per-term noise rewrites match term-by-term references, and
+the report parser, which accumulates plain term dicts, inverts the renderer."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from snf import noise
 from snf.render import ParseError, parse_series, render_rate, render_series
-from snf.series import Series
+from snf.series import Series, Trunc
 from test_noise import atoms, memory_sums
 from test_series import DIMS, NAMES, TR, small_series
 
@@ -144,3 +146,63 @@ def test_a_variable_inside_a_convolution_is_refused(text):
     # only noise and constant parameters lie under a kernel
     with pytest.raises(ParseError, match="inside a convolution"):
         parse_series(text, DIMS, TR, NAMES)
+
+
+# -- the report parser: plain term dicts, packed once ---------------------------
+
+def _canonical(expr):
+    """The canonical noise sum of a product built atom by atom."""
+    out = {noise.ONE: F(1)}
+    for a in expr:
+        factor = (noise.nsum_bare(a[1]) if noise.is_bare(a)
+                  else noise.conv(a[1], _canonical(a[2])))
+        out = noise.n_mul(out, factor)
+    return out
+
+
+@given(noisy_series(atoms()), noisy_series(), st.sampled_from([F(1), F(-3, 4), F(5, 3)]))
+@settings(max_examples=80, deadline=None)
+def test_parse_series_inverts_render_series(a, b, c):
+    # slow, fast and parameter variables, bare and nested noise, mixed
+    # denominators; the parse packs exactly the series that was rendered
+    s = (a + b.scale(c)).map_noise(_canonical)
+    got = parse_series(render_series(s, NAMES), DIMS, TR, NAMES)
+    assert got == s
+    assert got._num == s._num and got._den == s._den
+
+
+def test_parenthesised_powered_input_is_its_series_value():
+    # the grammar beyond canonical report lines; "^2/4" would read the
+    # exponent 2/4, so the division sits after y
+    got = parse_series("(1 + 2*x^2)*y/4*(3*Z[-1]{ phi[0] } - Z[+1]{ phi[0] })^2",
+                       DIMS, TR, NAMES)
+    x, y = Series.slow_var(DIMS, TR, 0), Series.fast_var(DIMS, TR, 0)
+    phi = (noise.phi_atom(0),)
+    z = Series.noise_sum(DIMS, TR, {(noise.z_atom(F(-1), phi),): F(3),
+                                    (noise.z_atom(F(1), phi),): F(-1)})
+    want = (Series.const(DIMS, TR, 1) + x.pow(2).scale(2)) * y.scale(F(1, 4)) * z.pow(2)
+    assert got == want
+    assert parse_series("-(x - y)^2 + x^0 + x*y*5/2", DIMS, TR, NAMES) == \
+        parse_series("1 - x^2 + 9/2*x*y - y^2", DIMS, TR, NAMES)
+
+
+@pytest.mark.parametrize("text", ["x/y", "x/(1 - 1)", "x/0"])
+def test_division_by_anything_but_a_nonzero_rational_is_refused(text):
+    with pytest.raises(ParseError, match=r"^division only by non-zero rationals$"):
+        parse_series(text, DIMS, TR, NAMES)
+
+
+@pytest.mark.parametrize("text,trunc,term", [
+    ("x^3", Trunc(2, (None,)), "x^3"),
+    ("x - 2*sigma^2*y", Trunc(4, (1,)), "-2*sigma^2*y"),
+])
+def test_a_term_outside_the_truncation_window_is_refused(text, trunc, term):
+    with pytest.raises(ParseError, match=re.escape(
+            f"term {term} is outside the truncation window in {text!r}")):
+        parse_series(text, DIMS, trunc, NAMES)
+
+
+def test_the_window_is_applied_to_the_finished_sum():
+    # a term that cancels within the line is never refused
+    assert parse_series("x^3 + x - x^3", DIMS, Trunc(2, (None,)), NAMES) == \
+        Series.slow_var(DIMS, Trunc(2, (None,)), 0)

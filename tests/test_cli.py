@@ -13,6 +13,7 @@ from snf.analysis import AnalysisError, expected_series, revert, ssm_parametrisa
 from snf.cli import EXIT_CERT, main, verify_report
 from snf.engine import construct, verify_order
 from snf.report import emit_report, parse_report, rebuild_normal_form
+from snf.series import Series
 from snf.systems import ALLOW, FORBID
 
 
@@ -72,6 +73,30 @@ GOLDEN_DIGESTS = [
 def test_report_matches_golden_digest(name, order, digest):
     text = emit_report(construct(make_system(name, total=order), ALLOW))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_parse_report_runs_no_series_algebra(toy5, monkeypatch):
+    # each line parses into plain term dicts and is packed once; a product,
+    # sum or accumulation of Series per factor or term would show here
+    text = emit_report(toy5)
+    calls = []
+    for name in ("_product", "_combine", "plus"):
+        def counted(*args, _name=name, _fn=getattr(Series, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(Series, name, counted)
+    parse_report(text, toy5.spec)
+    assert calls == []
+
+
+def test_parse_report_reads_the_unevaluable_comments(toy5):
+    spec = toy5.spec
+    rep = parse_report(emit_report(toy5), spec)
+    chart = ssm_parametrisation(toy5)
+    want = {f"E[{n}]": Series(spec.dims, spec.trunc, dict(expected_series(s).unevaluable))
+            for n, s in zip(spec.slow_names + spec.fast_names, chart.x_of_X + chart.y_of_X)}
+    assert all(not w.is_zero() for w in want.values())
+    assert rep.unevaluable == want
 
 
 def test_rebuilt_normal_form_recertifies(toy3):
