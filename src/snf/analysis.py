@@ -44,14 +44,29 @@ def ssm_parametrisation(nf: NormalForm) -> SsmChart:
 
 @dataclass
 class Expected:
-    """Term-wise expectation of a series; terms the rule tables cannot
-    evaluate are reported symbolically instead of being guessed."""
+    """Term-wise expectation of a series.  Terms whose noise product the
+    moment recursion of ``noise.expectation`` does not reach (a mixed-side
+    convolution, two bare factors, or a bare factor beside a future
+    convolution) are kept symbolically instead of being guessed; no
+    slow-manifold chart has one."""
     value: Series
     unevaluable: List[Tuple] = field(default_factory=list)
 
 
 def expected_series(s: Series) -> Expected:
     return Expected(*_expect_terms(s, _expectation))
+
+
+def chart_expectation(s: Series, lhs: str) -> Series:
+    """The expectation of the slow-manifold chart line ``lhs = s``.  A
+    derived chart holds past convolutions only, which the moment recursion
+    always evaluates; any other term raises AnalysisError naming it."""
+    got = expected_series(s)
+    if got.unevaluable:
+        (_mono, expr), _c = got.unevaluable[0]
+        raise AnalysisError(f"no stationary expectation of {render_noise(expr)} "
+                            f"in chart line '{lhs} = ...'")
+    return got.value
 
 
 def _expectation(expr: Expr) -> Optional[Tuple[Expr, Fraction]]:
@@ -61,8 +76,8 @@ def _expectation(expr: Expr) -> Optional[Tuple[Expr, Fraction]]:
 
 def _expect_terms(s: Series, rule) -> Tuple[Series, List[Tuple]]:
     """Apply an expectation ``rule`` term by term.  The rule maps a noise
-    product to (the noise it keeps, a rational factor), or to None when the
-    tables cannot evaluate it; such terms go to the returned tail."""
+    product to (the noise it keeps, a rational factor), or to None when it
+    cannot evaluate it; such terms go to the returned tail."""
     pairs, tail = [], []
     for (mono, expr), c in s.terms.items():
         got = rule(expr)
@@ -181,10 +196,12 @@ class InitialProjection:
     """Projection of an observed state onto the slow model.
 
     ``expr`` is the exact symbolic projection (noise integrals and all);
-    ``mean``/``variance`` evaluate it under the expectation tables, either
-    unconditionally or conditional on knowing the future noise (the noise a
-    forecast simulation will itself draw).  Unevaluable pieces are carried
-    symbolically in the ``*_tail`` fields.
+    ``mean``/``variance`` evaluate it by the moment recursion of
+    ``noise.expectation``, either unconditionally or conditional on knowing
+    the future noise (the noise a forecast simulation will itself draw).
+    The reversion mixes past and future noise, so products with a
+    mixed-side convolution, or a bare factor beside a future one, occur;
+    they are carried symbolically in the ``*_tail`` fields.
     """
     expr: Series
     mean: Series

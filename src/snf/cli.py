@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import engine
-from .analysis import (AnalysisError, expected_series, long_time_model,
+from .analysis import (AnalysisError, chart_expectation, long_time_model,
                        ssm_parametrisation)
 from .noise import ONE, NoiseError
 from .report import (ReportError, _layout, emit_report, header_policy, parse_report,
@@ -178,11 +178,10 @@ def verify_report(text: str, spec) -> List[str]:
 def _section_failures(rep, nf) -> List[str]:
     """Each line of a derived section that the rebuilt form contradicts:
     ``ssm`` must be its slow-manifold chart, each ``expected_ssm`` line the
-    expectation of the report's own ``ssm`` line, ending in the
-    ``(+ unevaluable terms)`` marker exactly when that expectation has
-    unevaluable terms and with its ``# unevaluable in`` comment listing
-    them, and the ``reversion`` must invert the transform within the
-    truncation window, one ``substitute`` per transform line."""
+    expectation of the report's own ``ssm`` line (AnalysisError when that
+    line holds a product with no stationary expectation), and the
+    ``reversion`` must invert the transform within the truncation window,
+    one ``substitute`` per transform line."""
     spec, sections = nf.spec, rep.sections
     dims, trunc = spec.dims, spec.trunc
     lhss = {section: lhss for section, lhss, _names in _layout(spec)}
@@ -190,19 +189,10 @@ def _section_failures(rep, nf) -> List[str]:
     failures = [f"ssm line '{lhs} = ...' is not the slow-manifold chart of the transform"
                 for lhs, want in zip(lhss["ssm"], chart.x_of_X + chart.y_of_X)
                 if sections["ssm"][lhs] != want]
-    for e, x in zip(lhss["expected_ssm"], lhss["ssm"]):
-        want = expected_series(sections["ssm"][x])
-        rest, marked = Series(dims, trunc, dict(want.unevaluable)), e in rep.unevaluable
-        if sections["expected_ssm"][e] != want.value:
-            failures.append(f"expected_ssm line '{e} = ...' is not the expectation of "
-                            f"ssm line '{x} = ...'")
-        if marked == rest.is_zero():
-            failures.append(f"the '(+ unevaluable terms)' marker of expected_ssm line "
-                            f"'{e} = ...' does not match the expectation of ssm line "
-                            f"'{x} = ...'")
-        elif marked and rep.unevaluable[e] != rest:
-            failures.append(f"the '# unevaluable in {e}: ...' comment does not list the "
-                            f"unevaluable terms of the expectation of ssm line '{x} = ...'")
+    failures += [f"expected_ssm line '{e} = ...' is not the expectation of "
+                 f"ssm line '{x} = ...'"
+                 for e, x in zip(lhss["expected_ssm"], lhss["ssm"])
+                 if sections["expected_ssm"][e] != chart_expectation(sections["ssm"][x], x)]
     inverse = [sections["reversion"][lhs] for lhs in lhss["reversion"]]
     idents = ([Series.slow_var(dims, trunc, i) for i in range(spec.m)]
               + [Series.fast_var(dims, trunc, j) for j in range(spec.n)])

@@ -25,6 +25,7 @@ is kept structural, matching the calculus, which excludes that composition.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 # Atom encodings: ("phi", k) or ("Z", mu, child) with child a sorted atom tuple.
@@ -309,14 +310,36 @@ def _side(atom: Atom) -> Optional[int]:
     return s
 
 
-def expectation(expr: Expr) -> Optional[Fraction]:
-    """Expectation of a canonical product, or None when outside the tables.
+def _mirror(expr: Expr) -> Expr:
+    """The product under time reversal: every rate negated at every depth."""
+    return product(*(a if is_bare(a) else z_atom(-a[1], _mirror(a[2])) for a in expr))
 
-    Rules: E[1]=1, E[phi]=0, E[Z mu c] = E[c]/|mu|, E[(Z mu phi)^2]=1/(2|mu|),
-    E[phi * Z(mu<0) phi]=1/2, products over independent noise symbols
-    factorise, odd total symbol count vanishes, and factors measurable with
-    respect to disjoint past/future noise segments factorise.  Anything else
-    is reported as unevaluable rather than guessed.
+
+# Products recur across the terms of a series and inside the recursion; the
+# values are immutable, and the bound keeps a long process's cache finite.
+@lru_cache(maxsize=1 << 16)
+def expectation(expr: Expr) -> Optional[Fraction]:
+    """Stationary expectation of a canonical product, or None when the
+    moment recursion does not reach it.
+
+    E[1] = 1, an odd total symbol count vanishes, products over disjoint
+    noise symbols factorise, and so do a product's past and future factors.
+    A single convolution has E[Z[mu]{c}] = E[c]/|mu|.  A product M of past
+    convolutions z_a = Z[mu_a]{c_a} with multiplicities e_a is stationary
+    and dz_a/dt = mu_a z_a + c_a, so 0 = E[dM/dt] gives
+
+        E[M] = -(sum_a e_a mu_a)^-1 sum_a e_a E[(M/z_a) c_a].
+
+    A bare factor beside past convolutions is read in the Stratonovich sense,
+
+        E[phi_k o F] = 1/2 sum_b e_b E[(F/z_b) r_b]
+
+    over the atoms z_b = Z[mu]{phi_k r_b} of F (Gardiner, "Stochastic
+    Methods", 4th ed., 2009, ch. 4; Kloeden & Platen, 1992, ch. 4).  Each
+    step removes one tree node, so the recursion ends in a rational.  A
+    product of future convolutions is evaluated as its mirror image.  Two
+    bare factors, a bare factor beside a future convolution, and a product
+    that holds a mixed-side convolution return None.
     """
     if expr == ONE:
         return Fraction(1)
@@ -338,36 +361,47 @@ def expectation(expr: Expr) -> Optional[Fraction]:
                 return None
             total *= e
         return total
-    return _expect_component(expr)
+    return _moment(expr)
 
 
-def _expect_component(expr: Expr) -> Optional[Fraction]:
-    if expr == ONE:
-        return Fraction(1)
+def _moment(expr: Expr) -> Optional[Fraction]:
+    """The expectation of a product whose atoms share noise symbols."""
+    sides, bare = [_side(a) for a in expr], bare_count(expr)
+    if set(sides) == {1}:
+        return expectation(_mirror(expr))
     if len(expr) == 1:
-        a = expr[0]
-        if is_bare(a):
-            return Fraction(0)
-        inner = expectation(a[2])
-        if inner is None:
+        # a past or mixed-side convolution; a lone bare factor has an odd count
+        inner = expectation(expr[0][2])
+        return None if inner is None else inner / abs(expr[0][1])
+    if sides.count(None) > bare or (bare and 1 in sides):
+        return None
+    if 1 in sides:
+        # Disjoint past/future groups are independent.
+        total = Fraction(1)
+        for side in (-1, 1):
+            e = expectation(product(*[a for a, s in zip(expr, sides) if s == side]))
+            if e is None:
+                return None
+            total *= e
+        return total
+    if bare > 1:
+        return None
+    # Bare factors sort first; with none, every atom is a past convolution.
+    phi, atoms = (expr[0], expr[1:]) if bare else (None, expr)
+    total = Fraction(0)
+    for atom, others in _peel(atoms):
+        child = list(atom[2])
+        if phi is not None:
+            if phi not in child:
+                continue
+            child.remove(phi)
+        e = expectation(merge(others, tuple(child)))
+        if e is None:
             return None
-        return inner / abs(a[1])
-    # Disjoint past/future groups are independent.
-    sides = [_side(a) for a in expr]
-    if all(s is not None for s in sides) and len(set(sides)) == 2:
-        past = product(*[a for a, s in zip(expr, sides) if s < 0])
-        fut = product(*[a for a, s in zip(expr, sides) if s > 0])
-        ep, ef = expectation(past), expectation(fut)
-        if ep is None or ef is None:
-            return None
-        return ep * ef
-    if len(expr) == 2:
-        a, b = expr
-        if a == b and is_conv(a) and len(a[2]) == 1 and is_bare(a[2][0]):
-            return Fraction(1, 2) / abs(a[1])
-        if quad_pair(expr) is not None:
-            return Fraction(1, 2)
-    return None
+        total += atoms.count(atom) * e
+    if phi is not None:
+        return total / 2
+    return -total / sum(a[1] for a in atoms)
 
 
 # ---------------------------------------------------------------------------

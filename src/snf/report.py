@@ -4,12 +4,12 @@ parser read one section table, ``_layout``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import noise
-from .analysis import expected_series, ssm_parametrisation, revert
+from .analysis import chart_expectation, ssm_parametrisation, revert
 from .render import ParseError, new_names as _new_names, parse_series, render_series
 from .series import Series
 from .systems import NormalForm, Policy, SystemSpec
@@ -23,10 +23,6 @@ class ReportError(ValueError):
 # the header lines emit_report writes, in its order
 _HEADER_KEYS = ("system", "policy", "mu_min", "order", "param_caps", "grade_fast",
                 "certified")
-# how an expected_ssm line ends when some of its terms have no table value,
-# and how the comment line after it that lists those terms begins
-_UNEVALUABLE = " (+ unevaluable terms)"
-_UNEVALUABLE_NOTE = "# unevaluable in "
 
 
 def _layout(spec: SystemSpec) -> Tuple[Tuple[str, Tuple[str, ...], tuple], ...]:
@@ -75,23 +71,16 @@ def emit_report(nf: NormalForm) -> str:
     ]
     chart = ssm_parametrisation(nf)
     ssm = chart.x_of_X + chart.y_of_X
-    expected = [expected_series(s) for s in ssm]
+    expected = [chart_expectation(s, x)
+                for s, x in zip(ssm, spec.slow_names + spec.fast_names)]
     rv = revert(nf)
     values = {"transform": nf.transform_x() + nf.transform_y(),
               "evolution": nf.xdot() + nf.ydot(), "ssm": ssm,
               "expected_ssm": expected, "reversion": rv.X_of_xy + rv.Y_of_xy}
     for section, lhss, names in _layout(spec):
         lines.append(f"{section}:")
-        for lhs, value in zip(lhss, values[section]):
-            rest = ()
-            if section == "expected_ssm":
-                value, rest = value.value, value.unevaluable
-            tail = _UNEVALUABLE if rest else ""
-            lines.append(f"  {lhs} = {render_series(value, names)}{tail}")
-            if rest:
-                rest_series = Series(spec.dims, spec.trunc, dict(rest))
-                lines.append(f"  {_UNEVALUABLE_NOTE}{lhs}: "
-                             f"E[{render_series(rest_series, names)}]")
+        lines += [f"  {lhs} = {render_series(value, names)}"
+                  for lhs, value in zip(lhss, values[section])]
     return "\n".join(lines) + "\n"
 
 
@@ -99,19 +88,14 @@ def emit_report(nf: NormalForm) -> str:
 class ParsedReport:
     header: Dict[str, str]
     sections: Dict[str, Dict[str, Series]]
-    # the terms each marked expected_ssm line lists as unevaluable, by lhs
-    unevaluable: Dict[str, Series] = field(default_factory=dict)
 
 
 def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
     layout = {section: (lhss, names) for section, lhss, names in _layout(spec)}
     header: Dict[str, str] = {}
     sections: Dict[str, Dict[str, Series]] = {}
-    unevaluable: Dict[str, Series] = {}
     header_line: Dict[str, int] = {}
     seen: Dict[Tuple[str, str], int] = {}    # (section, lhs) -> its line
-    marked = set()                           # expected_ssm lhss with the marker
-    noted: Dict[str, int] = {}               # expected_ssm lhs -> its comment line
 
     def read(lineno: int, rhs: str, names) -> Series:
         try:
@@ -128,20 +112,6 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if line.startswith(_UNEVALUABLE_NOTE):
-            lhs, _, rest = line.removeprefix(_UNEVALUABLE_NOTE).partition(":")
-            lhs, rest = lhs.strip(), rest.strip()
-            lhss, names = layout["expected_ssm"]
-            at = f"report line {lineno}: '{_UNEVALUABLE_NOTE}{lhs}: ...'"
-            if lhs not in lhss:
-                raise ReportError(f"{at} names no expected_ssm line")
-            first = noted.setdefault(lhs, lineno)
-            if first != lineno:
-                raise ReportError(f"{at} repeats line {first}")
-            if not (rest.startswith("E[") and rest.endswith("]")):
-                raise ReportError(f"{at} does not read 'E[...]'")
-            unevaluable[lhs] = read(lineno, rest[2:-1], names)
-            continue
         if not line or line == "normal-form report" or line.startswith("#"):
             continue
         if not raw.startswith("  "):
@@ -174,29 +144,14 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
         if first != lineno:
             raise ReportError(f"report line {lineno}: '{lhs} = ...' repeats line "
                               f"{first} in section {current}")
-        rhs = rhs.strip()
-        if rhs.endswith(_UNEVALUABLE):
-            if current != "expected_ssm":
-                raise ReportError(f"report line {lineno}: only expected_ssm lines end "
-                                  f"in '{_UNEVALUABLE.strip()}'")
-            rhs = rhs.removesuffix(_UNEVALUABLE)
-            marked.add(lhs)
-        sections[current][lhs] = read(lineno, rhs, names)
+        sections[current][lhs] = read(lineno, rhs.strip(), names)
     for section, (lhss, _names) in layout.items():
         if section not in sections:
             raise ReportError(f"report has no '{section}:' section")
         for lhs in lhss:
             if lhs not in sections[section]:
                 raise ReportError(f"report has no {section} line '{lhs} = ...'")
-    for lhs in layout["expected_ssm"][0]:
-        at = f"report line {seen[('expected_ssm', lhs)]}: '{lhs} = ...'"
-        if lhs in marked and lhs not in noted:
-            raise ReportError(f"{at} ends in '{_UNEVALUABLE.strip()}' but no "
-                              f"'{_UNEVALUABLE_NOTE}{lhs}: ...' comment lists its terms")
-        if lhs in noted and lhs not in marked:
-            raise ReportError(f"{at} does not end in '{_UNEVALUABLE.strip()}' but "
-                              f"line {noted[lhs]} lists its unevaluable terms")
-    return ParsedReport(header, sections, unevaluable)
+    return ParsedReport(header, sections)
 
 
 def rebuild_normal_form(rep: ParsedReport, spec: SystemSpec,

@@ -61,14 +61,28 @@ def test_linear_ssm(linear3):
 
 
 def test_expected_ssm_toy(toy3):
-    # E[x] = (1 - 5/4 sigma^2) X under the expectation tables; E[y] picks up
-    # the mean of the -2 sigma^2 Z-((Z-phi)^2) transform term.
+    # E[x] = (1 - 5/4 sigma^2) X by the moment recursion; E[y] picks up the
+    # mean of the -2 sigma^2 Z-((Z-phi)^2) transform term.
     spec = toy3.spec
     ex, ey = expected_ssm(ssm_parametrisation(toy3))
     assert ex[0].value == S(spec, "x - 5/4*sigma^2*x")
     assert ex[0].unevaluable == []
     assert ey[0].value == S(spec, "x^2 - sigma^2")
     assert ey[0].unevaluable == []
+
+
+@pytest.mark.parametrize("name,orders", [("toy.snf", (3, 4, 5, 6, 7)),
+                                         ("papavasiliou.snf", (3, 4, 5, 6)),
+                                         ("linear.snf", (3,))],
+                         ids=["toy", "papavasiliou", "linear"])
+def test_every_chart_term_has_an_expectation(name, orders):
+    # the chart holds past convolutions only, which the moment recursion
+    # always evaluates, so no expected_ssm line keeps a tail
+    for order in orders:
+        for policy in (ALLOW, FORBID):
+            chart = ssm_parametrisation(construct(make_system(name, total=order), policy))
+            for s in chart.x_of_X + chart.y_of_X:
+                assert expected_series(s).unevaluable == [], (order, policy.label())
 
 
 def test_expected_ssm_consistent_with_steeper_parabola(toy3):

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+from dataclasses import replace
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from snf import report
 from snf.analysis import AnalysisError, expected_series, revert, ssm_parametrisation
 from snf.cli import EXIT_CERT, main, verify_report
 from snf.engine import construct, verify_order
+from snf.render import parse_series_for
 from snf.report import emit_report, parse_report, rebuild_normal_form
 from snf.series import Series
 from snf.systems import ALLOW, FORBID
@@ -58,14 +60,14 @@ def test_report_byte_identical_across_runs():
 # sha256 of each emitted report: a change to the series algebra must keep
 # the report bytes.
 GOLDEN_DIGESTS = [
-    ("toy.snf", 5, "3c11ca0d4df875a466c4d019fdffaecfb967d029808e612426d31e3533328248"),
-    ("toy.snf", 6, "d20154a59fc95d1305d5fccaf606d28bb72b20b7b9246d7d1edfe702aa0d7d9f"),
-    ("toy.snf", 7, "47e2fe53b4bcefb34516baf6f40755b3398f13482420cd19ce32ffe8e9425151"),
+    ("toy.snf", 5, "b286ad5716d4776a7f96a54be2df04bb380f25da48bf4855b54f7cfb8f60b09d"),
+    ("toy.snf", 6, "6df054f3a35b6770e4da8b85686814569f0e2b74bd6bc1530da2f4ce72243e7d"),
+    ("toy.snf", 7, "1c443f29c213b83f1b160ab709919945182c3e97d020f8a2601f9960f97d6c64"),
     ("papavasiliou.snf", 3, "a938aa7fac03b7372ea83fa36efb5a4e6e5d92cad8ea84cf135832f56a9f0263"),
-    ("papavasiliou.snf", 5, "cd2d4ae35124b1fc07d9bdacc7e4087db96d971a4e14adeeb4c516d6313974e3"),
+    ("papavasiliou.snf", 5, "83c2207559e77bb9a939e54c7a56afc0738ea04e9469f99d3966632737daf454"),
     ("linear.snf", 3, "33038a4a35583f7512a68f606cf73aac52303fe92e2c9952cb51569c365c978a"),
-    ("papavasiliou.snf", 6, "ac24d58c1dd9de18a99749b1cc6ce27de17703675e578eb7b96fdd4cacc5e5a8"),
-    ("toy.snf", 9, "8ba0f92112e89a8f0b3e8feade2644a14d8eb83f5490e95e71ae71b056480f2e"),
+    ("papavasiliou.snf", 6, "91df8763800ed3e683dfbcd563841c2bb49b70903eb54dedc409e13a0e44bc5e"),
+    ("toy.snf", 9, "22f90adf8af1800822c1f7f30a3209b880f542cc98b797d3f1cd08bac5a4e9f5"),
 ]
 
 
@@ -89,14 +91,13 @@ def test_parse_report_runs_no_series_algebra(toy5, monkeypatch):
     assert calls == []
 
 
-def test_parse_report_reads_the_unevaluable_comments(toy5):
-    spec = toy5.spec
-    rep = parse_report(emit_report(toy5), spec)
-    chart = ssm_parametrisation(toy5)
-    want = {f"E[{n}]": Series(spec.dims, spec.trunc, dict(expected_series(s).unevaluable))
-            for n, s in zip(spec.slow_names + spec.fast_names, chart.x_of_X + chart.y_of_X)}
-    assert all(not w.is_zero() for w in want.values())
-    assert rep.unevaluable == want
+def test_emit_report_refuses_a_chart_term_without_an_expectation(toy3):
+    # no derived form has one: a hand-built transform term x*phi[0]^2 puts
+    # the square of white noise on the slow-manifold chart
+    nf = replace(toy3, xi=[toy3.xi[0] + parse_series_for("x*phi[0]^2", toy3.spec)])
+    with pytest.raises(AnalysisError, match=r"^no stationary expectation of "
+                       r"phi\[0\]\^2 in chart line 'x = \.\.\.'$"):
+        emit_report(nf)
 
 
 def test_rebuilt_normal_form_recertifies(toy3):

@@ -27,14 +27,6 @@ def toy3_report(toy_path, tmp_path_factory):
     return out.read_text()
 
 
-@pytest.fixture(scope="module")
-def toy5_report(toy_path, tmp_path_factory):
-    # the first toy order whose expected_ssm lines carry unevaluable terms
-    out = tmp_path_factory.mktemp("rep") / "report.txt"
-    assert main(["derive", toy_path, "--order", "5", "--out", str(out)]) == EXIT_OK
-    return out.read_text()
-
-
 def _verify(toy_path, tmp_path, text, order=3):
     p = tmp_path / "report.txt"
     p.write_text(text)
@@ -449,91 +441,34 @@ def test_verify_of_a_report_with_terms_after_the_unevaluable_marker_exits_2(
     assert capsys.readouterr().err.startswith(f"error: report line {n + 1}: unexpected '('")
 
 
-@pytest.mark.parametrize("lhs", ["x = ", "dX/dt = ", "y = ", "X = "],
-                         ids=["transform", "evolution", "ssm", "reversion"])
+@pytest.mark.parametrize("lhs", ["x = ", "dX/dt = ", "y = ", "E[x] = ", "X = "],
+                         ids=["transform", "evolution", "ssm", "expected_ssm",
+                              "reversion"])
 def test_verify_of_a_report_with_the_unevaluable_marker_outside_expected_ssm_exits_2(
         toy_path, tmp_path, toy3_report, capsys, lhs):
-    # only expected_ssm lines may end in the marker; the first line with
-    # ``lhs`` is in the transform, evolution, ssm or reversion section
+    # reports no longer carry the '(+ unevaluable terms)' marker, so a report
+    # written with one is refused loudly in every section; the first line
+    # with ``lhs`` is in the section the id names
     lines = toy3_report.splitlines(keepends=True)
     section = {"x = ": "transform:", "dX/dt = ": "evolution:", "y = ": "ssm:",
-               "X = ": "reversion:"}[lhs]
+               "E[x] = ": "expected_ssm:", "X = ": "reversion:"}[lhs]
     start = lines.index(section + "\n")
     n = next(i for i in range(start, len(lines)) if lines[i].startswith("  " + lhs))
     lines[n] = lines[n].rstrip("\n") + " (+ unevaluable terms)\n"
     assert _verify(toy_path, tmp_path, "".join(lines)) == EXIT_PARSE
-    assert capsys.readouterr().err == (f"error: report line {n + 1}: only expected_ssm "
-                                       "lines end in '(+ unevaluable terms)'\n")
+    assert capsys.readouterr().err.startswith(f"error: report line {n + 1}: "
+                                              "unexpected '('")
 
 
-def _edit_unevaluable(text, edit):
-    """``text`` with the E[x] line and its comment line changed by ``edit``,
-    and the E[x] line's number."""
-    lines = text.splitlines(keepends=True)
-    n = next(i for i, line in enumerate(lines) if line.startswith("  E[x] = "))
-    assert lines[n + 1].startswith("  # unevaluable in E[x]: E[")
-    lines[n], lines[n + 1] = edit(lines[n], lines[n + 1])
-    return "".join(lines), n + 1
-
-
-MARK = " (+ unevaluable terms)"
-UNEVALUABLE_NOTE_FAILURE = ("the '# unevaluable in E[x]: ...' comment does not list the "
-                            "unevaluable terms of the expectation of ssm line 'x = ...'")
-UNEVALUABLE_MARK_FAILURE = ("the '(+ unevaluable terms)' marker of expected_ssm line "
-                            "'E[x] = ...' does not match the expectation of ssm line "
-                            "'x = ...'")
-
-
-@pytest.mark.parametrize("edit,failure", [
-    (lambda line, note: (line, "  # unevaluable in E[x]: E[5*X]\n"),
-     UNEVALUABLE_NOTE_FAILURE),
-    (lambda line, note: (line, note.replace("E[2*sigma^2", "E[3*sigma^2")),
-     UNEVALUABLE_NOTE_FAILURE),
-    (lambda line, note: (line.replace(MARK, ""), ""), UNEVALUABLE_MARK_FAILURE),
-], ids=["replaced", "scaled", "both-dropped"])
-def test_verify_checks_the_unevaluable_tail(toy_path, tmp_path, toy5_report, capsys,
-                                            edit, failure):
-    # the edited lines parse, so only the section checks can refuse them
-    text, _n = _edit_unevaluable(toy5_report, edit)
-    assert text != toy5_report
-    assert _verify(toy_path, tmp_path, text, order=5) == EXIT_CERT
-    assert capsys.readouterr().out == f"certification FAILED: {failure}\n"
-
-
-def test_verify_refuses_an_unevaluable_marker_without_unevaluable_terms(
-        toy_path, tmp_path, toy3_report, capsys):
-    # toy@3's expectations have no unevaluable terms
-    lines = toy3_report.splitlines(keepends=True)
-    n = next(i for i, line in enumerate(lines) if line.startswith("  E[x] = "))
-    lines[n] = lines[n].rstrip("\n") + MARK + "\n"
-    lines.insert(n + 1, "  # unevaluable in E[x]: E[0]\n")
-    assert _verify(toy_path, tmp_path, "".join(lines)) == EXIT_CERT
-    assert capsys.readouterr().out == f"certification FAILED: {UNEVALUABLE_MARK_FAILURE}\n"
-
-
-@pytest.mark.parametrize("edit,message", [
-    (lambda line, note: (line.replace(MARK, ""), note),
-     "{n}: 'E[x] = ...' does not end in '(+ unevaluable terms)' but line {c} lists "
-     "its unevaluable terms"),
-    (lambda line, note: (line, ""),
-     "{n}: 'E[x] = ...' ends in '(+ unevaluable terms)' but no "
-     "'# unevaluable in E[x]: ...' comment lists its terms"),
-    (lambda line, note: (line, note + note),
-     "{d}: '# unevaluable in E[x]: ...' repeats line {c}"),
-    (lambda line, note: (line, note + "  # unevaluable in E[z]: E[X]\n"),
-     "{d}: '# unevaluable in E[z]: ...' names no expected_ssm line"),
-    (lambda line, note: (line, note.replace(": E[", ": [")),
-     "{c}: '# unevaluable in E[x]: ...' does not read 'E[...]'"),
-    (lambda line, note: (line, note.replace(": E[", ": E[X^40 + ")),
-     "{c}: term X^40 is outside the truncation window in "),
-], ids=["dropped-marker", "dropped-comment", "repeated-comment", "unknown-line",
-        "no-E", "outside-window"])
-def test_verify_of_a_report_with_a_malformed_unevaluable_tail_exits_2(
-        toy_path, tmp_path, toy5_report, capsys, edit, message):
-    text, n = _edit_unevaluable(toy5_report, edit)
-    assert _verify(toy_path, tmp_path, text, order=5) == EXIT_PARSE
-    err = capsys.readouterr().err
-    assert err.startswith("error: report line " + message.format(n=n, c=n + 1, d=n + 2))
+def test_verify_of_an_ssm_line_without_an_expectation_exits_3(toy_path, tmp_path,
+                                                              toy3_report, capsys):
+    # the square of white noise has no stationary expectation
+    old = "  y = sigma*Z[-1]{ phi[0] } - 2*sigma^2"
+    assert toy3_report.count(old) == 1
+    text = toy3_report.replace(old, "  y = X*phi[0]^2 + sigma*Z[-1]{ phi[0] } - 2*sigma^2")
+    assert _verify(toy_path, tmp_path, text) == EXIT_CERT
+    assert capsys.readouterr().err == ("error: no stationary expectation of phi[0]^2 "
+                                       "in chart line 'y = ...'\n")
 
 
 def test_verify_of_a_report_with_a_bad_character_names_its_column(

@@ -141,7 +141,7 @@ class TestExpectation:
         assert expectation(product(PHI, ZM)) == F(1, 2)
 
     def test_bare_times_anticipation_unevaluable(self):
-        # only the memory-side pairing is tabulated
+        # a bare factor beside a future convolution is refused
         assert expectation(product(PHI, ZP)) is None
         # odd symbol parity vanishes regardless
         assert expectation(product(PHI, PHI, ZP)) == 0
@@ -165,9 +165,30 @@ class TestExpectation:
         assert expectation(product(z0, z1)) == 0
 
     def test_closed_world(self):
+        # products the old rule table left unevaluated; each value is checked
+        # against a long-path mean in tests/test_paths.py
         z2 = z_atom(F(-2), (PHI,))
-        assert expectation(product(ZM, z2)) is None
-        assert expectation(product(ZM, ZM, ZM, ZM)) is None
+        assert expectation(product(ZM, z2)) == F(1, 3)
+        assert expectation(product(ZM, z_atom(F(-1), (ZM,)))) == F(1, 4)
+        assert expectation(product(ZM, ZM, ZM, ZM)) == F(3, 4)
+        # still refused: a bare factor beside a future convolution, and a
+        # mixed-side convolution in a product
+        assert expectation(product(PHI, ZP)) is None
+        assert expectation(product(ZM, z_atom(F(-1), (ZP,)))) is None
+
+    @pytest.mark.parametrize("mu", [F(-1), F(-2), F(-1, 3), F(-7, 2)])
+    def test_quadratic_noise_drift_is_one_half(self, mu):
+        # the drift long_time_model gives phi[k]*Z[mu]{ phi[k] }
+        for k in (0, 1):
+            phi = phi_atom(k)
+            assert expectation(product(phi, z_atom(mu, (phi,)))) == F(1, 2)
+
+    def test_future_products_are_mirror_images(self):
+        # time reversal negates every rate at every depth
+        assert expectation((ZP, ZP, ZP, ZP)) == F(3, 4)
+        nested = z_atom(F(2), (PHI, z_atom(F(1), (PHI,))))
+        assert expectation((nested,)) == F(1, 4)
+        assert expectation(product(ZP, z_atom(F(1), (ZP,)))) == F(1, 4)
 
 
 def _check_split(c, evo, xform):
@@ -251,6 +272,80 @@ def atoms(draw, depth=2):
     n = draw(st.integers(1, 2))
     child = product(*[draw(atoms(depth=depth - 1)) for _ in range(n)])
     return z_atom(mu, child)
+
+
+# The rule table noise.expectation used before the moment recursion, kept
+# unchanged as a reference: every product it evaluates must get its value.
+
+def _table_expectation(expr):
+    if expr == ONE:
+        return Fraction(1)
+    if noise.phi_occurrences(expr) % 2 == 1:
+        return Fraction(0)
+    # Factorise over disjoint noise symbols.
+    comps = []
+    for a in expr:
+        syms = noise.symbols_of((a,))
+        hit = [c for c in comps if noise.symbols_of(tuple(c)) & syms]
+        for c in hit:
+            comps.remove(c)
+        comps.append(sum(hit, []) + [a])
+    if len(comps) > 1:
+        total = Fraction(1)
+        for c in comps:
+            e = _table_expectation(product(*c))
+            if e is None:
+                return None
+            total *= e
+        return total
+    return _table_component(expr)
+
+
+def _table_component(expr):
+    if expr == ONE:
+        return Fraction(1)
+    if len(expr) == 1:
+        a = expr[0]
+        if noise.is_bare(a):
+            return Fraction(0)
+        inner = _table_expectation(a[2])
+        if inner is None:
+            return None
+        return inner / abs(a[1])
+    # Disjoint past/future groups are independent.
+    sides = [noise._side(a) for a in expr]
+    if all(s is not None for s in sides) and len(set(sides)) == 2:
+        past = product(*[a for a, s in zip(expr, sides) if s < 0])
+        fut = product(*[a for a, s in zip(expr, sides) if s > 0])
+        ep, ef = _table_expectation(past), _table_expectation(fut)
+        if ep is None or ef is None:
+            return None
+        return ep * ef
+    if len(expr) == 2:
+        a, b = expr
+        if a == b and noise.is_conv(a) and len(a[2]) == 1 and noise.is_bare(a[2][0]):
+            return Fraction(1, 2) / abs(a[1])
+        if noise.quad_pair(expr) is not None:
+            return Fraction(1, 2)
+    return None
+
+
+@given(st.lists(atoms(), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_expectation_agrees_with_the_rule_table(atom_list):
+    expr = product(*atom_list)
+    want = _table_expectation(expr)
+    if want is not None:
+        assert expectation(expr) == want
+
+
+def test_the_rule_table_reference_answers_its_own_cases():
+    # the property above compares values only where the table answers
+    z3 = z_atom(F(-3), (PHI,))
+    assert _table_expectation(product(z3, z3)) == F(1, 6)
+    assert _table_expectation(product(PHI, ZM)) == F(1, 2)
+    assert _table_expectation(product(ZM, ZM, ZP, ZP)) == F(1, 4)
+    assert _table_expectation(product(ZM, z_atom(F(-2), (PHI,)))) is None
 
 
 @given(st.lists(atoms(), min_size=1, max_size=4), st.permutations(range(4)))

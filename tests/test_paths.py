@@ -227,3 +227,44 @@ def test_evaluate_series_samples_anticipating_factors():
     with pytest.raises(IllFormedForSampling):
         evaluate_series(smp, parse_series_for("x*phi[0]", spec),
                         {"sigma": sigma}, [x], [y])
+
+
+def test_moment_recursion_values_match_long_path_means():
+    # Products the moment recursion of noise.expectation evaluates and the
+    # old rule table did not: the first three are its closed-world values,
+    # the next two the old toy@5 expected_ssm tail (Z[-1]{ phi*ZZ } has the
+    # child's mean, E[Z[mu]{ c }] = E[c]/|mu|), and the last two the
+    # quadratic-noise drift.  The s.e. of a time mean over total time T is
+    # about sqrt(2*tau*Var/T); for Z[-1]{ phi }^4 (Var 6, 2*tau*Var = 21/4)
+    # a 3-s.e. band of +-0.06, narrower than the gap between 1/4 and 1/3,
+    # needs T >= 13 000, so 8 paths of 2000.  Batches of 100 time units, many
+    # correlation times, give 160 nearly independent batch means.  dt = 5e-3
+    # keeps the midpoint rule's low bias of phi*Z[mu]{ phi } (about
+    # |mu|*dt/4) under a quarter s.e.
+    ZZ = z_atom(F(-1), (ZM,))
+    cases = [product(ZM, z_atom(F(-2), (PHI,))), product(ZM, ZZ), (ZM,) * 4,
+             (z_atom(F(-1), product(ZM, ZZ)),), product(PHI, ZZ),
+             product(PHI, ZM), product(PHI, z_atom(F(-1, 3), (PHI,)))]
+    T_, batch = 2000.0, 100.0
+    batches = {expr: [] for expr in cases}
+    for i in range(8):
+        p = NoisePath.generate(T_, 5e-3, 1, seed=2000 + i, spin=40.0)
+        smp = PathSampler(p)
+        nb = int(T_ / batch)
+        per = p.n_main // nb
+        for expr in cases:
+            ks, rest = noise.split_bare(expr)
+            smp.expr(rest).main_values(p)       # refuses a window too short
+            if ks:
+                I = integrate_expression(p, [(1.0, expr)], smp)[p.main_slice()]
+                batches[expr] += list((I[per::per] - I[:-per:per]) / batch)
+            else:
+                v = smp.expr(expr).main_values(p)[:-1]
+                batches[expr] += list(v.reshape(nb, per).mean(axis=1))
+    want = [F(1, 3), F(1, 4), F(3, 4), F(1, 4), F(0), F(1, 2), F(1, 2)]
+    assert noise.expectation((z_atom(F(-1), product(PHI, ZZ)),)) == 0
+    for expr, exact in zip(cases, want):
+        assert noise.expectation(expr) == exact, expr
+        m = np.mean(batches[expr])
+        se = np.std(batches[expr], ddof=1) / math.sqrt(len(batches[expr]))
+        assert abs(m - float(exact)) < 3 * se, (expr, m, se)
