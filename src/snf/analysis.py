@@ -277,10 +277,8 @@ def project_initial_condition(rev: Reversion, nf: NormalForm,
 @dataclass
 class FreshNoise:
     index: int
-    source_symbol: int
     rate: Fraction
     intensity: Fraction      # variance per unit time; amplitude sqrt(intensity)
-    provenance: str
 
 
 @dataclass
@@ -324,10 +322,8 @@ def long_time_model(nf: NormalForm) -> LongTimeModel:
             key = (k, mu)
             if key not in fresh_by_source:
                 fresh_by_source[key] = next_index
-                fresh.append(FreshNoise(
-                    index=next_index, source_symbol=k, rate=mu,
-                    intensity=Fraction(1, 2) / abs(mu),
-                    provenance=f"phi[{k}]*Z[{mu}]{{phi[{k}]}}"))
+                fresh.append(FreshNoise(index=next_index, rate=mu,
+                                        intensity=Fraction(1, 2) / abs(mu)))
                 next_index += 1
             pairs.append(((mono, ONE), c * Fraction(1, 2)))
             pairs.append(((mono, (noise.phi_atom(fresh_by_source[key]),)), c))

@@ -152,24 +152,20 @@ def _product(a: Terms, b: Terms) -> Terms:
     return out
 
 
-class _Parser:
-    """Recursive-descent parser for polynomial/noise expressions.
+class _TermParser:
+    """Recursive descent over term dicts, shared by report lines and the
+    ``.snf`` equations; a subclass supplies ``atom`` and ``inverse``, the
+    term dict of ``1/f`` for a divisor ``f``.
 
-    Grammar: expr := term (('+'|'-') term)*;  term := factor (('*'|'/') factor)*;
-    factor := atom ('^' int)?;  atom := number | name | name '[' idx ']'
-    ('{' expr '}')? | '(' expr ')' | '-' factor.
+    Grammar: expr := ('+'|'-')* term (('+'|'-') term)*;
+    term := factor (('*'|'/') factor)*;  factor := '-' factor | atom ('^' int)?.
     """
 
-    def __init__(self, text: str, dims: Dims, names):
+    def __init__(self, text: str, width: int):
         self.tokens = _tokenize(text)
-        self.k = self.conv_depth = 0
-        # each name's part and flat unit exponents
-        width, first = sum(dims.sizes), (0, dims.m, dims.m + dims.n)
-        self.symbols = {name: (part, tuple(int(i == first[part] + k) for i in range(width)))
-                        for name, (part, k) in name_index(names).items()}
+        self.k = 0
         self.one = ((0,) * width, ONE)
         self.text = text
-        self.convs: Dict[tuple, noise.NoiseSum] = {}   # (mu, product) -> Z[mu] of it
 
     def peek(self):
         return self.tokens[self.k]
@@ -204,15 +200,7 @@ class _Parser:
         while self.peek() in _MUL_DIV:
             op = self.take("op")
             f = self.factor()
-            if op == "*":
-                s = _product(s, f)
-            else:
-                # Division only by pure rational factors.
-                c = f.get(self.one, 0) if len(f) == 1 else 0
-                if not c:
-                    raise ParseError("division only by non-zero rationals")
-                inv = Fraction(1) / c
-                s = {key: v * inv for key, v in s.items()}
+            s = _product(s, f if op == "*" else self.inverse(f))
         return s
 
     def factor(self) -> Terms:
@@ -220,12 +208,57 @@ class _Parser:
             self.take("op")
             return {key: -c for key, c in self.factor().items()}
         s = self.atom()
-        while self.peek() == ("op", "^"):
+        if self.peek() == ("op", "^"):
             self.take("op")
             base, s = s, {self.one: 1}
             for _ in range(self._int()):
                 s = _product(s, base)
+            if self.peek() == ("op", "^"):
+                # x^2^3 reads as x^8 to some and (x^2)^3 to others
+                raise ParseError(f"chained '^' needs parentheses in {self.text!r}")
         return s
+
+    def paren(self) -> Terms:
+        self.take("lparen")
+        s = self.expr()
+        self.take("rparen")
+        return s
+
+    def _number(self) -> Union[int, Fraction]:
+        """An integer or p/q token with a non-zero q."""
+        p, _, q = self.take("num").partition("/")
+        if not q:
+            return int(p)
+        if not int(q):
+            raise ParseError(f"zero denominator in {p}/{q} in {self.text!r}")
+        return Fraction(int(p), int(q))
+
+    def _int(self) -> int:
+        """An integer token: an exponent or a noise index."""
+        val = self.take("num")
+        if "/" in val:
+            raise ParseError(f"expected an integer, got {val} in {self.text!r}")
+        return int(val)
+
+
+class _Parser(_TermParser):
+    """Report lines: atom := number | name | phi[idx] | Z[rate]{ expr } |
+    '(' expr ')'; division only by non-zero rationals."""
+
+    def __init__(self, text: str, dims: Dims, names):
+        width, first = sum(dims.sizes), (0, dims.m, dims.m + dims.n)
+        super().__init__(text, width)
+        self.conv_depth = 0
+        # each name's part and flat unit exponents
+        self.symbols = {name: (part, tuple(int(i == first[part] + k) for i in range(width)))
+                        for name, (part, k) in name_index(names).items()}
+        self.convs: Dict[tuple, noise.NoiseSum] = {}   # (mu, product) -> Z[mu] of it
+
+    def inverse(self, f: Terms) -> Terms:
+        c = f.get(self.one, 0) if len(f) == 1 else 0
+        if not c:
+            raise ParseError("division only by non-zero rationals")
+        return {self.one: Fraction(1) / c}
 
     def atom(self) -> Terms:
         kind, val = self.peek()
@@ -233,10 +266,7 @@ class _Parser:
             c = self._number()
             return {self.one: c} if c else {}
         if kind == "lparen":
-            self.take("lparen")
-            s = self.expr()
-            self.take("rparen")
-            return s
+            return self.paren()
         if kind == "name":
             name = self.take("name")
             if name == "phi" and self.peek()[0] == "lbrack":
@@ -279,22 +309,6 @@ class _Parser:
         if mu == 0:
             raise ParseError(f"convolution rate must be non-zero in {self.text!r}")
         return mu
-
-    def _number(self) -> Union[int, Fraction]:
-        """An integer or p/q token with a non-zero q."""
-        p, _, q = self.take("num").partition("/")
-        if not q:
-            return int(p)
-        if not int(q):
-            raise ParseError(f"zero denominator in {p}/{q} in {self.text!r}")
-        return Fraction(int(p), int(q))
-
-    def _int(self) -> int:
-        """An integer token: an exponent or a noise index."""
-        val = self.take("num")
-        if "/" in val:
-            raise ParseError(f"expected an integer, got {val} in {self.text!r}")
-        return int(val)
 
 
 def parse_series(text: str, dims: Dims, trunc: Trunc, names) -> Series:

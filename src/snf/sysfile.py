@@ -16,10 +16,16 @@ Example::
 
 One declaration per line, ``#`` comments, rational literals ``p/q``.  Only
 ``A`` rows and ``B`` rates may be declared again; every other declaration
-is made once (``cap`` and ``eq`` once per name).  Noise symbols are
-``phi1 .. phiK``.  The linear parts declared in ``A``/``B`` are
-stripped from the equations (the ``-y`` above); everything else in an
-equation is collected into the nonlinear/noisy right-hand side.
+is made once (``cap`` and ``eq`` once per name).  The linear parts declared
+in ``A``/``B`` are stripped from the equations (the ``-y`` above);
+everything else in an equation is collected into the nonlinear/noisy
+right-hand side.
+
+An equation is read by the report parser's recursive descent
+(``render._TermParser``: ``+ - * /``, parentheses, numbers and one integer
+exponent per ``^``) with atoms of its own: declared names, the noise
+symbols ``phi1 .. phiK`` and ``sqrt(<rescale>)``.  A divisor is a non-zero
+number or, under ``rescale``, one noise-free term in that parameter.
 
 ``rescale <param>`` declares a singular-perturbation system written in slow
 time: the loader multiplies every right-hand side by the parameter (the fast
@@ -38,21 +44,15 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .series import Dims, Series, Trunc, name_index
-from .systems import SystemSpec, SystemDefinitionError
 from . import noise
+from .noise import ONE
+from .render import ParseError, Terms, _TermParser
+from .series import Dims, Series, Trunc
+from .systems import SystemSpec, SystemDefinitionError
 
 
 class SysFileError(ValueError):
     """Parse failure, with a line number in the message."""
-
-
-@dataclass
-class RawTerm:
-    coeff: Fraction
-    var_pows: Dict[str, int]
-    noise_pows: Dict[int, int]
-    half_eps: int = 0           # exponent of param^(1/2) units for rescale
 
 
 @dataclass
@@ -72,9 +72,6 @@ class SysFile:
     noise_scale: Optional[str] = None
     equations: Dict[str, Tuple[int, str]] = field(default_factory=dict)  # (line, text)
     label: str = ""
-
-
-_NUM = r"\d+(?:/\d+)?"
 
 
 def _rat(text: str, ln: int) -> Fraction:
@@ -170,140 +167,63 @@ def parse_sysfile(text: str, label: str = "") -> SysFile:
     return sf
 
 
-# -- expression parsing to raw terms ----------------------------------------
-
-_TOK = re.compile(rf"""
-    (?P<num>{_NUM})
-  | (?P<sqrt>sqrt)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[-+*/^()])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
+# -- equations -------------------------------------------------------------
 
 
-def _expr_terms(text: str, ln: int, sf: SysFile) -> List[RawTerm]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOK.match(text, pos)
-        if not m:
-            raise SysFileError(f"line {ln}: bad character {text[pos]!r} at column {pos + 1}")
-        pos = m.end()
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group()))
-    tokens.append(("end", ""))
+class _EquationParser(_TermParser):
+    """One equation's right-hand side: atom := number | name | phiN (1-based)
+    | sqrt(<rescale>) | '(' expr ')'.  Exponents run flat over the slow,
+    fast and parameter names, then one slot counts half powers of the
+    rescale parameter.  A divisor is one noise-free term in that parameter."""
 
-    state = {"k": 0}
+    def __init__(self, text: str, sf: SysFile):
+        names = sf.slow + sf.fast + sf.params
+        super().__init__(text, len(names) + 1)
+        unit = lambda i: tuple(int(j == i) for j in range(len(names) + 1))
+        self.units = {name: unit(i) for i, name in enumerate(names)}
+        self.half = unit(len(names))
+        self.sf = sf
 
-    def peek():
-        return tokens[state["k"]]
-
-    def take(kind=None, value=None):
-        tk, tv = tokens[state["k"]]
-        if (kind and tk != kind) or (value and tv != value):
-            raise SysFileError(f"line {ln}: unexpected {tv!r} in {text!r}")
-        state["k"] += 1
-        return tv
-
-    def add_pows(a: Dict, b: Dict) -> Dict:
-        out = dict(a)
-        for k, v in b.items():
-            out[k] = out.get(k, 0) + v
-        return out
-
-    def mul_terms(a: List[RawTerm], b: List[RawTerm]) -> List[RawTerm]:
-        return [RawTerm(ta.coeff * tb.coeff, add_pows(ta.var_pows, tb.var_pows),
-                        add_pows(ta.noise_pows, tb.noise_pows), ta.half_eps + tb.half_eps)
-                for ta in a for tb in b]
-
-    def invert(ts: List[RawTerm]) -> List[RawTerm]:
-        if len(ts) != 1:
-            raise SysFileError(f"line {ln}: can only divide by a single factor")
-        t = ts[0]
-        if t.noise_pows:
-            raise SysFileError(f"line {ln}: cannot divide by noise")
-        if t.var_pows and sf.rescale is None:
-            raise SysFileError(f"line {ln}: 1/{list(t.var_pows)} needs a rescale declaration")
-        if any(k != sf.rescale for k in t.var_pows):
-            raise SysFileError(f"line {ln}: division only by the rescale parameter")
-        if not t.coeff:
-            raise SysFileError(f"line {ln}: division by zero in {text!r}")
-        return [RawTerm(Fraction(1) / t.coeff,
-                        {k: -v for k, v in t.var_pows.items()}, {},
-                        -t.half_eps)]
-
-    def expr() -> List[RawTerm]:
-        sign = Fraction(1)
-        while peek()[0] == "op" and peek()[1] in "+-":
-            if take("op") == "-":
-                sign = -sign
-        out = [RawTerm(t.coeff * sign, t.var_pows, t.noise_pows, t.half_eps)
-               for t in term()]
-        while peek()[0] == "op" and peek()[1] in "+-":
-            op = take("op")
-            nxt = term()
-            if op == "-":
-                nxt = [RawTerm(-t.coeff, t.var_pows, t.noise_pows, t.half_eps) for t in nxt]
-            out.extend(nxt)
-        return out
-
-    def term() -> List[RawTerm]:
-        out = factor()
-        while peek()[0] == "op" and peek()[1] in "*/":
-            op = take("op")
-            nxt = factor()
-            out = mul_terms(out, invert(nxt) if op == "/" else nxt)
-        return out
-
-    def factor() -> List[RawTerm]:
-        if peek() == ("op", "-"):
-            take("op")
-            return [RawTerm(-t.coeff, t.var_pows, t.noise_pows, t.half_eps)
-                    for t in factor()]
-        base = atom()
-        while peek() == ("op", "^"):
-            take("op")
-            e = _int(take("num"), ln)
-            out = [RawTerm(Fraction(1), {}, {})]
-            for _ in range(e):
-                out = mul_terms(out, base)
-            return out
-        return base
-
-    def atom() -> List[RawTerm]:
-        kind, val = peek()
+    def atom(self) -> Terms:
+        kind, val = self.peek()
         if kind == "num":
-            take("num")
-            return [RawTerm(_rat(val, ln), {}, {})]
-        if kind == "op" and val == "(":
-            take("op")
-            s = expr()
-            take("op", ")")
-            return [t for t in s]
-        if kind == "sqrt":
-            take("sqrt")
-            take("op", "(")
-            name = take("name")
-            take("op", ")")
-            if name != sf.rescale:
-                raise SysFileError(f"line {ln}: sqrt only of the rescale parameter")
-            return [RawTerm(Fraction(1), {}, {}, half_eps=1)]
-        if kind == "name":
-            take("name")
-            m = re.fullmatch(r"phi(\d+)", val)
-            if m:
-                k = int(m.group(1)) - 1
-                if not 0 <= k < sf.n_noise:
-                    raise SysFileError(f"line {ln}: noise symbol {val} out of range")
-                return [RawTerm(Fraction(1), {}, {k: 1})]
-            if val in sf.slow or val in sf.fast or val in sf.params:
-                return [RawTerm(Fraction(1), {val: 1}, {})]
-            raise SysFileError(f"line {ln}: unknown symbol {val!r}")
-        raise SysFileError(f"line {ln}: unexpected {val!r}")
+            c = self._number()
+            return {self.one: c} if c else {}
+        if kind == "lparen":
+            return self.paren()
+        if kind != "name":
+            raise ParseError(f"unexpected {val!r}")
+        name = self.take("name")
+        if name == "sqrt" and self.peek()[0] == "lparen":
+            self.take("lparen")
+            arg = self.take("name")
+            self.take("rparen")
+            if arg != self.sf.rescale:
+                raise ParseError("sqrt only of the rescale parameter")
+            return {(self.half, ONE): 1}
+        m = re.fullmatch(r"phi(\d+)", name)
+        if m:
+            k = int(m.group(1)) - 1
+            if not 0 <= k < self.sf.n_noise:
+                raise ParseError(f"noise symbol {name} out of range")
+            return {(self.one[0], (noise.phi_atom(k),)): 1}
+        if name in self.units:
+            return {(self.units[name], ONE): 1}
+        raise ParseError(f"unknown symbol {name!r}")
 
-    out = expr()
-    take("end")
-    return out
+    def inverse(self, f: Terms) -> Terms:
+        if len(f) != 1:
+            raise ParseError("can only divide by a single factor" if f
+                             else f"division by zero in {self.text!r}")
+        ((exps, expr), c), = f.items()
+        if expr != ONE:
+            raise ParseError("cannot divide by noise")
+        named = [name for name, e in zip(self.units, exps) if e]
+        if named and self.sf.rescale is None:
+            raise ParseError(f"1/{named} needs a rescale declaration")
+        if any(name != self.sf.rescale for name in named):
+            raise ParseError("division only by the rescale parameter")
+        return {(tuple(-e for e in exps), ONE): Fraction(1) / c}
 
 
 def build_system(sf: SysFile) -> SystemSpec:
@@ -327,38 +247,26 @@ def build_system(sf: SysFile) -> SystemSpec:
 
     res_idx = sf.params.index(sf.rescale) if sf.rescale else None
     scale_idx = sf.params.index(sf.noise_scale) if sf.noise_scale else None
+    mn = m + len(sf.fast)
 
-    where = name_index((sf.slow, sf.fast, sf.params))
-
-    def to_series(terms: List[RawTerm], which: str, var: str) -> Series:
+    def to_series(terms: Terms, ln: int, which: str, var: str) -> Series:
         pairs = []
-        for t in terms:
-            exps = [[0] * size for size in dims.sizes]
-            for name, e in t.var_pows.items():
-                part, k = where[name]
-                exps[part][k] += e
-            par_e = exps[2]
-            half = t.half_eps
+        for (exps, expr), c in terms.items():
+            par_e = list(exps[mn:-1])
             if sf.rescale is not None:
                 # t -> tau/param: every rate gains one factor of the
                 # parameter, noise increments gain a half power each.
-                par_e[res_idx] += 1
-                half -= sum(t.noise_pows.values())
-            if half % 2:
-                raise SysFileError(
-                    f"eq {var}: term keeps a half power of {sf.rescale} after rescaling")
-            if sf.rescale is not None:
-                par_e[res_idx] += half // 2
+                half = exps[-1] - len(expr)
+                if half % 2:
+                    raise SysFileError(f"line {ln}: term keeps a half power of "
+                                       f"{sf.rescale} after rescaling")
+                par_e[res_idx] += 1 + half // 2
                 if par_e[res_idx] < 0:
-                    raise SysFileError(
-                        f"eq {var}: negative power of {sf.rescale} after rescaling")
+                    raise SysFileError(f"line {ln}: negative power of {sf.rescale} "
+                                       "after rescaling")
             if scale_idx is not None:
-                par_e[scale_idx] += sum(t.noise_pows.values())
-            atoms = []
-            for k, e in t.noise_pows.items():
-                atoms.extend([noise.phi_atom(k)] * e)
-            key = (tuple(map(tuple, exps)), noise.product(*atoms))
-            pairs.append((key, t.coeff))
+                par_e[scale_idx] += len(expr)
+            pairs.append((((exps[:m], exps[m:mn], tuple(par_e)), expr), c))
         s = Series(dims, trunc, noise.add_into({}, pairs))
         # Strip the declared linear part from the equation body.
         if which == "slow":
@@ -375,7 +283,11 @@ def build_system(sf: SysFile) -> SystemSpec:
         if var not in sf.equations:
             raise SysFileError(f"missing equation for {which} variable {var}")
         ln, text = sf.equations[var]
-        return to_series(_expr_terms(text, ln, sf), which, var)
+        try:
+            terms = _EquationParser(text, sf).parse()
+        except ParseError as exc:
+            raise SysFileError(f"line {ln}: {exc}") from exc
+        return to_series(terms, ln, which, var)
 
     for var, (ln, _text) in sf.equations.items():
         if var not in sf.slow and var not in sf.fast:

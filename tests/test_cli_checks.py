@@ -172,6 +172,16 @@ eq y: -y + x^2 + s*phi1
     ("order 3", "mu_min 0\nmu_min 1/8"),
     ("order 3", "rescale s\nrescale s"),
     ("order 3", "noise_scale s\nnoise_scale s"),
+    # equations the reader refuses
+    ("eq x: -s*x*y", "eq x: -s*x*y/(x + y)"),
+    ("eq x: -s*x*y", "eq x: -s*x*y/phi1"),
+    ("eq x: -s*x*y", "eq x: -x*y/s"),
+    ("eq x: -s*x*y", "eq x: -sqrt(s)*x*y"),
+    ("eq y: -y + x^2 + s*phi1", "eq y: -y + x^2 + s*phi2"),
+    ("eq y: -y + x^2 + s*phi1", "eq y: -y + x^2^1 + s*phi1"),
+    # terms the rescale t -> tau/s cannot bring to whole powers of s
+    ("eq y: -y + x^2 + s*phi1", "rescale s\neq y: -y/s + x^2/s + s*phi1"),
+    ("eq y: -y + x^2 + s*phi1", "rescale s\neq y: -y/s + x^2/s^2 + phi1/sqrt(s)"),
 ])
 def test_malformed_system_file_exits_2_with_its_line(tmp_path, capsys, old, new):
     text = SYSTEM.replace(old, new)
@@ -517,6 +527,8 @@ def test_verify_of_a_report_with_a_bad_header_line_exits_2(
 
 @pytest.mark.parametrize("bad,message", [
     ("X^3/2", "expected an integer, got 3/2"),
+    # one '^' per factor: X^2^3 would read as X^8 to some, (X^2)^3 to others
+    ("X^2^3", "chained '^' needs parentheses"),
     ("phi[1/2]", "expected an integer, got 1/2"),
     ("Z[-1/0]{ phi[0] }", "zero denominator in 1/0"),
     ("1/0*X", "zero denominator in 1/0"),

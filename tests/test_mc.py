@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_system
+from conftest import bundled_text, make_system
 from snf import mc, noise
 from snf.engine import construct
 from snf.mc import (CompileError, FilterBank, compile_full_system,
                     compile_observables, compile_slow_model, heun_path,
                     heun_step, run_ensemble, sampleable_part)
 from snf.render import parse_series_for
+from snf.sysfile import load_system, system_as_written
 from snf.systems import ALLOW
 
 F = Fraction
@@ -128,6 +129,25 @@ PLAN_DIGESTS = [
      "def4b4883ae4a20b2bd71db088e84a16ac4c007f636e77343b604cbb1b29d8e0",
      "53392df5d5015b8f62f96a9c6a1eb0252a0955448f270596c49d41efda6cd9ee"),
 ]
+
+
+# the full model as the file writes it: the loader's term order feeds its
+# plan and so the seeded statistics of the full model
+FULL_PLAN_DIGESTS = [
+    ("toy.snf", {"sigma": 0.05},
+     "bc2c81fbd7da74d1b94e9798e7e1e5e1fe49550a68c351e22eb6ecdc560c3d31"),
+    ("papavasiliou.snf", {"eps": 0.01, "sigma": 1.0},
+     "15bca4fda849a23c8ed97230a3c0b5a86d734e20092bdb485a488e578015d9ee"),
+    ("linear.snf", {"eps": 0.1},
+     "6574e21e655b13b045c094dbafa985b9e97a7ec5bef58ccb8e5ff7eb09f660ae"),
+]
+
+
+@pytest.mark.parametrize("name,params,digest", FULL_PLAN_DIGESTS)
+def test_full_model_plan_matches_golden_digest(name, params, digest):
+    _spec, sf = load_system(bundled_text(name), label=name)
+    plan = compile_full_system(system_as_written(sf), params).plan
+    assert hashlib.sha256(repr(plan).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name,params,reduced_digest,chart_digest", PLAN_DIGESTS)
