@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from itertools import groupby
 from operator import add
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import noise
 from .noise import Expr, ONE
@@ -114,37 +114,47 @@ def _names(names):
 Terms = Dict[Tuple[Tuple[int, ...], Expr], Union[int, Fraction]]
 _SIGNS, _MUL_DIV = (("op", "+"), ("op", "-")), (("op", "*"), ("op", "/"))
 
-_TOKEN = re.compile(r"""
-    (?P<num>\d+(?:/\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<lbrack>\[) | (?P<rbrack>\])
-  | (?P<lbrace>\{) | (?P<rbrace>\})
-  | (?P<lparen>\() | (?P<rparen>\))
-  | (?P<op>[-+*/^])
-  | (?P<ws>\s+)
-  | (?P<bad>.)
-""", re.VERBOSE)
+# One lexeme per number, name or other non-blank character; its first
+# character gives its kind.  A number may start with a non-ASCII decimal
+# digit, which ``\d`` matches; any other character _KIND lacks is refused.
+_LEXEME = re.compile(r"\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|\S")
+_KIND = {**dict.fromkeys("0123456789", "num"),
+         **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "name"),
+         "[": "lbrack", "]": "rbrack", "{": "lbrace", "}": "rbrace",
+         "(": "lparen", ")": "rparen", **dict.fromkeys("+-*/^", "op")}
 
 
 def _tokenize(text: str) -> List[Tuple[str, str]]:
-    out = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"bad character at column {m.start() + 1}: {m.group()!r}")
-        if kind != "ws":
-            out.append((kind, m.group()))
+    kind = _KIND.get
+    out = [(kind(lex[0]) or _odd_kind(lex, text), lex) for lex in _LEXEME.findall(text)]
     out.append(("end", ""))
     return out
 
 
+def _odd_kind(lex: str, text: str) -> str:
+    """The kind of a lexeme whose first character _KIND lacks: a number,
+    or a ParseError.  A refused character is a lexeme of its own, so the
+    first one met is the first in ``text``."""
+    if lex[0].isdecimal():
+        return "num"
+    raise ParseError(f"bad character at column {text.index(lex) + 1}: {lex!r}")
+
+
 def _product(a: Terms, b: Terms) -> Terms:
     """Exponents add and noise products merge, pair by pair; every factor
-    of a report line is one term, which takes the first branch."""
+    of a report line is one term, which takes the first branch.  A unit
+    coefficient (the int 1 of a name, ``phi[k]`` or power) multiplies
+    nothing."""
     if len(a) == 1 == len(b):
         ((ea, na), ca), = a.items()
         ((eb, nb), cb), = b.items()
-        return {(tuple(map(add, ea, eb)), noise.merge(na, nb)): ca * cb}
+        if type(cb) is int and cb == 1:
+            c = ca
+        elif type(ca) is int and ca == 1:
+            c = cb
+        else:
+            c = ca * cb
+        return {(tuple(map(add, ea, eb)), noise.merge(na, nb)): c}
     out: Terms = {}
     for (ea, na), ca in a.items():
         noise.add_into(out, (((tuple(map(add, ea, eb)), noise.merge(na, nb)), ca * cb)
@@ -243,16 +253,22 @@ class _TermParser:
 
 class _Parser(_TermParser):
     """Report lines: atom := number | name | phi[idx] | Z[rate]{ expr } |
-    '(' expr ')'; division only by non-zero rationals."""
+    '(' expr ')'; division only by non-zero rationals.
 
-    def __init__(self, text: str, dims: Dims, names):
+    ``spans`` maps each outermost convolution already read in these names,
+    as ``(mu, tokens from its '{' to its '}')``, to its terms.  A span met
+    again is looked up, not parsed: its tokens alone fix its terms, and only
+    a span that parsed is stored, so a refused one is refused every time."""
+
+    def __init__(self, text: str, dims: Dims, names, spans: Dict[tuple, Terms]):
         width, first = sum(dims.sizes), (0, dims.m, dims.m + dims.n)
         super().__init__(text, width)
         self.conv_depth = 0
         # each name's part and flat unit exponents
         self.symbols = {name: (part, tuple(int(i == first[part] + k) for i in range(width)))
                         for name, (part, k) in name_index(names).items()}
-        self.convs: Dict[tuple, noise.NoiseSum] = {}   # (mu, product) -> Z[mu] of it
+        self.spans = spans
+        self.close = _brace_pairs(self.tokens) if "{" in text else {}
 
     def inverse(self, f: Terms) -> Terms:
         c = f.get(self.one, 0) if len(f) == 1 else 0
@@ -278,18 +294,17 @@ class _Parser(_TermParser):
                 self.take("lbrack")
                 mu = self._rate()
                 self.take("rbrack")
-                self.take("lbrace")
-                self.conv_depth += 1
-                inner = self.expr()
-                self.conv_depth -= 1
-                self.take("rbrace")
-                out: Terms = {}
-                for (exps, expr), c in inner.items():
-                    image = self.convs.get((mu, expr))
-                    if image is None:
-                        image = self.convs[(mu, expr)] = noise.conv(mu, {expr: 1})
-                    noise.add_into(out, (((exps, e), w) for e, w in image.items()), c)
-                return out
+                end = self.close.get(self.k)
+                if self.conv_depth or end is None:
+                    return self.conv(mu)
+                key = (mu, tuple(self.tokens[self.k:end + 1]))
+                terms = self.spans.get(key)
+                if terms is None:
+                    terms = self.spans[key] = self.conv(mu)
+                else:
+                    self.k = end + 1
+                # a copy, as the caller adds into it
+                return dict(terms)
             if name in self.symbols:
                 part, unit = self.symbols[name]
                 if part != 2 and self.conv_depth:
@@ -299,6 +314,19 @@ class _Parser(_TermParser):
                 return {(unit, ONE): 1}
             raise ParseError(f"unknown symbol {name!r} in {self.text!r}")
         raise ParseError(f"unexpected {val!r} in {self.text!r}")
+
+    def conv(self, mu) -> Terms:
+        """``{ expr }`` after ``Z[mu]``: Z[mu] of each term of ``expr``."""
+        self.take("lbrace")
+        self.conv_depth += 1
+        inner = self.expr()
+        self.conv_depth -= 1
+        self.take("rbrace")
+        out: Terms = {}
+        for (exps, expr), c in inner.items():
+            image = noise.conv(mu, {expr: 1})
+            noise.add_into(out, (((exps, e), w) for e, w in image.items()), c)
+        return out
 
     def _rate(self) -> Union[int, Fraction]:
         sign = 1
@@ -311,13 +339,29 @@ class _Parser(_TermParser):
         return mu
 
 
-def parse_series(text: str, dims: Dims, trunc: Trunc, names) -> Series:
+def _brace_pairs(tokens) -> Dict[int, int]:
+    """The index of the '}' that closes each '{' token, where one does."""
+    close: Dict[int, int] = {}
+    opened: List[int] = []
+    for i, (kind, _) in enumerate(tokens):
+        if kind == "lbrace":
+            opened.append(i)
+        elif kind == "rbrace" and opened:
+            close[opened.pop()] = i
+    return close
+
+
+def parse_series(text: str, dims: Dims, trunc: Trunc, names, *,
+                 _spans: Optional[Dict[tuple, Terms]] = None) -> Series:
     """Parse a rendered series back into a value (inverse of render_series),
     packed once at the truncation ``trunc``.  A term ``trunc`` does not keep
-    is refused, not dropped."""
+    is refused, not dropped.  ``_spans`` is the convolution memo of
+    ``_Parser``, which ``parse_report`` shares across a report's lines in
+    one name triple; by default each call has its own."""
     m, mn = dims.m, dims.m + dims.n
+    spans = {} if _spans is None else _spans
     terms = {((exps[:m], exps[m:mn], exps[mn:]), expr): c
-             for (exps, expr), c in _Parser(text, dims, names).parse().items()}
+             for (exps, expr), c in _Parser(text, dims, names, spans).parse().items()}
     for (mono, expr), c in terms.items():
         if not trunc.keeps(mono):
             term = _render_terms([((mono, expr), c)], _names(names))

@@ -96,10 +96,12 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
     sections: Dict[str, Dict[str, Series]] = {}
     header_line: Dict[str, int] = {}
     seen: Dict[Tuple[str, str], int] = {}    # (section, lhs) -> its line
+    spans: Dict[tuple, dict] = {}            # names -> its convolution memo
 
     def read(lineno: int, rhs: str, names) -> Series:
         try:
-            series = parse_series(rhs, spec.dims, spec.trunc, names)
+            series = parse_series(rhs, spec.dims, spec.trunc, names,
+                                  _spans=spans.setdefault(names, {}))
         except ParseError as exc:
             raise ReportError(f"report line {lineno}: {exc}") from exc
         for (_mono, expr), _c in series.terms.items():

@@ -71,6 +71,8 @@ class SysFile:
     rescale: Optional[str] = None
     noise_scale: Optional[str] = None
     equations: Dict[str, Tuple[int, str]] = field(default_factory=dict)  # (line, text)
+    # each declaration made once ('order', 'cap <p>', 'eq <var>', ...) -> its line
+    lines: Dict[str, int] = field(default_factory=dict)
     label: str = ""
 
 
@@ -108,7 +110,6 @@ def parse_sysfile(text: str, label: str = "") -> SysFile:
     sf = SysFile(label=label)
     names = {"slow": sf.slow, "fast": sf.fast, "param": sf.params}
     declared: Dict[str, Tuple[str, int]] = {}
-    single: Dict[str, int] = {}     # 'order', 'cap <p>', 'eq <var>', ... -> line
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -118,10 +119,10 @@ def parse_sysfile(text: str, label: str = "") -> SysFile:
         decl = (head + " " + re.split(r"[\s:]", rest, maxsplit=1)[0] if head in ("cap", "eq")
                 else head if head in _SINGLE else None)
         if decl is not None:
-            if decl in single:
+            if decl in sf.lines:
                 raise SysFileError(f"line {ln}: {decl!r} is already declared on line "
-                                   f"{single[decl]}")
-            single[decl] = ln
+                                   f"{sf.lines[decl]}")
+            sf.lines[decl] = ln
         if head in names:
             for name in rest.split():
                 if name in declared:
@@ -235,6 +236,11 @@ def build_system(sf: SysFile) -> SystemSpec:
     for name in sf.caps:
         if name not in sf.params:
             raise SysFileError(f"cap on undeclared parameter {name!r}")
+    for decl in ("rescale", "noise_scale"):
+        name = getattr(sf, decl)
+        if name is not None and name not in sf.params:
+            raise SysFileError(f"line {sf.lines[decl]}: {decl} names undeclared "
+                               f"parameter {name!r}")
     caps = tuple(sf.caps.get(p) for p in sf.params)
     trunc = Trunc(sf.order, caps, sf.count_fast)
     m = len(sf.slow)
@@ -300,7 +306,11 @@ def build_system(sf: SysFile) -> SystemSpec:
     try:
         spec.validate()
     except SystemDefinitionError as exc:
-        raise SysFileError(str(exc)) from exc
+        if exc.rhs is None:
+            raise SysFileError(str(exc)) from exc
+        which, idx = exc.rhs
+        var = (sf.slow if which == "slow" else sf.fast)[idx]
+        raise SysFileError(f"line {sf.equations[var][0]}: {exc}") from exc
     return spec
 
 

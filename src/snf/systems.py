@@ -12,7 +12,12 @@ from .series import Dims, Series, Trunc, grade
 
 
 class SystemDefinitionError(Exception):
-    """A system description violates a structural requirement."""
+    """A system description violates a structural requirement.  ``rhs`` is
+    the ("slow" or "fast", index) of the right-hand side at fault, if one is."""
+
+    def __init__(self, message: str, rhs: Optional[Tuple[str, int]] = None):
+        super().__init__(message)
+        self.rhs = rhs
 
 
 class CompileError(ValueError):
@@ -104,20 +109,24 @@ class SystemSpec:
                     g = grade(mono)
                     if g == 0 and expr == noise.ONE:
                         raise SystemDefinitionError(
-                            f"{which} rhs {idx}: constant term shifts the equilibrium")
+                            f"{which} rhs {idx}: constant term shifts the equilibrium",
+                            (which, idx))
                     if g == 1 and expr == noise.ONE and sum(mono[2]) == 0:
                         # A parameter-free linear term belongs in A or B when it
                         # lives in the equation's own block.
                         if which == "slow" and sum(mono[0]) == 1:
                             raise SystemDefinitionError(
-                                f"slow rhs {idx}: bare linear slow term belongs in A")
+                                f"slow rhs {idx}: bare linear slow term belongs in A",
+                                (which, idx))
                         if which == "fast" and sum(mono[1]) == 1:
                             raise SystemDefinitionError(
-                                f"fast rhs {idx}: bare linear fast term belongs in B")
+                                f"fast rhs {idx}: bare linear fast term belongs in B",
+                                (which, idx))
                         if which == "slow" and sum(mono[1]) == 1:
                             raise SystemDefinitionError(
                                 f"slow rhs {idx}: bare fast-variable coupling has no "
-                                "slow time scale; weight it by a small parameter")
+                                "slow time scale; weight it by a small parameter",
+                                (which, idx))
 
     def linear_xdot(self) -> List[Series]:
         """A X per slow component, as series."""

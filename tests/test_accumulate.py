@@ -6,10 +6,10 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from snf import noise
-from snf.render import ParseError, parse_series, render_rate, render_series
+from snf.render import ParseError, _tokenize, parse_series, render_rate, render_series
 from snf.series import Series, Trunc
 from test_noise import atoms, memory_sums
 from test_series import DIMS, NAMES, TR, small_series
@@ -146,6 +146,60 @@ def test_a_variable_inside_a_convolution_is_refused(text):
     # only noise and constant parameters lie under a kernel
     with pytest.raises(ParseError, match="inside a convolution"):
         parse_series(text, DIMS, TR, NAMES)
+
+
+# -- the lexer ------------------------------------------------------------------
+
+# The named-group tokenizer the one-pass lexer replaced, kept as its reference.
+_NAMED = re.compile(r"""
+    (?P<num>\d+(?:/\d+)?)
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<lbrack>\[) | (?P<rbrack>\])
+  | (?P<lbrace>\{) | (?P<rbrace>\})
+  | (?P<lparen>\() | (?P<rparen>\))
+  | (?P<op>[-+*/^])
+  | (?P<ws>\s+)
+  | (?P<bad>.)
+""", re.VERBOSE)
+
+
+def _named_tokens(text):
+    out = []
+    for m in _NAMED.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"bad character at column {m.start() + 1}: {m.group()!r}")
+        if kind != "ws":
+            out.append((kind, m.group()))
+    out.append(("end", ""))
+    return out
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+# the grammar's alphabet, whitespace of several kinds (a no-break space, an
+# em space, a file separator), characters it refuses (':', '.', a superscript
+# two, a zero-width space, a Latin letter with an accent) and an Arabic-Indic
+# three, which \d reads as a digit
+_PIECES = [*"0123456789", "12", "3/4", "/", "x", "y", "sigma", "phi", "Z", "_a1",
+           *"[]{}()+-*^", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\x1c",
+           ":", ".", "\u00b2", "\u200b", "\u00e9", "\u0663"]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
+@settings(max_examples=400, deadline=None)
+@example("Z[-1]{ phi[0] } + 3/4*x^2*sigma")
+@example("x\u00b2 + y")
+@example("\u0663/\u0664*x + 1\u0663")
+@example("x: y.z")
+def test_lexer_matches_the_named_group_tokenizer(text):
+    # the same tokens, or the same error with the same column
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_named_tokens, text)
 
 
 # -- the report parser: plain term dicts, packed once ---------------------------

@@ -13,8 +13,8 @@ from snf import report
 from snf.analysis import AnalysisError, expected_series, revert, ssm_parametrisation
 from snf.cli import EXIT_CERT, main, verify_report
 from snf.engine import construct, verify_order
-from snf.render import parse_series_for
-from snf.report import emit_report, parse_report, rebuild_normal_form
+from snf.render import ParseError, parse_series, parse_series_for
+from snf.report import ReportError, emit_report, parse_report, rebuild_normal_form
 from snf.series import Series
 from snf.systems import ALLOW, FORBID
 
@@ -89,6 +89,71 @@ def test_parse_report_runs_no_series_algebra(toy5, monkeypatch):
         monkeypatch.setattr(Series, name, counted)
     parse_report(text, toy5.spec)
     assert calls == []
+
+
+def _report_lines(text, spec):
+    """{(section, lhs): (line number, right-hand side, names)} of a report."""
+    names = {section: names for section, _lhss, names in report._layout(spec)}
+    out, section = {}, None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if raw.startswith("  "):
+            lhs, _, rhs = raw.strip().partition(" = ")
+            out[(section, lhs)] = (lineno, rhs, names[section])
+        elif raw.endswith(":"):
+            section = raw[:-1]
+    return out
+
+
+def _each_line_alone(text, spec):
+    return {key: parse_series(rhs, spec.dims, spec.trunc, names)
+            for key, (_ln, rhs, names) in _report_lines(text, spec).items()}
+
+
+def test_report_lines_with_repeated_spans_parse_as_each_line_alone(toy5):
+    # parse_report reads each distinct outermost Z[mu]{ ... } once; every
+    # line still packs what parse_series packs from that line alone
+    spec, text = toy5.spec, emit_report(toy5)
+    span = "Z[-1]{ phi[0] }"
+    assert sum(span in rhs for _ln, rhs, _n in _report_lines(text, spec).values()) > 1
+    sections = parse_report(text, spec).sections
+    for (section, lhs), want in _each_line_alone(text, spec).items():
+        got = sections[section][lhs]
+        assert got == want and (got._num, got._den) == (want._num, want._den), lhs
+
+
+def test_reports_parsed_one_after_another_each_give_their_own(toy5, pk3, toy3_noanticipate):
+    # the span memo lives for one parse_report call: a report parsed after
+    # another (other dims, other truncation or the same names) reads alone
+    for nf in (toy5, pk3, toy3_noanticipate, toy5):
+        spec, text = nf.spec, emit_report(nf)
+        sections = parse_report(text, spec).sections
+        assert {(section, lhs): s for section, lines in sections.items()
+                for lhs, s in lines.items()} == _each_line_alone(text, spec)
+
+
+def test_a_variable_inside_a_convolution_is_refused_at_every_occurrence(toy5):
+    # a refused span is never stored, so a line that repeats it is refused
+    # with the same message as the first
+    spec = toy5.spec
+    names = (("X",), ("Y",), spec.param_names)
+    text = "phi[0]*Z[-1]{ X*phi[0] } + sigma*Z[-1]{ X*phi[0] }"
+    message = f"variable 'X' inside a convolution in {text!r}"
+    spans = {}
+    for _ in range(2):
+        with pytest.raises(ParseError) as exc:
+            parse_series(text, spec.dims, spec.trunc, names, _spans=spans)
+        assert str(exc.value) == message
+    assert spans == {}
+    # in a report, once the lines before it have filled the memo
+    report_text = emit_report(toy5)
+    (ln, rhs, _n), = [v for (section, lhs), v in _report_lines(report_text, spec).items()
+                      if (section, lhs) == ("ssm", "y")]
+    bad = f"{rhs} + Z[-1]{{ X*phi[0] }}"
+    report_text = report_text.replace(f"  y = {rhs}\n", f"  y = {bad}\n")
+    with pytest.raises(ReportError) as exc:
+        parse_report(report_text, spec)
+    assert str(exc.value) == (f"report line {ln}: variable 'X' inside a convolution "
+                              f"in {bad!r}")
 
 
 def test_emit_report_refuses_a_chart_term_without_an_expectation(toy3):

@@ -182,6 +182,12 @@ eq y: -y + x^2 + s*phi1
     # terms the rescale t -> tau/s cannot bring to whole powers of s
     ("eq y: -y + x^2 + s*phi1", "rescale s\neq y: -y/s + x^2/s + s*phi1"),
     ("eq y: -y + x^2 + s*phi1", "rescale s\neq y: -y/s + x^2/s^2 + phi1/sqrt(s)"),
+    # a parameter nobody declared
+    ("order 3", "rescale q"),
+    ("order 3", "noise_scale q"),
+    # a right-hand side SystemSpec.validate refuses: the error names its eq line
+    ("eq y: -y + x^2 + s*phi1", "eq y: -y + x^2 + s*phi1 + 1"),
+    ("eq y: -y + x^2 + s*phi1", "eq y: -2*y + x^2 + s*phi1"),
 ])
 def test_malformed_system_file_exits_2_with_its_line(tmp_path, capsys, old, new):
     text = SYSTEM.replace(old, new)
@@ -192,6 +198,21 @@ def test_malformed_system_file_exits_2_with_its_line(tmp_path, capsys, old, new)
     p.write_text(text)
     assert main(["derive", str(p)]) == EXIT_PARSE
     assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("order 3", "rescale q", "line 7: rescale names undeclared parameter 'q'"),
+    ("order 3", "noise_scale q", "line 7: noise_scale names undeclared parameter 'q'"),
+    ("eq x: -s*x*y", "eq x: -s*x*y + 1/2",
+     "line 8: slow rhs 0: constant term shifts the equilibrium"),
+    ("eq y: -y + x^2 + s*phi1", "eq y: -2*y + x^2 + s*phi1",
+     "line 9: fast rhs 0: bare linear fast term belongs in B"),
+])
+def test_system_file_refusal_texts(tmp_path, capsys, old, new, message):
+    p = tmp_path / "bad.snf"
+    p.write_text(SYSTEM.replace(old, new))
+    assert main(["derive", str(p)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cap_on_an_undeclared_parameter_exits_2(tmp_path, capsys):
