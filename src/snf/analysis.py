@@ -23,23 +23,23 @@ class AnalysisError(Exception):
 @dataclass
 class SsmChart:
     """The invariant manifold in original coordinates: the transform with the
-    fast variables set to zero, parametrised by the slow variables."""
+    fast variables set to zero, parametrised by the slow variables.  Its
+    terms are the transform's fast-free terms, in their order."""
     x_of_X: List[Series]
     y_of_X: List[Series]
 
 
 def ssm_parametrisation(nf: NormalForm) -> SsmChart:
-    dims, trunc = nf.spec.dims, nf.spec.trunc
-    zero = [Series.zero(dims, trunc) for _ in range(dims.n)]
-    xs = [s.substitute(fast=zero) for s in nf.transform_x()]
-    ys = [s.substitute(fast=zero) for s in nf.transform_y()]
-    for s in xs + ys:
-        for (_mono, expr), _c in s.terms.items():
+    chart = []
+    for s in nf.transform_x() + nf.transform_y():
+        kept = {(mono, expr): c for (mono, expr), c in s.terms.items() if not any(mono[1])}
+        for _mono, expr in kept:
             if noise.anticipates(expr):
                 raise AnalysisError(
                     "anticipatory convolution on the slow manifold: "
                     f"{render_noise(expr)}")
-    return SsmChart(xs, ys)
+        chart.append(s.build_like(kept))
+    return SsmChart(chart[:nf.spec.m], chart[nf.spec.m:])
 
 
 @dataclass
@@ -218,7 +218,7 @@ def _split_future(expr: Expr) -> Optional[Tuple[Expr, Expr]]:
     straddles both sides."""
     fut, rest = [], []
     for a in expr:
-        s = noise._side(a)
+        s = noise.atom_side(a)
         if noise.is_bare(a):
             rest.append(a)
         elif s == 1:
@@ -284,9 +284,10 @@ class FreshNoise:
 @dataclass
 class LongTimeModel:
     """Slow evolution with irreducible quadratic noise replaced, over long
-    times, by its mean drift plus an independent effective white noise:
+    times, by its mean drift plus an independent effective white noise: with
+    z = Z[mu<0]{ phi_k }, both moments from ``noise.expectation``,
 
-        phi_k Z[mu<0] phi_k  ->  1/2 + sqrt(1/(2|mu|)) phi_new.
+        phi_k z  ->  E[phi_k z] + sqrt(E[z^2]) phi_new  =  1/2 + sqrt(1/(2|mu|)) phi_new.
 
     The fresh symbol's amplitude is carried as ``intensity`` metadata so all
     series coefficients stay rational.
@@ -295,18 +296,18 @@ class LongTimeModel:
     fresh: List[FreshNoise]
     leftovers: List[Tuple]
 
-    def deterministic_part(self) -> List[Series]:
-        return [s.build_like({k: c for k, c in s.terms.items() if k[1] == ONE})
-                for s in self.F]
+
+def noise_free_part(series: List[Series]) -> List[Series]:
+    """Each series' terms that carry no noise factor."""
+    return [s.build_like({k: c for k, c in s.terms.items() if k[1] == ONE})
+            for s in series]
 
 
 def long_time_model(nf: NormalForm) -> LongTimeModel:
     dims, trunc = nf.spec.dims, nf.spec.trunc
-    fresh: List[FreshNoise] = []
-    fresh_by_source: Dict[Tuple[int, Fraction], int] = {}
+    fresh: Dict[Tuple[int, Fraction], FreshNoise] = {}     # by (k, mu)
     leftovers: List[Tuple] = []
     out_series: List[Series] = []
-    next_index = dims.noises
     for i, F in enumerate(nf.F):
         pairs: List[Tuple] = []
         for (mono, expr), c in F.terms.items():
@@ -318,14 +319,11 @@ def long_time_model(nf: NormalForm) -> LongTimeModel:
                 leftovers.append((i, (mono, expr), c))
                 pairs.append(((mono, expr), c))
                 continue
-            k, mu = pair
-            key = (k, mu)
-            if key not in fresh_by_source:
-                fresh_by_source[key] = next_index
-                fresh.append(FreshNoise(index=next_index, rate=mu,
-                                        intensity=Fraction(1, 2) / abs(mu)))
-                next_index += 1
-            pairs.append(((mono, ONE), c * Fraction(1, 2)))
-            pairs.append(((mono, (noise.phi_atom(fresh_by_source[key]),)), c))
+            if pair not in fresh:
+                z = expr[1]                 # Z[mu]{ phi[k] }
+                fresh[pair] = FreshNoise(index=dims.noises + len(fresh), rate=pair[1],
+                                         intensity=noise.expectation((z, z)))
+            pairs.append(((mono, ONE), c * noise.expectation(expr)))
+            pairs.append(((mono, (noise.phi_atom(fresh[pair].index),)), c))
         out_series.append(Series(dims, trunc, noise.add_into({}, pairs)))
-    return LongTimeModel(out_series, fresh, leftovers)
+    return LongTimeModel(out_series, list(fresh.values()), leftovers)

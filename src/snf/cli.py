@@ -14,12 +14,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import engine
-from .analysis import (AnalysisError, chart_expectation, long_time_model,
+from .analysis import (AnalysisError, long_time_model, noise_free_part,
                        ssm_parametrisation)
-from .noise import ONE, NoiseError
-from .report import (ReportError, _layout, emit_report, header_policy, parse_report,
-                     rebuild_normal_form, truncation_header)
-from .series import Series, Trunc
+from .noise import NoiseError
+from .report import ReportError, emit_report, verify_report
+from .series import Trunc
 from .sysfile import SysFileError, load_system, system_as_written
 from .systems import CompileError, Policy
 
@@ -154,55 +153,6 @@ def cmd_derive(args) -> int:
     return EXIT_OK if nf.certified else EXIT_CERT
 
 
-def verify_report(text: str, spec) -> List[str]:
-    """Why a saved report fails re-certification against ``spec``, as
-    ``snf verify`` judges it; empty when it passes.  The header must state
-    the system's truncation and a policy, the normal form rebuilt under
-    that policy must pass the structural checks and clear the residual, and
-    then every derived section must follow from it (``_section_failures``)."""
-    rep = parse_report(text, spec)
-    failures = [f"report header {key}: {rep.header.get(key, '(missing)')!r}, "
-                f"system {want!r}"
-                for key, want in truncation_header(spec) if rep.header.get(key) != want]
-    try:
-        policy = header_policy(rep.header)
-    except ValueError as exc:
-        failures.append(str(exc))
-    if failures:
-        return failures
-    nf = rebuild_normal_form(rep, spec, policy)
-    nf.residual_grade = engine.verify_order(spec, nf)
-    return nf.certification_failures() or _section_failures(rep, nf)
-
-
-def _section_failures(rep, nf) -> List[str]:
-    """Each line of a derived section that the rebuilt form contradicts:
-    ``ssm`` must be its slow-manifold chart, each ``expected_ssm`` line the
-    expectation of the report's own ``ssm`` line (AnalysisError when that
-    line holds a product with no stationary expectation), and the
-    ``reversion`` must invert the transform within the truncation window,
-    one ``substitute`` per transform line."""
-    spec, sections = nf.spec, rep.sections
-    dims, trunc = spec.dims, spec.trunc
-    lhss = {section: lhss for section, lhss, _names in _layout(spec)}
-    chart = ssm_parametrisation(nf)
-    failures = [f"ssm line '{lhs} = ...' is not the slow-manifold chart of the transform"
-                for lhs, want in zip(lhss["ssm"], chart.x_of_X + chart.y_of_X)
-                if sections["ssm"][lhs] != want]
-    failures += [f"expected_ssm line '{e} = ...' is not the expectation of "
-                 f"ssm line '{x} = ...'"
-                 for e, x in zip(lhss["expected_ssm"], lhss["ssm"])
-                 if sections["expected_ssm"][e] != chart_expectation(sections["ssm"][x], x)]
-    inverse = [sections["reversion"][lhs] for lhs in lhss["reversion"]]
-    idents = ([Series.slow_var(dims, trunc, i) for i in range(spec.m)]
-              + [Series.fast_var(dims, trunc, j) for j in range(spec.n)])
-    failures += [f"reversion lines do not invert transform line '{lhs} = ...'"
-                 for lhs, ident in zip(lhss["transform"], idents)
-                 if sections["transform"][lhs].substitute(
-                     slow=inverse[:spec.m], fast=inverse[spec.m:]) != ident]
-    return failures
-
-
 def cmd_verify(args) -> int:
     spec, _sf = _load(args)
     with open(args.report) as fh:
@@ -261,10 +211,9 @@ def cmd_compare(args) -> int:
     chart = ssm_parametrisation(nf)
     x0_slow = [args.x0v] * spec.m
     # start the full system on the deterministic manifold image of x0
-    det = [s.build_like({k: c for k, c in s.terms.items() if k[1] == ONE})
-           for s in chart.y_of_X]
-    y0 = compile_series(det, spec.fast_names, lambda mono: tuple(mono[0]),
-                        params, spec.param_names, spec.n_noise)
+    y0 = compile_series(noise_free_part(chart.y_of_X), spec.fast_names,
+                        lambda mono: tuple(mono[0]), params, spec.param_names,
+                        spec.n_noise)
     drift, _diff = y0.rates(np.full((spec.m, 1), args.x0v), np.empty((0, 1)))
     x0_full = x0_slow + drift[:, 0].tolist()
     sde_r = compile_slow_model(nf, params)

@@ -193,29 +193,22 @@ class FilterBank(FilterSlots):
     def _stationary_start(self, dt: float):
         """The stationary law of the linear slots under ``step``.
 
-        In slot order they form one chain s[t+1] = Phi s[t] + G dW[t]: a
-        Brownian slot contributes a on the diagonal of Phi and c in G, a
-        slot driven by one linear slot d contributes a e_i + (dt/2)(a e_d +
-        Phi_d) and (dt/2) G_d.  The covariance solves the discrete Lyapunov
-        equation P = Phi P Phi^T + dt G G^T, so the chain is stationary from
-        its first step.  P may be singular (Z[-2]{Z[-1]{phi}} is Z[-1]{phi}
-        - Z[-2]{phi}), so it is factored by ``eigh``, eigenvalues clipped at
-        zero: ``_start @ _start.T`` is P."""
+        They form one chain s[t+1] = Phi s[t] + G dW[t], read off one step
+        of unit inputs (``_advance``): column r of Phi steps linear slot r
+        set to 1, column k of G a unit increment of noise k.  The covariance
+        solves the discrete Lyapunov equation P = Phi P Phi^T + dt G G^T, so
+        the chain is stationary from its first step.  P may be singular
+        (Z[-2]{Z[-1]{phi}} is Z[-1]{phi} - Z[-2]{phi}), so it is factored by
+        ``eigh``, eigenvalues clipped at zero: ``_start @ _start.T`` is P."""
         self._lin = [i for i, s in enumerate(self.slots) if not s.spin_time]
-        row = {i: r for r, i in enumerate(self._lin)}
         n = len(self._lin)
-        phi = np.zeros((n, n))
-        g = np.zeros((n, 1 + max((s.driver_k for s in self.slots), default=-1)))
-        for r, i in enumerate(self._lin):
-            s = self.slots[i]
-            phi[r, r] = self._a[i]
-            if s.driver_kind == "w":
-                g[r, s.driver_k] = self._c[i]
-            else:
-                d = row[s.driver_slots[0]]
-                phi[r] += (dt / 2.0) * phi[d]
-                phi[r, d] += (dt / 2.0) * self._a[i]
-                g[r] = (dt / 2.0) * g[d]
+        n_noise = 1 + max((s.driver_k for s in self.slots), default=-1)
+        z = np.zeros((self.n, n + n_noise))
+        z[self._lin, :n] = np.eye(n)
+        dw = np.zeros((1, n_noise, n + n_noise))
+        dw[0, :, n:] = np.eye(n_noise)
+        chain = self._advance(z, dw)[0][self._lin]
+        phi, g = chain[:, :n], chain[:, n:]
         # row-major vec(Phi P Phi^T) = kron(Phi, Phi) vec(P)
         p = np.linalg.solve(np.eye(n * n) - np.kron(phi, phi),
                             (dt * g @ g.T).ravel()).reshape(n, n)
@@ -245,11 +238,14 @@ class FilterBank(FilterSlots):
         ``dw`` has shape (steps, n_noise, R).  Returns the state after each
         step, shape (steps, n, R), in the bank's workspace: it is valid
         until the next ``step`` call, which may overwrite it (``z`` may be
-        a row of it).
+        a row of it).  Only ensembles call it, once per block; the
+        stationary start is set-up, and runs ``_advance`` itself."""
+        return self._advance(z, dw)
 
-        Time-major, one run of slots (``prepare``) at a time: each slot's
-        input over the block is one vectorised expression, c dW (Brownian
-        slot) or the trapezoid of its drivers' product (product slot;
+    def _advance(self, z: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        """``step``.  Time-major, one run of slots (``prepare``) at a time:
+        each slot's input over the block is one vectorised expression, c dW
+        (Brownian slot) or the trapezoid of its drivers' product (product slot;
         drivers sit in earlier runs, so their trajectories are filled in),
         written where the slot's trajectory goes; then the run steps
         ``w[t+1] = a w[t] + x[t]`` on its (k, R) slab, adding the decayed

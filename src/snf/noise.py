@@ -52,10 +52,10 @@ class MalformedResidual(NoiseError):
     """A forcing shape the normalisation cannot legally produce or reduce."""
 
 
-def _sort_key(atom: Atom):
+def atom_sort_key(atom: Atom):
     if atom[0] == "phi":
         return (0, atom[1])
-    return (1, atom[1], tuple(_sort_key(a) for a in atom[2]))
+    return (1, atom[1], tuple(atom_sort_key(a) for a in atom[2]))
 
 
 def phi_atom(k: int) -> Atom:
@@ -102,7 +102,7 @@ def z_atom(mu: Fraction, child: Expr) -> Atom:
 
 
 def product(*atoms: Atom) -> Expr:
-    return tuple(sorted(atoms, key=_sort_key))
+    return tuple(sorted(atoms, key=atom_sort_key))
 
 
 def merge(a: Expr, b: Expr) -> Expr:
@@ -111,7 +111,7 @@ def merge(a: Expr, b: Expr) -> Expr:
         return b
     if not b:
         return a
-    return tuple(sorted(a + b, key=_sort_key))
+    return tuple(sorted(a + b, key=atom_sort_key))
 
 
 def is_bare(atom: Atom) -> bool:
@@ -297,7 +297,7 @@ def _peel(expr: Expr):
 # ---------------------------------------------------------------------------
 # expectations
 
-def _side(atom: Atom) -> Optional[int]:
+def atom_side(atom: Atom) -> Optional[int]:
     """-1 pure past, +1 pure future, None mixed/instantaneous."""
     if is_bare(atom):
         return None
@@ -305,7 +305,7 @@ def _side(atom: Atom) -> Optional[int]:
     s = -1 if mu < 0 else 1
     for a in child:
         # A bare symbol inside the integral inherits the integral's side.
-        if not is_bare(a) and _side(a) != s:
+        if not is_bare(a) and atom_side(a) != s:
             return None
     return s
 
@@ -366,7 +366,7 @@ def expectation(expr: Expr) -> Optional[Fraction]:
 
 def _moment(expr: Expr) -> Optional[Fraction]:
     """The expectation of a product whose atoms share noise symbols."""
-    sides, bare = [_side(a) for a in expr], bare_count(expr)
+    sides, bare = [atom_side(a) for a in expr], bare_count(expr)
     if set(sides) == {1}:
         return expectation(_mirror(expr))
     if len(expr) == 1:
@@ -463,7 +463,7 @@ def _ibp_expr(expr: Expr, depth: int) -> Tuple[NoiseSum, NoiseSum]:
     total = sum(a[1] for a in expr)
     if total == 0:
         # Double the most negative factor: beta = Z[mu]Z[mu]C_A * R.
-        chosen = min(expr, key=lambda a: (a[1], _sort_key(a)))
+        chosen = min(expr, key=lambda a: (a[1], atom_sort_key(a)))
         rest = list(expr)
         rest.remove(chosen)
         mu, child = chosen[1], chosen[2]

@@ -26,10 +26,7 @@ class ParseError(ValueError):
 
 
 def render_rate(mu: Fraction) -> str:
-    sign = "+" if mu > 0 else "-"
-    mag = abs(mu)
-    body = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-    return sign + body
+    return ("+" if mu > 0 else "-") + _frac(abs(mu))
 
 
 def render_noise(expr: Expr) -> str:
@@ -162,7 +159,7 @@ def _product(a: Terms, b: Terms) -> Terms:
     return out
 
 
-class _TermParser:
+class TermParser:
     """Recursive descent over term dicts, shared by report lines and the
     ``.snf`` equations; a subclass supplies ``atom`` and ``inverse``, the
     term dict of ``1/f`` for a divisor ``f``.
@@ -251,7 +248,7 @@ class _TermParser:
         return int(val)
 
 
-class _Parser(_TermParser):
+class _Parser(TermParser):
     """Report lines: atom := number | name | phi[idx] | Z[rate]{ expr } |
     '(' expr ')'; division only by non-zero rationals.
 

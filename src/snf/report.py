@@ -1,6 +1,7 @@
 """Deterministic text reports for derived normal forms, with a parser that
-reconstructs the series values bit-exactly (used by `verify`).  Writer and
-parser read one section table, ``_layout``."""
+reconstructs the series values bit-exactly, and ``verify_report``, the
+re-certification ``snf verify`` runs.  Writer, parser and verifier read one
+section table, ``_layout``."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from . import noise
+from . import engine, noise
 from .analysis import chart_expectation, ssm_parametrisation, revert
 from .render import ParseError, new_names as _new_names, parse_series, render_series
 from .series import Series
@@ -156,15 +157,67 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
     return ParsedReport(header, sections)
 
 
+def _identities(spec: SystemSpec) -> List[Series]:
+    """x, then y, as series: the identity part of the transform lines, and
+    the composition of the transform with its reversion."""
+    return [Series.var(spec.dims, spec.trunc, part, k)
+            for part, size in enumerate((spec.m, spec.n)) for k in range(size)]
+
+
 def rebuild_normal_form(rep: ParsedReport, spec: SystemSpec,
                         policy: Policy) -> NormalForm:
     """Reconstruct a NormalForm from a parsed report for re-certification."""
-    dims, trunc, m = spec.dims, spec.trunc, spec.m
+    m = spec.m
     (_, transform, _), (_, evolution, _) = _layout(spec)[:2]
-    idents = ([Series.slow_var(dims, trunc, i) for i in range(m)]
-              + [Series.fast_var(dims, trunc, j) for j in range(spec.n)])
-    xi_eta = [rep.sections["transform"][lhs] - v for lhs, v in zip(transform, idents)]
+    xi_eta = [rep.sections["transform"][lhs] - v
+              for lhs, v in zip(transform, _identities(spec))]
     F_G = [rep.sections["evolution"][lhs] - v
            for lhs, v in zip(evolution, spec.linear_xdot() + spec.linear_ydot())]
     return NormalForm(spec=spec, policy=policy, xi=xi_eta[:m], eta=xi_eta[m:],
                       F=F_G[:m], G=F_G[m:])
+
+
+def verify_report(text: str, spec: SystemSpec) -> List[str]:
+    """Why a saved report fails re-certification against ``spec``, as
+    ``snf verify`` judges it; empty when it passes.  The header must state
+    the system's truncation and a policy, the normal form rebuilt under
+    that policy must pass the structural checks and clear the residual, and
+    then every derived section must follow from it (``_section_failures``)."""
+    rep = parse_report(text, spec)
+    failures = [f"report header {key}: {rep.header.get(key, '(missing)')!r}, "
+                f"system {want!r}"
+                for key, want in truncation_header(spec) if rep.header.get(key) != want]
+    try:
+        policy = header_policy(rep.header)
+    except ValueError as exc:
+        failures.append(str(exc))
+    if failures:
+        return failures
+    nf = rebuild_normal_form(rep, spec, policy)
+    nf.residual_grade = engine.verify_order(spec, nf)
+    return nf.certification_failures() or _section_failures(rep, nf)
+
+
+def _section_failures(rep: ParsedReport, nf: NormalForm) -> List[str]:
+    """Each line of a derived section that the rebuilt form contradicts:
+    ``ssm`` must be its slow-manifold chart, each ``expected_ssm`` line the
+    expectation of the report's own ``ssm`` line (AnalysisError when that
+    line holds a product with no stationary expectation), and the
+    ``reversion`` must invert the transform within the truncation window,
+    one ``substitute`` per transform line."""
+    spec, sections = nf.spec, rep.sections
+    lhss = {section: lhss for section, lhss, _names in _layout(spec)}
+    chart = ssm_parametrisation(nf)
+    failures = [f"ssm line '{lhs} = ...' is not the slow-manifold chart of the transform"
+                for lhs, want in zip(lhss["ssm"], chart.x_of_X + chart.y_of_X)
+                if sections["ssm"][lhs] != want]
+    failures += [f"expected_ssm line '{e} = ...' is not the expectation of "
+                 f"ssm line '{x} = ...'"
+                 for e, x in zip(lhss["expected_ssm"], lhss["ssm"])
+                 if sections["expected_ssm"][e] != chart_expectation(sections["ssm"][x], x)]
+    inverse = [sections["reversion"][lhs] for lhs in lhss["reversion"]]
+    failures += [f"reversion lines do not invert transform line '{lhs} = ...'"
+                 for lhs, ident in zip(lhss["transform"], _identities(spec))
+                 if sections["transform"][lhs].substitute(
+                     slow=inverse[:spec.m], fast=inverse[spec.m:]) != ident]
+    return failures

@@ -119,7 +119,7 @@ def grade(mono: Mono) -> int:
 def term_sort_key(key: Key):
     mono, expr = key
     return (grade(mono), mono[0], mono[1], mono[2],
-            tuple(noise._sort_key(a) for a in expr))
+            tuple(noise.atom_sort_key(a) for a in expr))
 
 
 def name_index(names) -> Dict[str, Tuple[int, int]]:

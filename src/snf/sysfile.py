@@ -22,7 +22,7 @@ everything else in an equation is collected into the nonlinear/noisy
 right-hand side.
 
 An equation is read by the report parser's recursive descent
-(``render._TermParser``: ``+ - * /``, parentheses, numbers and one integer
+(``render.TermParser``: ``+ - * /``, parentheses, numbers and one integer
 exponent per ``^``) with atoms of its own: declared names, the noise
 symbols ``phi1 .. phiK`` and ``sqrt(<rescale>)``.  A divisor is a non-zero
 number or, under ``rescale``, one noise-free term in that parameter.
@@ -46,8 +46,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import noise
 from .noise import ONE
-from .render import ParseError, Terms, _TermParser
-from .series import Dims, Series, Trunc
+from .render import ParseError, Terms, TermParser
+from .series import Series, Trunc
 from .systems import SystemSpec, SystemDefinitionError
 
 
@@ -63,6 +63,9 @@ class SysFile:
     n_noise: int = 1
     A_rows: List[List[Fraction]] = field(default_factory=list)
     B: List[Fraction] = field(default_factory=list)
+    # the line of each A row and of each B rate
+    A_lines: List[int] = field(default_factory=list)
+    B_lines: List[int] = field(default_factory=list)
     order: int = 3
     caps: Dict[str, int] = field(default_factory=dict)
     count_fast: bool = True
@@ -135,8 +138,10 @@ def parse_sysfile(text: str, label: str = "") -> SysFile:
             sf.n_noise = _at_least(1, rest, ln, "noise")
         elif head == "A":
             sf.A_rows.append([_rat(v, ln) for v in rest.split()])
+            sf.A_lines.append(ln)
         elif head == "B":
             sf.B.extend(_rat(v, ln) for v in rest.split())
+            sf.B_lines += [ln] * (len(sf.B) - len(sf.B_lines))
         elif head == "order":
             sf.order = _at_least(1, rest, ln, "order")
         elif head == "cap":
@@ -171,7 +176,7 @@ def parse_sysfile(text: str, label: str = "") -> SysFile:
 # -- equations -------------------------------------------------------------
 
 
-class _EquationParser(_TermParser):
+class _EquationParser(TermParser):
     """One equation's right-hand side: atom := number | name | phiN (1-based)
     | sqrt(<rescale>) | '(' expr ')'.  Exponents run flat over the slow,
     fast and parameter names, then one slot counts half powers of the
@@ -227,15 +232,23 @@ class _EquationParser(_TermParser):
         return {(tuple(-e for e in exps), ONE): Fraction(1) / c}
 
 
+def _shape_error(message: str, lines: List[int], bad: int) -> str:
+    """``message`` naming the line of entry ``bad``, or the last line when
+    entries are missing (none when no line declares any)."""
+    return f"line {lines[min(bad, len(lines) - 1)]}: {message}" if lines else message
+
+
 def build_system(sf: SysFile) -> SystemSpec:
     if not sf.slow or not sf.fast:
         raise SysFileError("need at least one slow and one fast variable")
-    if len(sf.B) != len(sf.fast):
-        raise SysFileError("B must list one rate per fast variable")
-    dims = Dims(len(sf.slow), len(sf.fast), tuple(sf.params), sf.n_noise)
+    n = len(sf.fast)
+    if len(sf.B) != n:
+        raise SysFileError(_shape_error("B must list one rate per fast variable",
+                                        sf.B_lines, n))
     for name in sf.caps:
         if name not in sf.params:
-            raise SysFileError(f"cap on undeclared parameter {name!r}")
+            raise SysFileError(f"line {sf.lines['cap ' + name]}: cap on undeclared "
+                               f"parameter {name!r}")
     for decl in ("rescale", "noise_scale"):
         name = getattr(sf, decl)
         if name is not None and name not in sf.params:
@@ -246,16 +259,19 @@ def build_system(sf: SysFile) -> SystemSpec:
     m = len(sf.slow)
     if not sf.A_rows:
         sf.A_rows = [[Fraction(0)] * m for _ in range(m)]
-    if len(sf.A_rows) != m or any(len(r) != m for r in sf.A_rows):
-        raise SysFileError("A must be an m x m block")
-    A = tuple(tuple(row) for row in sf.A_rows)
-    B = tuple(sf.B)
+    elif len(sf.A_rows) != m or any(len(r) != m for r in sf.A_rows):
+        bad = next((i for i, r in enumerate(sf.A_rows) if len(r) != m), m)
+        raise SysFileError(_shape_error("A must be an m x m block", sf.A_lines, bad))
+    spec = SystemSpec(tuple(sf.slow), tuple(sf.fast), tuple(sf.params),
+                      tuple(tuple(row) for row in sf.A_rows), tuple(sf.B), [], [],
+                      sf.n_noise, trunc, sf.label)
+    dims = spec.dims
 
     res_idx = sf.params.index(sf.rescale) if sf.rescale else None
     scale_idx = sf.params.index(sf.noise_scale) if sf.noise_scale else None
-    mn = m + len(sf.fast)
+    mn = m + n
 
-    def to_series(terms: Terms, ln: int, which: str, var: str) -> Series:
+    def to_series(terms: Terms, ln: int) -> Series:
         pairs = []
         for (exps, expr), c in terms.items():
             par_e = list(exps[mn:-1])
@@ -273,17 +289,7 @@ def build_system(sf: SysFile) -> SystemSpec:
             if scale_idx is not None:
                 par_e[scale_idx] += len(expr)
             pairs.append((((exps[:m], exps[m:mn], tuple(par_e)), expr), c))
-        s = Series(dims, trunc, noise.add_into({}, pairs))
-        # Strip the declared linear part from the equation body.
-        if which == "slow":
-            i = sf.slow.index(var)
-            for j in range(m):
-                if A[i][j]:
-                    s = s - Series.slow_var(dims, trunc, j).scale(A[i][j])
-        else:
-            j = sf.fast.index(var)
-            s = s - Series.fast_var(dims, trunc, j).scale(B[j])
-        return s
+        return Series(dims, trunc, noise.add_into({}, pairs))
 
     def equation(var: str, which: str) -> Series:
         if var not in sf.equations:
@@ -293,16 +299,15 @@ def build_system(sf: SysFile) -> SystemSpec:
             terms = _EquationParser(text, sf).parse()
         except ParseError as exc:
             raise SysFileError(f"line {ln}: {exc}") from exc
-        return to_series(terms, ln, which, var)
+        return to_series(terms, ln)
 
     for var, (ln, _text) in sf.equations.items():
         if var not in sf.slow and var not in sf.fast:
             raise SysFileError(f"line {ln}: equation for {var!r}, which is not a "
                                "slow or fast variable")
-    f = [equation(var, "slow") for var in sf.slow]
-    g = [equation(var, "fast") for var in sf.fast]
-    spec = SystemSpec(tuple(sf.slow), tuple(sf.fast), tuple(sf.params),
-                      A, B, f, g, sf.n_noise, trunc, sf.label)
+    # each equation body less its declared linear part
+    spec.f = [equation(var, "slow") - lin for var, lin in zip(sf.slow, spec.linear_xdot())]
+    spec.g = [equation(var, "fast") - lin for var, lin in zip(sf.fast, spec.linear_ydot())]
     try:
         spec.validate()
     except SystemDefinitionError as exc:

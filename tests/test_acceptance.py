@@ -22,13 +22,12 @@ from snf import noise
 from snf.analysis import (expected_ssm, long_time_model,
                           project_initial_condition, revert,
                           ssm_parametrisation)
-from snf.cli import verify_report
 from snf.engine import construct, identity_form, verify_order
 from snf.mc import (compile_full_system, compile_observables,
                     compile_slow_model, run_ensemble)
 from snf.paths import NoisePath, PathSampler, evaluate_series, integrate_expression
 from snf.render import parse_series_for
-from snf.report import emit_report, parse_report, rebuild_normal_form
+from snf.report import emit_report, parse_report, rebuild_normal_form, verify_report
 from snf.series import Series
 from snf.systems import ALLOW, FORBID, Policy
 

@@ -9,8 +9,8 @@ import pytest
 from conftest import make_system
 from snf import noise
 from snf.analysis import (AnalysisError, Reversion, expected_series, expected_ssm,
-                          long_time_model, project_initial_condition, revert,
-                          ssm_parametrisation)
+                          long_time_model, noise_free_part, project_initial_condition,
+                          revert, ssm_parametrisation)
 from snf.engine import construct
 from snf.render import parse_series_for
 from snf.series import Series
@@ -83,6 +83,22 @@ def test_every_chart_term_has_an_expectation(name, orders):
             chart = ssm_parametrisation(construct(make_system(name, total=order), policy))
             for s in chart.x_of_X + chart.y_of_X:
                 assert expected_series(s).unevaluable == [], (order, policy.label())
+
+
+@pytest.mark.parametrize("name", ["toy.snf", "papavasiliou.snf", "linear.snf"])
+def test_chart_is_the_transform_with_the_fast_variables_zero(name):
+    # the chart selects the transform's fast-free terms; composing with
+    # y = 0 is the reference, packed form and term order included
+    for order in (2, 3, 4, 5):
+        for policy in (ALLOW, FORBID):
+            nf = construct(make_system(name, total=order), policy)
+            dims, trunc = nf.spec.dims, nf.spec.trunc
+            zero = [Series.zero(dims, trunc)] * dims.n
+            want = [s.substitute(fast=zero) for s in nf.transform_x() + nf.transform_y()]
+            chart = ssm_parametrisation(nf)
+            got = chart.x_of_X + chart.y_of_X
+            assert got == want, (order, policy.label())
+            assert [list(s.terms) for s in got] == [list(s.terms) for s in want]
 
 
 def test_expected_ssm_consistent_with_steeper_parabola(toy3):
@@ -260,9 +276,23 @@ def test_long_time_model_leading_truncation_is_averaged_model(pk3):
     # restoring slow time (dividing by eps, sigma = 1)
     spec = pk3.spec
     lt = long_time_model(pk3)
-    det = lt.deterministic_part()[0]
+    det = noise_free_part(lt.F)[0]
     lead = det.build_like({k: c for k, c in det.terms.items() if k[0][2][0] == 1})   # eps^1
     assert lead == S(spec, "-eps*x - eps*x^2 - 1/2*eps*sigma^2")
+
+
+@pytest.mark.parametrize("mu", [F(-1), F(-3), F(-8), F(-1, 2), F(-15), F(-7, 3)])
+def test_long_time_moments_are_one_half_and_one_over_two_mu(pk3, mu):
+    # noise.expectation gives the drift 1/2 and the intensity 1/(2|mu|)
+    spec = pk3.spec
+    phi = noise.phi_atom(0)
+    quad = noise.product(phi, noise.z_atom(mu, (phi,)))
+    x = spec.dims.mono(slow=(1,), par=(1, 0))
+    F_quad = Series(spec.dims, spec.trunc, {(x, quad): F(3)})
+    lt = long_time_model(replace(pk3, F=[F_quad]))
+    assert [(f.rate, f.intensity) for f in lt.fresh] == [(mu, 1 / (2 * abs(mu)))]
+    assert lt.F[0].coefficient(x) == F(3, 2)
+    assert lt.leftovers == []
 
 
 def test_long_time_model_reports_leftovers(toy5):

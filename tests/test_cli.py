@@ -11,10 +11,11 @@ import pytest
 from conftest import bundled_text, make_system
 from snf import report
 from snf.analysis import AnalysisError, expected_series, revert, ssm_parametrisation
-from snf.cli import EXIT_CERT, main, verify_report
+from snf.cli import EXIT_CERT, main
 from snf.engine import construct, verify_order
 from snf.render import ParseError, parse_series, parse_series_for
-from snf.report import ReportError, emit_report, parse_report, rebuild_normal_form
+from snf.report import (ReportError, emit_report, parse_report, rebuild_normal_form,
+                        verify_report)
 from snf.series import Series
 from snf.systems import ALLOW, FORBID
 

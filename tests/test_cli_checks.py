@@ -120,10 +120,10 @@ def test_verify_refuses_the_policy_options(toy_path, tmp_path, toy3_report,
 
 def test_verify_reads_mu_min_from_the_header(toy_path, tmp_path, toy3_report,
                                              monkeypatch):
-    import snf.cli as cli
+    import snf.report as report
     seen = []
-    real = cli.rebuild_normal_form
-    monkeypatch.setattr(cli, "rebuild_normal_form",
+    real = report.rebuild_normal_form
+    monkeypatch.setattr(report, "rebuild_normal_form",
                         lambda rep, spec, policy: seen.append(policy) or real(rep, spec, policy))
     text = toy3_report.replace("mu_min: 0\n", "mu_min: 1/8\n")
     assert _verify(toy_path, tmp_path, text) == EXIT_OK
@@ -185,6 +185,10 @@ eq y: -y + x^2 + s*phi1
     # a parameter nobody declared
     ("order 3", "rescale q"),
     ("order 3", "noise_scale q"),
+    ("order 3", "cap q 2"),
+    # a linear part of the wrong shape
+    ("A 0", "A 0 1"),
+    ("B -1", "B -1 -2"),
     # a right-hand side SystemSpec.validate refuses: the error names its eq line
     ("eq y: -y + x^2 + s*phi1", "eq y: -y + x^2 + s*phi1 + 1"),
     ("eq y: -y + x^2 + s*phi1", "eq y: -2*y + x^2 + s*phi1"),
@@ -207,6 +211,13 @@ def test_malformed_system_file_exits_2_with_its_line(tmp_path, capsys, old, new)
      "line 8: slow rhs 0: constant term shifts the equilibrium"),
     ("eq y: -y + x^2 + s*phi1", "eq y: -2*y + x^2 + s*phi1",
      "line 9: fast rhs 0: bare linear fast term belongs in B"),
+    ("order 3", "cap q 2", "line 7: cap on undeclared parameter 'q'"),
+    ("A 0", "A 0 1", "line 5: A must be an m x m block"),
+    ("B -1", "B -1 -2", "line 6: B must list one rate per fast variable"),
+    # rates or rows missing: the last B or A line
+    ("fast y", "fast y z", "line 6: B must list one rate per fast variable"),
+    ("slow x\nfast y\nparam s\nnoise 1\nA 0\n", "slow x w\nfast y\nparam s\nnoise 1\nA 0 1\n",
+     "line 5: A must be an m x m block"),
 ])
 def test_system_file_refusal_texts(tmp_path, capsys, old, new, message):
     p = tmp_path / "bad.snf"

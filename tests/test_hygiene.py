@@ -10,6 +10,10 @@ in its `__all__`.
 
 Import gate: no `src/snf` module imports scipy when it is imported itself.
 scipy is imported inside the one function that calls it.
+
+Privacy gate: no `src/snf` module imports, or reads as a module attribute,
+an underscore name of another `src/snf` module.  A name another module
+needs is public.
 """
 
 import ast
@@ -132,3 +136,36 @@ def test_no_module_imports_scipy_at_import_time():
              for path, tree in _trees("src/snf")
              for node in _runs_at_import(tree.body) if _imports_scipy(node)]
     assert not eager, "scipy imported at module level:\n" + "\n".join(eager)
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads(tree):
+    """(line, name) of each underscore name of another snf module that the
+    module imports, or reads off a name bound to an snf module."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            own = node.level or (node.module or "").partition(".")[0] == "snf"
+            if not own:
+                continue
+            for alias in node.names:
+                if node.module is None or node.module == "snf":
+                    modules.add(alias.asname or alias.name)
+                if _private(alias.name):
+                    yield node.lineno, alias.name
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.startswith("snf."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
+
+
+def test_no_module_reads_another_modules_private_names():
+    private = [f"{path.relative_to(PACKAGE)}:{line}: {name}"
+               for path, tree in _trees("src/snf") for line, name in _private_reads(tree)]
+    assert not private, "private names read across modules:\n" + "\n".join(private)

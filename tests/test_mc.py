@@ -617,6 +617,46 @@ def test_stationary_start_solves_the_discrete_lyapunov_equation(toy_chart_model,
     assert np.abs(p - phi @ p @ phi.T - dt * g @ g.T).max() < 1e-12
 
 
+def _hand_built_start(bank, dt):
+    """The stationary start from Phi and G built slot by slot: a Brownian
+    slot puts a on the diagonal of Phi and c in G; a slot driven by one
+    linear slot d puts a e_i + (dt/2)(a e_d + Phi_d) in Phi and (dt/2) G_d
+    in G."""
+    lin = [i for i, s in enumerate(bank.slots) if not s.spin_time]
+    row = {i: r for r, i in enumerate(lin)}
+    n = len(lin)
+    phi = np.zeros((n, n))
+    g = np.zeros((n, 1 + max((s.driver_k for s in bank.slots), default=-1)))
+    for r, i in enumerate(lin):
+        s = bank.slots[i]
+        phi[r, r] = bank._a[i]
+        if s.driver_kind == "w":
+            g[r, s.driver_k] = bank._c[i]
+        else:
+            d = row[s.driver_slots[0]]
+            phi[r] += (dt / 2.0) * phi[d]
+            phi[r, d] += (dt / 2.0) * bank._a[i]
+            g[r] = (dt / 2.0) * g[d]
+    p = np.linalg.solve(np.eye(n * n) - np.kron(phi, phi),
+                        (dt * g @ g.T).ravel()).reshape(n, n)
+    w, v = np.linalg.eigh((p + p.T) / 2.0)
+    return v * np.sqrt(np.clip(w, 0.0, None))
+
+
+@pytest.mark.parametrize("name,order,params", [
+    ("toy.snf", 5, {"sigma": 0.05}),
+    ("papavasiliou.snf", 3, {"eps": 0.01, "sigma": 1.0}),
+    ("linear.snf", 3, {"eps": 0.1})], ids=["toy", "papavasiliou", "linear"])
+def test_stationary_start_is_the_hand_built_chains(name, order, params):
+    # the bundled chart banks: the start read off one step is bitwise the
+    # one from Phi and G built slot by slot
+    bank = _chart_model(construct(make_system(name, total=order), ALLOW), params)[0].bank
+    for dt in (1e-3, 2e-3):
+        bank.prepare(dt)
+        want = _hand_built_start(bank, dt)
+        assert _same_bits(bank._start, want), dt
+
+
 def test_stationary_start_of_the_toy_chart_is_its_long_run_law(toy_chart_model):
     bank = toy_chart_model[0].bank
     bank.prepare(1e-2)

@@ -313,7 +313,7 @@ def _table_component(expr):
             return None
         return inner / abs(a[1])
     # Disjoint past/future groups are independent.
-    sides = [noise._side(a) for a in expr]
+    sides = [noise.atom_side(a) for a in expr]
     if all(s is not None for s in sides) and len(set(sides)) == 2:
         past = product(*[a for a, s in zip(expr, sides) if s < 0])
         fut = product(*[a for a, s in zip(expr, sides) if s > 0])
@@ -352,8 +352,8 @@ def test_the_rule_table_reference_answers_its_own_cases():
 @settings(max_examples=60, deadline=None)
 def test_canonical_key_order_independent(atom_list, perm):
     shuffled = [atom_list[i % len(atom_list)] for i in perm][: len(atom_list)]
-    assert product(*atom_list) == product(*sorted(shuffled, key=noise._sort_key)) \
-        or sorted(atom_list, key=noise._sort_key) != sorted(shuffled, key=noise._sort_key)
+    assert product(*atom_list) == product(*sorted(shuffled, key=noise.atom_sort_key)) \
+        or sorted(atom_list, key=noise.atom_sort_key) != sorted(shuffled, key=noise.atom_sort_key)
     # building the same multiset in any order gives the same key
     assert product(*atom_list) == product(*reversed(atom_list))
 
