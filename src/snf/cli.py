@@ -110,6 +110,14 @@ def _quiet_overflow():
     return np.errstate(over="ignore", invalid="ignore")
 
 
+def _print_warm_up(dt: float, *models) -> None:
+    """One comment line: the longest filter warm-up of ``models`` before
+    t = 0, the cost a run pays beyond its horizon."""
+    from .mc import warm_up
+    t, steps = max(warm_up(m.bank, dt) for m in models)
+    print(f"# warm-up: {t:g} time units ({steps} steps) before t = 0")
+
+
 def _diverged(args, spec, *runs) -> bool:
     """Name on stderr, for each (result, model) run, how many replicates
     went non-finite and by which sample time; True when any did.  A note
@@ -184,6 +192,7 @@ def cmd_simulate(args) -> int:
         x0 = [0.0] * spec.m if args.x0 is None else args.x0
     if len(x0) != sde.dim:
         raise SysFileError(f"--x0: need {sde.dim} values, got {len(x0)}")
+    _print_warm_up(args.dt, sde)
     with _quiet_overflow():
         res = run_ensemble(sde, x0, args.T, args.dt, args.replicates, args.seed, times)
     if _diverged(args, spec, (res, args.model)):
@@ -227,6 +236,7 @@ def cmd_compare(args) -> int:
                   f"noise products and are omitted from the observable")
     obs = compile_observables(chart_x, sde_r, params, spec.param_names,
                               lambda mono: tuple(mono[0]))
+    _print_warm_up(args.dt, full, sde_r)
     with _quiet_overflow():
         res_f = run_ensemble(full, x0_full, args.T, args.dt, args.replicates,
                              args.seed, times)

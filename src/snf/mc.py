@@ -11,22 +11,24 @@ filter (``filter_weights``, ``trapezoid_input``, ``run_filter``).  The
 slots linear in the noise (a filtered Brownian motion, or a filter of one
 such slot) start from the exact stationary law of their discrete
 recursion, a Gaussian whose covariance solves a discrete Lyapunov
-equation; only the other slots, the filters of products, spin up from
-zero before time zero.  Driven by noise alone, the bank advances a block
-of steps at a time: each slot's input over the block is one vectorised
-expression, and the recursion then steps time-major, one run of mutually
-independent slots at a time, across every replicate at once.  The block's
-output and scratch rows are one workspace that the bank keeps for its
-replicate width, so a block it returns is valid until its next step.  The
-state is stepped one step at a time inside the block.
+equation.  The other slots, the filters of products, start at their exact
+stationary mean (``noise.expectation``) and spin up before time zero until
+their second moments settle (``FilterSlots.slot_for``).  Driven by noise
+alone, the bank advances a block of steps at a time: each slot's input over
+the block is one vectorised expression, and the recursion then steps
+time-major, one run of mutually independent slots at a time, across every
+replicate at once.  The block's output and scratch rows are one workspace
+that the bank keeps for its replicate width, so a block it returns is valid
+until its next step.  The state is stepped one step at a time inside the
+block.
 
 A replicate chunk is one random stream: replicates are split into chunks,
 each drawing from its own stream spawned from the master seed, so results
 are reproducible from the master seed and independent across replicates.
-A chunk draws its linear slots' stationary start first, then its warm-up,
-then its horizon increments.  Warm-up and horizon step all chunks as one
-array, in blocks of the same size, each chunk's increments filling its own
-columns.  A chunk draws each block's increments in one call into a buffer
+A chunk draws its linear slots' stationary start first (its product slots
+start at their means and draw nothing), then its warm-up, then its horizon
+increments.  Warm-up and horizon step all chunks as one array, in blocks of
+the same size, each chunk's increments filling its own columns.  A chunk draws each block's increments in one call into a buffer
 of its own, which consumes its stream exactly as one draw per step would,
 and scales them into its columns of one increment block reused throughout.
 
@@ -66,8 +68,11 @@ from .systems import CompileError, IllFormedForSampling, NormalForm, SystemSpec
 # over stepping one step at a time, 64 steps about 2 MiB.
 _BLOCK = 32
 
-# Spin-up of a filter from a zero start, in its time constants: every filter
-# of a path sample, and the filter bank's slots that are not linear in the noise.
+# Spin-up of a filter, in time constants of the decay of what is left of its
+# start, e^-10 at the end: every filter of a path sample starts from zero and
+# spins up over ten of its own.  The filter bank's slots that are not linear
+# in the noise start at their mean, so what is left decays faster, as
+# ``FilterSlots.slot_for`` counts it.
 SPINUP_TIME_CONSTANTS = 10.0
 
 
@@ -119,7 +124,8 @@ class FilterSlot:
     driver_kind: str                 # "w" (Brownian) or "prod" (slot product)
     driver_k: int = -1
     driver_slots: Tuple[int, ...] = ()
-    spin_time: float = 0.0           # 0: linear in the noise, starts stationary
+    spin_time: float = 0.0           # 0: linear in the noise, starts stationary;
+                                     # else warm-up from the stationary mean
 
 
 class FilterSlots:
@@ -147,12 +153,22 @@ class FilterSlots:
             subs = tuple(self.slot_for(a) for a in rest)
             slot = FilterSlot(mu, "prod", driver_slots=subs)
             if len(subs) > 1 or self.slots[subs[0]].spin_time:
-                # not linear in the noise: spins up from zero after its drivers
-                slot.spin_time = SPINUP_TIME_CONSTANTS / abs(mu) + max(
-                    self.slots[s].spin_time for s in subs)
+                # Not linear in the noise: it starts at its mean, so what is
+                # left of its start, e^{mu t}(A - E A), has mean zero and
+                # enters second moments only through covariances that decay
+                # at the slowest rate r feeding it.  Spin up over ten time
+                # constants of that decay, after the drivers have spun up.
+                r = min(self._slowest(d) for d in subs)
+                slot.spin_time = (SPINUP_TIME_CONSTANTS / (abs(mu) + min(abs(mu), r))
+                                  + max(self.slots[s].spin_time for s in subs))
         self.slots.append(slot)
         self._index[atom] = len(self.slots) - 1
         return len(self.slots) - 1
+
+    def _slowest(self, i: int) -> float:
+        """The smallest |rate| of slot ``i`` and of every slot feeding it."""
+        s = self.slots[i]
+        return min([abs(s.rate)] + [self._slowest(d) for d in s.driver_slots])
 
     @property
     def n(self) -> int:
@@ -162,11 +178,24 @@ class FilterSlots:
 class FilterBank(FilterSlots):
     """The slots of forward filters, stepped across all replicates at once."""
 
+    def __init__(self):
+        super().__init__()
+        self._mean: Dict[int, float] = {}     # spun-up slot: its stationary mean
+
     def slot_for(self, atom) -> int:
         if noise.anticipates((atom,)):
             raise CompileError("anticipatory convolutions cannot be pre-sampled in a "
                                f"forward simulation: {render_noise((atom,))}")
-        return super().slot_for(atom)
+        i = super().slot_for(atom)
+        if self.slots[i].spin_time and i not in self._mean:
+            mean = noise.expectation((atom,))
+            if mean is None:
+                # the slot was appended last: take it back out
+                del self.slots[i], self._index[atom]
+                raise CompileError("no stationary mean to start the filter of "
+                                   f"{render_noise((atom,))}")
+            self._mean[i] = float(mean)
+        return i
 
     def max_spin(self) -> float:
         return max((s.spin_time for s in self.slots), default=0.0)
@@ -189,6 +218,8 @@ class FilterBank(FilterSlots):
             self._groups.append((lo, self.n))
         self._work = None
         self._stationary_start(dt)
+        self._spun = [i for i, s in enumerate(self.slots) if s.spin_time]
+        self._spun_mean = np.array([self._mean[i] for i in self._spun])[:, None]
 
     def _stationary_start(self, dt: float):
         """The stationary law of the linear slots under ``step``.
@@ -216,11 +247,14 @@ class FilterBank(FilterSlots):
         self._start = v * np.sqrt(np.clip(w, 0.0, None))
 
     def start(self, z: np.ndarray, rng: np.random.Generator):
-        """Draw the linear slots of the zero state ``z`` (n, R) from their
+        """Start the state ``z`` (n, R): draw the linear slots from their
         stationary law, one ``standard_normal((n_linear, R))`` draw from
-        ``rng``; a bank without linear slots draws nothing."""
+        ``rng`` (none for a bank without linear slots), and set the others
+        to their stationary mean, which draws nothing."""
         if self._lin:
             z[self._lin] = self._start @ rng.standard_normal((len(self._lin), z.shape[1]))
+        if self._spun:
+            z[self._spun] = self._spun_mean
 
     def _workspace(self, steps: int, R: int):
         """The arrays ``step`` writes, kept from call to call: the (steps+1,
@@ -482,6 +516,7 @@ class EnsembleResult:
 
     def stderr_var(self) -> np.ndarray:
         # Standard error of the sample variance from its fourth moment.
+        self._need_spread()
         m = self.samples.mean(axis=0)
         c = self.samples - m
         n = self.n_rep
@@ -521,6 +556,14 @@ def sample_steps(sample_times: Sequence[float], T: float,
     return times, np.asarray([grid_steps(t, dt, "sample time") for t in times])
 
 
+def warm_up(bank: FilterBank, dt: float,
+            warm: Optional[float] = None) -> Tuple[float, int]:
+    """An ensemble's warm-up before t = 0: ``warm`` time units, by default
+    the bank's ``max_spin``, and its number of steps of dt, rounded up."""
+    t = bank.max_spin() if warm is None else warm
+    return t, int(math.ceil(t / dt))
+
+
 def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
                  n_rep: int, seed: int, sample_times: Sequence[float],
                  observables: Optional[CompiledSDE] = None,
@@ -529,10 +572,11 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     at the requested times.  Deterministic given the master seed.
 
     A chunk of ``chunk`` replicates is one random stream spawned from the
-    master seed: it draws its linear filter slots' stationary start, then
-    the warm-up of the others (``warm`` time units, by default the bank's
-    ``max_spin``), then its horizon increments.  ``T`` and every sample time
-    must lie on the step grid (``grid_steps``).
+    master seed: it draws its linear filter slots' stationary start
+    (``FilterBank.start``), then its warm-up (``warm_up``: ``warm`` time
+    units, by default the bank's ``max_spin``), then its horizon
+    increments.  ``T`` and every sample time must lie on the step grid
+    (``grid_steps``).
     Warm-up and horizon step all replicates as one array, each chunk's
     increments filling its own columns, so a replicate's path does not
     depend on how many chunks step beside it.
@@ -540,8 +584,7 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     remaining sample times record NaN."""
     n_steps = grid_steps(T, dt, "horizon")
     sample_times, sample_idx = sample_steps(sample_times, T, dt)
-    warm_time = sde.bank.max_spin() if warm is None else warm
-    warm_steps = int(math.ceil(warm_time / dt))
+    warm_steps = warm_up(sde.bank, dt, warm)[1]
     sde.bank.prepare(dt)
     names = (observables or sde).state_names
     out = np.empty((n_rep, len(sample_times), len(names)))

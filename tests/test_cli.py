@@ -240,8 +240,10 @@ def test_cli_simulate_table(toy_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     lines = [l for l in out.strip().splitlines() if l]
-    assert lines[0].startswith("time\t")
-    assert len(lines) == 3
+    # the order-3 slow model's filters are linear in the noise: no warm-up
+    assert lines[0] == "# warm-up: 0 time units (0 steps) before t = 0"
+    assert lines[1].startswith("time\t")
+    assert len(lines) == 4
 
 
 def test_cli_simulate_rejects_zero_horizon(toy_path, capsys):
@@ -266,6 +268,8 @@ def test_cli_compare_toy(toy_path, capsys):
                "--replicates", "96", "--seed", "3"])
     out = capsys.readouterr().out
     assert rc in (0, 4)
+    # the chart's filters of products start at their means: 5 time units
+    assert out.splitlines()[0] == "# warm-up: 5 time units (2500 steps) before t = 0"
     assert "PASS" in out or "FAIL" in out
 
 

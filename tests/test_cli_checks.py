@@ -348,7 +348,9 @@ def test_full_model_keeps_terms_outside_the_truncation_window(toy_path, capsys):
                "--param", "sigma=0", "--x0", "0.3", "0.2", "--T", "2",
                "--times", "2", "--replicates", "2"])
     assert rc == EXIT_OK
-    row = capsys.readouterr().out.splitlines()[1].split("\t")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# warm-up: 0 time units (0 steps) before t = 0"
+    row = lines[2].split("\t")
     assert row[:2] == ["2", "0.2409482166"]
 
 
@@ -359,7 +361,7 @@ def test_full_model_keeps_a_term_above_the_file_order(tmp_path, capsys):
     rc = main(["simulate", str(p), "--model", "full", "--param", "s=0",
                "--x0", "0.5", "0", "--T", "1", "--times", "1", "--replicates", "2"])
     assert rc == EXIT_OK
-    x_mean = float(capsys.readouterr().out.splitlines()[1].split("\t")[1])
+    x_mean = float(capsys.readouterr().out.splitlines()[2].split("\t")[1])
     assert abs(x_mean - 0.5 / 1.5 ** 0.5) < 1e-6
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -414,7 +415,8 @@ def _per_step_ensemble(sde, x0, T, dt, n_rep, seed, sample_times,
                        observables=None, chunk=512, warm=None):
     """``run_ensemble`` drawing increments and stepping the filters one
     step at a time (the reference for the block version).  A chunk's first
-    draw, when its bank has linear slots, is their stationary start."""
+    draw, when its bank has linear slots, is their stationary start; the
+    other slots start at their stationary mean."""
     sample_times = np.asarray(sorted(sample_times), dtype=float)
     n_steps = int(round(T / dt))
     sample_idx = [int(round(t / dt)) for t in sample_times]
@@ -433,6 +435,9 @@ def _per_step_ensemble(sde, x0, T, dt, n_rep, seed, sample_times,
         lin = sde.bank._lin
         if lin:
             z[lin] = sde.bank._start @ rng.standard_normal((len(lin), R))
+        for atom, i in sde.bank._index.items():
+            if i not in lin:
+                z[i] = float(noise.expectation((atom,)))
         sqdt = math.sqrt(dt)
         for _ in range(warm_steps):
             z = _per_step(sde.bank, z, rng.standard_normal((sde.n_noise, R)) * sqdt)
@@ -693,16 +698,123 @@ def test_stationary_start_of_a_singular_chain_is_finite():
 
 
 def test_only_nonlinear_slots_spin_up(toy_chart_model, pk3):
-    # A slot is linear when Brownian, or driven by one linear slot; the
-    # others spin up for ten time constants after their slowest driver.
-    assert [s.spin_time for s in toy_chart_model[0].bank.slots] == [0, 0, 10, 10, 20]
-    assert toy_chart_model[0].bank.max_spin() == 20
+    # A slot is linear when Brownian, or driven by one linear slot.  The
+    # others start at their mean and spin up for 10 / (|mu| + min(|mu|, r))
+    # time units after their slowest-spinning driver, r the smallest |rate|
+    # of the slots feeding them at any depth.
+    assert [s.spin_time for s in toy_chart_model[0].bank.slots] == [0, 0, 5, 5, 10]
+    assert toy_chart_model[0].bank.max_spin() == 10
     pk = _chart_model(pk3, {"eps": 0.01, "sigma": 1.0})[0]
     assert pk.bank.n == 2 and pk.bank.max_spin() == 0
     bank = _mixed_bank()
     two_slot_product = list(bank._index)[3]
-    assert bank.slots[bank.slot_for(noise.z_atom(F(-1), (two_slot_product,)))].spin_time == 20
-    assert [s.spin_time for s in bank.slots] == [0, 0, 0, 10, 0, 20]
+    assert bank.slots[bank.slot_for(noise.z_atom(F(-1), (two_slot_product,)))].spin_time == 10
+    assert [s.spin_time for s in bank.slots] == [0, 0, 0, 5, 0, 10]
+
+
+def test_a_slow_feeder_lengthens_the_spin_up():
+    # Z[-2]{Z[-1/2]{phi}^2}: covariances with the start decay at 1/2, so
+    # 10 / (2 + 1/2); its filter Z[-1]{.} adds 10 / (1 + 1/2)
+    inner = noise.z_atom(F(-2), (noise.z_atom(F(-1, 2), (noise.phi_atom(0),)),) * 2)
+    bank = FilterBank()
+    assert bank.slots[bank.slot_for(inner)].spin_time == 4
+    outer = bank.slot_for(noise.z_atom(F(-1), (inner,)))
+    assert bank.slots[outer].spin_time == pytest.approx(4 + 10 / 1.5, rel=1e-15)
+
+
+def test_start_sets_the_product_slots_to_their_means_and_draws_only_the_linear_ones(
+        toy_chart_model):
+    bank = toy_chart_model[0].bank
+    bank.prepare(1e-2)
+    R = 7
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    z = bank.make_state(R)
+    bank.start(z, rng)
+    want = bank._start @ twin.standard_normal((len(bank._lin), R))
+    assert _same_bits(z[bank._lin], want)
+    assert _same_bits(rng.standard_normal(5), twin.standard_normal(5))
+    # E Z[-1]{z0^2} = 1/2, E Z[-1]{z0*z1} = 1/4, E Z[-1]{Z[-1]{z0^2}} = 1/2
+    assert np.array_equal(z[2:], np.repeat([[0.5], [0.25], [0.5]], R, axis=1))
+
+
+def test_a_product_slot_without_a_stationary_mean_is_refused(monkeypatch):
+    z1 = noise.z_atom(F(-1), (noise.phi_atom(0),))
+    bank = FilterBank()
+    monkeypatch.setattr(noise, "expectation", lambda expr: None)
+    with pytest.raises(CompileError, match=re.escape(
+            "no stationary mean to start the filter of Z[-2]{ Z[-1]{ phi[0] }^2 }")):
+        bank.slot_for(noise.z_atom(F(-2), (z1, z1)))
+    # the refused slot is not kept; its linear driver is
+    assert list(bank._index) == [z1] and bank.n == 1
+
+
+_FORWARD_RATES = st.sampled_from([F(-1), F(-2), F(-3), F(-1, 2)])
+
+
+@st.composite
+def _forward_atoms(draw, depth=3):
+    """A forward, pointwise convolution nested at most ``depth`` deep: a
+    filter of one bare noise, or of a product of one to three such atoms."""
+    mu = draw(_FORWARD_RATES)
+    if depth == 1 or draw(st.booleans()):
+        return noise.z_atom(mu, (noise.phi_atom(draw(st.integers(0, 1))),))
+    n = draw(st.integers(1, 3))
+    return noise.z_atom(mu, noise.product(
+        *[draw(_forward_atoms(depth=depth - 1)) for _ in range(n)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_forward_atoms(), min_size=1, max_size=3))
+def test_every_spun_slot_of_a_sampleable_bank_starts_at_a_rational_mean(atoms):
+    bank = FilterBank()
+    for atom in atoms:
+        bank.slot_for(atom)
+    bank.prepare(0.1)
+    z = bank.make_state(2)
+    bank.start(z, np.random.default_rng(0))
+    for atom, i in bank._index.items():
+        if bank.slots[i].spin_time:
+            mean = noise.expectation((atom,))
+            assert type(mean) is Fraction
+            assert np.all(z[i] == float(mean))
+
+
+def _slot_moments(bank, dt, R, seed, warm, start=True):
+    """Per replicate, after ``warm`` time units from the bank's start (or
+    from zero): z2, z3, z4, z2^2, z4^2, z2*z0^2 and z4*z2 of the toy chart
+    bank."""
+    bank.prepare(dt)
+    rng = np.random.default_rng(seed)
+    z = bank.make_state(R)
+    if start:
+        bank.start(z, rng)
+    steps = int(math.ceil(warm / dt))
+    for b0 in range(0, steps, 100):
+        dw = rng.standard_normal((min(100, steps - b0), 1, R)) * math.sqrt(dt)
+        z = bank.step(z, dw)[-1].copy()
+    z0, z2, z3, z4 = z[0], z[2], z[3], z[4]
+    return np.array([z2, z3, z4, z2 * z2, z4 * z4, z2 * z0 * z0, z4 * z2])
+
+
+def test_product_slots_started_at_their_means_reach_the_long_run_law(toy_chart_model):
+    # After the default warm-up from the mean start, the product slots'
+    # means and second moments are those of a 40-unit run from zero.  With
+    # no warm-up the means agree already but the second moments do not:
+    # every replicate still sits at the mean.
+    bank = toy_chart_model[0].bank
+    dt, R = 1e-2, 10000
+    ref = _slot_moments(bank, dt, R, 7100, 40.0, start=False)
+
+    def z_scores(warm):
+        got = _slot_moments(bank, dt, R, 7101, warm)
+        se = np.hypot(got.std(axis=1), ref.std(axis=1)) / math.sqrt(R)
+        return (got.mean(axis=1) - ref.mean(axis=1)) / se
+
+    assert bank.max_spin() == 10
+    z = z_scores(bank.max_spin())
+    assert np.all(np.abs(z) < 3), z
+    z = z_scores(0.0)
+    assert np.all(np.abs(z[:3]) < 3) and np.all(np.abs(z[3:]) > 3), z
 
 
 def test_block_filter_step_of_an_empty_bank():
@@ -736,7 +848,7 @@ def test_run_ensemble_is_the_per_step_loop(toy_chart_model, toy5, model, R):
 
 
 def test_run_ensemble_default_warmup_is_the_per_step_loop(toy_chart_model):
-    # the chart's nonlinear filters need their full 20 time units of warm-up
+    # the chart's nonlinear filters need their full 10 time units of warm-up
     sde, obs = toy_chart_model
     got = run_ensemble(sde, [0.3], 0.1, 1e-2, 2, 5, [0.1], observables=obs)
     want = _per_step_ensemble(sde, [0.3], 0.1, 1e-2, 2, 5, [0.1], observables=obs)
@@ -929,6 +1041,14 @@ def test_every_filter_step_holds_one_block_of_replicate_steps(toy_chart_model,
     assert sum(steps for steps, _k, _r in calls) == warm_steps + int(round(T / dt))
     assert {r for _s, _k, r in calls} == {n_rep}
     assert max(steps * r for steps, _k, r in calls) <= mc._BLOCK * 512
+
+
+def test_spread_statistics_refuse_one_replicate():
+    res = mc.EnsembleResult(np.array([0.0]), np.zeros((1, 1, 1)), ("x",))
+    for stat in (res.var, res.stderr_mean, res.stderr_var):
+        with pytest.raises(ValueError,
+                           match="spread statistics need at least two replicates"):
+            stat()
 
 
 def test_zero_noise_ensemble_of_several_chunks_has_identical_replicates():
