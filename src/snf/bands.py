@@ -57,10 +57,32 @@ def white_spectrum(w: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray]:
     return omega, phihat
 
 
+def check_half_width(delta: float) -> None:
+    """Refuse a band half-width outside (0, 1): a band needs a width, and
+    bands at spacing-2 resonances overlap when delta >= 1."""
+    if not 0 < delta < 1:
+        raise ValueError(f"the band half-width must lie in (0, 1), got {delta:g}")
+
+
+def _strip_offsets(T: float, delta: float) -> int:
+    """L: a record of length T resolves the offsets l dOmega, |l| <= L,
+    within delta of a resonance (dOmega = 2 pi / T)."""
+    return int(math.floor(delta / (2.0 * math.pi / T)))
+
+
+def check_record(T: float, delta: float) -> None:
+    """Refuse a record of length T too short for the resonant strip to hold
+    more than the zero offset, T < 2 pi / delta: its psi would be the
+    constant zero-offset term, with scales c_r and c_i at rounding level."""
+    if not (T > 0 and _strip_offsets(T, delta) >= 1):
+        raise ValueError(f"need T >= 2*pi/delta = {2 * math.pi / delta:.4g}, "
+                         f"so that the resonant strip holds more than the zero "
+                         f"offset; got {T:g}")
+
+
 def band_component(w: np.ndarray, dt: float, m: float, delta: float) -> BandNoise:
     """Unit-variance narrow-band component of the noise near frequency m."""
-    if delta >= 1.0:
-        raise ValueError("bands at spacing-2 resonances overlap when delta >= 1")
+    check_half_width(delta)
     n = len(w)
     omega = 2.0 * math.pi * np.fft.fftfreq(n, d=dt)
     W = np.fft.fft(w)
@@ -95,7 +117,7 @@ def _resonant_strip(w: np.ndarray, dt: float, delta: float,
     in_D = np.ones(n, dtype=bool)
     for m in centers:
         in_D &= np.abs(om_s - m) > delta
-    L = int(math.floor(delta / dOm))
+    L = _strip_offsets(n * dt, delta)
     lbins = np.arange(-L, L + 1)
     psit_p = np.zeros(len(lbins), dtype=complex)
     idx = np.arange(n)
@@ -124,6 +146,8 @@ def quad_resonant_noise(w: np.ndarray, dt: float, delta: float) -> QuadNoise:
     and imaginary parts are normalised to unit variance; their scales c_r and
     c_i are the reported constants.
     """
+    check_half_width(delta)
+    check_record(len(w) * dt, delta)
     lbins, psit_p = _resonant_strip(w, dt, delta, (-2.0, 0.0, 2.0))
     # psi_plus(t_k) = dOm sum_l psit_p[l] exp(i l dOm t_k) with t_k = k dt and
     # dOm = 2 pi / (n dt): an inverse DFT of the strip, scaled by dOm n.

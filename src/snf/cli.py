@@ -263,19 +263,23 @@ def _hopf_options(args) -> None:
     """Refuse hopf options whose numbers would mean nothing: the band
     half-width must lie in (0, 1), the frequency-2 band must stay below
     Nyquist, the record must resolve offsets within the resonant strip, and
-    there must be a replicate."""
-    if not 0 < args.delta < 1:
-        raise SysFileError(f"--delta: the band half-width must lie in (0, 1), "
-                           f"got {args.delta:g}")
+    there must be a replicate.  The band lab's own rules (``snf.bands``) judge
+    the half-width and the record, of ``round(T / dt)`` steps, that
+    ``cmd_hopf`` hands it."""
+    from .bands import check_half_width, check_record
+    try:
+        check_half_width(args.delta)
+    except ValueError as e:
+        raise SysFileError(f"--delta: {e}") from None
     nyquist_dt = math.pi / (2 + args.delta)
     if not 0 < args.dt < nyquist_dt:
         raise SysFileError(f"--dt: need 0 < dt < pi/(2 + delta) = {nyquist_dt:.4g}, "
                            f"so that the frequency-2 band lies below Nyquist; "
                            f"got {args.dt:g}")
-    if args.T < 2 * math.pi / args.delta:
-        raise SysFileError(f"--T: need T >= 2*pi/delta = {2 * math.pi / args.delta:.4g}, "
-                           f"so that the resonant strip holds more than the zero "
-                           f"offset; got {args.T:g}")
+    try:
+        check_record(int(round(args.T / args.dt)) * args.dt, args.delta)
+    except ValueError as e:
+        raise SysFileError(f"--T: {e}") from None
     if args.replicates < 1:
         raise SysFileError(f"--replicates: need at least 1, got {args.replicates}")
     _seed_option(args)

@@ -86,7 +86,9 @@ def simulate_amplitude(order: int, beta: float, sigma: float, delta: float,
         q = drivers.psi
         psi_r, psi_i = q.psi_r[:n + 1].tolist(), q.psi_i[:n + 1].tolist()
 
-    def rhs(a, i):
+    def increment(a, i, end):
+        # the drivers' sample at the step's start (end=0) or end (end=1)
+        i += end
         out = landau_rhs(a, beta) + sigma * amp * (
             a * phi0[i] - a.conjugate() * phi2[i])
         if order == 2:
@@ -95,9 +97,9 @@ def simulate_amplitude(order: int, beta: float, sigma: float, delta: float,
             out = out - 1j * delta * sigma ** 2 * (
                 0.25 * phi0[i] ** 2
                 + 0.125 * phi2[i] * phi2[i].conjugate()) * a
-        return out
+        return out * dt
 
-    return np.array(heun_path(complex(a0), n, lambda y, i, end: rhs(y, i + end) * dt))
+    return np.array(heun_path(complex(a0), n, increment))
 
 
 def simulate_amplitude_longtime(beta: float, sigma: float, c_r: float,
@@ -109,6 +111,8 @@ def simulate_amplitude_longtime(beta: float, sigma: float, c_r: float,
         da = [beta a/2 - (1/2 - 3i/2)|a|^2 a] dt
              + (i/2) c_r sigma^2 a o dW_r - (1/2) c_i sigma^2 a o dW_i.
     """
+    if n < 0:
+        raise ValueError(f"n = {n}: the model needs a non-negative number of steps")
     rng = np.random.default_rng(seed)
     sq = math.sqrt(dt)
     dWr = (rng.standard_normal(n) * sq).tolist()
@@ -126,10 +130,16 @@ def reconstruct_x1(a: np.ndarray, dt: float) -> np.ndarray:
     return (a * np.exp(1j * t) + np.conj(a) * np.exp(-1j * t)).real
 
 
+def _fit_start(n: int) -> int:
+    """First sample of the fit window of ``n`` samples: the last three
+    quarters."""
+    return int(n * 0.25)
+
+
 def fit_growth_rate(amplitude: np.ndarray, dt: float) -> float:
     """Least-squares slope of log amplitude over the last three quarters."""
     n = len(amplitude)
-    lo = int(n * 0.25)
+    lo = _fit_start(n)
     t = np.arange(lo, n) * dt
     y = np.log(np.abs(amplitude[lo:]))
     A = np.vstack([t, np.ones_like(t)]).T
@@ -146,7 +156,14 @@ def mathieu_growth(beta: float, sigma: float, T: float = 80.0,
     x1'' = (-1 + sigma cos 2t) x1 + beta x1', both by Heun steps, and fits
     both exponential rates; the model predicts lambda = beta/2 + sigma/4.
     """
+    if not 0 < T < math.inf:
+        raise ValueError(f"T = {T}: the horizon must be positive and finite")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt = {dt}: the step must be positive and finite")
     n = int(round(T / dt))
+    if n + 1 - _fit_start(n + 1) < 2:
+        raise ValueError(f"T = {T}, dt = {dt}: {n} steps leave fewer than two "
+                         f"samples in the fit window (the last three quarters)")
     # The pair starts conjugate and its coefficients are real, so b stays
     # exactly conj(a) and one complex equation carries both.
     a = heun_path(0.01 + 0.003j, n, lambda y, _i, _end: (

@@ -35,8 +35,9 @@ and scales them into its columns of one increment block reused throughout.
 Heun (explicit midpoint) stepping: terms carrying one bare noise factor
 contribute coefficient * dW, terms without contribute coefficient * dt, and
 the corrector averages coefficients at the step's two ends, which is what
-makes the scheme converge to the Stratonovich solution.  Every integrator
-of the package steps with ``heun_step``; single paths walk ``heun_path``.
+makes the scheme converge to the Stratonovich solution.  The step is
+written once, in ``heun_path``'s loop, which single paths walk; ensembles
+step with ``heun_step``, its one-step case.
 
 ``run_filter`` is ``scipy.signal.lfilter``, imported at its first call and
 not with this module.  Only path sampling runs it; ensembles step the bank
@@ -77,21 +78,29 @@ SPINUP_TIME_CONSTANTS = 10.0
 
 
 def heun_step(x, increment):
-    """One Stratonovich Heun step (Kloeden & Platen 1992, section 11.1) of
-    an array or scalar ``x``.  ``increment(y, end)`` is f dt + g dW, with the
+    """One Stratonovich Heun step of an array or scalar ``x``: the one-step
+    case of ``heun_path``.  ``increment(y, end)`` is f dt + g dW, with the
     step's one dW, at the start (end=0, y=x) or at the end time and the
     predictor (end=1, y=x+first increment)."""
-    d0 = increment(x, 0)
-    d1 = increment(x + d0, 1)
-    return x + (d0 + d1) / 2
+    return heun_path(x, 1, lambda y, _i, end: increment(y, end))[1]
 
 
 def heun_path(x0, n, increment):
-    """The ``n + 1`` points of ``n`` Heun steps from ``x0``; step i is
-    ``heun_step`` with ``increment(y, i, end)``."""
+    """The ``n + 1`` points of ``n`` Stratonovich Heun steps (Kloeden &
+    Platen 1992, section 11.1) from ``x0``, an array or scalar.  Step i
+    calls ``increment(y, i, end)``, f dt + g dW with the step's one dW, at
+    the start (end=0, y the current point) and at the end time and the
+    predictor (end=1, y the point plus the first increment), and moves the
+    point by the mean of the two.  This loop holds the package's one Heun
+    step, with no call per step beyond the two increments."""
+    if n < 0:
+        raise ValueError(f"n = {n}: a path needs a non-negative number of steps")
     path = [x0]
+    x = x0
     for i in range(n):
-        path.append(heun_step(path[i], lambda y, end: increment(y, i, end)))
+        d0 = increment(x, i, 0)
+        x = x + (d0 + increment(x + d0, i, 1)) / 2
+        path.append(x)
     return path
 
 

@@ -66,6 +66,30 @@ def test_band_overlap_rejected():
         band_component(white(1), DT, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.2])
+def test_band_without_width_rejected(delta):
+    # used to end in ZeroDivisionError (0) or a math domain error (< 0)
+    with pytest.raises(ValueError, match=r"the band half-width must lie in \(0, 1\)"):
+        band_component(white(1), DT, 0.0, delta)
+
+
+def test_quad_noise_refuses_a_record_too_short_for_the_strip():
+    # T = 5 < 2 pi / 0.2: the strip held only the zero offset, and the
+    # scales came out at rounding level (c_r about 1.7e-16)
+    rng = np.random.default_rng(4)
+    n = int(5.0 / DT)
+    with pytest.raises(ValueError, match=r"need T >= 2\*pi/delta = 31.42, .*; got 5$"):
+        quad_resonant_noise(rng.standard_normal(n) / math.sqrt(DT), DT, DELTA)
+    with pytest.raises(ValueError, match=r"half-width"):
+        quad_resonant_noise(rng.standard_normal(n) / math.sqrt(DT), DT, 0.0)
+    # the shortest record accepted resolves the offsets -1, 0 and 1
+    n = math.ceil(2 * math.pi / DELTA / DT)
+    w = rng.standard_normal(n) / math.sqrt(DT)
+    q = quad_resonant_noise(w, DT, DELTA)
+    assert list(_resonant_strip(w, DT, DELTA, (-2.0, 0.0, 2.0))[0]) == [-1, 0, 1]
+    assert q.c_r > 1e-3 and q.c_i > 1e-3
+
+
 def test_autocorrelation_scale():
     # decays on the 1/delta scale: near sinc(delta * lag)
     w = white(11)

@@ -340,6 +340,21 @@ def test_bad_hopf_options_exit_2(capsys, extra, option):
         assert err == "error: --seed: need a non-negative integer, got -3\n"
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--delta", "0"], "--delta: the band half-width must lie in (0, 1), got 0"),
+    (["--T", "20"], "--T: need T >= 2*pi/delta = 31.42, so that the resonant "
+                    "strip holds more than the zero offset; got 20"),
+    # T >= 2 pi / delta, but the record of round(T / dt) = 628 steps is
+    # 31.4 long: its strip used to hold only the zero offset, c_r = 0
+    (["--T", "31.42"], "--T: need T >= 2*pi/delta = 31.42, so that the resonant "
+                       "strip holds more than the zero offset; got 31.4"),
+])
+def test_hopf_refuses_what_the_band_lab_refuses(capsys, extra, message):
+    assert main(["hopf", *extra]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 # -- the full model is the system as written ---------------------------------
 
 def test_full_model_keeps_terms_outside_the_truncation_window(toy_path, capsys):

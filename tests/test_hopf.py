@@ -10,7 +10,7 @@ from snf.bands import band_component
 from snf.hopf import (AmplitudeDrivers, fit_growth_rate, landau_rhs,
                       mathieu_growth, reconstruct_x1, simulate_amplitude,
                       simulate_amplitude_longtime, simulate_dvdp)
-from snf.mc import heun_step
+from snf.mc import heun_path, heun_step
 
 DT = 1e-2
 
@@ -174,3 +174,124 @@ def test_band_driver_independence():
         cross.append(np.mean(p0.values * np.conj(p2.values)).real)
     se = np.std(cross, ddof=1) / math.sqrt(len(cross))
     assert abs(np.mean(cross)) < 3 * se + 0.05
+
+
+# -- every path is the per-step Heun loop, bit for bit -----------------------
+
+def heun_loop(x0, n, increment):
+    """Heun steps written out one at a time, x + (d0 + d1) / 2."""
+    path = [x0]
+    x = x0
+    for i in range(n):
+        d0 = increment(x, i, 0)
+        d1 = increment(x + d0, i, 1)
+        x = x + (d0 + d1) / 2
+        path.append(x)
+    return np.array(path)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_paths_are_the_per_step_heun_loop_bit_for_bit(monkeypatch):
+    alpha, beta, sigma, delta, dt = -1.0, 0.1, 0.5, 0.2, 0.05
+    rng = np.random.default_rng(31)
+
+    # the oscillator, three replicates
+    dw = rng.standard_normal((3, 400)) * math.sqrt(dt)
+    x, v = simulate_dvdp(alpha, beta, sigma, dw, dt, (0.3, -0.2))
+    for r in range(3):
+        dwr = dw[r].tolist()
+
+        def dvdp(z, i, _end):
+            acc = alpha * z.real + beta * z.imag - z.real ** 3 - z.real ** 2 * z.imag
+            return complex(z.imag * dt, acc * dt + sigma * z.real * dwr[i])
+
+        s = heun_loop(complex(0.3, -0.2), 400, dvdp)
+        assert same_bits(x[r], s.real) and same_bits(v[r], s.imag)
+
+    # the amplitude models, their drift written as rhs(a, i) * dt
+    n = 1000
+    drv = AmplitudeDrivers.from_noise(rng.standard_normal(n) / math.sqrt(dt),
+                                      dt, delta, quadratic=True)
+    phi0, phi2 = drv.phi0.tolist(), drv.phi2.tolist()
+    q = drv.psi
+    psi_r, psi_i = q.psi_r.tolist(), q.psi_i.tolist()
+    amp = math.sqrt(delta / 2.0)
+    for order in (1, 2):
+        def rhs(a, i):
+            out = landau_rhs(a, beta) + sigma * amp * (
+                a * phi0[i] - a.conjugate() * phi2[i])
+            if order == 2:
+                out = out + 0.5j * sigma ** 2 * (
+                    q.c_r * psi_r[i] + 1j * q.c_i * psi_i[i]) * a
+                out = out - 1j * delta * sigma ** 2 * (
+                    0.25 * phi0[i] ** 2
+                    + 0.125 * phi2[i] * phi2[i].conjugate()) * a
+            return out
+
+        a = simulate_amplitude(order, beta, sigma, delta, drv, dt, 0.2 + 0.1j)
+        want = heun_loop(0.2 + 0.1j, n - 1, lambda y, i, end: rhs(y, i + end) * dt)
+        assert same_bits(a, want), order
+
+    # the long-time model, its noises drawn as it draws them
+    c_r, c_i = 0.9, 0.2
+    a = simulate_amplitude_longtime(beta, sigma, c_r, c_i, dt, 500, 0.3 + 0.0j, seed=5)
+    draws = np.random.default_rng(5)
+    dWr = (draws.standard_normal(500) * math.sqrt(dt)).tolist()
+    dWi = (draws.standard_normal(500) * math.sqrt(dt)).tolist()
+    gr, gi = 0.5j * c_r * sigma ** 2, 0.5 * c_i * sigma ** 2
+    want = heun_loop(0.3 + 0.0j, 500, lambda y, i, _end: (
+        landau_rhs(y, beta) * dt + gr * y * dWr[i] - gi * y * dWi[i]))
+    assert same_bits(a, want)
+
+    # both paths of the Mathieu check, as it walks them
+    walked = []
+
+    def recording(*args):
+        walked.append(heun_path(*args))
+        return walked[-1]
+
+    monkeypatch.setattr(snf.hopf, "heun_path", recording)
+    mb, ms, mdt = 0.05, 0.3, 1e-3
+    mathieu_growth(mb, ms, T=2.0, dt=mdt)
+
+    def linearised(y, i, end):
+        t = (i + end) * mdt
+        return complex(y.imag, (-1.0 + ms * math.cos(2 * t)) * y.real + mb * y.imag) * mdt
+
+    assert len(walked) == 2
+    assert same_bits(walked[0], heun_loop(0.01 + 0.003j, 2000, lambda y, _i, _end: (
+        0.5 * mb * y + 0.25 * ms * y.conjugate()) * mdt))
+    assert same_bits(walked[1], heun_loop(0.01 + 0.0j, 2000, linearised))
+
+
+# -- refusals of stepping input ------------------------------------------------
+
+@pytest.mark.parametrize("T,dt,message", [
+    (-1.0, 1e-3, r"T = -1.0: the horizon must be positive"),
+    (0.0, 1e-3, r"T = 0.0: the horizon must be positive"),
+    (1.0, 0.0, r"dt = 0.0: the step must be positive"),
+    (1.0, -1e-3, r"dt = -0.001: the step must be positive"),
+    # round(T / dt) = 0 steps: one sample, no slope to fit
+    (4e-4, 1e-3, r"0 steps leave fewer than two samples in the fit window"),
+])
+def test_mathieu_refuses_a_horizon_it_cannot_fit(monkeypatch, T, dt, message):
+    def no_path(*_args):
+        raise AssertionError("integrated before checking the horizon")
+    monkeypatch.setattr(snf.hopf, "heun_path", no_path)
+    with pytest.raises(ValueError, match=message):
+        mathieu_growth(0.05, 0.3, T=T, dt=dt)
+
+
+def test_mathieu_fits_the_shortest_horizon_it_accepts():
+    # one step: two samples, both in the fit window
+    res = mathieu_growth(0.05, 0.3, T=1e-3, dt=1e-3)
+    assert all(math.isfinite(res[k]) for k in ("model", "full"))
+
+
+def test_longtime_refuses_a_negative_step_count():
+    with pytest.raises(ValueError, match=r"^n = -2: the model needs a non-negative"):
+        simulate_amplitude_longtime(0.1, 0.4, 0.9, 0.2, 0.05, -2, 0.3 + 0.0j)

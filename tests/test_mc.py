@@ -381,17 +381,37 @@ def test_heun_step_second_order_on_linear_ode():
 
 
 def test_heun_path_is_heun_steps_with_their_index():
-    # a time-dependent increment, so that each step must see its own i
+    # a time-dependent increment, so that each step must see its own i, on a
+    # scalar and on a (2, 5) array state; the steps are written out with the
+    # Heun formula too, so that a change to the one step shows even though
+    # heun_step runs through heun_path
     dt = 0.1
-    path = heun_path(1.0 + 0.5j, 7, lambda y, i, end: (
-        math.cos((i + end) * dt) * y + 1j) * dt)
-    x = 1.0 + 0.5j
-    want = [x]
-    for i in range(7):
-        x = heun_step(x, lambda y, end: (math.cos((i + end) * dt) * y + 1j) * dt)
-        want.append(x)
-    assert path == want
+
+    def increment(y, i, end):
+        return (math.cos((i + end) * dt) * y + 1j) * dt
+
+    for x0 in (1.0 + 0.5j, np.arange(10.0).reshape(2, 5) / 7 - 0.4):
+        path = heun_path(x0, 7, increment)
+        x = by_step = x0
+        want, steps = [x], [by_step]
+        for i in range(7):
+            d0 = increment(x, i, 0)
+            d1 = increment(x + d0, i, 1)
+            x = x + (d0 + d1) / 2
+            want.append(x)
+            by_step = heun_step(by_step, lambda y, end: increment(y, i, end))
+            steps.append(by_step)
+        assert len(path) == 8
+        for got, w, st in zip(path, want, steps):
+            assert np.shape(got) == np.shape(x0)
+            assert np.asarray(got).tobytes() == np.asarray(w).tobytes()
+            assert np.asarray(st).tobytes() == np.asarray(w).tobytes()
     assert heun_path(2.0, 0, None) == [2.0]
+
+
+def test_heun_path_refuses_a_negative_step_count():
+    with pytest.raises(ValueError, match=r"^n = -3: a path needs a non-negative"):
+        heun_path(1.0, -3, None)
 
 
 # -- the block filter step against the per-step recursion ------------------
