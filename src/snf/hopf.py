@@ -20,12 +20,20 @@ from .bands import QuadNoise, band_component, quad_resonant_noise
 from .mc import heun_path
 
 
+def _check_step(dt: float) -> None:
+    """Refuse a step that is not positive and finite: a negative one would
+    integrate backward, a zero one return the start."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt = {dt}: the step must be positive and finite")
+
+
 def simulate_dvdp(alpha: float, beta: float, sigma: float,
                   dw: np.ndarray, dt: float,
                   init: Tuple[float, float]) -> Tuple[np.ndarray, np.ndarray]:
     """Stratonovich Heun integration of the oscillator driven by given
     Brownian increments (shape (n,) or (R, n)); returns (x1, v) arrays with
     one more sample than increments.  Each replicate steps alone, x1 + i v."""
+    _check_step(dt)
     dw = np.atleast_2d(dw)
     R, n = dw.shape
     s = np.empty((R, n + 1), dtype=complex)
@@ -72,6 +80,7 @@ def simulate_amplitude(order: int, beta: float, sigma: float, delta: float,
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    _check_step(dt)
     if order == 2 and drivers.psi is None:
         raise ValueError("order-2 model needs the quadratic noise drivers")
     n = len(drivers.phi0) - 1 if n_steps is None else n_steps
@@ -113,6 +122,7 @@ def simulate_amplitude_longtime(beta: float, sigma: float, c_r: float,
     """
     if n < 0:
         raise ValueError(f"n = {n}: the model needs a non-negative number of steps")
+    _check_step(dt)
     rng = np.random.default_rng(seed)
     sq = math.sqrt(dt)
     dWr = (rng.standard_normal(n) * sq).tolist()
@@ -158,8 +168,7 @@ def mathieu_growth(beta: float, sigma: float, T: float = 80.0,
     """
     if not 0 < T < math.inf:
         raise ValueError(f"T = {T}: the horizon must be positive and finite")
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt = {dt}: the step must be positive and finite")
+    _check_step(dt)
     n = int(round(T / dt))
     if n + 1 - _fit_start(n + 1) < 2:
         raise ValueError(f"T = {T}, dt = {dt}: {n} steps leave fewer than two "

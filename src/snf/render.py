@@ -4,8 +4,14 @@ that round-trips bit-exactly.
 Noise syntax:   phi[0],  Z[-1]{ phi[0] },  Z[+1]{ Z[-1]{ phi[0] } }
 Series syntax:  terms joined by " + "/" - ", factors joined by "*", integer
 or p/q coefficients, powers with "^".  Term order is graded lexicographic on
-(grade, slow exponents, fast exponents, parameter exponents, noise key), so
-identical values always print identically.
+(grade, slow exponents, fast exponents, parameter exponents, noise key)
+(``series.term_sort_key``), so identical values always print identically.
+
+All text comes from one ``SeriesWriter``.  A writer renders each distinct
+noise product once, builds the noise part of its sort key once, and the
+factor text of each monomial once per name triple; ``emit_report`` writes
+a whole report through one, so a product its lines repeat costs one
+rendering.  The memos live and die with the writer: the module keeps none.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import noise
 from .noise import Expr, ONE
-from .series import Dims, Series, Trunc, name_index
+from .series import Dims, Mono, Series, Trunc, name_index, noise_sort_key, term_sort_key
 
 
 class ParseError(ValueError):
@@ -30,50 +36,86 @@ def render_rate(mu: Fraction) -> str:
 
 
 def render_noise(expr: Expr) -> str:
-    if expr == ONE:
-        return "1"
-    # a run of equal atoms prints as one power
-    return "*".join(_pow(_render_atom(a), len(list(run))) for a, run in groupby(expr))
-
-
-def _render_atom(a) -> str:
-    if noise.is_bare(a):
-        return f"phi[{a[1]}]"
-    return f"Z[{render_rate(a[1])}]{{ {render_noise(a[2])} }}"
+    return SeriesWriter().noise(expr)
 
 
 def render_series(s: Series, names) -> str:
     """``s`` in the (slow, fast, parameter) name triple ``names``; each
     term's factors print parameters first, then slow, then fast."""
-    return _render_terms(s.sorted_terms(), _names(names))
+    return SeriesWriter().series(s, names)
 
 
-def _render_terms(items, names) -> str:
-    """Sorted ``((mono, expr), coefficient)`` items as series text."""
-    if not items:
-        return "0"
-    out = []
-    for (mono, expr), c in items:
-        factors: List[str] = []
-        coeff = c
-        for part in (2, 0, 1):
-            for k, e in enumerate(mono[part]):
-                if e:
-                    factors.append(_pow(names[part][k], e))
-        if expr != ONE:
-            factors.append(render_noise(expr))
-        mag = abs(coeff)
-        if not factors:
-            body = _frac(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([_frac(mag)] + factors)
-        if not out:
-            out.append(body if coeff > 0 else f"-{body}")
-        else:
-            out.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(out)
+class SeriesWriter:
+    """The one renderer of series and noise text, with memos that live as
+    long as the writer: the text and the noise part of the term sort key
+    of each distinct noise product, and the factor text of each monomial
+    per name triple.  ``emit_report`` writes a report through one writer,
+    so a product repeated across its lines is rendered and keyed once;
+    ``render_series`` and ``render_noise`` use a fresh one per call."""
+
+    def __init__(self):
+        self._texts: Dict[Expr, str] = {ONE: "1"}
+        self._keys: Dict[Expr, tuple] = {}
+        self._factors: Dict[tuple, Dict[Mono, str]] = {}
+
+    def noise(self, expr: Expr) -> str:
+        text = self._texts.get(expr)
+        if text is None:
+            # a run of equal atoms prints as one power
+            text = self._texts[expr] = "*".join(
+                _pow(self._atom(a), len(list(run))) for a, run in groupby(expr))
+        return text
+
+    def _atom(self, a) -> str:
+        if noise.is_bare(a):
+            return f"phi[{a[1]}]"
+        return f"Z[{render_rate(a[1])}]{{ {self.noise(a[2])} }}"
+
+    def noise_key(self, expr: Expr) -> tuple:
+        """``series.noise_sort_key(expr)``, built once per product."""
+        key = self._keys.get(expr)
+        if key is None:
+            key = self._keys[expr] = noise_sort_key(expr)
+        return key
+
+    def sorted_terms(self, s: Series):
+        """``s.sorted_terms()``, each noise part of the key looked up."""
+        noise_key = self.noise_key
+        return sorted(s.terms.items(), key=lambda kc: term_sort_key(kc[0], noise_key))
+
+    def series(self, s: Series, names) -> str:
+        return self.terms(self.sorted_terms(s), _names(names))
+
+    def terms(self, items, names) -> str:
+        """Sorted ``((mono, expr), coefficient)`` items as series text in
+        the name triple ``names``."""
+        if not items:
+            return "0"
+        factors = self._factors.get(names)
+        if factors is None:
+            factors = self._factors[names] = {}
+        out = []
+        for (mono, expr), c in items:
+            text = factors.get(mono)
+            if text is None:
+                text = factors[mono] = "*".join(
+                    _pow(names[part][k], e)
+                    for part in (2, 0, 1) for k, e in enumerate(mono[part]) if e)
+            if expr:
+                text = f"{text}*{self.noise(expr)}" if text else self.noise(expr)
+            p, q = c.numerator, c.denominator
+            mag = abs(p)
+            if not text:
+                body = str(mag) if q == 1 else f"{mag}/{q}"
+            elif mag == q:
+                body = text
+            else:
+                body = f"{mag}*{text}" if q == 1 else f"{mag}/{q}*{text}"
+            if not out:
+                out.append(body if p > 0 else f"-{body}")
+            else:
+                out.append(f"+ {body}" if p > 0 else f"- {body}")
+        return " ".join(out)
 
 
 def new_names(spec) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
@@ -121,10 +163,31 @@ _KIND = {**dict.fromkeys("0123456789", "num"),
          "(": "lparen", ")": "rparen", **dict.fromkeys("+-*/^", "op")}
 
 
+# A p/q lexeme after '^' or '/' (blanks between allowed): there it is an
+# integer and a division, so x^2/4 is x^2 divided by 4 and x/4/5 is x
+# divided by 4 and then by 5.
+_GLUED = re.compile(r"[\^/]\s*\d+/")
+
+
 def _tokenize(text: str) -> List[Tuple[str, str]]:
     kind = _KIND.get
     out = [(kind(lex[0]) or _odd_kind(lex, text), lex) for lex in _LEXEME.findall(text)]
+    if _GLUED.search(text):
+        out = _unglue(out)
     out.append(("end", ""))
+    return out
+
+
+def _unglue(tokens: List[Tuple[str, str]]) -> List[Tuple[str, str]]:
+    """``tokens`` with each p/q number after a '^' or '/' token split into
+    p, '/', q."""
+    out: List[Tuple[str, str]] = []
+    for kind, lex in tokens:
+        if kind == "num" and "/" in lex and out and out[-1] in (("op", "^"), ("op", "/")):
+            p, q = lex.split("/")
+            out += [("num", p), ("op", "/"), ("num", q)]
+        else:
+            out.append((kind, lex))
     return out
 
 
@@ -361,7 +424,7 @@ def parse_series(text: str, dims: Dims, trunc: Trunc, names, *,
              for (exps, expr), c in _Parser(text, dims, names, spans).parse().items()}
     for (mono, expr), c in terms.items():
         if not trunc.keeps(mono):
-            term = _render_terms([((mono, expr), c)], _names(names))
+            term = SeriesWriter().terms([((mono, expr), c)], _names(names))
             raise ParseError(f"term {term} is outside the truncation window in {text!r}")
     return Series(dims, trunc, terms)
 

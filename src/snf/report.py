@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import engine, noise
 from .analysis import chart_expectation, ssm_parametrisation, revert
-from .render import ParseError, new_names as _new_names, parse_series, render_series
+from .render import ParseError, SeriesWriter, new_names as _new_names, parse_series
 from .series import Series
 from .systems import NormalForm, Policy, SystemSpec
 
@@ -78,9 +78,10 @@ def emit_report(nf: NormalForm) -> str:
     values = {"transform": nf.transform_x() + nf.transform_y(),
               "evolution": nf.xdot() + nf.ydot(), "ssm": ssm,
               "expected_ssm": expected, "reversion": rv.X_of_xy + rv.Y_of_xy}
+    writer = SeriesWriter()
     for section, lhss, names in _layout(spec):
         lines.append(f"{section}:")
-        lines += [f"  {lhs} = {render_series(value, names)}"
+        lines += [f"  {lhs} = {writer.series(value, names)}"
                   for lhs, value in zip(lhss, values[section])]
     return "\n".join(lines) + "\n"
 

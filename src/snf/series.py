@@ -116,10 +116,16 @@ def grade(mono: Mono) -> int:
     return sum(mono[0]) + sum(mono[1]) + sum(mono[2])
 
 
-def term_sort_key(key: Key):
+def noise_sort_key(expr: Expr) -> tuple:
+    return tuple(noise.atom_sort_key(a) for a in expr)
+
+
+def term_sort_key(key: Key, noise_key: Callable[[Expr], tuple] = noise_sort_key):
+    """The term order: graded lexicographic on (grade, slow exponents, fast
+    exponents, parameter exponents, noise part).  ``noise_key`` gives the
+    noise part; a memo of ``noise_sort_key`` may stand in for it."""
     mono, expr = key
-    return (grade(mono), mono[0], mono[1], mono[2],
-            tuple(noise.atom_sort_key(a) for a in expr))
+    return (grade(mono), mono[0], mono[1], mono[2], noise_key(expr))
 
 
 def name_index(names) -> Dict[str, Tuple[int, int]]:

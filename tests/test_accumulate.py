@@ -169,7 +169,12 @@ def _named_tokens(text):
         kind = m.lastgroup
         if kind == "bad":
             raise ParseError(f"bad character at column {m.start() + 1}: {m.group()!r}")
-        if kind != "ws":
+        if kind == "num" and "/" in m.group() and out and out[-1] in (("op", "^"),
+                                                                       ("op", "/")):
+            # after '^' or '/' a number is an integer: x^2/4 is x^2 / 4
+            p, q = m.group().split("/")
+            out += [("num", p), ("op", "/"), ("num", q)]
+        elif kind != "ws":
             out.append((kind, m.group()))
     out.append(("end", ""))
     return out
@@ -226,8 +231,7 @@ def test_parse_series_inverts_render_series(a, b, c):
 
 
 def test_parenthesised_powered_input_is_its_series_value():
-    # the grammar beyond canonical report lines; "^2/4" would read the
-    # exponent 2/4, so the division sits after y
+    # the grammar beyond canonical report lines
     got = parse_series("(1 + 2*x^2)*y/4*(3*Z[-1]{ phi[0] } - Z[+1]{ phi[0] })^2",
                        DIMS, TR, NAMES)
     x, y = Series.slow_var(DIMS, TR, 0), Series.fast_var(DIMS, TR, 0)
@@ -238,6 +242,24 @@ def test_parenthesised_powered_input_is_its_series_value():
     assert got == want
     assert parse_series("-(x - y)^2 + x^0 + x*y*5/2", DIMS, TR, NAMES) == \
         parse_series("1 - x^2 + 9/2*x*y - y^2", DIMS, TR, NAMES)
+
+
+@pytest.mark.parametrize("glued,spaced", [
+    ("x^2/4", "x^2 / 4"),
+    ("(1 + x)^2/4*y", "(1 + x)^2 / 4*y"),
+    ("x^ 2/4 - y", "x^2 / 4 - y"),
+    ("x^2/4/5", "x^2 / 4 / 5"),
+    ("y/4/5", "y / 4 / 5"),
+    ("3/4*x", "3 / 4*x"),
+])
+def test_a_number_after_a_power_or_a_division_is_an_integer(glued, spaced):
+    # '^' takes the integer and '/' divides by the number after it, however
+    # the blanks fall; a p/q elsewhere is one rational, as written
+    got = parse_series(glued, DIMS, TR, NAMES)
+    assert got == parse_series(spaced, DIMS, TR, NAMES)
+    assert parse_series("x^2/4", DIMS, TR, NAMES) == \
+        Series.slow_var(DIMS, TR, 0).pow(2).scale(F(1, 4))
+    assert parse_series("y/4/5", DIMS, TR, NAMES) == Series.fast_var(DIMS, TR, 0).scale(F(1, 20))
 
 
 @pytest.mark.parametrize("text", ["x/y", "x/(1 - 1)", "x/0"])

@@ -151,7 +151,7 @@ eq y: -y + x^2 + s*phi1
     ("B -1", "B 1/0"),
     ("order 3", "mu_min 1/0"),
     ("eq x: -s*x*y", "eq x: -s*x*y/0"),
-    ("eq y: -y + x^2 + s*phi1", "eq y: -y + x^1/2 + s*phi1"),
+    ("eq y: -y + x^2 + s*phi1", "eq y: -y + x^(1/2) + s*phi1"),
     # a name declared twice, within one part or across two
     ("fast y", "fast y y"),
     ("param s", "param s x"),
@@ -575,7 +575,8 @@ def test_verify_of_a_report_with_a_bad_header_line_exits_2(
 
 
 @pytest.mark.parametrize("bad,message", [
-    ("X^3/2", "expected an integer, got 3/2"),
+    # a fractional exponent needs parentheses, which '^' does not take
+    ("X^(3/2)", "unexpected '(' at token 2"),
     # one '^' per factor: X^2^3 would read as X^8 to some, (X^2)^3 to others
     ("X^2^3", "chained '^' needs parentheses"),
     ("phi[1/2]", "expected an integer, got 1/2"),

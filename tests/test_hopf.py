@@ -295,3 +295,31 @@ def test_mathieu_fits_the_shortest_horizon_it_accepts():
 def test_longtime_refuses_a_negative_step_count():
     with pytest.raises(ValueError, match=r"^n = -2: the model needs a non-negative"):
         simulate_amplitude_longtime(0.1, 0.4, 0.9, 0.2, 0.05, -2, 0.3 + 0.0j)
+
+
+_BAD_STEPS = pytest.mark.parametrize("dt", [-0.01, 0.0, math.nan, math.inf])
+
+
+def _no_path(*_args):
+    raise AssertionError("integrated before checking the step")
+
+
+@_BAD_STEPS
+def test_dvdp_refuses_a_step_it_cannot_use(monkeypatch, dt):
+    monkeypatch.setattr(snf.hopf, "heun_path", _no_path)
+    with pytest.raises(ValueError, match=rf"^dt = {dt}: the step must be positive"):
+        simulate_dvdp(-0.9, 0.1, 0.3, np.zeros(5), dt, (0.1, 0.0))
+
+
+@_BAD_STEPS
+def test_amplitude_refuses_a_step_it_cannot_use(monkeypatch, dt):
+    monkeypatch.setattr(snf.hopf, "heun_path", _no_path)
+    with pytest.raises(ValueError, match=rf"^dt = {dt}: the step must be positive"):
+        simulate_amplitude(1, 0.1, 0.3, 0.2, flat_drivers(20), dt, 0.04 + 0.01j)
+
+
+@_BAD_STEPS
+def test_longtime_refuses_a_step_it_cannot_use(monkeypatch, dt):
+    monkeypatch.setattr(snf.hopf, "heun_path", _no_path)
+    with pytest.raises(ValueError, match=rf"^dt = {dt}: the step must be positive"):
+        simulate_amplitude_longtime(0.1, 0.4, 0.9, 0.2, dt, 10, 0.3 + 0.0j)

@@ -1,0 +1,146 @@
+"""The series writer: the one renderer of series and noise text, and the
+memos it keeps for one report."""
+
+import gc
+from fractions import Fraction
+from itertools import groupby
+from typing import List
+
+from hypothesis import given, settings, strategies as st
+
+import snf.render
+import snf.series
+from conftest import make_system
+from snf import noise
+from snf.engine import construct
+from snf.render import SeriesWriter, render_noise, render_series
+from snf.report import emit_report
+from snf.series import Series
+from snf.systems import ALLOW
+from test_noise import atoms
+from test_series import DIMS, NAMES, TR
+
+F = Fraction
+NEW_NAMES = (("X",), ("Y",), ("sigma",))
+
+
+# -- the per-occurrence renderer the writer replaced, kept as its reference ---
+
+def _ref_noise(expr) -> str:
+    if expr == noise.ONE:
+        return "1"
+    return "*".join(_ref_pow(_ref_atom(a), len(list(run))) for a, run in groupby(expr))
+
+
+def _ref_atom(a) -> str:
+    if noise.is_bare(a):
+        return f"phi[{a[1]}]"
+    return f"Z[{snf.render.render_rate(a[1])}]{{ {_ref_noise(a[2])} }}"
+
+
+def _ref_pow(name, e) -> str:
+    return name if e == 1 else f"{name}^{e}"
+
+
+def _ref_frac(c) -> str:
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def _ref_series(s, names) -> str:
+    items = s.sorted_terms()
+    if not items:
+        return "0"
+    out: List[str] = []
+    for (mono, expr), coeff in items:
+        factors = [_ref_pow(names[part][k], e)
+                   for part in (2, 0, 1) for k, e in enumerate(mono[part]) if e]
+        if expr != noise.ONE:
+            factors.append(_ref_noise(expr))
+        mag = abs(coeff)
+        if not factors:
+            body = _ref_frac(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([_ref_frac(mag)] + factors)
+        if not out:
+            out.append(body if coeff > 0 else f"-{body}")
+        else:
+            out.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(out)
+
+
+# -- report-like input: a few noise products shared by the terms of several
+# series, with nested convolutions and repeated atoms -------------------------
+
+@st.composite
+def products(draw):
+    """Up to three atoms drawn from one or two; a run of one prints as a
+    power."""
+    some = draw(st.lists(atoms(), min_size=1, max_size=2))
+    return noise.product(*draw(st.lists(st.sampled_from(some), max_size=3)))
+
+
+@st.composite
+def report_lines(draw):
+    pool = draw(st.lists(products(), min_size=1, max_size=4))
+    power = st.integers(0, 2)
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = {}
+        for _ in range(draw(st.integers(0, 6))):
+            mono = ((draw(power),), (draw(power),), (draw(st.integers(0, 1)),))
+            terms[(mono, draw(st.sampled_from(pool)))] = F(draw(st.integers(-5, 5)),
+                                                          draw(st.integers(1, 3)))
+        lines.append(Series(DIMS, TR, terms))
+    return lines
+
+
+@given(report_lines())
+@settings(max_examples=150, deadline=None)
+def test_one_writer_renders_every_line_as_the_reference(lines):
+    # one writer for all lines in both name triples, as emit_report uses it:
+    # the memos carry from line to line and across the triples
+    writer = SeriesWriter()
+    for s in lines:
+        for names in (NEW_NAMES, NAMES):
+            assert writer.series(s, names) == _ref_series(s, names)
+            assert render_series(s, names) == _ref_series(s, names)
+        for (_mono, expr) in s.terms:
+            assert writer.noise(expr) == render_noise(expr) == _ref_noise(expr)
+
+
+@given(report_lines())
+@settings(max_examples=80, deadline=None)
+def test_the_writer_orders_terms_as_sorted_terms(lines):
+    writer = SeriesWriter()
+    for s in lines:
+        writer.series(s, NAMES)
+    for s in lines:
+        assert writer.sorted_terms(s) == s.sorted_terms()
+        for (_mono, expr) in s.terms:
+            assert writer.noise_key(expr) == snf.series.noise_sort_key(expr)
+
+
+# the algebra's process-wide tables: interned noise products, their merges
+# and derivatives, and the packed-key layouts
+_ALGEBRA_TABLES = {"_EXPRS", "_NOISE_IDS", "_MERGED", "_DIFFS", "_LAYOUTS"}
+
+
+def _shared_state():
+    """The size of each container held by snf.render, snf.series or the
+    writer class, but for the algebra's tables; any other value by id."""
+    holders = (vars(snf.render), vars(snf.series), vars(SeriesWriter))
+    return [{name: len(v) if isinstance(v, (dict, list, set)) else id(v)
+             for name, v in held.items() if name not in _ALGEBRA_TABLES}
+            for held in holders]
+
+
+def test_emit_report_leaves_no_memo_behind():
+    nf = construct(make_system("toy.snf", total=4), ALLOW)
+    before = _shared_state()
+    first = emit_report(nf)
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, SeriesWriter)]
+    assert _shared_state() == before
+    assert emit_report(nf) == first

@@ -20,6 +20,15 @@ def test_toy_file():
     assert spec.g[0] == parse_series_for("x^2 - 2*y^2 + sigma*phi[0]", spec)
 
 
+def test_a_power_then_a_division_loads():
+    # x^2/4 is x^2 divided by 4, as x^2 / 4 and 1/4*x^2 are
+    toy = bundled_text("toy.snf")
+    spec, _sf = load_system(toy.replace("+ x^2 -", "+ x^2/4 -"))
+    assert spec.g[0] == parse_series_for("1/4*x^2 - 2*y^2 + sigma*phi[0]", spec)
+    spaced, _sf = load_system(toy.replace("+ x^2 -", "+ x^2 / 4 -"))
+    assert spaced.g[0] == spec.g[0]
+
+
 def test_linear_file_allows_bare_noise_forcing():
     spec, _sf = load_system(bundled_text("linear.snf"))
     assert spec.g[0] == parse_series_for("phi[0]", spec)
