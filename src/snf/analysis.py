@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Tuple
 from . import noise
 from .noise import Expr, ONE
 from .render import render_noise
-from .series import Series
+from .series import Series, prefixes
 from .systems import NormalForm
 
 
@@ -116,7 +116,8 @@ def revert(nf: NormalForm) -> Reversion:
     monomial of ``xi`` and ``eta`` and of every prefix of one (its factors in
     slow, fast, parameter order); parameters map to themselves.  A
     monomial's image is the image of its prefix one factor shorter times the
-    image of its last factor, so its grade-k slice is a sum of
+    image of its last factor (the rule of ``series.prefix_images``, which
+    ``Series.substitute`` runs whole), so its grade-k slice is a sum of
     ``Series.mul_grade`` products.  The pairs of grades below k are final and
     are multiplied once per level.  Only the pairs of a grade-k slice with a
     grade-0 part, known after level 0, are redone at each sweep, and only
@@ -131,24 +132,15 @@ def revert(nf: NormalForm) -> Reversion:
     """
     dims, trunc = nf.spec.dims, nf.spec.trunc
     sweeps, nvar = dims.m + dims.n + 1, dims.m + dims.n
-    zero, const = Series.zero(dims, trunc), dims.mono()
+    zero = Series.zero(dims, trunc)
     # The monomials that take no product: 1 and each single factor, keyed by
     # its position in the exponent vector (variables, then parameters).
     atoms = {(): Series.const(dims, trunc, 1)}
     atoms.update(((v,), Series.var(dims, trunc, part, i)) for v, (part, i) in enumerate(
         (part, i) for part, size in enumerate(dims.sizes) for i in range(size)))
-    # Each component as (monomial, its noise coefficients) pairs, a monomial
-    # written as its factors, each repeated by its exponent.
-    comps = []
-    for series in nf.xi + nf.eta:
-        by_mono: Dict[Tuple[int, ...], Dict] = {}
-        for (mono, expr), c in series.terms.items():
-            exps = [e for part in mono for e in part]
-            factors = tuple(v for v, e in enumerate(exps) for _ in range(e))
-            by_mono.setdefault(factors, {})[(const, expr)] = c
-        comps.append([(f, Series(dims, trunc, t)) for f, t in by_mono.items()])
-    products = sorted({f[:j] for comp in comps for f, _c in comp
-                       for j in range(2, len(f) + 1)}, key=len)
+    # Each component as (monomial factors, noise coefficient) pairs.
+    comps = [series.by_monomial() for series in nf.xi + nf.eta]
+    products = prefixes(f for comp in comps for f, _c in comp)
     done = dict.fromkeys(list(atoms) + products, zero)   # each image below grade k
     ground = {}                           # each image's grade-0 part, if it has one
     for k in range(trunc.total + 1):

@@ -163,10 +163,12 @@ _KIND = {**dict.fromkeys("0123456789", "num"),
          "(": "lparen", ")": "rparen", **dict.fromkeys("+-*/^", "op")}
 
 
-# A p/q lexeme after '^' or '/' (blanks between allowed): there it is an
-# integer and a division, so x^2/4 is x^2 divided by 4 and x/4/5 is x
-# divided by 4 and then by 5.
-_GLUED = re.compile(r"[\^/]\s*\d+/")
+# A p/q lexeme after '^' or '/', or before '^' (blanks between allowed):
+# there it is an integer and a division, so x^2/4 is x^2 divided by 4, x/4/5
+# is x divided by 4 and then by 5, and 3/2^2 is 3 divided by 2^2.  The
+# pattern finds every such lexeme (and a few unglued numbers, which _unglue
+# leaves as they are) in one pass over a line.
+_GLUED = re.compile(r"[\^/]\s*\d+(?:/|\s*\^)")
 
 
 def _tokenize(text: str) -> List[Tuple[str, str]]:
@@ -179,11 +181,13 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
 
 
 def _unglue(tokens: List[Tuple[str, str]]) -> List[Tuple[str, str]]:
-    """``tokens`` with each p/q number after a '^' or '/' token split into
-    p, '/', q."""
+    """``tokens`` with each p/q number after a '^' or '/' token, or before
+    a '^' token, split into p, '/', q."""
     out: List[Tuple[str, str]] = []
-    for kind, lex in tokens:
-        if kind == "num" and "/" in lex and out and out[-1] in (("op", "^"), ("op", "/")):
+    for i, (kind, lex) in enumerate(tokens):
+        if kind == "num" and "/" in lex and (
+                out and out[-1] in (("op", "^"), ("op", "/"))
+                or tokens[i + 1:i + 2] == [("op", "^")]):
             p, q = lex.split("/")
             out += [("num", p), ("op", "/"), ("num", q)]
         else:

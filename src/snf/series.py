@@ -31,7 +31,7 @@ equal series under one truncation therefore have equal packed forms.
 ``Series.__init__`` establishes it for terms that come from outside the
 algebra (the parsers, system files, tests and ``build_like`` callers) by
 dropping zeros and unkept monomials.  The arithmetic (``+``, ``-``, ``*``,
-``pow``, ``scale``, ``substitute`` and the variable derivatives) takes
+``scale``, ``substitute`` and the variable derivatives) takes
 operands that hold it and builds results that keep it: cancelled keys are
 dropped as they cancel, product monomials stay under the caps by the
 ``__mul__`` bucket ladder, and ``Series._packed`` divides out the common
@@ -133,6 +133,33 @@ def name_index(names) -> Dict[str, Tuple[int, int]]:
     (part, index); the names must be distinct."""
     return {name: (part, k) for part, group in enumerate(names)
             for k, name in enumerate(group)}
+
+
+def factors_of(mono: Mono) -> Tuple[int, ...]:
+    """A monomial as its factors, in slow, fast, parameter order: each
+    variable's position in the exponent vector, repeated by its exponent."""
+    return tuple(v for v, e in enumerate(e for part in mono for e in part)
+                 for _ in range(e))
+
+
+def prefixes(factor_tuples: Iterable[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+    """Each prefix of two or more factors of each factor tuple, a tuple of
+    two or more factors being its own prefix, each once, shorter before
+    longer."""
+    return sorted({f[:j] for f in factor_tuples for j in range(2, len(f) + 1)}, key=len)
+
+
+def prefix_images(factor_tuples: Iterable[Tuple[int, ...]], bases: Sequence["Series"],
+                  one: "Series") -> Dict[Tuple[int, ...], "Series"]:
+    """The image of every factor tuple and of each of its prefixes when
+    variable ``v`` maps to ``bases[v]``, keyed by the tuple: ``()`` maps to
+    ``one``, and a longer tuple's image is the image of its prefix one factor
+    shorter times the base of its last factor."""
+    images = {(): one}
+    images.update(((v,), b) for v, b in enumerate(bases))
+    for f in prefixes(factor_tuples):
+        images[f] = images[f[:-1]] * bases[f[-1]]
+    return images
 
 
 # -- packed keys ---------------------------------------------------------------
@@ -484,18 +511,6 @@ class Series:
             lay.check_fits(out)
         return self._packed(out, self._den * other._den)
 
-    def pow(self, k: int) -> "Series":
-        if k < 0:
-            raise ValueError("negative powers are not series")
-        result = Series.const(self.dims, self.trunc, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def with_trunc(self, trunc: Trunc) -> "Series":
         return Series(self.dims, trunc, self.terms)
 
@@ -509,8 +524,14 @@ class Series:
         return min((k >> gshift for k in self._num), default=None)
 
     def terms_of_grade(self, g: int) -> List[Tuple[Key, Fraction]]:
-        out = [(k, c) for k, c in self.terms.items() if self.trunc.grade_of(k[0]) == g]
-        out.sort(key=lambda kc: term_sort_key(kc[0]))
+        """The grade-``g`` terms in term order, read off the packed keys;
+        each distinct noise product's sort key is built once."""
+        lay, den = self._lay, self._den
+        gshift, mono = lay.gshift, lay.mono
+        out = [((mono(k & ~_NOISE_MASK), _EXPRS[k & _NOISE_MASK]), Fraction(v, den))
+               for k, v in self._num.items() if k >> gshift == g]
+        noise_keys = {expr: noise_sort_key(expr) for (_m, expr), _c in out}
+        out.sort(key=lambda kc: term_sort_key(kc[0], noise_keys.__getitem__))
         return out
 
     def sorted_terms(self) -> List[Tuple[Key, Fraction]]:
@@ -557,29 +578,30 @@ class Series:
         """Full composition: replace variables by series (identity when None).
 
         Noise factors pass through untouched; only monomial slots compose.
-        Each term multiplies in its slow, then fast, then parameter powers.
-        The pieces add up over a common denominator that grows to the least
-        common multiple of theirs.
+        The terms are grouped by monomial, each monomial's image is built
+        once by ``prefix_images``, and each monomial's noise sum multiplies
+        its image once.  The pieces add up over a common denominator that
+        grows to the least common multiple of theirs.
         """
-        dims, trunc, lay = self.dims, self.trunc, self._lay
-        bases = [list(given) if given is not None else
-                 [Series.var(dims, trunc, part, k) for k in range(size)]
-                 for part, (given, size) in enumerate(zip((slow, fast, par), dims.sizes))]
-        slots = [(part, k) for part, size in enumerate(dims.sizes) for k in range(size)]
-        powers: Dict[Tuple[int, int, int], Series] = {}
+        dims, trunc = self.dims, self.trunc
+        bases = [b for part, (given, size) in enumerate(zip((slow, fast, par), dims.sizes))
+                 for b in (given if given is not None else
+                           [Series.var(dims, trunc, part, k) for k in range(size)])]
+        groups = self.by_monomial()
+        images = prefix_images([f for f, _c in groups], bases, Series.const(dims, trunc, 1))
+        return Series.zero(dims, trunc).plus(c * images[f] for f, c in groups)
 
-        def pieces():
-            for key, c in self._num.items():
-                piece = self._packed({key & _NOISE_MASK: c}, self._den)
-                for (part, k), (off, mask, _counted) in zip(slots, lay.fields):
-                    e = (key >> off) & mask
-                    if e:
-                        power = powers.get((part, k, e))
-                        if power is None:
-                            power = powers[(part, k, e)] = bases[part][k].pow(e)
-                        piece = piece * power
-                yield piece
-        return Series.zero(dims, trunc).plus(pieces())
+    def by_monomial(self) -> List[Tuple[Tuple[int, ...], "Series"]]:
+        """The terms grouped by monomial, in order of first appearance: each
+        monomial as its factors (``factors_of``) with its noise coefficient,
+        a series of constant-monomial terms."""
+        groups: Dict[int, Dict[int, int]] = {}
+        for key, c in self._num.items():
+            nid = key & _NOISE_MASK
+            groups.setdefault(key - nid, {})[nid] = c
+        mono = self._lay.mono
+        return [(factors_of(mono(h)), self._packed(num, self._den))
+                for h, num in groups.items()]
 
     def plus(self, pieces: Iterable["Series"]) -> "Series":
         """This series plus every series of ``pieces``, added up in one dict

@@ -164,19 +164,24 @@ _NAMED = re.compile(r"""
 
 
 def _named_tokens(text):
-    out = []
+    tokens = []
     for m in _NAMED.finditer(text):
         kind = m.lastgroup
         if kind == "bad":
             raise ParseError(f"bad character at column {m.start() + 1}: {m.group()!r}")
-        if kind == "num" and "/" in m.group() and out and out[-1] in (("op", "^"),
-                                                                       ("op", "/")):
-            # after '^' or '/' a number is an integer: x^2/4 is x^2 / 4
-            p, q = m.group().split("/")
+        if kind != "ws":
+            tokens.append((kind, m.group()))
+    tokens.append(("end", ""))
+    out = []
+    for (kind, lex), after in zip(tokens, tokens[1:] + [None]):
+        if kind == "num" and "/" in lex and (
+                out and out[-1] in (("op", "^"), ("op", "/")) or after == ("op", "^")):
+            # after '^' or '/' a number is an integer: x^2/4 is x^2 / 4; and
+            # '^' binds before a glued p/q: 3/2^2 is 3 / 2^2
+            p, q = lex.split("/")
             out += [("num", p), ("op", "/"), ("num", q)]
-        elif kind != "ws":
-            out.append((kind, m.group()))
-    out.append(("end", ""))
+        else:
+            out.append((kind, lex))
     return out
 
 
@@ -202,6 +207,7 @@ _PIECES = [*"0123456789", "12", "3/4", "/", "x", "y", "sigma", "phi", "Z", "_a1"
 @example("x\u00b2 + y")
 @example("\u0663/\u0664*x + 1\u0663")
 @example("x: y.z")
+@example("3/2^2*x - 1/2 ^3 + x^3/4^2")
 def test_lexer_matches_the_named_group_tokenizer(text):
     # the same tokens, or the same error with the same column
     assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_named_tokens, text)
@@ -238,7 +244,7 @@ def test_parenthesised_powered_input_is_its_series_value():
     phi = (noise.phi_atom(0),)
     z = Series.noise_sum(DIMS, TR, {(noise.z_atom(F(-1), phi),): F(3),
                                     (noise.z_atom(F(1), phi),): F(-1)})
-    want = (Series.const(DIMS, TR, 1) + x.pow(2).scale(2)) * y.scale(F(1, 4)) * z.pow(2)
+    want = (Series.const(DIMS, TR, 1) + (x * x).scale(2)) * y.scale(F(1, 4)) * (z * z)
     assert got == want
     assert parse_series("-(x - y)^2 + x^0 + x*y*5/2", DIMS, TR, NAMES) == \
         parse_series("1 - x^2 + 9/2*x*y - y^2", DIMS, TR, NAMES)
@@ -258,8 +264,21 @@ def test_a_number_after_a_power_or_a_division_is_an_integer(glued, spaced):
     got = parse_series(glued, DIMS, TR, NAMES)
     assert got == parse_series(spaced, DIMS, TR, NAMES)
     assert parse_series("x^2/4", DIMS, TR, NAMES) == \
-        Series.slow_var(DIMS, TR, 0).pow(2).scale(F(1, 4))
+        (Series.slow_var(DIMS, TR, 0) * Series.slow_var(DIMS, TR, 0)).scale(F(1, 4))
     assert parse_series("y/4/5", DIMS, TR, NAMES) == Series.fast_var(DIMS, TR, 0).scale(F(1, 20))
+
+
+@pytest.mark.parametrize("glued,spaced,value", [
+    ("3/2^2*x", "3 / 2^2*x", "3/4*x"),
+    ("1/2 ^3*y", "1 / 2^3*y", "1/8*y"),
+    ("x^3/4^2", "x^3 / 4^2", "1/16*x^3"),
+    ("3/2*2^2*x", "3/2 * 2^2*x", "6*x"),
+])
+def test_a_power_binds_before_a_glued_fraction(glued, spaced, value):
+    # 3/2^2 reads as 3 / 2^2, as conventional precedence has it, not (3/2)^2
+    got = parse_series(glued, DIMS, TR, NAMES)
+    assert got == parse_series(spaced, DIMS, TR, NAMES)
+    assert got == parse_series(value, DIMS, TR, NAMES)
 
 
 @pytest.mark.parametrize("text", ["x/y", "x/(1 - 1)", "x/0"])

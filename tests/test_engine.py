@@ -6,14 +6,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import make_system
 from snf import noise
 from snf.engine import (ConvergenceError, compute_residual, construct,
                         refine_once, verify_order)
 from snf.render import parse_series_for
-from snf.series import Series
-from snf.systems import ALLOW, FORBID
+from snf.series import Dims, Series, Trunc
+from snf.systems import ALLOW, FORBID, PolicyConflict, SystemSpec
 
 F = Fraction
 
@@ -205,29 +206,156 @@ def test_transform_corruption_detected(toy3):
 
 
 def test_construct_idempotent(toy3):
-    assert refine_once(toy3.spec, toy3) is False
+    from snf.engine import ResidualTracker
+    assert refine_once(toy3.spec, toy3, ResidualTracker(toy3.spec, toy3), {}) is False
 
 
 @pytest.mark.parametrize("name,total", [("toy.snf", 5), ("papavasiliou.snf", 3)])
-def test_each_sweep_computes_each_side_once(monkeypatch, name, total):
-    # one time derivative per residual component: m + n per sweep
+def test_construct_runs_the_residual_formula_only_at_the_identity_form(
+        monkeypatch, name, total):
+    # the tracker is built from _residual, once per side; every later sweep
+    # updates it from its additions
     from snf import engine
     spec = make_system(name, total=total)
-    per_sweep = []
-    time_derivative = Series.time_derivative
+    calls, sweeps = [], []
+    residual = engine._residual
 
-    def counted(self, xdot, ydot):
-        per_sweep[-1] += 1
-        return time_derivative(self, xdot, ydot)
+    def counted(spec, nf, fast):
+        calls.append((fast, all(s.is_zero() for s in nf.xi + nf.eta + nf.F + nf.G)))
+        return residual(spec, nf, fast)
 
-    def sweep(spec, nf):
-        per_sweep.append(0)
-        return refine_once(spec, nf)
-    monkeypatch.setattr(Series, "time_derivative", counted)
+    def sweep(*args):
+        sweeps.append(args)
+        return refine_once(*args)
+    monkeypatch.setattr(engine, "_residual", counted)
     monkeypatch.setattr(engine, "refine_once", sweep)
     construct(spec, ALLOW)
-    assert len(per_sweep) > 1
-    assert per_sweep == [spec.m + spec.n] * len(per_sweep)
+    assert len(sweeps) > 2
+    assert sorted(calls) == [(False, True), (True, True)]
+
+
+def _checked_sweeps(monkeypatch):
+    """After every sweep of construct, whether the tracked residuals equal
+    compute_residual's, slow side then fast side."""
+    from snf import engine
+    checked = []
+
+    def sweep(spec, nf, tracker, solved):
+        changed = refine_once(spec, nf, tracker, solved)
+        res_x, res_y = compute_residual(spec, nf)
+        checked.append((tracker.slow == res_x, tracker.fast == res_y))
+        return changed
+    monkeypatch.setattr(engine, "refine_once", sweep)
+    return checked
+
+
+def _vector_systems():
+    from test_engine_vector import (jordan_slow_system, near_resonant_system,
+                                    toy_family_system, two_fast_system)
+    return [two_fast_system(), jordan_slow_system(), near_resonant_system(),
+            toy_family_system(2, 1, 3)]
+
+
+@pytest.mark.parametrize("policy", [ALLOW, FORBID], ids=lambda p: p.label())
+@pytest.mark.parametrize("name,total", [
+    *(("toy.snf", t) for t in range(3, 8)),
+    *(("papavasiliou.snf", t) for t in range(3, 7)),
+    ("linear.snf", 3), ("linear.snf", 4), ("vector", None)])
+def test_the_tracked_residual_is_the_residual_after_every_sweep(
+        monkeypatch, name, total, policy):
+    specs = _vector_systems() if name == "vector" else [make_system(name, total=total)]
+    for spec in specs:
+        checked = _checked_sweeps(monkeypatch)
+        nf = construct(spec, policy)
+        assert len(checked) > 1
+        assert checked == [(True, True)] * len(checked), spec.label
+        assert verify_order(spec, nf) is None
+
+
+@st.composite
+def small_systems(draw):
+    """One slow and one or two fast variables, a parameter s, and random
+    rational coefficients on quadratic and cubic right-hand-side terms,
+    some of them noisy."""
+    n = draw(st.integers(1, 2))
+    dims = Dims(1, n, ("s",), 1)
+    # ungraded fast variables must ride along linearly, and a slow x*y is
+    # then a grade-1 coupling that no truncation clears
+    count_fast = n == 2 or draw(st.booleans())
+    tr = Trunc(draw(st.integers(3, 4)), (draw(st.sampled_from([None, 2])),), count_fast)
+    x = Series.slow_var(dims, tr, 0)
+    ys = [Series.fast_var(dims, tr, j) for j in range(n)]
+    s = Series.param(dims, tr, "s")
+    phi = Series.noise_sum(dims, tr, noise.nsum_bare(0))
+    monos = [x * x, x * ys[0], x * x * x, x * ys[-1] * ys[-1], ys[0] * ys[-1],
+             s * phi, s * x * phi, s * ys[0] * phi]
+    coeffs = st.fractions(-2, 2, max_denominator=3)
+
+    def rhs(allowed):
+        return Series.zero(dims, tr).plus(
+            monos[i].scale(draw(coeffs)) for i in draw(st.sets(st.sampled_from(allowed),
+                                                                min_size=1, max_size=4)))
+    rates = tuple(draw(st.sampled_from([F(-1), F(-2), F(-1, 2), F(-3, 2)]))
+                  for _ in range(n))
+    return SystemSpec(("x",), tuple(f"y{j}" for j in range(n)), ("s",), ((F(0),),),
+                      rates, [rhs([1, 2, 3, 4, 6] if count_fast else [2, 6])],
+                      [rhs([0, 1, 3, 4, 5, 6, 7] if count_fast else [0, 1, 5, 6, 7])
+                       for _ in range(n)],
+                      1, tr, "random")
+
+
+@given(spec=small_systems(), anticipate=st.booleans())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_tracked_residual_of_random_systems(monkeypatch, spec, anticipate):
+    checked = _checked_sweeps(monkeypatch)
+    try:
+        construct(spec, ALLOW if anticipate else FORBID)
+    except (PolicyConflict, noise.NoiseError):
+        pass
+    assert checked == [(True, True)] * len(checked)
+
+
+def test_a_dropped_rate_change_term_is_caught(monkeypatch):
+    # the planted fault: drop sum s_v drate_v from the time-derivative update
+    from snf import engine
+    checked = _checked_sweeps(monkeypatch)
+    monkeypatch.setattr(engine, "_rate_change_terms", lambda spec, s, d_rate: [])
+    try:
+        construct(make_system("toy.snf", total=5), ALLOW)
+    except ConvergenceError:
+        pass
+    assert (True, True) in checked and checked != [(True, True)] * len(checked)
+
+
+def _held_state():
+    """The size of each container that snf.noise, snf.homological or
+    snf.engine holds at module or class level, but for the interning pool
+    of rates; any other value by id."""
+    from snf import engine, homological
+    modules = (noise, homological, engine)
+    holders = [vars(m) for m in modules]
+    holders += [vars(v) for m in modules for v in vars(m).values()
+                if isinstance(v, type) and v.__module__ == m.__name__]
+    return [{name: len(v) if isinstance(v, (dict, list, set)) else id(v)
+             for name, v in held.items() if name != "_pool"} for held in holders]
+
+
+def test_no_solve_or_residual_outlives_construct():
+    # a rate no other system has, so a memo kept past the call would grow
+    import gc
+    from snf.engine import ResidualTracker
+    dims, tr = Dims(1, 1, ("s",), 1), Trunc(4, (None,))
+    x, y = Series.slow_var(dims, tr, 0), Series.fast_var(dims, tr, 0)
+    phi = Series.param(dims, tr, "s") * Series.noise_sum(dims, tr, noise.nsum_bare(0))
+    spec = SystemSpec(("x",), ("y",), ("s",), ((F(0),),), (F(-7, 3),),
+                      [-(x * y)], [x * x + phi], 1, tr, "rate-7/3")
+    before = _held_state()
+    nf = construct(spec, ALLOW)
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, ResidualTracker)]
+    assert _held_state() == before
+    assert nf.certified and any(not s.is_zero() for s in nf.eta)
 
 
 def test_construct_deterministic():
@@ -243,9 +371,9 @@ def _stall_after_one_sweep(monkeypatch):
     from snf import engine
     sweeps = []
 
-    def sweep(spec, nf):
+    def sweep(spec, nf, tracker, solved):
         sweeps.append(nf)
-        return refine_once(spec, nf) if len(sweeps) == 1 else True
+        return refine_once(spec, nf, tracker, solved) if len(sweeps) == 1 else True
     monkeypatch.setattr(engine, "refine_once", sweep)
 
 

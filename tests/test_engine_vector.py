@@ -88,19 +88,38 @@ def test_jordan_slow_block_converges():
             assert sum(mono[1]) == 0
 
 
-def test_near_resonant_cancellation_respects_mu_min():
-    """With rates (-1, -9/8) the y2 forcing x*y1 has mu = -1/8; a threshold
-    above that keeps it in the evolution, below it moves to the transform."""
+def near_resonant_system():
+    """Rates (-1, -9/8): xdot = 0;  y1dot = -y1 - x^2;  y2dot = -9/8 y2 + x y1."""
     dims = Dims(1, 2, ("s",), 1)
     tr = Trunc(3, (None,))
     X = Series.slow_var(dims, tr, 0)
     Y1 = Series.fast_var(dims, tr, 0)
-    spec = SystemSpec(("x",), ("y1", "y2"), ("s",), ((F(0),),),
+    return SystemSpec(("x",), ("y1", "y2"), ("s",), ((F(0),),),
                       (F(-1), F(-9, 8)),
                       [Series.zero(dims, tr)],
                       [-(X * X), X * Y1],
                       1, tr, "near-resonant")
-    key_mono = dims.mono(slow=(1,), fast=(1, 0))
+
+
+def toy_family_system(a, b, c):
+    """xdot = -a x y;  ydot = -y + b x^2 - c y^2 + s phi."""
+    dims = Dims(1, 1, ("s",), 1)
+    tr = Trunc(4, (2,))
+    X = Series.slow_var(dims, tr, 0)
+    Y = Series.fast_var(dims, tr, 0)
+    s = Series.param(dims, tr, "s")
+    phi = Series.noise_sum(dims, tr, noise.nsum_bare(0))
+    return SystemSpec(("x",), ("y",), ("s",), ((F(0),),), (F(-1),),
+                      [-(X * Y).scale(a)],
+                      [(X * X).scale(b) - (Y * Y).scale(c) + s * phi],
+                      1, tr, f"family-{a}{b}{c}")
+
+
+def test_near_resonant_cancellation_respects_mu_min():
+    """With rates (-1, -9/8) the y2 forcing x*y1 has mu = -1/8; a threshold
+    above that keeps it in the evolution, below it moves to the transform."""
+    spec = near_resonant_system()
+    key_mono = spec.dims.mono(slow=(1,), fast=(1, 0))
     kept = construct(spec, Policy(anticipation=True, mu_min=F(1, 4)))
     assert kept.certified
     assert kept.G[1].coefficient(key_mono) == F(1)
@@ -115,15 +134,5 @@ def test_near_resonant_cancellation_respects_mu_min():
 def test_toy_family_certifies(a, b, c):
     # varying the quadratic coefficients of the scalar family still
     # constructs and certifies
-    dims = Dims(1, 1, ("s",), 1)
-    tr = Trunc(4, (2,))
-    X = Series.slow_var(dims, tr, 0)
-    Y = Series.fast_var(dims, tr, 0)
-    s = Series.param(dims, tr, "s")
-    phi = Series.noise_sum(dims, tr, noise.nsum_bare(0))
-    spec = SystemSpec(("x",), ("y",), ("s",), ((F(0),),), (F(-1),),
-                      [-(X * Y).scale(a)],
-                      [X.pow(2).scale(b) - (Y * Y).scale(c) + s * phi],
-                      1, tr, f"family-{a}{b}{c}")
-    nf = construct(spec, ALLOW)
+    nf = construct(toy_family_system(a, b, c), ALLOW)
     assert nf.certified and nf.check_structure() == []

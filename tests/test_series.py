@@ -48,7 +48,8 @@ def test_grade_three_with_noise_kept():
 def test_truncate_keeps_fast_grading():
     # Under grade_fast off, y^5 has grade 0 and survives a lower total.
     t = Trunc(6, (None,), count_fast=False)
-    y5 = Series.fast_var(DIMS, t, 0).pow(5)
+    y = Series.fast_var(DIMS, t, 0)
+    y5 = y * y * y * y * y
     cut = y5.with_trunc(replace(t, total=3))
     assert cut.trunc == Trunc(3, (None,), count_fast=False)
     assert cut.terms == y5.terms
@@ -296,13 +297,58 @@ def test_trusted_results_hold_the_invariant(count_fast, capped, data):
     results = [a * b, b * a, a * a, (a + b) * (a - b), a + b, a - b, a + (-a), -a,
                a.scale(c), a.scale(0), a.diff(0, 0), a.diff(1, 1), a.substitute(),
                a.substitute(slow=subs[:1], fast=subs[1:3], par=subs[3:]),
-               a.pow(2), a - b + b, (a - b) * subs[0] + b * subs[0],
+               a * a * a, a - b + b, (a - b) * subs[0] + b * subs[0],
                a.substitute(fast=[subs[1] - subs[1], subs[2] + subs[1]])]
     for r in results:
         _holds_invariant(r)
     assert (a + (-a)).is_zero() and (a - a).is_zero()
     assert (a + b) * (a - b) == a * a - b * b
     assert a - b + b == a and (a - b) * subs[0] + b * subs[0] == a * subs[0]
+
+
+def _per_term_substitute(s, slow=None, fast=None, par=None):
+    """The composition ``Series.substitute`` made before it grouped terms by
+    monomial, kept as its reference: each term times each of its variables'
+    powers in slow, fast, parameter order, each power by repeated squaring."""
+    dims, trunc = s.dims, s.trunc
+    bases = [b for part, (given_, size) in enumerate(zip((slow, fast, par), dims.sizes))
+             for b in (given_ if given_ is not None else
+                       [Series.var(dims, trunc, part, k) for k in range(size)])]
+    powers = {}
+
+    def power(v, e):
+        if (v, e) not in powers:
+            result, base, k = Series.const(dims, trunc, 1), bases[v], e
+            while k:
+                if k & 1:
+                    result = result * base
+                base = base * base if k > 1 else base
+                k >>= 1
+            powers[(v, e)] = result
+        return powers[(v, e)]
+
+    pieces = []
+    for (mono, expr), c in s.terms.items():
+        piece = Series(dims, trunc, {(dims.mono(), expr): c})
+        for v, e in enumerate(e for part in mono for e in part):
+            if e:
+                piece = piece * power(v, e)
+        pieces.append(piece)
+    return Series.zero(dims, trunc).plus(pieces)
+
+
+@pytest.mark.parametrize("count_fast", [True, False])
+@pytest.mark.parametrize("capped", [True, False])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_substitute_is_the_per_term_composition(count_fast, capped, data):
+    a, b, _c, subs = data.draw(trusted_case(count_fast, capped))
+    for slow, fast, par in ((subs[:1], subs[1:3], subs[3:]), (None, subs[1:3], None),
+                            ([a + b], None, [b, subs[4]]), (None, None, None)):
+        got = a.substitute(slow=slow, fast=fast, par=par)
+        want = _per_term_substitute(a, slow, fast, par)
+        _holds_invariant(got)
+        assert got == want and got.sorted_terms() == want.sorted_terms()
 
 
 @pytest.mark.parametrize("count_fast", [True, False])
@@ -333,7 +379,9 @@ def test_ungraded_fast_exponent_overflow_names_the_monomial():
     t = Trunc(2, (None,), count_fast=False)
     top = 2 ** _FREE_BITS - 1
     y = Series.fast_var(DIMS, t, 0)
-    widest = y.pow(top)
+    widest = y
+    for _ in range(_FREE_BITS - 1):    # exponent e -> 2e + 1, from 1 up to top
+        widest = widest * widest * y
     assert widest.terms == {(((0,), (top,), (0,)), noise.ONE): F(1)}
     with pytest.raises(OverflowError, match=rf"\[0, {top + 1}, 0\]"):
         widest * y
