@@ -64,6 +64,17 @@ def check_half_width(delta: float) -> None:
         raise ValueError(f"the band half-width must lie in (0, 1), got {delta:g}")
 
 
+def check_step(dt: float, m: float, delta: float) -> None:
+    """Refuse a step that is not positive and finite, or one whose Nyquist
+    frequency pi/dt does not lie above the band of half-width delta at m:
+    need |m| + delta < pi/dt.  The quadratic noise's bands reach 2 + delta."""
+    nyquist_dt = math.pi / (abs(m) + delta)
+    if not 0 < dt < nyquist_dt:
+        raise ValueError(f"need 0 < dt < pi/({abs(m):g} + delta) = {nyquist_dt:.4g}, "
+                         f"so that the frequency-{abs(m):g} band lies below "
+                         f"Nyquist; got {dt:g}")
+
+
 def _strip_offsets(T: float, delta: float) -> int:
     """L: a record of length T resolves the offsets l dOmega, |l| <= L,
     within delta of a resonance (dOmega = 2 pi / T)."""
@@ -83,6 +94,7 @@ def check_record(T: float, delta: float) -> None:
 def band_component(w: np.ndarray, dt: float, m: float, delta: float) -> BandNoise:
     """Unit-variance narrow-band component of the noise near frequency m."""
     check_half_width(delta)
+    check_step(dt, m, delta)
     n = len(w)
     omega = 2.0 * math.pi * np.fft.fftfreq(n, d=dt)
     W = np.fft.fft(w)
@@ -92,11 +104,29 @@ def band_component(w: np.ndarray, dt: float, m: float, delta: float) -> BandNois
     return BandNoise(m, delta, vals, dt)
 
 
-def _kernel(Om: np.ndarray, Omt: np.ndarray, sign: int) -> np.ndarray:
+def _kernel_factors(Om: np.ndarray, sign: int):
+    """The factors of K_pm(Om, .) that depend on Om alone: s Om, 2 (Om + 2s)
+    and Om + 2s, with s = sign."""
     s = float(sign)
-    num = -(Om + Omt + s * Om * Omt) * (Om + Omt + s * 2.0)
-    den = 2.0 * (Om + s * 2.0) * (Omt + s * 2.0) * Om * Omt
+    return s * Om, 2.0 * (Om + s * 2.0), Om + s * 2.0
+
+
+def _kernel_of_factors(Om: np.ndarray, Omt: np.ndarray, sOm: np.ndarray,
+                       two_a: np.ndarray, bt: np.ndarray, sign: int) -> np.ndarray:
+    """K_pm(Om, Omt) from the factors of ``_kernel_factors``: sOm and two_a
+    of Om, bt of Omt."""
+    S = Om + Omt
+    num = -(S + sOm * Omt) * (S + float(sign) * 2.0)
+    den = two_a * bt * Om * Omt
     return num / den
+
+
+def _kernel(Om: np.ndarray, Omt: np.ndarray, sign: int) -> np.ndarray:
+    """K_pm(Om, Omt) = -(Om + Omt + s Om Omt)(Om + Omt + 2s)
+    / (2 (Om + 2s)(Omt + 2s) Om Omt)."""
+    sOm, two_a, _ = _kernel_factors(Om, sign)
+    _, _, bt = _kernel_factors(Omt, sign)
+    return _kernel_of_factors(Om, Omt, sOm, two_a, bt, sign)
 
 
 def kernel_limit(omega: np.ndarray) -> np.ndarray:
@@ -106,29 +136,38 @@ def kernel_limit(omega: np.ndarray) -> np.ndarray:
 
 def _resonant_strip(w: np.ndarray, dt: float, delta: float,
                     centers: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Offset bins l, |l dOmega| <= delta, and psitilde_+ at each offset."""
+    """Offset bins l, |l dOmega| <= delta, and psitilde_+ at each offset.
+
+    In the shifted (monotone) order bin j holds frequency (j - n//2) dOmega,
+    so the pairs at offset l are (j, c - j) with c = l + 2 (n//2): over the
+    valid j they read one contiguous slice of the spectrum against the same
+    span of the reversed spectrum.  The kernel and the products are formed on
+    the whole slice, then the pairs with both frequencies in D are kept, in
+    ascending j, and summed.  The kernel's poles (Omega = 0, -2 for either
+    partner) lie in the excluded bands, so their values never reach a sum.
+    """
     n = len(w)
     dOm = 2.0 * math.pi / (n * dt)
     omega, phihat = white_spectrum(w, dt)
-    # Shifted (monotone frequency) ordering for index arithmetic.
-    order = np.argsort(np.round(omega / dOm).astype(int))
-    om_s = omega[order]
-    ph_s = phihat[order]
+    om_s = np.fft.fftshift(omega)
+    ph_s = np.fft.fftshift(phihat)
     in_D = np.ones(n, dtype=bool)
     for m in centers:
         in_D &= np.abs(om_s - m) > delta
+    sOm, two_a, b = _kernel_factors(om_s, +1)
+    om_r, ph_r, b_r, in_D_r = om_s[::-1], ph_s[::-1], b[::-1], in_D[::-1]
     L = _strip_offsets(n * dt, delta)
     lbins = np.arange(-L, L + 1)
     psit_p = np.zeros(len(lbins), dtype=complex)
-    idx = np.arange(n)
     for pos, l in enumerate(lbins):
-        jp = l - (idx - n // 2) + n // 2        # partner of om_s[j] is om_s[jp]
-        ok = (jp >= 0) & (jp < n) & in_D
-        ok &= in_D[np.clip(jp, 0, n - 1)]
-        j = idx[ok]
-        p = jp[ok]
-        pair = ph_s[j] * ph_s[p]
-        psit_p[pos] = dOm * np.sum(_kernel(om_s[j], om_s[p], +1) * pair)
+        c = l + 2 * (n // 2)
+        lo, hi = max(0, c - n + 1), min(n, c + 1)
+        j = slice(lo, hi)
+        p = slice(lo + n - 1 - c, hi + n - 1 - c)   # om_r[p] is om_s[c - j]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            terms = (_kernel_of_factors(om_s[j], om_r[p], sOm[j], two_a[j], b_r[p], +1)
+                     * (ph_s[j] * ph_r[p]))
+        psit_p[pos] = dOm * np.sum(terms[in_D[j] & in_D_r[p]])
     return lbins, psit_p
 
 
@@ -147,6 +186,7 @@ def quad_resonant_noise(w: np.ndarray, dt: float, delta: float) -> QuadNoise:
     c_i are the reported constants.
     """
     check_half_width(delta)
+    check_step(dt, 2.0, delta)
     check_record(len(w) * dt, delta)
     lbins, psit_p = _resonant_strip(w, dt, delta, (-2.0, 0.0, 2.0))
     # psi_plus(t_k) = dOm sum_l psit_p[l] exp(i l dOm t_k) with t_k = k dt and
@@ -161,7 +201,10 @@ def quad_resonant_noise(w: np.ndarray, dt: float, delta: float) -> QuadNoise:
 
 
 def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Normalised autocorrelation of a (possibly complex) process."""
+    """Normalised autocorrelation of a (possibly complex) process at the
+    lags 0 .. max_lag, with 0 <= max_lag < len(x)."""
+    if not 0 <= max_lag <= len(x) - 1:
+        raise ValueError(f"max_lag must lie in [0, {len(x) - 1}], got {max_lag}")
     x = x - x.mean()
     denom = float(np.mean(np.abs(x) ** 2))
     out = np.empty(max_lag + 1)

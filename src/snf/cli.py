@@ -264,18 +264,17 @@ def _hopf_options(args) -> None:
     half-width must lie in (0, 1), the frequency-2 band must stay below
     Nyquist, the record must resolve offsets within the resonant strip, and
     there must be a replicate.  The band lab's own rules (``snf.bands``) judge
-    the half-width and the record, of ``round(T / dt)`` steps, that
-    ``cmd_hopf`` hands it."""
-    from .bands import check_half_width, check_record
+    the half-width, the step and the record, of ``round(T / dt)`` steps,
+    that ``cmd_hopf`` hands it."""
+    from .bands import check_half_width, check_record, check_step
     try:
         check_half_width(args.delta)
     except ValueError as e:
         raise SysFileError(f"--delta: {e}") from None
-    nyquist_dt = math.pi / (2 + args.delta)
-    if not 0 < args.dt < nyquist_dt:
-        raise SysFileError(f"--dt: need 0 < dt < pi/(2 + delta) = {nyquist_dt:.4g}, "
-                           f"so that the frequency-2 band lies below Nyquist; "
-                           f"got {args.dt:g}")
+    try:
+        check_step(args.dt, 2.0, args.delta)
+    except ValueError as e:
+        raise SysFileError(f"--dt: {e}") from None
     try:
         check_record(int(round(args.T / args.dt)) * args.dt, args.delta)
     except ValueError as e:

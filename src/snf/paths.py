@@ -39,8 +39,12 @@ class NoisePath:
     @classmethod
     def generate(cls, T: float, dt: float, n_noise: int = 1, seed: int = 0,
                  spin: float = 30.0, trim: float = 0.0) -> "NoisePath":
-        if T <= 0 or dt <= 0:
-            raise ValueError("need positive T and dt")
+        for name, v in (("T", T), ("dt", dt)):
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"need positive finite {name}, got {v:g}")
+        for name, v in (("spin", spin), ("trim", trim)):
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"need non-negative finite {name}, got {v:g}")
         n_main = int(round(T / dt))
         n_spin = int(math.ceil(spin / dt)) if spin else 0
         n_trim = int(math.ceil(trim / dt)) if trim else 0

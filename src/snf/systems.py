@@ -122,11 +122,23 @@ class SystemSpec:
                             raise SystemDefinitionError(
                                 f"fast rhs {idx}: bare linear fast term belongs in B",
                                 (which, idx))
-                        if which == "slow" and sum(mono[1]) == 1:
-                            raise SystemDefinitionError(
-                                f"slow rhs {idx}: bare fast-variable coupling has no "
-                                "slow time scale; weight it by a small parameter",
-                                (which, idx))
+                    # A parameter-free slow term with a fast variable, of grade
+                    # at most 1 in the truncation's own grading (a bare y; x*y
+                    # or y^2 under grade_fast off), is one construct cannot clear.
+                    tg = self.trunc.grade_of(mono)
+                    if (which == "slow" and expr == noise.ONE and sum(mono[2]) == 0
+                            and sum(mono[1]) and tg <= 1):
+                        if g == 1:
+                            what = "bare fast-variable coupling"
+                        else:
+                            term = render_series(
+                                Series(self.dims, self.trunc, {(mono, noise.ONE): 1}),
+                                (self.slow_names, self.fast_names, self.param_names))
+                            what = (f"fast-variable coupling {term} "
+                                    f"(grade {tg} under grade_fast off)")
+                        raise SystemDefinitionError(
+                            f"slow rhs {idx}: {what} has no slow time scale; "
+                            "weight it by a small parameter", (which, idx))
 
     def linear_xdot(self) -> List[Series]:
         """A X per slow component, as series."""

@@ -7,7 +7,7 @@ import pytest
 
 from snf.bands import (autocorrelation, band_component, kernel_limit,
                        quad_resonant_noise, white_spectrum, _kernel,
-                       _resonant_strip)
+                       _resonant_strip, _strip_offsets)
 
 DT, T, DELTA = 0.05, 2000.0, 0.2
 N = int(T / DT)
@@ -90,6 +90,42 @@ def test_quad_noise_refuses_a_record_too_short_for_the_strip():
     assert q.c_r > 1e-3 and q.c_i > 1e-3
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.05, math.nan, math.inf])
+def test_band_refuses_a_step_that_is_not_positive_and_finite(dt):
+    # 0 used to end in ZeroDivisionError, -0.05 gave a variance (0.0536 on a
+    # unit white record) and nan gave nan
+    w = white(1)[:1000]
+    with pytest.raises(ValueError, match=r"need 0 < dt < pi/\(2 \+ delta\) = 1.428, "
+                                         r"so that the frequency-2 band lies below "
+                                         rf"Nyquist; got {dt:g}$"):
+        band_component(w, dt, 2.0, DELTA)
+    with pytest.raises(ValueError, match=r"need 0 < dt < pi/\(2 \+ delta\)"):
+        quad_resonant_noise(w, dt, DELTA)
+
+
+def test_band_refuses_a_band_that_reaches_nyquist():
+    # pi/dt = 2.09: the band at 2 would reach above Nyquist, the one at 0 not
+    w = white(1)
+    with pytest.raises(ValueError, match=r"need 0 < dt < pi/\(2 \+ delta\) = 1.428, .*"
+                                         r"; got 1.5$"):
+        band_component(w, 1.5, 2.0, DELTA)
+    band_component(w, 1.5, 0.0, DELTA)
+    # the quadratic noise's bands reach 2 + delta whatever m it is asked for
+    with pytest.raises(ValueError, match=r"pi/\(2 \+ delta\) = 1.428"):
+        quad_resonant_noise(w, 1.5, DELTA)
+    with pytest.raises(ValueError, match=r"pi/\(0 \+ delta\) = 15.71"):
+        band_component(w, 16.0, 0.0, DELTA)
+
+
+@pytest.mark.parametrize("max_lag", [-1, 100])
+def test_autocorrelation_refuses_a_lag_outside_the_record(max_lag):
+    # 100 used to warn of a mean of an empty slice and give nan at that lag;
+    # -1 ended in numpy's negative dimensions
+    with pytest.raises(ValueError, match=rf"max_lag must lie in \[0, 99\], got {max_lag}$"):
+        autocorrelation(white(1)[:100], max_lag)
+    assert autocorrelation(white(1)[:100], 99)[0] == 1.0
+
+
 def test_autocorrelation_scale():
     # decays on the 1/delta scale: near sinc(delta * lag)
     w = white(11)
@@ -169,3 +205,60 @@ def test_quad_noise_inverse_fft_equals_phase_matrix_sum():
     direct = d_om * np.exp(1j * np.outer(t, lbins * d_om)) @ psit
     got = quad_resonant_noise(w, DT, DELTA).psi_plus
     assert np.max(np.abs(got - direct)) < 1e-12 * np.max(np.abs(direct))
+
+
+def _index_strip(w, dt, delta, centers):
+    """The resonant strip as index arithmetic over all n bins at each offset,
+    kept as the reference for the sliced ``_resonant_strip``."""
+    n = len(w)
+    dOm = 2.0 * math.pi / (n * dt)
+    omega, phihat = white_spectrum(w, dt)
+    order = np.argsort(np.round(omega / dOm).astype(int))
+    om_s = omega[order]
+    ph_s = phihat[order]
+    in_D = np.ones(n, dtype=bool)
+    for m in centers:
+        in_D &= np.abs(om_s - m) > delta
+    L = _strip_offsets(n * dt, delta)
+    lbins = np.arange(-L, L + 1)
+    psit_p = np.zeros(len(lbins), dtype=complex)
+    idx = np.arange(n)
+    for pos, l in enumerate(lbins):
+        jp = l - (idx - n // 2) + n // 2        # partner of om_s[j] is om_s[jp]
+        ok = (jp >= 0) & (jp < n) & in_D
+        ok &= in_D[np.clip(jp, 0, n - 1)]
+        j = idx[ok]
+        p = jp[ok]
+        pair = ph_s[j] * ph_s[p]
+        psit_p[pos] = dOm * np.sum(_kernel(om_s[j], om_s[p], +1) * pair)
+    return lbins, psit_p
+
+
+@pytest.mark.parametrize("n", [40000, 40001, 4001])
+@pytest.mark.parametrize("delta", [0.05, 0.2, 0.5])
+def test_sliced_strip_is_the_index_strip_bit_for_bit(n, delta):
+    for seed in (5, 6):
+        w = np.random.default_rng(seed).standard_normal(n) / math.sqrt(DT)
+        want = _index_strip(w, DT, delta, (-2.0, 0.0, 2.0))
+        got = _resonant_strip(w, DT, delta, (-2.0, 0.0, 2.0))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_sliced_strip_of_the_shortest_record_is_the_index_strip():
+    # the shortest record accepted, L = 1, at an even and an odd length
+    n = math.ceil(2 * math.pi / DELTA / DT)
+    for m in (n, n + 1):
+        w = np.random.default_rng(m).standard_normal(m) / math.sqrt(DT)
+        want = _index_strip(w, DT, DELTA, (-2.0, 0.0, 2.0))
+        got = _resonant_strip(w, DT, DELTA, (-2.0, 0.0, 2.0))
+        assert list(got[0]) == [-1, 0, 1]
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_shifted_order_is_the_rounded_argsort():
+    # fftshift is the permutation that sorts the rounded bin indices
+    for n in (4000, 4001):
+        omega = 2 * math.pi * np.fft.fftfreq(n, d=DT)
+        order = np.argsort(np.round(omega / (2 * math.pi / (n * DT))).astype(int))
+        assert np.array_equal(np.fft.fftshift(np.arange(n)), order)

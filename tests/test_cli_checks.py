@@ -226,6 +226,44 @@ def test_system_file_refusal_texts(tmp_path, capsys, old, new, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+GRADE_FAST_OFF = """slow x
+fast y
+param e
+noise 1
+A 0
+B -1
+order 3
+grade_fast off
+eq x: {slow}
+eq y: -y + x^2 + e*phi1
+"""
+
+
+@pytest.mark.parametrize("slow,message", [
+    # grade 1 in the truncation's grading: derive ran out its 12 sweeps
+    # (exit 3, a 60-term residual dump)
+    ("x*y", "fast-variable coupling x*y (grade 1 under grade_fast off)"),
+    ("x*y^2 - e*x", "fast-variable coupling x*y^2 (grade 1 under grade_fast off)"),
+    ("y^2", "fast-variable coupling y^2 (grade 0 under grade_fast off)"),
+    ("y", "bare fast-variable coupling"),
+])
+def test_a_slow_coupling_linear_under_grade_fast_off_exits_2(tmp_path, capsys,
+                                                             slow, message):
+    p = tmp_path / "bad.snf"
+    p.write_text(GRADE_FAST_OFF.format(slow=slow))
+    assert main(["derive", str(p)]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: line 9: slow rhs 0: {message} has no slow time scale; "
+        "weight it by a small parameter\n")
+
+
+def test_a_coupling_weighted_by_a_parameter_passes_under_grade_fast_off(
+        tmp_path, capsys):
+    p = tmp_path / "ok.snf"
+    p.write_text(GRADE_FAST_OFF.format(slow="e*x*y + x^2*y"))
+    assert main(["derive", str(p)]) == EXIT_OK
+
+
 def test_cap_on_an_undeclared_parameter_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.snf"
     p.write_text(SYSTEM + "cap q 2\n")

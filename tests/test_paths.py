@@ -188,6 +188,26 @@ def test_window_too_short_rejected():
         s.main_values(p)
 
 
+@pytest.mark.parametrize("kw,message", [
+    # nan T or dt ended in "cannot convert float NaN to integer", inf T in
+    # OverflowError; spin = -1 gave a path of no increments
+    ({"T": math.nan}, "need positive finite T, got nan"),
+    ({"T": math.inf}, "need positive finite T, got inf"),
+    ({"T": 0.0}, "need positive finite T, got 0"),
+    ({"dt": math.nan}, "need positive finite dt, got nan"),
+    ({"dt": -1e-3}, "need positive finite dt, got -0.001"),
+    ({"spin": -1.0}, "need non-negative finite spin, got -1"),
+    ({"spin": math.inf}, "need non-negative finite spin, got inf"),
+    ({"trim": -1.0}, "need non-negative finite trim, got -1"),
+    ({"trim": math.nan}, "need non-negative finite trim, got nan"),
+])
+def test_generate_refuses_what_it_cannot_lay_out(kw, message):
+    args = {"T": 1.0, "dt": DT, "spin": 0.0, "trim": 0.0, **kw}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        NoisePath.generate(args["T"], args["dt"], 1, seed=5,
+                           spin=args["spin"], trim=args["trim"])
+
+
 def test_filter_error_shrinks_with_dt():
     # strong error of the sampled convolution against a fine-grid reference,
     # must decrease monotonically over three refinements

@@ -17,7 +17,9 @@ SPANS = {
     "certify": ENGINE_SPANS,
     "report": ENGINE_SPANS + ("analysis.revert", "report.emit", "report.parse_report"),
     "ensemble": ("mc.run_ensemble", "mc.rates", "mc.warmup", "mc.filter_step"),
-    "pathwise": ("hopf.simulate_dvdp", "hopf.simulate_amplitude", "hopf.mathieu"),
+    "pathwise": ("hopf.simulate_dvdp", "hopf.simulate_amplitude", "hopf.mathieu",
+                 "bands.band_component", "bands.quad_resonant", "paths.generate",
+                 "paths.sample", "paths.integrate"),
 }
 
 
