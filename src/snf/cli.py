@@ -213,6 +213,9 @@ def cmd_compare(args) -> int:
     spec, sf = _load(args)
     params = _params(args.param, spec)
     times = _run_options(args)
+    if args.tol_se <= 0:
+        raise SysFileError(f"--tol-se: need a positive number of standard errors, "
+                           f"got {args.tol_se:g}")
     nf = _construct(spec, sf, args)
     if not nf.certified:
         return EXIT_CERT

@@ -164,7 +164,9 @@ def mathieu_growth(beta: float, sigma: float, T: float = 80.0,
     Integrates the amplitude pair da/dt = beta a/2 + sigma b/4 (conjugate
     pair coupling from the frequency-2 line) and the linearised oscillator
     x1'' = (-1 + sigma cos 2t) x1 + beta x1', both by Heun steps, and fits
-    both exponential rates; the model predicts lambda = beta/2 + sigma/4.
+    both exponential rates.  The real and imaginary parts of the pair grow
+    at beta/2 + sigma/4 and beta/2 - sigma/4, so the model predicts lambda =
+    beta/2 + |sigma|/4.
     """
     if not 0 < T < math.inf:
         raise ValueError(f"T = {T}: the horizon must be positive and finite")
@@ -188,4 +190,4 @@ def mathieu_growth(beta: float, sigma: float, T: float = 80.0,
     s = heun_path(0.01 + 0.0j, n, increment)
     full_rate = fit_growth_rate(np.abs(s), dt)
     return {"model": model_rate, "full": full_rate,
-            "predicted": 0.5 * beta + 0.25 * sigma}
+            "predicted": 0.5 * beta + 0.25 * abs(sigma)}

@@ -12,6 +12,14 @@ noise product once, builds the noise part of its sort key once, and the
 factor text of each monomial once per name triple; ``emit_report`` writes
 a whole report through one, so a product its lines repeat costs one
 rendering.  The memos live and die with the writer: the module keeps none.
+
+Text is read back by its mirror, a ``SeriesReader`` per name triple.  It
+splits a line at the writer's " + " and " - " joins and each term into its
+magnitude, its monomial text and its noise text, and reads each distinct
+text once, by the recursive descent ``_Parser``; ``parse_report`` reads a
+whole report's lines in one triple through one reader.  A line the split
+cannot read whole goes through the descent as it stands, so values and
+errors are the descent's.  The reader's memos, too, live and die with it.
 """
 
 from __future__ import annotations
@@ -319,19 +327,16 @@ class _Parser(TermParser):
     """Report lines: atom := number | name | phi[idx] | Z[rate]{ expr } |
     '(' expr ')'; division only by non-zero rationals.
 
-    ``spans`` maps each outermost convolution already read in these names,
-    as ``(mu, tokens from its '{' to its '}')``, to its terms.  A span met
-    again is looked up, not parsed: its tokens alone fix its terms, and only
-    a span that parsed is stored, so a refused one is refused every time."""
+    The reader's ``spans`` maps each outermost convolution already read in
+    its names, as ``(mu, tokens from its '{' to its '}')``, to its terms.  A
+    span met again is looked up, not parsed: its tokens alone fix its terms,
+    and only a span that parsed is stored, so a refused one is refused every
+    time."""
 
-    def __init__(self, text: str, dims: Dims, names, spans: Dict[tuple, Terms]):
-        width, first = sum(dims.sizes), (0, dims.m, dims.m + dims.n)
-        super().__init__(text, width)
+    def __init__(self, text: str, reader: "SeriesReader"):
+        super().__init__(text, reader.width)
         self.conv_depth = 0
-        # each name's part and flat unit exponents
-        self.symbols = {name: (part, tuple(int(i == first[part] + k) for i in range(width)))
-                        for name, (part, k) in name_index(names).items()}
-        self.spans = spans
+        self.symbols, self.spans = reader.symbols, reader.spans
         self.close = _brace_pairs(self.tokens) if "{" in text else {}
 
     def inverse(self, f: Terms) -> Terms:
@@ -415,17 +420,149 @@ def _brace_pairs(tokens) -> Dict[int, int]:
     return close
 
 
+# A term as SeriesWriter writes it: a magnitude p or p/q, then '*' and its
+# factors or nothing; the line's terms are joined by " + " and " - ".
+_JOIN = re.compile(r" ([+-]) ")
+_MAGNITUDE = re.compile(r"([0-9]+(?:/[0-9]+)?)(?:\*(?!$)|$)")
+_NOISE_START = re.compile(r"phi\[|Z\[")
+
+
+class SeriesReader:
+    """Series text in one name triple, read as ``SeriesWriter`` writes it:
+    a line splits at its " + " and " - " joins, each term into its
+    magnitude, its monomial text (the factors before the first ``phi[`` or
+    ``Z[``) and its noise text (the rest).  Each distinct magnitude,
+    monomial text and noise text is read once per reader, a text by
+    ``_Parser`` as one term; each later occurrence is looked up.
+
+    A line the split cannot read whole, as terms with distinct keys whose
+    pieces each parse as one term, goes through ``_Parser`` as it stands: a
+    sum in parentheses or braces, a repeated term, a zero magnitude, or a
+    piece that does not parse so.  Every value and every ``ParseError`` is
+    the descent's, and a refused piece is never stored.  ``parse_report``
+    keeps one reader per name triple for one call; ``parse_series`` uses a
+    fresh one by default."""
+
+    def __init__(self, dims: Dims, names):
+        width, first = sum(dims.sizes), (0, dims.m, dims.m + dims.n)
+        self.width, self.cuts = width, first[1:]
+        # each name's part and flat unit exponents
+        self.symbols = {name: (part, tuple(int(i == first[part] + k) for i in range(width)))
+                        for name, (part, k) in name_index(names).items()}
+        # _Parser's convolution memo, for the misses and the whole lines
+        self.spans: Dict[tuple, Terms] = {}
+        self.zero = (0,) * width
+        # each factor text read: (flat exponents, noise product, coefficient)
+        # when it is one term, else its term dict
+        self.pieces: Dict[str, Union[tuple, Terms]] = {"": (self.zero, ONE, 1)}
+        self.magnitudes: Dict[str, Union[int, Fraction]] = {}
+        self.monos: Dict[Tuple[int, ...], Mono] = {}
+
+    def read(self, text: str) -> Dict[Tuple[Mono, Expr], Union[int, Fraction]]:
+        """The terms of ``text``, keyed by (monomial, noise product)."""
+        flat = self._split(text)
+        if flat is None:
+            flat = _Parser(text, self).parse()
+        monos, cut, cut2 = self.monos, *self.cuts
+        out = {}
+        for (exps, expr), c in flat.items():
+            mono = monos.get(exps)
+            if mono is None:
+                mono = monos[exps] = (exps[:cut], exps[cut:cut2], exps[cut2:])
+            out[(mono, expr)] = c
+        return out
+
+    def _split(self, text: str) -> Optional[Terms]:
+        """The terms of ``text`` read term by term, or None when the split
+        cannot read it whole."""
+        parts = _JOIN.split(text)
+        head = parts[0]
+        negative = head[:1] == "-"
+        if negative:
+            parts[0] = head[1:]
+        piece, magnitudes, zero = self._piece, self.magnitudes, self.zero
+        out: Terms = {}
+        for i in range(0, len(parts), 2):
+            if i:
+                negative = parts[i - 1] == "-"
+            term = parts[i]
+            if not term:
+                return None
+            m = _MAGNITUDE.match(term)
+            if m is None:
+                c, rest = 1, term
+            else:
+                c = magnitudes.get(m[1])
+                if c is None:
+                    p, _, q = m[1].partition("/")
+                    if not int(p) or (q and not int(q)):
+                        return None
+                    c = magnitudes[m[1]] = Fraction(int(p), int(q)) if q else int(p)
+                rest = term[m.end():]
+            n = _NOISE_START.search(rest)
+            if n is None:
+                a, b = piece(rest), piece("")
+            elif not n.start():
+                a, b = piece(""), piece(rest)
+            elif n.start() > 1 and rest[n.start() - 1] == "*":
+                a, b = piece(rest[:n.start() - 1]), piece(rest[n.start():])
+            else:
+                return None
+            if a is None or b is None:
+                return None
+            if negative:
+                c = -c
+            if type(a) is tuple and type(b) is tuple:
+                (ea, na, ca), (eb, nb, cb) = a, b
+                key = (ea if eb is zero else tuple(map(add, ea, eb)), noise.merge(na, nb))
+                if key in out:
+                    return None
+                out[key] = c if ca == 1 == cb else c * ca * cb
+                continue
+            terms = _product(_product({(zero, ONE): c}, _as_terms(a)), _as_terms(b))
+            if any(key in out for key in terms):
+                return None
+            out.update(terms)
+        return out
+
+    def _piece(self, text: str):
+        """The memo entry of one factor text, read by ``_Parser`` as one
+        term at its first occurrence; None when it does not parse so."""
+        entry = self.pieces.get(text)
+        if entry is None:
+            parser = _Parser(text, self)
+            try:
+                terms = parser.term()
+                parser.take("end")
+            except ParseError:
+                return None
+            entry = self.pieces[text] = _as_entry(terms, self.zero)
+        return entry
+
+
+def _as_entry(terms: Terms, zero):
+    """One term as (exponents, noise product, coefficient), with the shared
+    zero exponents and an int unit coefficient; other term dicts as they
+    are."""
+    if len(terms) != 1:
+        return terms
+    ((exps, expr), c), = terms.items()
+    return (zero if exps == zero else exps, expr, 1 if c == 1 else c)
+
+
+def _as_terms(entry) -> Terms:
+    return {entry[:2]: entry[2]} if type(entry) is tuple else entry
+
+
 def parse_series(text: str, dims: Dims, trunc: Trunc, names, *,
-                 _spans: Optional[Dict[tuple, Terms]] = None) -> Series:
+                 _reader: Optional[SeriesReader] = None) -> Series:
     """Parse a rendered series back into a value (inverse of render_series),
     packed once at the truncation ``trunc``.  A term ``trunc`` does not keep
-    is refused, not dropped.  ``_spans`` is the convolution memo of
-    ``_Parser``, which ``parse_report`` shares across a report's lines in
-    one name triple; by default each call has its own."""
-    m, mn = dims.m, dims.m + dims.n
-    spans = {} if _spans is None else _spans
-    terms = {((exps[:m], exps[m:mn], exps[mn:]), expr): c
-             for (exps, expr), c in _Parser(text, dims, names, spans).parse().items()}
+    is refused, not dropped.  ``_reader`` is the ``SeriesReader`` of
+    ``dims`` and ``names`` that ``parse_report`` shares across a report's
+    lines in one name triple; by default each call has its own."""
+    reader = _reader if _reader is not None else SeriesReader(dims, names)
+    terms = reader.read(text)
     for (mono, expr), c in terms.items():
         if not trunc.keeps(mono):
             term = SeriesWriter().terms([((mono, expr), c)], _names(names))

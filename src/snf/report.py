@@ -11,7 +11,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import engine, noise
 from .analysis import chart_expectation, ssm_parametrisation, revert
-from .render import ParseError, SeriesWriter, new_names as _new_names, parse_series
+from .render import (ParseError, SeriesReader, SeriesWriter, new_names as _new_names,
+                     parse_series)
 from .series import Series
 from .systems import NormalForm, Policy, SystemSpec
 
@@ -98,16 +99,21 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
     sections: Dict[str, Dict[str, Series]] = {}
     header_line: Dict[str, int] = {}
     seen: Dict[Tuple[str, str], int] = {}    # (section, lhs) -> its line
-    spans: Dict[tuple, dict] = {}            # names -> its convolution memo
+    readers: Dict[tuple, SeriesReader] = {}  # names -> its reader
+    tops: Dict[tuple, int] = {}              # noise product -> its top index
 
     def read(lineno: int, rhs: str, names) -> Series:
+        reader = readers.get(names)
+        if reader is None:
+            reader = readers[names] = SeriesReader(spec.dims, names)
         try:
-            series = parse_series(rhs, spec.dims, spec.trunc, names,
-                                  _spans=spans.setdefault(names, {}))
+            series = parse_series(rhs, spec.dims, spec.trunc, names, _reader=reader)
         except ParseError as exc:
             raise ReportError(f"report line {lineno}: {exc}") from exc
         for (_mono, expr), _c in series.terms.items():
-            k = max(noise.symbols_of(expr), default=-1)
+            k = tops.get(expr)
+            if k is None:
+                k = tops[expr] = max(noise.symbols_of(expr), default=-1)
             if k >= spec.n_noise:
                 raise ReportError(f"report line {lineno}: noise index {k} is out of "
                                   f"range for {spec.n_noise} noise(s) in {rhs!r}")

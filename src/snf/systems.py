@@ -122,22 +122,26 @@ class SystemSpec:
                             raise SystemDefinitionError(
                                 f"fast rhs {idx}: bare linear fast term belongs in B",
                                 (which, idx))
-                    # A parameter-free slow term with a fast variable, of grade
-                    # at most 1 in the truncation's own grading (a bare y; x*y
-                    # or y^2 under grade_fast off), is one construct cannot clear.
+                    # A parameter-free term with a fast variable is one
+                    # construct cannot clear when, in the truncation's own
+                    # grading, a slow term is of grade at most 1 (a bare y;
+                    # x*y or y^2 under grade_fast off) or a fast one of grade
+                    # 0 (y^2 under grade_fast off).
                     tg = self.trunc.grade_of(mono)
-                    if (which == "slow" and expr == noise.ONE and sum(mono[2]) == 0
-                            and sum(mono[1]) and tg <= 1):
+                    if (expr == noise.ONE and sum(mono[2]) == 0 and sum(mono[1])
+                            and tg <= (1 if which == "slow" else 0)):
                         if g == 1:
                             what = "bare fast-variable coupling"
                         else:
                             term = render_series(
                                 Series(self.dims, self.trunc, {(mono, noise.ONE): 1}),
                                 (self.slow_names, self.fast_names, self.param_names))
-                            what = (f"fast-variable coupling {term} "
+                            kind = "coupling" if which == "slow" else "term"
+                            what = (f"fast-variable {kind} {term} "
                                     f"(grade {tg} under grade_fast off)")
+                        fault = "has no slow time scale" if which == "slow" else "is not small"
                         raise SystemDefinitionError(
-                            f"slow rhs {idx}: {what} has no slow time scale; "
+                            f"{which} rhs {idx}: {what} {fault}; "
                             "weight it by a small parameter", (which, idx))
 
     def linear_xdot(self) -> List[Series]:

@@ -2,6 +2,8 @@
 
 import hashlib
 import os
+import re
+from collections import Counter
 from dataclasses import replace
 import subprocess
 import sys
@@ -9,11 +11,11 @@ import sys
 import pytest
 
 from conftest import bundled_text, make_system
-from snf import report
+from snf import render, report
 from snf.analysis import AnalysisError, expected_series, revert, ssm_parametrisation
 from snf.cli import EXIT_CERT, main
 from snf.engine import construct, verify_order
-from snf.render import ParseError, parse_series, parse_series_for
+from snf.render import ParseError, SeriesReader, parse_series, parse_series_for
 from snf.report import (ReportError, emit_report, parse_report, rebuild_normal_form,
                         verify_report)
 from snf.series import Series
@@ -122,9 +124,44 @@ def test_report_lines_with_repeated_spans_parse_as_each_line_alone(toy5):
         assert got == want and (got._num, got._den) == (want._num, want._den), lhs
 
 
+def _pieces(rhs):
+    """The monomial and noise texts of the terms of one written line."""
+    out = []
+    for term in re.split(r" [+-] ", rhs.removeprefix("-")):
+        body = re.sub(r"^\d+(/\d+)?(\*|$)", "", term)
+        at = re.search(r"phi\[|Z\[", body)
+        out += [body] if at is None else [body[:at.start()].removesuffix("*"),
+                                          body[at.start():]]
+    return [piece for piece in out if piece]
+
+
+@pytest.mark.parametrize("system", ["toy5", "pk3", "toy3_noanticipate"])
+def test_each_distinct_piece_reaches_the_descent_once_per_name_triple(
+        system, request, monkeypatch):
+    # parse_report reads each distinct monomial text and noise text of a
+    # name triple through _Parser once, and no line whole
+    nf = request.getfixturevalue(system)
+    spec, text = nf.spec, emit_report(nf)
+    parsed = []
+
+    class Counted(render._Parser):
+        def __init__(self, piece, reader):
+            parsed.append((tuple(reader.symbols), piece))
+            super().__init__(piece, reader)
+
+    monkeypatch.setattr(render, "_Parser", Counted)
+    parse_report(text, spec)
+    want = {(tuple(n for group in names for n in group), piece)
+            for _ln, rhs, names in _report_lines(text, spec).values()
+            for piece in _pieces(rhs)}
+    assert Counter(parsed).most_common(1)[0][1] == 1
+    assert set(parsed) == want
+
+
 def test_reports_parsed_one_after_another_each_give_their_own(toy5, pk3, toy3_noanticipate):
-    # the span memo lives for one parse_report call: a report parsed after
-    # another (other dims, other truncation or the same names) reads alone
+    # the readers' memos live for one parse_report call: a report parsed
+    # after another (other dims, other truncation or the same names) reads
+    # alone
     for nf in (toy5, pk3, toy3_noanticipate, toy5):
         spec, text = nf.spec, emit_report(nf)
         sections = parse_report(text, spec).sections
@@ -133,18 +170,19 @@ def test_reports_parsed_one_after_another_each_give_their_own(toy5, pk3, toy3_no
 
 
 def test_a_variable_inside_a_convolution_is_refused_at_every_occurrence(toy5):
-    # a refused span is never stored, so a line that repeats it is refused
-    # with the same message as the first
+    # a refused span or piece is never stored, so a line that repeats it is
+    # refused with the same message as the first
     spec = toy5.spec
     names = (("X",), ("Y",), spec.param_names)
     text = "phi[0]*Z[-1]{ X*phi[0] } + sigma*Z[-1]{ X*phi[0] }"
     message = f"variable 'X' inside a convolution in {text!r}"
-    spans = {}
+    reader = SeriesReader(spec.dims, names)
     for _ in range(2):
         with pytest.raises(ParseError) as exc:
-            parse_series(text, spec.dims, spec.trunc, names, _spans=spans)
+            parse_series(text, spec.dims, spec.trunc, names, _reader=reader)
         assert str(exc.value) == message
-    assert spans == {}
+    assert reader.spans == {}
+    assert not [piece for piece in reader.pieces if "Z[" in piece]
     # in a report, once the lines before it have filled the memo
     report_text = emit_report(toy5)
     (ln, rhs, _n), = [v for (section, lhs), v in _report_lines(report_text, spec).items()

@@ -264,6 +264,43 @@ def test_a_coupling_weighted_by_a_parameter_passes_under_grade_fast_off(
     assert main(["derive", str(p)]) == EXIT_OK
 
 
+GRADE_FAST_OFF_FAST = """slow x
+fast y
+param e
+noise 1
+A 0
+B -1
+order 3
+grade_fast off
+eq x: e*x*y
+eq y: -y + {fast} + x^2 + e*phi1
+"""
+
+
+@pytest.mark.parametrize("fast,term", [
+    # grade 0 in the truncation's grading: derive ran past 30 s
+    ("y^2", "y^2"),
+    ("2*y^3", "y^3"),
+])
+def test_a_fast_term_of_grade_0_under_grade_fast_off_exits_2(tmp_path, capsys,
+                                                             fast, term):
+    p = tmp_path / "bad.snf"
+    p.write_text(GRADE_FAST_OFF_FAST.format(fast=fast))
+    assert main(["derive", str(p)]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: line 10: fast rhs 0: fast-variable term {term} (grade 0 under "
+        "grade_fast off) is not small; weight it by a small parameter\n")
+
+
+@pytest.mark.parametrize("fast", ["x*y", "e*y^2"])
+def test_a_fast_term_of_grade_1_passes_under_grade_fast_off(tmp_path, capsys, fast):
+    p = tmp_path / "ok.snf"
+    p.write_text(GRADE_FAST_OFF_FAST.format(fast=fast))
+    out = tmp_path / "r.txt"
+    assert main(["derive", str(p), "--out", str(out)]) == EXIT_OK
+    assert main(["verify", str(p), str(out)]) == EXIT_OK
+
+
 def test_cap_on_an_undeclared_parameter_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.snf"
     p.write_text(SYSTEM + "cap q 2\n")
@@ -291,6 +328,9 @@ def test_cap_on_an_undeclared_parameter_exits_2(tmp_path, capsys):
     (["hopf", "--beta", "nan"], "argument --beta: need a finite number, got 'nan'"),
     (["hopf", "--sigma", "inf"], "argument --sigma: need a finite number, got 'inf'"),
     (["hopf", "--delta", "nan"], "argument --delta: need a finite number, got 'nan'"),
+    # a threshold no z can meet: every gate failed (exit 4)
+    (["compare", "--tol-se", "0"], "--tol-se: need a positive number of standard errors, got 0"),
+    (["compare", "--tol-se=-1"], "--tol-se: need a positive number of standard errors, got -1"),
 ])
 def test_malformed_arguments_exit_2(toy_path, capsys, argv, message):
     if argv[0] != "hopf":

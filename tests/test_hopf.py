@@ -7,6 +7,7 @@ import pytest
 
 import snf.hopf
 from snf.bands import band_component
+from snf.cli import EXIT_OK, main
 from snf.hopf import (AmplitudeDrivers, fit_growth_rate, landau_rhs,
                       mathieu_growth, reconstruct_x1, simulate_amplitude,
                       simulate_amplitude_longtime, simulate_dvdp)
@@ -159,6 +160,17 @@ def test_mathieu_growth_rates():
     assert abs(res["full"] - 0.1) < 0.01
     res0 = mathieu_growth(0.05, 0.0)
     assert abs(res0["model"] - 0.025) < 1e-3
+
+
+def test_mathieu_predicts_the_growth_at_a_negative_sigma(capsys):
+    # the pair's real and imaginary parts grow at beta/2 +- sigma/4, so the
+    # faster of the two sets the rate whatever the sign of sigma
+    res = mathieu_growth(0.05, -0.3)
+    assert res["predicted"] == 0.5 * 0.05 + 0.25 * 0.3
+    assert abs(res["model"] - res["predicted"]) < 0.002
+    assert abs(res["full"] - res["predicted"]) < 0.01
+    assert main(["hopf", "--sigma", "-0.3", "--replicates", "1"]) == EXIT_OK
+    assert "predicted 0.10000" in capsys.readouterr().out
 
 
 def test_band_driver_independence():

@@ -1,5 +1,5 @@
 """The series writer: the one renderer of series and noise text, and the
-memos it keeps for one report."""
+memos it keeps for one report; the series reader that mirrors it."""
 
 import gc
 from fractions import Fraction
@@ -13,8 +13,8 @@ import snf.series
 from conftest import make_system
 from snf import noise
 from snf.engine import construct
-from snf.render import SeriesWriter, render_noise, render_series
-from snf.report import emit_report
+from snf.render import SeriesReader, SeriesWriter, _Parser, render_noise, render_series
+from snf.report import emit_report, parse_report
 from snf.series import Series
 from snf.systems import ALLOW
 from test_noise import atoms
@@ -129,8 +129,9 @@ _ALGEBRA_TABLES = {"_EXPRS", "_NOISE_IDS", "_MERGED", "_DIFFS", "_LAYOUTS"}
 
 def _shared_state():
     """The size of each container held by snf.render, snf.series or the
-    writer class, but for the algebra's tables; any other value by id."""
-    holders = (vars(snf.render), vars(snf.series), vars(SeriesWriter))
+    writer or reader class, but for the algebra's tables; any other value by
+    id."""
+    holders = (vars(snf.render), vars(snf.series), vars(SeriesWriter), vars(SeriesReader))
     return [{name: len(v) if isinstance(v, (dict, list, set)) else id(v)
              for name, v in held.items() if name not in _ALGEBRA_TABLES}
             for held in holders]
@@ -144,3 +145,73 @@ def test_emit_report_leaves_no_memo_behind():
     assert not [o for o in gc.get_objects() if isinstance(o, SeriesWriter)]
     assert _shared_state() == before
     assert emit_report(nf) == first
+
+
+def test_parse_report_leaves_no_reader_behind():
+    nf = construct(make_system("toy.snf", total=4), ALLOW)
+    text = emit_report(nf)
+    before = _shared_state()
+    first = parse_report(text, nf.spec).sections
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, SeriesReader)]
+    assert _shared_state() == before
+    assert parse_report(text, nf.spec).sections == first
+
+
+# -- the reader against the descent -------------------------------------------
+
+def _outcome(read, text):
+    try:
+        return "terms", list(read(text).items())
+    except Exception as exc:  # the type and text must agree too
+        return type(exc).__name__, str(exc)
+
+
+def _descent(text, names):
+    """The whole line through _Parser, keyed as the reader keys it."""
+    m, mn = DIMS.m, DIMS.m + DIMS.n
+    return {((e[:m], e[m:mn], e[mn:]), x): c
+            for (e, x), c in _Parser(text, SeriesReader(DIMS, names)).parse().items()}
+
+
+# pieces the writer never writes: parentheses, other spacing, sums inside
+# braces, glued powers, repeated and zero terms, numbers and noise out of
+# place, variables under a kernel, and text that does not parse
+_FOREIGN = ["(x + y)*phi[0]", "(x)", "x  + y", "x +  y", " x", "x ", "x * phi[0]",
+            "Z[-1]{ phi[0] - phi[1] }", "Z[-1]{ phi[0]+phi[1] }", "3/2^2*x", "2^2*x",
+            "3/4/5*y", "x + x", "x - x", "0*x", "0", "x*0", "x*2", "2*3*x", "1*x",
+            "phi[0]*x", "phi[0]*sigma*Z[+1]{ phi[1] }", "Z[-1]{ x*phi[0] }",
+            "Z[-1]{ sigma*phi[0] }", "Z[-1]{ Z[+2]{ phi[0] } }", "Z[0]{ phi[0] }",
+            "Z[ -1 ]{ phi[0] }", "x*-y", "--x", "+x", "x + -y", "-", "", "*phi[0]",
+            "3*", "3**x", "x*", "x*phi[0]*y", "1/0*x", "x/0", "x/2*phi[0]", "y^2^3",
+            "xphi[0]", "xZ[-1]{ phi[0] }", "q", "x^5", "x]", "2/4*x", "x - + y",
+            "Z[-1]{ phi[0]+phi[1] } + Z[-1]{ phi[1] }", "(x+y)*phi[0] - x*phi[0]",
+            "Z[-1]{ phi[1] } - Z[-1]{ phi[0]+phi[1] }", "x*phi[0] + (x+y)*phi[0]",
+            "(x+y)*phi[0] + y*Z[-1]{ phi[0] }"]
+
+
+# ways to splice a foreign piece into a rendered line
+_SPLICES = [lambda line, piece: piece,
+            lambda line, piece: f"{line} + {piece}",
+            lambda line, piece: f"{line} - {piece}",
+            lambda line, piece: f"{piece} + {line}",
+            lambda line, piece: f"{piece}*{line}",
+            lambda line, piece: f"({line}) - {piece}",
+            lambda line, piece: f"{line.replace(' + ', '  + ', 1)} + {piece}",
+            lambda line, piece: f"{piece} - {line.replace(' - ', ' -  ', 1)}",
+            lambda line, piece: f"{line} + {piece} + {line}"]
+
+
+@given(report_lines(), st.integers(0, len(_SPLICES) - 1))
+@settings(max_examples=60, deadline=None)
+def test_the_reader_gives_the_descents_terms_and_errors(lines, turn):
+    # one reader per name triple across all lines, as parse_report keeps
+    # it: what it stored for one line must not change the next
+    for names in (NEW_NAMES, NAMES):
+        reader = SeriesReader(DIMS, names)
+        rendered = [SeriesWriter().series(s, names) for s in lines]
+        foreign = [_SPLICES[(i + turn) % len(_SPLICES)](rendered[0], piece)
+                   for i, piece in enumerate(_FOREIGN)]
+        for text in rendered + foreign + rendered:
+            assert _outcome(reader.read, text) == \
+                _outcome(lambda t: _descent(t, names), text), text
