@@ -1,14 +1,15 @@
 """Command-line pipeline: derive / verify / simulate / compare / hopf.
 
-Exit codes: 0 success, 2 parse or configuration error, 3 certification,
-analysis or noise-calculus failure, 4 tolerance failure or diverged
-replicates.
+Exit codes: 0 success, 2 parse, configuration or file error, 3
+certification, analysis or noise-calculus failure, 4 tolerance failure or
+diverged replicates.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -41,7 +42,8 @@ def _policy(args, sf) -> Policy:
 
 
 def _load(args):
-    spec, sf = load_system(args.system)
+    with open(args.system) as fh:
+        spec, sf = load_system(fh.read(), label=os.path.basename(args.system))
     if args.order is not None:
         if args.order < 1:
             raise SysFileError(f"--order: must be at least 1, got {args.order}")
@@ -386,6 +388,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (SysFileError, ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # a file named on the command line that cannot be read or written
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE
     except engine.ConvergenceError as exc:
         print(f"certification error: {exc}", file=sys.stderr)

@@ -16,10 +16,11 @@ rendering.  The memos live and die with the writer: the module keeps none.
 Text is read back by its mirror, a ``SeriesReader`` per name triple.  It
 splits a line at the writer's " + " and " - " joins and each term into its
 magnitude, its monomial text and its noise text, and reads each distinct
-text once, by the recursive descent ``_Parser``; ``parse_report`` reads a
-whole report's lines in one triple through one reader.  A line the split
-cannot read whole goes through the descent as it stands, so values and
-errors are the descent's.  The reader's memos, too, live and die with it.
+monomial and noise text once, by the recursive descent ``_Parser``;
+``parse_report`` reads a whole report's lines in one triple through one
+reader.  A line the split cannot read whole goes through the descent as it
+stands, so values and errors are the descent's.  The reader's one memo,
+too, lives and dies with it.
 """
 
 from __future__ import annotations
@@ -236,11 +237,12 @@ def _product(a: Terms, b: Terms) -> Terms:
 
 class TermParser:
     """Recursive descent over term dicts, shared by report lines and the
-    ``.snf`` equations; a subclass supplies ``atom`` and ``inverse``, the
-    term dict of ``1/f`` for a divisor ``f``.
+    ``.snf`` equations; a subclass supplies ``name``, the atom a name token
+    starts, and ``inverse``, the term dict of ``1/f`` for a divisor ``f``.
 
     Grammar: expr := ('+'|'-')* term (('+'|'-') term)*;
-    term := factor (('*'|'/') factor)*;  factor := '-' factor | atom ('^' int)?.
+    term := factor (('*'|'/') factor)*;  factor := '-' factor | atom ('^' int)?;
+    atom := number | '(' expr ')' | name ...
     """
 
     def __init__(self, text: str, width: int):
@@ -300,11 +302,19 @@ class TermParser:
                 raise ParseError(f"chained '^' needs parentheses in {self.text!r}")
         return s
 
-    def paren(self) -> Terms:
-        self.take("lparen")
-        s = self.expr()
-        self.take("rparen")
-        return s
+    def atom(self) -> Terms:
+        kind, val = self.peek()
+        if kind == "num":
+            c = self._number()
+            return {self.one: c} if c else {}
+        if kind == "lparen":
+            self.take("lparen")
+            s = self.expr()
+            self.take("rparen")
+            return s
+        if kind != "name":
+            raise ParseError(f"unexpected {val!r} in {self.text!r}")
+        return self.name(self.take("name"))
 
     def _number(self) -> Union[int, Fraction]:
         """An integer or p/q token with a non-zero q."""
@@ -324,20 +334,14 @@ class TermParser:
 
 
 class _Parser(TermParser):
-    """Report lines: atom := number | name | phi[idx] | Z[rate]{ expr } |
-    '(' expr ')'; division only by non-zero rationals.
-
-    The reader's ``spans`` maps each outermost convolution already read in
-    its names, as ``(mu, tokens from its '{' to its '}')``, to its terms.  A
-    span met again is looked up, not parsed: its tokens alone fix its terms,
-    and only a span that parsed is stored, so a refused one is refused every
-    time."""
+    """Report lines in the names of ``reader``: a name atom is a declared
+    name, phi[idx] or Z[rate]{ expr }; division only by non-zero rationals.
+    A name other than a parameter is refused under a kernel."""
 
     def __init__(self, text: str, reader: "SeriesReader"):
         super().__init__(text, reader.width)
         self.conv_depth = 0
-        self.symbols, self.spans = reader.symbols, reader.spans
-        self.close = _brace_pairs(self.tokens) if "{" in text else {}
+        self.symbols = reader.symbols
 
     def inverse(self, f: Terms) -> Terms:
         c = f.get(self.one, 0) if len(f) == 1 else 0
@@ -345,44 +349,25 @@ class _Parser(TermParser):
             raise ParseError("division only by non-zero rationals")
         return {self.one: Fraction(1) / c}
 
-    def atom(self) -> Terms:
-        kind, val = self.peek()
-        if kind == "num":
-            c = self._number()
-            return {self.one: c} if c else {}
-        if kind == "lparen":
-            return self.paren()
-        if kind == "name":
-            name = self.take("name")
-            if name == "phi" and self.peek()[0] == "lbrack":
-                self.take("lbrack")
-                k = self._int()
-                self.take("rbrack")
-                return {(self.one[0], (noise.phi_atom(k),)): 1}
-            if name == "Z" and self.peek()[0] == "lbrack":
-                self.take("lbrack")
-                mu = self._rate()
-                self.take("rbrack")
-                end = self.close.get(self.k)
-                if self.conv_depth or end is None:
-                    return self.conv(mu)
-                key = (mu, tuple(self.tokens[self.k:end + 1]))
-                terms = self.spans.get(key)
-                if terms is None:
-                    terms = self.spans[key] = self.conv(mu)
-                else:
-                    self.k = end + 1
-                # a copy, as the caller adds into it
-                return dict(terms)
-            if name in self.symbols:
-                part, unit = self.symbols[name]
-                if part != 2 and self.conv_depth:
-                    # Only noise and constant parameters lie under a kernel.
-                    raise ParseError(f"variable {name!r} inside a convolution "
-                                     f"in {self.text!r}")
-                return {(unit, ONE): 1}
-            raise ParseError(f"unknown symbol {name!r} in {self.text!r}")
-        raise ParseError(f"unexpected {val!r} in {self.text!r}")
+    def name(self, name: str) -> Terms:
+        if name == "phi" and self.peek()[0] == "lbrack":
+            self.take("lbrack")
+            k = self._int()
+            self.take("rbrack")
+            return {(self.one[0], (noise.phi_atom(k),)): 1}
+        if name == "Z" and self.peek()[0] == "lbrack":
+            self.take("lbrack")
+            mu = self._rate()
+            self.take("rbrack")
+            return self.conv(mu)
+        if name in self.symbols:
+            part, unit = self.symbols[name]
+            if part != 2 and self.conv_depth:
+                # Only noise and constant parameters lie under a kernel.
+                raise ParseError(f"variable {name!r} inside a convolution "
+                                 f"in {self.text!r}")
+            return {(unit, ONE): 1}
+        raise ParseError(f"unknown symbol {name!r} in {self.text!r}")
 
     def conv(self, mu) -> Terms:
         """``{ expr }`` after ``Z[mu]``: Z[mu] of each term of ``expr``."""
@@ -408,18 +393,6 @@ class _Parser(TermParser):
         return mu
 
 
-def _brace_pairs(tokens) -> Dict[int, int]:
-    """The index of the '}' that closes each '{' token, where one does."""
-    close: Dict[int, int] = {}
-    opened: List[int] = []
-    for i, (kind, _) in enumerate(tokens):
-        if kind == "lbrace":
-            opened.append(i)
-        elif kind == "rbrace" and opened:
-            close[opened.pop()] = i
-    return close
-
-
 # A term as SeriesWriter writes it: a magnitude p or p/q, then '*' and its
 # factors or nothing; the line's terms are joined by " + " and " - ".
 _JOIN = re.compile(r" ([+-]) ")
@@ -431,9 +404,9 @@ class SeriesReader:
     """Series text in one name triple, read as ``SeriesWriter`` writes it:
     a line splits at its " + " and " - " joins, each term into its
     magnitude, its monomial text (the factors before the first ``phi[`` or
-    ``Z[``) and its noise text (the rest).  Each distinct magnitude,
-    monomial text and noise text is read once per reader, a text by
-    ``_Parser`` as one term; each later occurrence is looked up.
+    ``Z[``) and its noise text (the rest).  Each distinct monomial text and
+    noise text is read once per reader, by ``_Parser`` as one term, into the
+    reader's one memo, ``pieces``; each later occurrence is looked up.
 
     A line the split cannot read whole, as terms with distinct keys whose
     pieces each parse as one term, goes through ``_Parser`` as it stands: a
@@ -449,28 +422,19 @@ class SeriesReader:
         # each name's part and flat unit exponents
         self.symbols = {name: (part, tuple(int(i == first[part] + k) for i in range(width)))
                         for name, (part, k) in name_index(names).items()}
-        # _Parser's convolution memo, for the misses and the whole lines
-        self.spans: Dict[tuple, Terms] = {}
         self.zero = (0,) * width
         # each factor text read: (flat exponents, noise product, coefficient)
         # when it is one term, else its term dict
         self.pieces: Dict[str, Union[tuple, Terms]] = {"": (self.zero, ONE, 1)}
-        self.magnitudes: Dict[str, Union[int, Fraction]] = {}
-        self.monos: Dict[Tuple[int, ...], Mono] = {}
 
     def read(self, text: str) -> Dict[Tuple[Mono, Expr], Union[int, Fraction]]:
         """The terms of ``text``, keyed by (monomial, noise product)."""
         flat = self._split(text)
         if flat is None:
             flat = _Parser(text, self).parse()
-        monos, cut, cut2 = self.monos, *self.cuts
-        out = {}
-        for (exps, expr), c in flat.items():
-            mono = monos.get(exps)
-            if mono is None:
-                mono = monos[exps] = (exps[:cut], exps[cut:cut2], exps[cut2:])
-            out[(mono, expr)] = c
-        return out
+        cut, cut2 = self.cuts
+        return {((exps[:cut], exps[cut:cut2], exps[cut2:]), expr): c
+                for (exps, expr), c in flat.items()}
 
     def _split(self, text: str) -> Optional[Terms]:
         """The terms of ``text`` read term by term, or None when the split
@@ -480,7 +444,7 @@ class SeriesReader:
         negative = head[:1] == "-"
         if negative:
             parts[0] = head[1:]
-        piece, magnitudes, zero = self._piece, self.magnitudes, self.zero
+        piece, zero = self._piece, self.zero
         out: Terms = {}
         for i in range(0, len(parts), 2):
             if i:
@@ -492,12 +456,10 @@ class SeriesReader:
             if m is None:
                 c, rest = 1, term
             else:
-                c = magnitudes.get(m[1])
-                if c is None:
-                    p, _, q = m[1].partition("/")
-                    if not int(p) or (q and not int(q)):
-                        return None
-                    c = magnitudes[m[1]] = Fraction(int(p), int(q)) if q else int(p)
+                p, _, q = m[1].partition("/")
+                if not int(p) or (q and not int(q)):
+                    return None
+                c = Fraction(int(p), int(q)) if q else int(p)
                 rest = term[m.end():]
             n = _NOISE_START.search(rest)
             if n is None:

@@ -100,7 +100,6 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
     header_line: Dict[str, int] = {}
     seen: Dict[Tuple[str, str], int] = {}    # (section, lhs) -> its line
     readers: Dict[tuple, SeriesReader] = {}  # names -> its reader
-    tops: Dict[tuple, int] = {}              # noise product -> its top index
 
     def read(lineno: int, rhs: str, names) -> Series:
         reader = readers.get(names)
@@ -110,10 +109,8 @@ def parse_report(text: str, spec: SystemSpec) -> ParsedReport:
             series = parse_series(rhs, spec.dims, spec.trunc, names, _reader=reader)
         except ParseError as exc:
             raise ReportError(f"report line {lineno}: {exc}") from exc
-        for (_mono, expr), _c in series.terms.items():
-            k = tops.get(expr)
-            if k is None:
-                k = tops[expr] = max(noise.symbols_of(expr), default=-1)
+        for expr in series.noise_products():
+            k = max(noise.symbols_of(expr), default=-1)
             if k >= spec.n_noise:
                 raise ReportError(f"report line {lineno}: noise index {k} is out of "
                                   f"range for {spec.n_noise} noise(s) in {rhs!r}")

@@ -370,6 +370,11 @@ class Series:
                 for k, v in self._num.items()})
         return view
 
+    def noise_products(self) -> List[Expr]:
+        """Each distinct noise product of the terms, in term order, read off
+        the packed keys."""
+        return [_EXPRS[i] for i in dict.fromkeys(k & _NOISE_MASK for k in self._num)]
+
     # -- constructors -------------------------------------------------------
 
     @classmethod

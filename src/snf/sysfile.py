@@ -23,9 +23,11 @@ right-hand side.
 
 An equation is read by the report parser's recursive descent
 (``render.TermParser``: ``+ - * /``, parentheses, numbers and one integer
-exponent per ``^``) with atoms of its own: declared names, the noise
-symbols ``phi1 .. phiK`` and ``sqrt(<rescale>)``.  A divisor is a non-zero
-number or, under ``rescale``, one noise-free term in that parameter.
+exponent per ``^``) with name atoms of its own: declared names, the noise
+symbols ``phi1 .. phiK`` and ``sqrt(<rescale>)``.  A declared name of the
+form ``phiN`` is refused on its line: the equations would read it as noise.
+A divisor is a non-zero number or, under ``rescale``, one noise-free term
+in that parameter.
 
 ``rescale <param>`` declares a singular-perturbation system written in slow
 time: the loader multiplies every right-hand side by the parameter (the fast
@@ -105,6 +107,8 @@ def _at_least(least: int, text: str, ln: int, what: str) -> int:
 
 # Declarations a file makes at most once; 'cap <p>' and 'eq <var>' once per name.
 _SINGLE = {"noise", "order", "grade_fast", "policy", "mu_min", "rescale", "noise_scale"}
+# the noise symbols phi1 .. phiK of the equations; no declared name has this form
+_NOISE_NAME = re.compile(r"phi([0-9]+)")
 _ON_OFF = {"on": True, "true": True, "1": True, "yes": True,
            "off": False, "false": False, "0": False, "no": False}
 
@@ -128,6 +132,9 @@ def parse_sysfile(text: str, label: str = "") -> SysFile:
             sf.lines[decl] = ln
         if head in names:
             for name in rest.split():
+                if _NOISE_NAME.fullmatch(name):
+                    raise SysFileError(f"line {ln}: {head} {name!r} would read as "
+                                       "a noise symbol in the equations")
                 if name in declared:
                     kind, first = declared[name]
                     raise SysFileError(f"line {ln}: {name!r} is already declared "
@@ -177,10 +184,11 @@ def parse_sysfile(text: str, label: str = "") -> SysFile:
 
 
 class _EquationParser(TermParser):
-    """One equation's right-hand side: atom := number | name | phiN (1-based)
-    | sqrt(<rescale>) | '(' expr ')'.  Exponents run flat over the slow,
-    fast and parameter names, then one slot counts half powers of the
-    rescale parameter.  A divisor is one noise-free term in that parameter."""
+    """One equation's right-hand side: a name atom is a declared name, a
+    noise symbol phiN (1-based) or sqrt(<rescale>).  Exponents run flat over
+    the slow, fast and parameter names, then one slot counts half powers of
+    the rescale parameter.  A divisor is one noise-free term in that
+    parameter."""
 
     def __init__(self, text: str, sf: SysFile):
         names = sf.slow + sf.fast + sf.params
@@ -190,16 +198,7 @@ class _EquationParser(TermParser):
         self.half = unit(len(names))
         self.sf = sf
 
-    def atom(self) -> Terms:
-        kind, val = self.peek()
-        if kind == "num":
-            c = self._number()
-            return {self.one: c} if c else {}
-        if kind == "lparen":
-            return self.paren()
-        if kind != "name":
-            raise ParseError(f"unexpected {val!r}")
-        name = self.take("name")
+    def name(self, name: str) -> Terms:
         if name == "sqrt" and self.peek()[0] == "lparen":
             self.take("lparen")
             arg = self.take("name")
@@ -207,7 +206,7 @@ class _EquationParser(TermParser):
             if arg != self.sf.rescale:
                 raise ParseError("sqrt only of the rescale parameter")
             return {(self.half, ONE): 1}
-        m = re.fullmatch(r"phi(\d+)", name)
+        m = _NOISE_NAME.fullmatch(name)
         if m:
             k = int(m.group(1)) - 1
             if not 0 <= k < self.sf.n_noise:
@@ -326,12 +325,7 @@ def system_as_written(sf: SysFile) -> SystemSpec:
     return build_system(replace(sf, order=sys.maxsize, caps={}))
 
 
-def load_system(path_or_text, label: str = "") -> Tuple[SystemSpec, SysFile]:
-    import os
-    text = path_or_text
-    if isinstance(path_or_text, str) and "\n" not in path_or_text and os.path.exists(path_or_text):
-        label = label or os.path.basename(path_or_text)
-        with open(path_or_text) as fh:
-            text = fh.read()
+def load_system(text: str, label: str = "") -> Tuple[SystemSpec, SysFile]:
+    """The system of a ``.snf`` file's text; ``label`` names it in reports."""
     sf = parse_sysfile(text, label=label)
     return build_system(sf), sf

@@ -113,8 +113,9 @@ def _each_line_alone(text, spec):
 
 
 def test_report_lines_with_repeated_spans_parse_as_each_line_alone(toy5):
-    # parse_report reads each distinct outermost Z[mu]{ ... } once; every
-    # line still packs what parse_series packs from that line alone
+    # parse_report reads each distinct noise text, here a repeated
+    # Z[mu]{ ... }, once; every line still packs what parse_series packs
+    # from that line alone
     spec, text = toy5.spec, emit_report(toy5)
     span = "Z[-1]{ phi[0] }"
     assert sum(span in rhs for _ln, rhs, _n in _report_lines(text, spec).values()) > 1
@@ -170,8 +171,8 @@ def test_reports_parsed_one_after_another_each_give_their_own(toy5, pk3, toy3_no
 
 
 def test_a_variable_inside_a_convolution_is_refused_at_every_occurrence(toy5):
-    # a refused span or piece is never stored, so a line that repeats it is
-    # refused with the same message as the first
+    # a refused piece is never stored, so a line that repeats it is refused
+    # with the same message as the first
     spec = toy5.spec
     names = (("X",), ("Y",), spec.param_names)
     text = "phi[0]*Z[-1]{ X*phi[0] } + sigma*Z[-1]{ X*phi[0] }"
@@ -181,7 +182,6 @@ def test_a_variable_inside_a_convolution_is_refused_at_every_occurrence(toy5):
         with pytest.raises(ParseError) as exc:
             parse_series(text, spec.dims, spec.trunc, names, _reader=reader)
         assert str(exc.value) == message
-    assert reader.spans == {}
     assert not [piece for piece in reader.pieces if "Z[" in piece]
     # in a report, once the lines before it have filled the memo
     report_text = emit_report(toy5)

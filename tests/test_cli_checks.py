@@ -218,6 +218,14 @@ def test_malformed_system_file_exits_2_with_its_line(tmp_path, capsys, old, new)
     ("fast y", "fast y z", "line 6: B must list one rate per fast variable"),
     ("slow x\nfast y\nparam s\nnoise 1\nA 0\n", "slow x w\nfast y\nparam s\nnoise 1\nA 0 1\n",
      "line 5: A must be an m x m block"),
+    # a declared name the equations would read as a noise symbol: s*phi1
+    # was the noise phi[0], and the parameter phi1 went unused
+    ("param s", "param s phi1", "line 3: param 'phi1' would read as a noise symbol "
+                                "in the equations"),
+    ("fast y", "fast y phi2", "line 2: fast 'phi2' would read as a noise symbol "
+                              "in the equations"),
+    ("slow x", "slow x phi10", "line 1: slow 'phi10' would read as a noise symbol "
+                               "in the equations"),
 ])
 def test_system_file_refusal_texts(tmp_path, capsys, old, new, message):
     p = tmp_path / "bad.snf"
@@ -306,6 +314,36 @@ def test_cap_on_an_undeclared_parameter_exits_2(tmp_path, capsys):
     p.write_text(SYSTEM + "cap q 2\n")
     assert main(["derive", str(p)]) == EXIT_PARSE
     assert "undeclared parameter 'q'" in capsys.readouterr().err
+
+
+# -- files the command line names ----------------------------------------------
+
+def test_a_missing_system_file_exits_2(tmp_path, capsys):
+    # it was read as system text: "unknown declaration '<path>'"
+    missing = tmp_path / "missing.snf"
+    assert main(["derive", str(missing)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+
+def test_a_directory_as_the_system_file_exits_2(tmp_path, capsys):
+    assert main(["derive", str(tmp_path)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+
+def test_a_missing_report_exits_2(toy_path, tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["verify", toy_path, str(missing)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--order", "2"],
+    ["simulate", "--T", "0.01", "--dt", "0.01", "--replicates", "2"],
+])
+def test_an_out_file_in_a_missing_directory_exits_2(toy_path, tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.txt"
+    assert main([argv[0], toy_path, *argv[1:], "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -665,6 +703,8 @@ def test_verify_of_a_report_with_a_bad_header_line_exits_2(
     # variable under a kernel are refused, not dropped or moved out
     ("X^40", "term X^40 is outside the truncation window"),
     ("sigma*X*phi[3]", "noise index 3 is out of range for 1 noise(s)"),
+    ("Z[-1]{ phi[2] }", "noise index 2 is out of range for 1 noise(s)"),
+    ("sigma*X*phi [3]", "noise index 3 is out of range for 1 noise(s)"),
     ("Z[-1]{ X*phi[0] } - X*Z[-1]{ phi[0] }", "variable 'X' inside a convolution"),
 ])
 def test_verify_of_a_report_with_a_malformed_number_exits_2(

@@ -11,6 +11,10 @@ in its `__all__`.
 Import gate: no `src/snf` module imports scipy when it is imported itself.
 scipy is imported inside the one function that calls it.
 
+File gate: no `src/snf` module but `cli` calls `open`.  The command line
+reads and writes the files it is given; every other module takes and
+returns text.
+
 Privacy gate: no `src/snf` module imports, or reads as a module attribute,
 an underscore name of another `src/snf` module.  A name another module
 needs is public.
@@ -136,6 +140,16 @@ def test_no_module_imports_scipy_at_import_time():
              for path, tree in _trees("src/snf")
              for node in _runs_at_import(tree.body) if _imports_scipy(node)]
     assert not eager, "scipy imported at module level:\n" + "\n".join(eager)
+
+
+def test_only_the_command_line_opens_files():
+    opened = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+              for path, tree in _trees("src/snf") if path.name != "cli.py"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and (isinstance(node.func, ast.Name) and node.func.id == "open"
+                   or isinstance(node.func, ast.Attribute) and node.func.attr == "open")]
+    assert not opened, "open called outside snf.cli:\n" + "\n".join(opened)
 
 
 def _private(name):
