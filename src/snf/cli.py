@@ -11,13 +11,13 @@ import argparse
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import engine
 from .analysis import (AnalysisError, long_time_model, noise_free_part,
                        ssm_parametrisation)
 from .noise import NoiseError
+from .render import rational
 from .report import ReportError, emit_report, verify_report
 from .series import Trunc
 from .sysfile import SysFileError, load_system, system_as_written
@@ -34,16 +34,24 @@ def _policy(args, sf) -> Policy:
     mu_min = sf.mu_min
     if args.mu_min is not None:
         try:
-            mu_min = Fraction(args.mu_min)
-        except (ValueError, ZeroDivisionError):
+            mu_min = rational(args.mu_min)
+        except ValueError:
             raise SysFileError(f"--mu-min: bad rational {args.mu_min!r}")
     return Policy(anticipation=((args.policy or sf.policy) == "anticipate"),
                   mu_min=mu_min)
 
 
+def _read(path: str) -> str:
+    """The text of a file named on the command line, which must be UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise SysFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+
+
 def _load(args):
-    with open(args.system) as fh:
-        spec, sf = load_system(fh.read(), label=os.path.basename(args.system))
+    spec, sf = load_system(_read(args.system), label=os.path.basename(args.system))
     if args.order is not None:
         if args.order < 1:
             raise SysFileError(f"--order: must be at least 1, got {args.order}")
@@ -156,7 +164,7 @@ def cmd_derive(args) -> int:
     nf = _construct(spec, sf, args)
     text = emit_report(nf)
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -165,8 +173,7 @@ def cmd_derive(args) -> int:
 
 def cmd_verify(args) -> int:
     spec, _sf = _load(args)
-    with open(args.report) as fh:
-        failures = verify_report(fh.read(), spec)
+    failures = verify_report(_read(args.report), spec)
     if not failures:
         print("certified: residual clears the truncation window")
         return EXIT_OK
@@ -201,7 +208,7 @@ def cmd_simulate(args) -> int:
         return EXIT_TOL
     table = res.summary_table()
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(table)
     else:
         sys.stdout.write(table)
@@ -313,7 +320,7 @@ def cmd_hopf(args) -> int:
     print(f"mathieu growth: model {mg['model']:.5f}  full {mg['full']:.5f}  "
           f"predicted {mg['predicted']:.5f}")
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("replicate\tband0_var\tband2_var\tc_r\tc_i\n")
             for rep, v0, v2, cr, ci in rows:
                 fh.write(f"{rep}\t{v0:.10g}\t{v2:.10g}\t{cr:.10g}\t{ci:.10g}\n")

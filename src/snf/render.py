@@ -156,51 +156,27 @@ def _names(names):
 #
 # The parser's values are plain term dicts {(flat exponents, noise product):
 # coefficient}, the slow, fast and parameter exponents in one tuple and each
-# coefficient an int until a p/q token or a convolution weight makes it a
+# coefficient an int until a division or a convolution weight makes it a
 # Fraction.  parse_series packs the finished dict into one Series.
 
 Terms = Dict[Tuple[Tuple[int, ...], Expr], Union[int, Fraction]]
 _SIGNS, _MUL_DIV = (("op", "+"), ("op", "-")), (("op", "*"), ("op", "/"))
 
 # One lexeme per number, name or other non-blank character; its first
-# character gives its kind.  A number may start with a non-ASCII decimal
-# digit, which ``\d`` matches; any other character _KIND lacks is refused.
-_LEXEME = re.compile(r"\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|\S")
+# character gives its kind.  A number is an integer, so p/q is p, '/', q and
+# a division.  A number may start with a non-ASCII decimal digit, which
+# ``\d`` matches; any other character _KIND lacks is refused.
+_LEXEME = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\S")
 _KIND = {**dict.fromkeys("0123456789", "num"),
          **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "name"),
          "[": "lbrack", "]": "rbrack", "{": "lbrace", "}": "rbrace",
          "(": "lparen", ")": "rparen", **dict.fromkeys("+-*/^", "op")}
 
 
-# A p/q lexeme after '^' or '/', or before '^' (blanks between allowed):
-# there it is an integer and a division, so x^2/4 is x^2 divided by 4, x/4/5
-# is x divided by 4 and then by 5, and 3/2^2 is 3 divided by 2^2.  The
-# pattern finds every such lexeme (and a few unglued numbers, which _unglue
-# leaves as they are) in one pass over a line.
-_GLUED = re.compile(r"[\^/]\s*\d+(?:/|\s*\^)")
-
-
 def _tokenize(text: str) -> List[Tuple[str, str]]:
     kind = _KIND.get
     out = [(kind(lex[0]) or _odd_kind(lex, text), lex) for lex in _LEXEME.findall(text)]
-    if _GLUED.search(text):
-        out = _unglue(out)
     out.append(("end", ""))
-    return out
-
-
-def _unglue(tokens: List[Tuple[str, str]]) -> List[Tuple[str, str]]:
-    """``tokens`` with each p/q number after a '^' or '/' token, or before
-    a '^' token, split into p, '/', q."""
-    out: List[Tuple[str, str]] = []
-    for i, (kind, lex) in enumerate(tokens):
-        if kind == "num" and "/" in lex and (
-                out and out[-1] in (("op", "^"), ("op", "/"))
-                or tokens[i + 1:i + 2] == [("op", "^")]):
-            p, q = lex.split("/")
-            out += [("num", p), ("op", "/"), ("num", q)]
-        else:
-            out.append((kind, lex))
     return out
 
 
@@ -211,6 +187,17 @@ def _odd_kind(lex: str, text: str) -> str:
     if lex[0].isdecimal():
         return "num"
     raise ParseError(f"bad character at column {text.index(lex) + 1}: {lex!r}")
+
+
+def rational(text: str) -> Fraction:
+    """``text`` as an integer or p/q, each part read by ``int``, with a
+    non-zero q: the one rule for a rational that a system file, a report
+    header or ``--mu-min`` states.  ValueError for anything else."""
+    p, slash, q = text.partition("/")
+    try:
+        return Fraction(int(p), int(q) if slash else 1)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _product(a: Terms, b: Terms) -> Terms:
@@ -242,7 +229,10 @@ class TermParser:
 
     Grammar: expr := ('+'|'-')* term (('+'|'-') term)*;
     term := factor (('*'|'/') factor)*;  factor := '-' factor | atom ('^' int)?;
-    atom := number | '(' expr ')' | name ...
+    atom := int | '(' expr ')' | name ...
+
+    Numbers are integers and ``p/q`` is a division, so conventional
+    precedence gives x^2/4 = x^2 / 4, x/4/5 = (x / 4) / 5 and 3/2^2 = 3/4.
     """
 
     def __init__(self, text: str, width: int):
@@ -305,7 +295,7 @@ class TermParser:
     def atom(self) -> Terms:
         kind, val = self.peek()
         if kind == "num":
-            c = self._number()
+            c = self._int()
             return {self.one: c} if c else {}
         if kind == "lparen":
             self.take("lparen")
@@ -316,21 +306,9 @@ class TermParser:
             raise ParseError(f"unexpected {val!r} in {self.text!r}")
         return self.name(self.take("name"))
 
-    def _number(self) -> Union[int, Fraction]:
-        """An integer or p/q token with a non-zero q."""
-        p, _, q = self.take("num").partition("/")
-        if not q:
-            return int(p)
-        if not int(q):
-            raise ParseError(f"zero denominator in {p}/{q} in {self.text!r}")
-        return Fraction(int(p), int(q))
-
     def _int(self) -> int:
-        """An integer token: an exponent or a noise index."""
-        val = self.take("num")
-        if "/" in val:
-            raise ParseError(f"expected an integer, got {val} in {self.text!r}")
-        return int(val)
+        """An integer token: a number, an exponent or a noise index."""
+        return int(self.take("num"))
 
 
 class _Parser(TermParser):
@@ -346,7 +324,7 @@ class _Parser(TermParser):
     def inverse(self, f: Terms) -> Terms:
         c = f.get(self.one, 0) if len(f) == 1 else 0
         if not c:
-            raise ParseError("division only by non-zero rationals")
+            raise ParseError(f"division only by non-zero rationals in {self.text!r}")
         return {self.one: Fraction(1) / c}
 
     def name(self, name: str) -> Terms:
@@ -383,14 +361,22 @@ class _Parser(TermParser):
         return out
 
     def _rate(self) -> Union[int, Fraction]:
+        """A convolution rate, ('+'|'-')* int ('/' int)?: the one place the
+        descent reads p/q as a rational, not as a division."""
         sign = 1
         while self.peek() in _SIGNS:
             if self.take("op") == "-":
                 sign = -sign
-        mu = sign * self._number()
-        if mu == 0:
+        mu = self._int()
+        if self.peek() == ("op", "/"):
+            self.take("op")
+            q = self._int()
+            if not q:
+                raise ParseError(f"zero denominator in {mu}/{q} in {self.text!r}")
+            mu = Fraction(mu, q)
+        if not mu:
             raise ParseError(f"convolution rate must be non-zero in {self.text!r}")
-        return mu
+        return sign * mu
 
 
 # A term as SeriesWriter writes it: a magnitude p or p/q, then '*' and its

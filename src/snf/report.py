@@ -6,13 +6,12 @@ section table, ``_layout``."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import engine, noise
 from .analysis import chart_expectation, ssm_parametrisation, revert
 from .render import (ParseError, SeriesReader, SeriesWriter, new_names as _new_names,
-                     parse_series)
+                     parse_series, rational)
 from .series import Series
 from .systems import NormalForm, Policy, SystemSpec
 
@@ -56,8 +55,8 @@ def header_policy(header: Dict[str, str]) -> Policy:
     if label not in ("anticipate", "no-anticipate"):
         raise ValueError(f"report header policy {label!r} is not anticipate|no-anticipate")
     try:
-        return Policy(anticipation=(label == "anticipate"), mu_min=Fraction(mu_min))
-    except (TypeError, ValueError, ZeroDivisionError):
+        return Policy(anticipation=(label == "anticipate"), mu_min=rational(mu_min or ""))
+    except ValueError:
         raise ValueError(f"report header mu_min {mu_min!r} is not a rational")
 
 

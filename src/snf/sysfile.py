@@ -22,8 +22,8 @@ everything else in an equation is collected into the nonlinear/noisy
 right-hand side.
 
 An equation is read by the report parser's recursive descent
-(``render.TermParser``: ``+ - * /``, parentheses, numbers and one integer
-exponent per ``^``) with name atoms of its own: declared names, the noise
+(``render.TermParser``: ``+ - * /``, parentheses, integers, so that
+``p/q`` is a division, and one integer exponent per ``^``) with name atoms of its own: declared names, the noise
 symbols ``phi1 .. phiK`` and ``sqrt(<rescale>)``.  A declared name of the
 form ``phiN`` is refused on its line: the equations would read it as noise.
 A divisor is a non-zero number or, under ``rescale``, one noise-free term
@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import noise
 from .noise import ONE
-from .render import ParseError, Terms, TermParser
+from .render import ParseError, Terms, TermParser, rational
 from .series import Series, Trunc
 from .systems import SystemSpec, SystemDefinitionError
 
@@ -83,11 +83,8 @@ class SysFile:
 
 def _rat(text: str, ln: int) -> Fraction:
     try:
-        if "/" in text:
-            p, q = text.split("/")
-            return Fraction(int(p), int(q))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
+        return rational(text)
+    except ValueError:
         raise SysFileError(f"line {ln}: bad rational {text!r}")
 
 

@@ -152,7 +152,7 @@ def test_a_variable_inside_a_convolution_is_refused(text):
 
 # The named-group tokenizer the one-pass lexer replaced, kept as its reference.
 _NAMED = re.compile(r"""
-    (?P<num>\d+(?:/\d+)?)
+    (?P<num>\d+)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<lbrack>\[) | (?P<rbrack>\])
   | (?P<lbrace>\{) | (?P<rbrace>\})
@@ -172,17 +172,7 @@ def _named_tokens(text):
         if kind != "ws":
             tokens.append((kind, m.group()))
     tokens.append(("end", ""))
-    out = []
-    for (kind, lex), after in zip(tokens, tokens[1:] + [None]):
-        if kind == "num" and "/" in lex and (
-                out and out[-1] in (("op", "^"), ("op", "/")) or after == ("op", "^")):
-            # after '^' or '/' a number is an integer: x^2/4 is x^2 / 4; and
-            # '^' binds before a glued p/q: 3/2^2 is 3 / 2^2
-            p, q = lex.split("/")
-            out += [("num", p), ("op", "/"), ("num", q)]
-        else:
-            out.append((kind, lex))
-    return out
+    return tokens
 
 
 def _tokens_or_error(tokenize, text):
@@ -268,6 +258,36 @@ def test_a_number_after_a_power_or_a_division_is_an_integer(glued, spaced):
     assert parse_series("y/4/5", DIMS, TR, NAMES) == Series.fast_var(DIMS, TR, 0).scale(F(1, 20))
 
 
+def _value_or_refusal(text):
+    try:
+        s = parse_series(text, DIMS, TR, NAMES)
+    except ParseError:
+        return "refused"
+    return s, s._num, s._den
+
+
+# numbers, p/q, names, '^', '*' and '/' in parentheses: a p/q stands after
+# '*', '/', '(' and at the start, before '*', '/', '^', ')' and at the end
+_WRITTEN = st.recursive(
+    st.sampled_from(["0", "1", "2", "3", "12", "1/2", "3/4", "5/3", "4/2", "0/3",
+                     "x", "y", "sigma"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("*/"), inner).map("".join),
+        st.tuples(inner, st.integers(0, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
+        inner.map(lambda t: f"({t})")),
+    max_leaves=6)
+
+
+@given(_WRITTEN)
+@settings(max_examples=300, deadline=None)
+@example("3/2^2*x")
+@example("x^2/4/5*y")
+@example("(1/2)^3*x/3/4")
+def test_a_written_fraction_reads_as_a_division_wherever_it_stands(text):
+    # the same value, packed the same way, or a refusal either way
+    assert _value_or_refusal(text) == _value_or_refusal(text.replace("/", " / "))
+
+
 @pytest.mark.parametrize("glued,spaced,value", [
     ("3/2^2*x", "3 / 2^2*x", "3/4*x"),
     ("1/2 ^3*y", "1 / 2^3*y", "1/8*y"),
@@ -283,7 +303,8 @@ def test_a_power_binds_before_a_glued_fraction(glued, spaced, value):
 
 @pytest.mark.parametrize("text", ["x/y", "x/(1 - 1)", "x/0"])
 def test_division_by_anything_but_a_nonzero_rational_is_refused(text):
-    with pytest.raises(ParseError, match=r"^division only by non-zero rationals$"):
+    with pytest.raises(ParseError, match=re.escape(
+            f"division only by non-zero rationals in {text!r}") + "$"):
         parse_series(text, DIMS, TR, NAMES)
 
 

@@ -86,6 +86,8 @@ def test_verify_rejects_a_header_order_above_the_system(toy_path, tmp_path,
     ("grade_fast: on\n", "grade_fast: off\n", "grade_fast"),
     ("policy: anticipate\n", "policy: sometimes\n", "policy"),
     ("mu_min: 0\n", "mu_min: 1/0\n", "mu_min"),
+    # a decimal is not a rational, as in a system file and --mu-min
+    ("mu_min: 0\n", "mu_min: 0.5\n", "mu_min"),
     ("mu_min: 0\n", "", "mu_min"),
 ])
 def test_verify_rejects_other_header_faults(toy_path, tmp_path, toy3_report,
@@ -330,6 +332,23 @@ def test_a_directory_as_the_system_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
 
+def test_a_system_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # it ended in a UnicodeDecodeError traceback (exit 1)
+    p = tmp_path / "bad.snf"
+    p.write_bytes(b"slow x\xff\n")
+    assert main(["derive", str(p)]) == EXIT_PARSE
+    assert capsys.readouterr().err == (f"error: {p}: not UTF-8 text "
+                                       "(invalid start byte at byte 6)\n")
+
+
+def test_a_report_that_is_not_utf8_exits_2(toy_path, tmp_path, toy3_report, capsys):
+    p = tmp_path / "report.txt"
+    p.write_bytes(toy3_report.encode() + b"# \xc3\n")
+    assert main(["verify", toy_path, "--order", "3", str(p)]) == EXIT_PARSE
+    assert capsys.readouterr().err == (f"error: {p}: not UTF-8 text (invalid "
+                                       f"continuation byte at byte {len(toy3_report) + 2})\n")
+
+
 def test_a_missing_report_exits_2(toy_path, tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     assert main(["verify", toy_path, str(missing)]) == EXIT_PARSE
@@ -369,6 +388,8 @@ def test_an_out_file_in_a_missing_directory_exits_2(toy_path, tmp_path, capsys, 
     # a threshold no z can meet: every gate failed (exit 4)
     (["compare", "--tol-se", "0"], "--tol-se: need a positive number of standard errors, got 0"),
     (["compare", "--tol-se=-1"], "--tol-se: need a positive number of standard errors, got -1"),
+    # a decimal is not a rational, as in a system file and a report header
+    (["derive", "--mu-min", "0.5"], "--mu-min: bad rational '0.5'"),
 ])
 def test_malformed_arguments_exit_2(toy_path, capsys, argv, message):
     if argv[0] != "hopf":
@@ -695,9 +716,9 @@ def test_verify_of_a_report_with_a_bad_header_line_exits_2(
     ("X^(3/2)", "unexpected '(' at token 2"),
     # one '^' per factor: X^2^3 would read as X^8 to some, (X^2)^3 to others
     ("X^2^3", "chained '^' needs parentheses"),
-    ("phi[1/2]", "expected an integer, got 1/2"),
+    ("phi[1/2]", "unexpected '/' at token 3"),
     ("Z[-1/0]{ phi[0] }", "zero denominator in 1/0"),
-    ("1/0*X", "zero denominator in 1/0"),
+    ("1/0*X", "division only by non-zero rationals"),
     ("Z[0]{ phi[0] }", "convolution rate must be non-zero"),
     # a term the truncation would drop, a noise the system lacks, and a
     # variable under a kernel are refused, not dropped or moved out

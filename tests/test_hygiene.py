@@ -142,14 +142,23 @@ def test_no_module_imports_scipy_at_import_time():
     assert not eager, "scipy imported at module level:\n" + "\n".join(eager)
 
 
+def _utf8(call):
+    return any(kw.arg == "encoding" and isinstance(kw.value, ast.Constant)
+               and kw.value.value == "utf-8" for kw in call.keywords)
+
+
 def test_only_the_command_line_opens_files():
+    # and it reads and writes UTF-8 text whatever the locale's codec
+    opens = [(path, node) for path, tree in _trees("src/snf") for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (isinstance(node.func, ast.Name) and node.func.id == "open"
+                  or isinstance(node.func, ast.Attribute) and node.func.attr == "open")]
     opened = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
-              for path, tree in _trees("src/snf") if path.name != "cli.py"
-              for node in ast.walk(tree)
-              if isinstance(node, ast.Call)
-              and (isinstance(node.func, ast.Name) and node.func.id == "open"
-                   or isinstance(node.func, ast.Attribute) and node.func.attr == "open")]
+              for path, node in opens if path.name != "cli.py"]
     assert not opened, "open called outside snf.cli:\n" + "\n".join(opened)
+    codec = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path, node in opens if not _utf8(node)]
+    assert not codec, "open without encoding=\"utf-8\":\n" + "\n".join(codec)
 
 
 def _private(name):
