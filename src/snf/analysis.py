@@ -5,7 +5,7 @@ the long-time replacement of irreducible quadratic noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -234,20 +234,16 @@ def _conditional_expectation(expr: Expr) -> Optional[Tuple[Expr, Fraction]]:
     return fut, e
 
 
-def project_initial_condition(rev: Reversion, nf: NormalForm,
-                              x0, y0, component: int = 0) -> InitialProjection:
+def project_initial_condition(rev: Reversion, nf: NormalForm, x0, y0) -> InitialProjection:
+    """The start with every slow variable at ``x0`` and every fast one at
+    ``y0``, projected onto the first slow coordinate X."""
     dims = nf.spec.dims
     base = nf.spec.trunc
-    consts_x = [Series.const(dims, base, Fraction(v)) for v in
-                (x0 if isinstance(x0, (list, tuple)) else [x0] * dims.m)]
-    consts_y = [Series.const(dims, base, Fraction(v)) for v in
-                (y0 if isinstance(y0, (list, tuple)) else [y0] * dims.n)]
-    expr = rev.X_of_xy[component].substitute(slow=consts_x, fast=consts_y)
+    expr = rev.X_of_xy[0].substitute(slow=[Series.const(dims, base, Fraction(x0))] * dims.m,
+                                     fast=[Series.const(dims, base, Fraction(y0))] * dims.n)
     # Squaring for the variance doubles the noise grade; widen the window so
     # the square of an order-N projection is computed exactly.
-    from .series import Trunc
-    trunc = Trunc(2 * base.total, tuple(None for _ in dims.params),
-                  base.count_fast)
+    trunc = replace(base, total=2 * base.total, param_caps=(None,) * len(dims.params))
     expr = expr.with_trunc(trunc)
 
     mean = expected_series(expr)

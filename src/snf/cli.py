@@ -11,15 +11,15 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from . import engine
 from .analysis import (AnalysisError, long_time_model, noise_free_part,
                        ssm_parametrisation)
 from .noise import NoiseError
-from .render import rational
+from .render import threshold
 from .report import ReportError, emit_report, verify_report
-from .series import Trunc
 from .sysfile import SysFileError, load_system, system_as_written
 from .systems import CompileError, Policy
 
@@ -34,9 +34,9 @@ def _policy(args, sf) -> Policy:
     mu_min = sf.mu_min
     if args.mu_min is not None:
         try:
-            mu_min = rational(args.mu_min)
-        except ValueError:
-            raise SysFileError(f"--mu-min: bad rational {args.mu_min!r}")
+            mu_min = threshold(args.mu_min)
+        except ValueError as exc:
+            raise SysFileError(f"--mu-min: {exc}")
     return Policy(anticipation=((args.policy or sf.policy) == "anticipate"),
                   mu_min=mu_min)
 
@@ -55,8 +55,7 @@ def _load(args):
     if args.order is not None:
         if args.order < 1:
             raise SysFileError(f"--order: must be at least 1, got {args.order}")
-        spec = spec.with_trunc(Trunc(args.order, spec.trunc.param_caps,
-                                     spec.trunc.count_fast))
+        spec = spec.with_trunc(replace(spec.trunc, total=args.order))
     return spec, sf
 
 

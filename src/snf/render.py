@@ -7,11 +7,13 @@ or p/q coefficients, powers with "^".  Term order is graded lexicographic on
 (grade, slow exponents, fast exponents, parameter exponents, noise key)
 (``series.term_sort_key``), so identical values always print identically.
 
-All text comes from one ``SeriesWriter``.  A writer renders each distinct
-noise product once, builds the noise part of its sort key once, and the
-factor text of each monomial once per name triple; ``emit_report`` writes
-a whole report through one, so a product its lines repeat costs one
-rendering.  The memos live and die with the writer: the module keeps none.
+Noise text comes from ``render_noise`` and the term order's noise part
+from ``series.noise_sort_key``, each cached per process like the other pure
+functions of an interned noise product, so a product a report repeats is
+rendered and keyed once.  Series text comes from one ``SeriesWriter``,
+which writes the factor text of each monomial once per name triple;
+``emit_report`` writes a whole report through one, and that memo lives and
+dies with the writer.
 
 Text is read back by its mirror, a ``SeriesReader`` per name triple.  It
 splits a line at the writer's " + " and " - " joins and each term into its
@@ -27,13 +29,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from operator import add
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import noise
 from .noise import Expr, ONE
-from .series import Dims, Mono, Series, Trunc, name_index, noise_sort_key, term_sort_key
+from .series import Dims, Mono, Series, Trunc, name_index
 
 
 class ParseError(ValueError):
@@ -44,8 +47,16 @@ def render_rate(mu: Fraction) -> str:
     return ("+" if mu > 0 else "-") + _frac(abs(mu))
 
 
+@lru_cache(maxsize=1 << 16)
 def render_noise(expr: Expr) -> str:
-    return SeriesWriter().noise(expr)
+    # a run of equal atoms prints as one power
+    return "*".join(_pow(_atom(a), len(list(run))) for a, run in groupby(expr)) or "1"
+
+
+def _atom(a) -> str:
+    if noise.is_bare(a):
+        return f"phi[{a[1]}]"
+    return f"Z[{render_rate(a[1])}]{{ {render_noise(a[2])} }}"
 
 
 def render_series(s: Series, names) -> str:
@@ -55,45 +66,17 @@ def render_series(s: Series, names) -> str:
 
 
 class SeriesWriter:
-    """The one renderer of series and noise text, with memos that live as
-    long as the writer: the text and the noise part of the term sort key
-    of each distinct noise product, and the factor text of each monomial
-    per name triple.  ``emit_report`` writes a report through one writer,
-    so a product repeated across its lines is rendered and keyed once;
-    ``render_series`` and ``render_noise`` use a fresh one per call."""
+    """The one renderer of series text, with the factor text of each
+    monomial per name triple as its memo, which lives as long as the
+    writer.  ``emit_report`` writes a report through one writer, so a
+    monomial repeated across its lines is written once; ``render_series``
+    uses a fresh one per call."""
 
     def __init__(self):
-        self._texts: Dict[Expr, str] = {ONE: "1"}
-        self._keys: Dict[Expr, tuple] = {}
         self._factors: Dict[tuple, Dict[Mono, str]] = {}
 
-    def noise(self, expr: Expr) -> str:
-        text = self._texts.get(expr)
-        if text is None:
-            # a run of equal atoms prints as one power
-            text = self._texts[expr] = "*".join(
-                _pow(self._atom(a), len(list(run))) for a, run in groupby(expr))
-        return text
-
-    def _atom(self, a) -> str:
-        if noise.is_bare(a):
-            return f"phi[{a[1]}]"
-        return f"Z[{render_rate(a[1])}]{{ {self.noise(a[2])} }}"
-
-    def noise_key(self, expr: Expr) -> tuple:
-        """``series.noise_sort_key(expr)``, built once per product."""
-        key = self._keys.get(expr)
-        if key is None:
-            key = self._keys[expr] = noise_sort_key(expr)
-        return key
-
-    def sorted_terms(self, s: Series):
-        """``s.sorted_terms()``, each noise part of the key looked up."""
-        noise_key = self.noise_key
-        return sorted(s.terms.items(), key=lambda kc: term_sort_key(kc[0], noise_key))
-
     def series(self, s: Series, names) -> str:
-        return self.terms(self.sorted_terms(s), _names(names))
+        return self.terms(s.sorted_terms(), _names(names))
 
     def terms(self, items, names) -> str:
         """Sorted ``((mono, expr), coefficient)`` items as series text in
@@ -111,7 +94,7 @@ class SeriesWriter:
                     _pow(names[part][k], e)
                     for part in (2, 0, 1) for k, e in enumerate(mono[part]) if e)
             if expr:
-                text = f"{text}*{self.noise(expr)}" if text else self.noise(expr)
+                text = f"{text}*{render_noise(expr)}" if text else render_noise(expr)
             p, q = c.numerator, c.denominator
             mag = abs(p)
             if not text:
@@ -196,8 +179,18 @@ def rational(text: str) -> Fraction:
     p, slash, q = text.partition("/")
     try:
         return Fraction(int(p), int(q) if slash else 1)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad rational {text!r}") from None
+
+
+def threshold(text: str) -> Fraction:
+    """``text`` as a ``rational`` that is not negative: the one rule for a
+    near-resonance threshold ``mu_min`` that a system file, a report header
+    or ``--mu-min`` states."""
+    mu = rational(text)
+    if mu < 0:
+        raise ValueError(f"negative threshold {text!r}")
+    return mu
 
 
 def _product(a: Terms, b: Terms) -> Terms:
@@ -244,9 +237,9 @@ class TermParser:
     def peek(self):
         return self.tokens[self.k]
 
-    def take(self, kind=None, value=None):
+    def take(self, kind):
         tk, tv = self.tokens[self.k]
-        if (kind and tk != kind) or (value and tv != value):
+        if tk != kind:
             raise ParseError(f"unexpected {tv!r} at token {self.k} in {self.text!r}")
         self.k += 1
         return tv
@@ -511,11 +504,14 @@ def parse_series(text: str, dims: Dims, trunc: Trunc, names, *,
     lines in one name triple; by default each call has its own."""
     reader = _reader if _reader is not None else SeriesReader(dims, names)
     terms = reader.read(text)
-    for (mono, expr), c in terms.items():
-        if not trunc.keeps(mono):
-            term = SeriesWriter().terms([((mono, expr), c)], _names(names))
-            raise ParseError(f"term {term} is outside the truncation window in {text!r}")
-    return Series(dims, trunc, terms)
+    s = Series(dims, trunc, terms)
+    if s.term_count() < len(terms):
+        # packing dropped a term: a zero or, refused here, an unkept one
+        for (mono, expr), c in terms.items():
+            if not trunc.keeps(mono):
+                term = SeriesWriter().terms([((mono, expr), c)], _names(names))
+                raise ParseError(f"term {term} is outside the truncation window in {text!r}")
+    return s
 
 
 def parse_series_for(text: str, spec) -> Series:

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Tuple
 from . import engine, noise
 from .analysis import chart_expectation, ssm_parametrisation, revert
 from .render import (ParseError, SeriesReader, SeriesWriter, new_names as _new_names,
-                     parse_series, rational)
+                     parse_series, threshold)
 from .series import Series
 from .systems import NormalForm, Policy, SystemSpec
 
@@ -55,9 +55,9 @@ def header_policy(header: Dict[str, str]) -> Policy:
     if label not in ("anticipate", "no-anticipate"):
         raise ValueError(f"report header policy {label!r} is not anticipate|no-anticipate")
     try:
-        return Policy(anticipation=(label == "anticipate"), mu_min=rational(mu_min or ""))
-    except ValueError:
-        raise ValueError(f"report header mu_min {mu_min!r} is not a rational")
+        return Policy(anticipation=(label == "anticipate"), mu_min=threshold(mu_min or ""))
+    except ValueError as exc:
+        raise ValueError(f"report header mu_min: {exc}")
 
 
 def emit_report(nf: NormalForm) -> str:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import or_
 from types import MappingProxyType
@@ -116,16 +116,16 @@ def grade(mono: Mono) -> int:
     return sum(mono[0]) + sum(mono[1]) + sum(mono[2])
 
 
+@lru_cache(maxsize=1 << 16)
 def noise_sort_key(expr: Expr) -> tuple:
     return tuple(noise.atom_sort_key(a) for a in expr)
 
 
-def term_sort_key(key: Key, noise_key: Callable[[Expr], tuple] = noise_sort_key):
+def term_sort_key(key: Key):
     """The term order: graded lexicographic on (grade, slow exponents, fast
-    exponents, parameter exponents, noise part).  ``noise_key`` gives the
-    noise part; a memo of ``noise_sort_key`` may stand in for it."""
+    exponents, parameter exponents, noise part)."""
     mono, expr = key
-    return (grade(mono), mono[0], mono[1], mono[2], noise_key(expr))
+    return (grade(mono), mono[0], mono[1], mono[2], noise_sort_key(expr))
 
 
 def name_index(names) -> Dict[str, Tuple[int, int]]:
@@ -197,15 +197,11 @@ class _MergeRow(dict):
 
 _MERGED: Dict[int, _MergeRow] = {}
 
-# d/dt of each noise product met, process-wide; callers only read the sums.
-_DIFFS: Dict[Expr, NoiseSum] = {}
 
-
+@lru_cache(maxsize=1 << 16)
 def _noise_diff(expr: Expr) -> NoiseSum:
-    d = _DIFFS.get(expr)
-    if d is None:
-        d = _DIFFS[expr] = noise.diff({expr: Fraction(1)})
-    return d
+    """d/dt of one noise product; callers only read the sum."""
+    return noise.diff({expr: Fraction(1)})
 
 
 def _merge_row(a: int) -> _MergeRow:
@@ -311,14 +307,10 @@ class _Layout:
                                 "ungraded fast variables")
 
 
-_LAYOUTS: Dict[Tuple[Dims, Trunc], _Layout] = {}
-
-
+# Never evicts: Series._check compares layouts by identity.
+@lru_cache(maxsize=None)
 def _layout(dims: Dims, trunc: Trunc) -> _Layout:
-    lay = _LAYOUTS.get((dims, trunc))
-    if lay is None:
-        lay = _LAYOUTS[(dims, trunc)] = _Layout(dims, trunc)
-    return lay
+    return _Layout(dims, trunc)
 
 
 class Series:
@@ -524,19 +516,21 @@ class Series:
     def is_zero(self) -> bool:
         return not self._num
 
+    def term_count(self) -> int:
+        """The number of terms, read off the packed dict."""
+        return len(self._num)
+
     def lowest_grade(self) -> Optional[int]:
         gshift = self._lay.gshift
         return min((k >> gshift for k in self._num), default=None)
 
     def terms_of_grade(self, g: int) -> List[Tuple[Key, Fraction]]:
-        """The grade-``g`` terms in term order, read off the packed keys;
-        each distinct noise product's sort key is built once."""
+        """The grade-``g`` terms in term order, read off the packed keys."""
         lay, den = self._lay, self._den
         gshift, mono = lay.gshift, lay.mono
         out = [((mono(k & ~_NOISE_MASK), _EXPRS[k & _NOISE_MASK]), Fraction(v, den))
                for k, v in self._num.items() if k >> gshift == g]
-        noise_keys = {expr: noise_sort_key(expr) for (_m, expr), _c in out}
-        out.sort(key=lambda kc: term_sort_key(kc[0], noise_keys.__getitem__))
+        out.sort(key=lambda kc: term_sort_key(kc[0]))
         return out
 
     def sorted_terms(self) -> List[Tuple[Key, Fraction]]:

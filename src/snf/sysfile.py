@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import noise
 from .noise import ONE
-from .render import ParseError, Terms, TermParser, rational
+from .render import ParseError, Terms, TermParser, rational, threshold
 from .series import Series, Trunc
 from .systems import SystemSpec, SystemDefinitionError
 
@@ -81,11 +81,11 @@ class SysFile:
     label: str = ""
 
 
-def _rat(text: str, ln: int) -> Fraction:
+def _rat(text: str, ln: int, read) -> Fraction:
     try:
-        return rational(text)
-    except ValueError:
-        raise SysFileError(f"line {ln}: bad rational {text!r}")
+        return read(text)
+    except ValueError as exc:
+        raise SysFileError(f"line {ln}: {exc}")
 
 
 def _int(text: str, ln: int) -> int:
@@ -141,10 +141,10 @@ def parse_sysfile(text: str, label: str = "") -> SysFile:
         elif head == "noise":
             sf.n_noise = _at_least(1, rest, ln, "noise")
         elif head == "A":
-            sf.A_rows.append([_rat(v, ln) for v in rest.split()])
+            sf.A_rows.append([_rat(v, ln, rational) for v in rest.split()])
             sf.A_lines.append(ln)
         elif head == "B":
-            sf.B.extend(_rat(v, ln) for v in rest.split())
+            sf.B.extend(_rat(v, ln, rational) for v in rest.split())
             sf.B_lines += [ln] * (len(sf.B) - len(sf.B_lines))
         elif head == "order":
             sf.order = _at_least(1, rest, ln, "order")
@@ -162,7 +162,7 @@ def parse_sysfile(text: str, label: str = "") -> SysFile:
                 raise SysFileError(f"line {ln}: policy must be anticipate|no-anticipate")
             sf.policy = rest
         elif head == "mu_min":
-            sf.mu_min = _rat(rest, ln)
+            sf.mu_min = _rat(rest, ln, threshold)
         elif head == "rescale":
             sf.rescale = rest
         elif head == "noise_scale":

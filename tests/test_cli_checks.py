@@ -89,6 +89,8 @@ def test_verify_rejects_a_header_order_above_the_system(toy_path, tmp_path,
     # a decimal is not a rational, as in a system file and --mu-min
     ("mu_min: 0\n", "mu_min: 0.5\n", "mu_min"),
     ("mu_min: 0\n", "", "mu_min"),
+    # a threshold is not negative, as in a system file and --mu-min
+    ("mu_min: 0\n", "mu_min: -1\n", "mu_min"),
 ])
 def test_verify_rejects_other_header_faults(toy_path, tmp_path, toy3_report,
                                             capsys, old, new, what):
@@ -228,6 +230,8 @@ def test_malformed_system_file_exits_2_with_its_line(tmp_path, capsys, old, new)
                               "in the equations"),
     ("slow x", "slow x phi10", "line 1: slow 'phi10' would read as a noise symbol "
                                "in the equations"),
+    # near-resonance tests abs(mu) < mu_min, so a negative threshold meant 0
+    ("order 3", "mu_min -1", "line 7: negative threshold '-1'"),
 ])
 def test_system_file_refusal_texts(tmp_path, capsys, old, new, message):
     p = tmp_path / "bad.snf"
@@ -390,6 +394,8 @@ def test_an_out_file_in_a_missing_directory_exits_2(toy_path, tmp_path, capsys, 
     (["compare", "--tol-se=-1"], "--tol-se: need a positive number of standard errors, got -1"),
     # a decimal is not a rational, as in a system file and a report header
     (["derive", "--mu-min", "0.5"], "--mu-min: bad rational '0.5'"),
+    # a threshold is not negative, as in a system file and a report header
+    (["derive", "--mu-min=-1"], "--mu-min: negative threshold '-1'"),
 ])
 def test_malformed_arguments_exit_2(toy_path, capsys, argv, message):
     if argv[0] != "hopf":

@@ -1,5 +1,6 @@
-"""The series writer: the one renderer of series and noise text, and the
-memos it keeps for one report; the series reader that mirrors it."""
+"""The series writer and the cached noise text and sort key: the one
+renderer of series and noise text, and what it keeps for one report; the
+series reader that mirrors it."""
 
 import gc
 from fractions import Fraction
@@ -107,32 +108,46 @@ def test_one_writer_renders_every_line_as_the_reference(lines):
             assert writer.series(s, names) == _ref_series(s, names)
             assert render_series(s, names) == _ref_series(s, names)
         for (_mono, expr) in s.terms:
-            assert writer.noise(expr) == render_noise(expr) == _ref_noise(expr)
+            assert render_noise(expr) == _ref_noise(expr)
+
+
+def _ref_sort_key(key):
+    """series.term_sort_key with the noise part built afresh."""
+    (slow, fast, par), expr = key
+    return (sum(slow) + sum(fast) + sum(par), slow, fast, par,
+            tuple(noise.atom_sort_key(a) for a in expr))
 
 
 @given(report_lines())
 @settings(max_examples=80, deadline=None)
 def test_the_writer_orders_terms_as_sorted_terms(lines):
+    # after a writer has rendered the lines, the cached sort keys order
+    # each line as keys built afresh do, and the writer writes that order
     writer = SeriesWriter()
     for s in lines:
         writer.series(s, NAMES)
     for s in lines:
-        assert writer.sorted_terms(s) == s.sorted_terms()
-        for (_mono, expr) in s.terms:
-            assert writer.noise_key(expr) == snf.series.noise_sort_key(expr)
+        want = sorted(s.terms.items(), key=lambda kc: _ref_sort_key(kc[0]))
+        assert s.sorted_terms() == want
+        assert writer.series(s, NAMES) == writer.terms(want, NAMES)
 
 
-# the algebra's process-wide tables: interned noise products, their merges
-# and derivatives, and the packed-key layouts
-_ALGEBRA_TABLES = {"_EXPRS", "_NOISE_IDS", "_MERGED", "_DIFFS", "_LAYOUTS"}
+# the algebra's process-wide tables and caches: interned noise products,
+# their merges, derivatives, texts, sort keys and expectations, and the
+# packed-key layouts
+_ALGEBRA_TABLES = {"_EXPRS", "_NOISE_IDS", "_MERGED", "_noise_diff", "noise_sort_key",
+                   "render_noise", "expectation", "_layout"}
 
 
 def _shared_state():
     """The size of each container held by snf.render, snf.series or the
-    writer or reader class, but for the algebra's tables; any other value by
-    id."""
-    holders = (vars(snf.render), vars(snf.series), vars(SeriesWriter), vars(SeriesReader))
-    return [{name: len(v) if isinstance(v, (dict, list, set)) else id(v)
+    writer or reader class, and of each lru_cache of snf.render, snf.series
+    or snf.noise, but for the algebra's tables and caches; any other value
+    by id."""
+    holders = (vars(snf.render), vars(snf.series), vars(noise), vars(SeriesWriter),
+               vars(SeriesReader))
+    return [{name: v.cache_info().currsize if hasattr(v, "cache_info") else
+             len(v) if isinstance(v, (dict, list, set)) else id(v)
              for name, v in held.items() if name not in _ALGEBRA_TABLES}
             for held in holders]
 
@@ -145,6 +160,19 @@ def test_emit_report_leaves_no_memo_behind():
     assert not [o for o in gc.get_objects() if isinstance(o, SeriesWriter)]
     assert _shared_state() == before
     assert emit_report(nf) == first
+
+
+def test_one_emit_report_renders_and_keys_each_noise_product_once():
+    nf = construct(make_system("toy.snf", total=5), ALLOW)
+    caches = (snf.render.render_noise, snf.series.noise_sort_key)
+    for cache in caches:
+        cache.cache_clear()
+    emit_report(nf)
+    for cache in caches:
+        info = cache.cache_info()
+        # a product met again is looked up, never computed a second time
+        assert info.currsize > 10 and info.hits > 0
+        assert info.misses == info.currsize
 
 
 def test_parse_report_leaves_no_reader_behind():

@@ -400,7 +400,7 @@ def test_ungraded_fast_exponent_overflow_names_the_monomial():
 
 def test_noise_derivative_is_computed_once_per_product_across_a_construct(monkeypatch):
     # Series.diff_noise reads d/dt of each noise product from one
-    # process-wide memo; no caller may change the sums it hands out.
+    # process-wide cache; no caller may change the sums it hands out.
     from collections import Counter
     from conftest import make_system
     from snf import series
@@ -412,10 +412,26 @@ def test_noise_derivative_is_computed_once_per_product_across_a_construct(monkey
         calls.update(s)
         return diff(s)
 
-    monkeypatch.setattr(series, "_DIFFS", {})
+    series._noise_diff.cache_clear()
     monkeypatch.setattr(noise, "diff", spy)
     construct(make_system("toy.snf", total=5), ALLOW)
+    info = series._noise_diff.cache_info()
     assert len(calls) > 10 and max(calls.values()) == 1
-    assert set(calls) == set(series._DIFFS)
-    for expr, d in series._DIFFS.items():
-        assert d == diff({expr: F(1)})
+    assert info.misses == info.currsize == len(calls)
+    for expr in calls:
+        assert series._noise_diff(expr) == diff({expr: F(1)})
+    assert series._noise_diff.cache_info().misses == info.misses
+
+
+def test_one_layout_per_dims_and_truncation():
+    # Series._check compares layouts by identity, so equal (dims, trunc)
+    # pairs built apart must share one, and the cache must never evict it
+    from snf import series
+    a = Series.zero(DIMS, TR)
+    b = Series.zero(Dims(1, 1, ("sigma",), 1), Trunc(4, (None,)))
+    assert a._lay is b._lay and a + b == a
+    assert series._layout.cache_info().maxsize is None
+    wider = Series.zero(DIMS, replace(TR, total=5))
+    assert wider._lay is not a._lay
+    with pytest.raises(ValueError, match="truncation mismatch"):
+        a + wider
