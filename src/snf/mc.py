@@ -27,10 +27,18 @@ each drawing from its own stream spawned from the master seed, so results
 are reproducible from the master seed and independent across replicates.
 A chunk draws its linear slots' stationary start first (its product slots
 start at their means and draw nothing), then its warm-up, then its horizon
-increments.  Warm-up and horizon step all chunks as one array, in blocks of
-the same size, each chunk's increments filling its own columns.  A chunk draws each block's increments in one call into a buffer
-of its own, which consumes its stream exactly as one draw per step would,
-and scales them into its columns of one increment block reused throughout.
+increments.  The chunks are split into contiguous groups, at most one per
+usable CPU; the calling process steps the first group and a forked child
+each other one, sending its samples back through a pipe.  Warm-up and
+horizon step a group's chunks as one array, in blocks of the same size,
+each chunk's increments filling its own columns.  A chunk draws each
+block's increments in one call into a buffer of its own, which consumes its
+stream exactly as one draw per step would, and scales them into its columns
+of one increment block reused throughout.  So a replicate's samples are the
+same bits however many chunks step beside it and however many processes
+share them.  Threads could not share the work: numpy's ``standard_normal``
+holds the GIL while it fills a buffer, and the draws take about 30 % of
+an ensemble's time.
 
 Heun (explicit midpoint) stepping: terms carrying one bare noise factor
 contribute coefficient * dW, terms without contribute coefficient * dt, and
@@ -49,6 +57,11 @@ imports this module, ``snf simulate``, ``compare`` and ``hopf`` among them.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -505,7 +518,8 @@ class EnsembleResult:
 
     def diverged(self) -> np.ndarray:
         """Per sample time, the replicates with a non-finite output (a
-        replicate that overflows stays non-finite)."""
+        replicate whose state has gone non-finite records NaN from then
+        on)."""
         return (~np.isfinite(self.samples).all(axis=2)).sum(axis=0)
 
     def _need_spread(self):
@@ -586,20 +600,166 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     units, by default the bank's ``max_spin``), then its horizon
     increments.  ``T`` and every sample time must lie on the step grid
     (``grid_steps``).
-    Warm-up and horizon step all replicates as one array, each chunk's
+    The chunks are split into contiguous groups, one per usable CPU at
+    most (``_worker_count``).  The calling process steps the first group
+    and a forked child process each other one (``_in_processes``).  Warm-up
+    and horizon step a group's replicates as one array, each chunk's
     increments filling its own columns, so a replicate's path does not
-    depend on how many chunks step beside it.
-    Once every replicate has a non-finite component, stepping stops and the
-    remaining sample times record NaN."""
+    depend on how many chunks step beside it, nor on how many processes
+    share them: the samples are the same bits for any number of groups.
+    A replicate whose state has a non-finite component at a sample time
+    records NaN there, and a non-finite state stays so; a group stops
+    stepping once all its replicates have gone non-finite.
+    The group count follows the CPU affinity set, not a cgroup CPU quota,
+    and each process holds its own increment block and step arrays, so
+    peak memory grows with the number of groups; speed and memory were
+    measured with two groups on two CPUs only."""
+    if n_rep < 1:
+        raise ValueError(f"an ensemble needs at least one replicate, got n_rep={n_rep}")
     n_steps = grid_steps(T, dt, "horizon")
     sample_times, sample_idx = sample_steps(sample_times, T, dt)
     warm_steps = warm_up(sde.bank, dt, warm)[1]
     sde.bank.prepare(dt)
     names = (observables or sde).state_names
     out = np.empty((n_rep, len(sample_times), len(names)))
-    master = np.random.SeedSequence(seed)
     chunks = [(lo, min(lo + chunk, n_rep)) for lo in range(0, n_rep, chunk)]
-    rngs = [np.random.default_rng(child) for child in master.spawn(len(chunks))]
+    streams = np.random.SeedSequence(seed).spawn(len(chunks))
+
+    def rows(c0: int, c1: int) -> np.ndarray:
+        return out[chunks[c0][0]:chunks[c1 - 1][1]]
+
+    def fill(c0: int, c1: int) -> None:
+        lo = chunks[c0][0]
+        _step_group(sde, x0, dt, warm_steps, n_steps, sample_idx, observables,
+                    [(a - lo, b - lo) for a, b in chunks[c0:c1]], streams[c0:c1],
+                    rows(c0, c1))
+
+    n_groups = _worker_count(len(chunks))
+    bounds = [len(chunks) * g // n_groups for g in range(n_groups + 1)]
+    _in_processes(fill, [(g, rows(*g)) for g in zip(bounds, bounds[1:])])
+    return EnsembleResult(sample_times, out, tuple(names))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(n_chunks: int) -> int:
+    """How many processes step ``n_chunks`` chunks: one per usable CPU, at
+    most one per chunk, and one where forking is missing or unsafe (a
+    process with more than one thread)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(_usable_cpus(), n_chunks)
+
+
+def _in_processes(fill: Callable[..., None], jobs: List[Tuple[Tuple, np.ndarray]]):
+    """Run ``fill(*args)`` for each ``(args, rows)`` job, each filling its
+    ``rows`` of one array: the first job in this process, each other in a
+    forked child (``_child``); one job forks nothing.  Where the system
+    refuses a pipe or a fork (a process or file limit reached), that job
+    and every later one run in this process instead.
+
+    The parent reads each child's pipe to its end before reaping it, copies
+    the rows in and issues the child's warnings as its own.  A child's
+    exception is raised here as a RuntimeError carrying its text, once every
+    child is reaped.  If anything in this process raises after the first
+    fork, its own job included, every child left is killed and reaped
+    before the exception goes on: no child outlives the call."""
+    children = []                       # (pid, read end, rows), unreaped
+    local = 1                           # jobs[1:local] went to children
+    try:
+        for args, rows in jobs[1:]:
+            try:
+                r, w = os.pipe()
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                _child(r, w, fill, args, rows)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb"), rows))
+            local += 1
+        for args, _rows in jobs[:1] + jobs[local:]:
+            fill(*args)
+        caught, errors = [], []
+        while children:
+            pid, pipe, rows = children[0]
+            data = pipe.read()
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code == 0 and len(data) >= rows.nbytes:
+                rows.reshape(-1)[:] = np.frombuffer(data[:rows.nbytes])
+                caught.extend(pickle.loads(data[rows.nbytes:]))
+            else:
+                errors.append(data.decode(errors="replace") or f"exit code {code}")
+    except BaseException:
+        from signal import SIGKILL
+        for pid, pipe, _rows in children:
+            pipe.close()
+            try:
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass                    # reaped just before the exception
+        raise
+    if errors:
+        raise RuntimeError("an ensemble worker process failed: " + "; ".join(errors))
+    if caught:
+        # each shown or not as the module it was raised in has shown it
+        modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+        for text, category, filename, lineno in caught:
+            module = modules.get(filename)
+            registry = module and vars(module).setdefault("__warningregistry__", {})
+            warnings.warn_explicit(text, category, filename, lineno, registry=registry)
+
+
+def _child(r: int, w: int, fill: Callable[..., None], args: Tuple, rows: np.ndarray):
+    """A forked child's whole life: ``fill(*args)``, then down the pipe's
+    write end ``w`` its ``rows`` as raw float64 bytes and the pickled
+    warnings it caught (text, category, file, line), exit code 0; or the
+    error's text, exit code 1.  It leaves by ``os._exit`` whatever
+    happens: it never returns into the caller, flushes no inherited buffer
+    and runs no exit handler."""
+    code = 1
+    try:
+        os.close(r)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                fill(*args)
+            payload = rows.tobytes() + pickle.dumps(
+                [(str(m.message), m.category, m.filename, m.lineno) for m in caught])
+            code = 0
+        except BaseException as exc:
+            payload = f"{type(exc).__name__}: {exc}".encode()
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(payload)
+    except BaseException:
+        code = 1
+    finally:
+        os._exit(code)
+
+
+def _step_group(sde: CompiledSDE, x0: Sequence[float], dt: float, warm_steps: int,
+                n_steps: int, sample_idx: np.ndarray,
+                observables: Optional[CompiledSDE], chunks: Sequence[Tuple[int, int]],
+                streams: Sequence[np.random.SeedSequence], out: np.ndarray) -> None:
+    """Step one group of chunks, ``chunks`` being their column ranges and
+    ``streams`` their seeds, as one array through warm-up and horizon, and
+    fill ``out`` (its replicates, sample times, outputs)."""
+    n_rep = out.shape[0]
+    rngs = [np.random.default_rng(s) for s in streams]
     sqdt = math.sqrt(dt)
     # one block rule: every filter step holds at most _BLOCK*512 replicate-steps
     block = max(1, _BLOCK * 512 // n_rep)
@@ -630,11 +790,13 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
         while pos < len(sample_idx) and sample_idx[pos] == t_i:
             out[:, pos, :] = (observables.rates(state, z)[0] if observables
                               else state).T
+            # a non-finite state stays so: its replicate has diverged
+            out[~np.isfinite(state).all(axis=0), pos, :] = np.nan
             pos += 1
         if t_i == n_steps:
             break
         if t_i % _BLOCK == 0 and not np.isfinite(state).all(axis=0).any():
-            out[:, pos:, :] = np.nan        # a non-finite state stays so
+            out[:, pos:, :] = np.nan
             break
         j = t_i % block
         if j == 0:
@@ -653,4 +815,3 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
 
         state = heun_step(state, increment)
         z = z_ends[1]
-    return EnsembleResult(sample_times, out, tuple(names))

@@ -15,6 +15,10 @@ File gate: no `src/snf` module but `cli` calls `open`.  The command line
 reads and writes the files it is given; every other module takes and
 returns text.
 
+Process gate: only `snf.mc` starts processes.  No other `src/snf` module
+imports `multiprocessing`, `subprocess`, `threading` or
+`concurrent.futures`, or reads `os.fork` (or `os.forkpty`).
+
 Privacy gate: no `src/snf` module imports, or reads as a module attribute,
 an underscore name of another `src/snf` module.  A name another module
 needs is public.
@@ -192,3 +196,28 @@ def test_no_module_reads_another_modules_private_names():
     private = [f"{path.relative_to(PACKAGE)}:{line}: {name}"
                for path, tree in _trees("src/snf") for line, name in _private_reads(tree)]
     assert not private, "private names read across modules:\n" + "\n".join(private)
+
+
+_PROCESS_MODULES = {"multiprocessing", "subprocess", "threading", "concurrent"}
+
+
+def _starts_processes(node):
+    """Whether ``node`` imports a process or thread module, or reads
+    ``fork`` off ``os`` (``os.fork``, ``from os import fork``)."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] in _PROCESS_MODULES
+                   for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        top = (node.module or "").partition(".")[0]
+        return top in _PROCESS_MODULES or top == "os" and any(
+            alias.name.startswith("fork") for alias in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr.startswith("fork")
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def test_only_the_monte_carlo_module_starts_processes():
+    # an ensemble's chunk groups are the package's one use of processes
+    started = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+               for path, tree in _trees("src/snf") if path.name != "mc.py"
+               for node in ast.walk(tree) if _starts_processes(node)]
+    assert not started, "processes started outside snf.mc:\n" + "\n".join(started)

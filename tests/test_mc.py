@@ -1,8 +1,14 @@
 """Compiled SDE models and the Heun ensemble integrator."""
 
+import errno
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+import time
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -1022,9 +1028,11 @@ def test_run_ensemble_uneven_chunks_are_the_per_step_loop(toy_chart_model, toy5,
 
 @pytest.mark.parametrize("model", ["reduced", "full"])
 def test_run_ensemble_in_blocks_of_three_steps_is_the_per_step_loop(toy_chart_model,
-                                                                    toy5, model):
-    # 5000 replicates step the filters three steps at a time, warm-up and
-    # horizon alike, the last block of each one step long.
+                                                                    toy5, model,
+                                                                    monkeypatch):
+    # 5000 replicates in one process step the filters three steps at a time,
+    # warm-up and horizon alike, the last block of each one step long.
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
     dt, warm, T, n_rep = 1e-2, 0.76, 0.94, 5000
     assert mc._BLOCK * 512 // n_rep == 3
     assert int(math.ceil(warm / dt)) % 3 == 1 and int(round(T / dt)) % 3 == 1
@@ -1043,10 +1051,46 @@ def test_run_ensemble_in_blocks_of_three_steps_is_the_per_step_loop(toy_chart_mo
     assert np.all(np.isfinite(want)) and len(np.unique(want[:, -1, 0])) == n_rep
 
 
+@pytest.mark.parametrize("model", ["reduced", "full"])
+def test_run_ensemble_in_two_processes_of_six_step_blocks_is_the_per_step_loop(
+        toy_chart_model, toy5, model, monkeypatch):
+    # The same 5000 replicates in two processes: each group of 2500 steps
+    # the filters six steps at a time, the last block of warm-up and of
+    # horizon four steps long.
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    dt, warm, T, n_rep = 1e-2, 0.76, 0.94, 5000
+    assert mc._BLOCK * 512 // (n_rep // 2) == 6
+    assert int(math.ceil(warm / dt)) % 6 == 4 and int(round(T / dt)) % 6 == 4
+    times = [0.0, 0.05, 0.5, T]
+    if model == "reduced":
+        sde, obs = toy_chart_model
+        x0 = [0.3]
+    else:
+        sde, obs = compile_full_system(toy5.spec, {"sigma": 0.05}), None
+        x0 = [0.3, 0.09]
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    got = run_ensemble(sde, x0, T, dt, n_rep, 37, times, observables=obs,
+                       chunk=2500, warm=warm)
+    assert len(forks) == 1
+    want = _per_step_ensemble(sde, x0, T, dt, n_rep, 37, times,
+                              observables=obs, chunk=2500, warm=warm)
+    assert _same_bits(got.samples, want)
+
+
 def test_every_filter_step_holds_one_block_of_replicate_steps(toy_chart_model,
                                                               monkeypatch):
     # Warm-up and horizon share the block rule that bounds peak memory: no
-    # FilterBank.step call gets more than _BLOCK*512 replicate-steps.
+    # FilterBank.step call gets more than _BLOCK*512 replicate-steps.  The
+    # spy sees only this process, so all three chunks step in it.
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
     sde, obs = toy_chart_model
     calls, step = [], FilterBank.step
 
@@ -1105,6 +1149,184 @@ def test_diverged_ensemble_counts_are_the_per_step_loop():
     assert list(got.diverged()) == list((~np.isfinite(want).all(axis=2)).sum(axis=0))
     assert list(got.diverged()) == [0, 5, 5, 5]
     assert np.all(np.isnan(got.samples[:, 1:]))
+
+
+# -- chunk groups stepped in parallel processes ------------------------------
+
+def _ensemble_case(case, toy_chart_model, toy5):
+    """(model, x0, T, n_rep, sample times, run_ensemble keywords) of a case."""
+    if case == "chart":
+        sde, obs = toy_chart_model
+        return sde, [0.3], 0.2, 1100, [0.1, 0.2], dict(observables=obs, warm=0.5)
+    if case == "full":
+        sde = compile_full_system(toy5.spec, {"sigma": 0.05})
+        return sde, [0.3, 0.09], 0.2, 1100, [0.0, 0.2], dict(warm=0.5)
+    # dx = x^3 dt from x = 1/2 leaves for infinity near t = 2, sooner or
+    # later with the noise: in 3 groups of 4 replicates, the first keeps
+    # one replicate finite to the end and the others stop stepping early
+    spec, _sf = load_system(_BLOWUP)
+    sde = compile_full_system(spec, {"s": 1.0})
+    return sde, [0.5, 0.0], 2.0, 12, [0.5, 1.0, 1.5, 2.0], dict(chunk=2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", ["chart", "full", "blowup"])
+def test_samples_are_the_same_bits_in_any_number_of_processes(case, toy_chart_model,
+                                                              toy5, monkeypatch):
+    # R = 1100 is three chunks of 512, 512 and 76 replicates
+    sde, x0, T, n_rep, times, kw = _ensemble_case(case, toy_chart_model, toy5)
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    samples = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        forks.clear()
+        res = run_ensemble(sde, x0, T, 1e-2, n_rep, 0, times, **kw)
+        assert len(forks) == cpus - 1
+        samples.append(res.samples.tobytes())
+    assert samples[1] == samples[0] and samples[2] == samples[0]
+    if case == "blowup":
+        # a diverged replicate records NaN whatever its neighbours do
+        last = res.samples[:, -1, :]
+        assert np.all(np.isnan(last) | np.isfinite(last))
+        assert list(np.isfinite(last).all(axis=1)) == [False] * 3 + [True] + [False] * 8
+
+
+def test_an_ensemble_of_one_chunk_never_forks(toy_chart_model, monkeypatch):
+    def refused():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", refused)
+    sde, obs = toy_chart_model
+    res = run_ensemble(sde, [0.3], 0.1, 1e-2, 512, 5, [0.1], observables=obs, warm=0.2)
+    assert np.all(np.isfinite(res.samples))
+
+
+def test_an_ensemble_of_no_replicates_is_refused(toy_chart_model):
+    sde, obs = toy_chart_model
+    with pytest.raises(ValueError, match="at least one replicate, got n_rep=0"):
+        run_ensemble(sde, [0.3], 0.1, 1e-2, 0, 5, [0.1], observables=obs, warm=0.2)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("where", [None, "parent", "child"])
+def test_no_worker_process_outlives_the_call(where, toy_chart_model, monkeypatch):
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+    sde, obs = toy_chart_model
+    parent, rates, slept = os.getpid(), mc.CompiledSDE.rates, []
+
+    def failing(self, state, z):
+        if where == ("parent" if os.getpid() == parent else "child"):
+            raise ValueError(f"rates refused in the {where}")
+        if where == "parent" and not slept:
+            slept.append(True)
+            time.sleep(40)              # a child the parent must not wait for
+        return rates(self, state, z)
+
+    monkeypatch.setattr(mc.CompiledSDE, "rates", failing)
+    run = lambda: run_ensemble(sde, [0.3], 0.1, 1e-2, 1100, 5, [0.1],
+                               observables=obs, warm=0.2)
+    if where is None:
+        assert np.all(np.isfinite(run().samples))
+    elif where == "parent":
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="rates refused in the parent"):
+            run()
+        assert time.perf_counter() - t0 < 20
+    else:
+        with pytest.raises(RuntimeError,
+                           match="worker process failed: ValueError: rates refused "
+                                 "in the child; ValueError: rates refused in the child"):
+            run()
+    _no_child_left()
+
+
+@pytest.mark.parametrize("refused", [1, 2])
+def test_a_refused_fork_steps_the_rest_in_the_caller(refused, toy_chart_model,
+                                                     monkeypatch):
+    # a process limit reached at the first or the second of two forks: the
+    # refused group and the one after it step in the caller, same bits
+    sde, obs = toy_chart_model
+    run = lambda: run_ensemble(sde, [0.3], 0.1, 1e-2, 1100, 5, [0.1],
+                               observables=obs, warm=0.2).samples
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
+    want = run()                        # alive, so no later array reuses its memory
+    calls, fork = [], os.fork
+
+    def limited_fork():
+        calls.append(None)
+        if len(calls) == refused:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", limited_fork)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+    assert run().tobytes() == want.tobytes()
+    assert len(calls) == refused
+    _no_child_left()
+
+
+def test_a_worker_process_prints_nothing_the_caller_buffered(tmp_path):
+    # stdout to a pipe is block-buffered: the text is still in the buffer
+    # when the workers fork, and a worker that flushed it would print it twice
+    code = r"""
+import os, sys
+from snf import mc
+from snf.sysfile import load_system
+forks, fork = [], os.fork
+def counted_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted_fork
+mc._usable_cpus = lambda: 2
+spec, _sf = load_system(open(sys.argv[1]).read())
+sde = mc.compile_full_system(spec, {"s": 0.1})
+sys.stdout.write("written before the ensemble\n")
+res = mc.run_ensemble(sde, [0.1, 0.0], 0.1, 1e-2, 8, 0, [0.1], chunk=4)
+print(len(forks), res.samples.shape)
+"""
+    p = tmp_path / "blowup.snf"
+    p.write_text(_BLOWUP)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", code, str(p)], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "written before the ensemble\n1 (8, 1, 2)\n"
+
+
+@pytest.mark.parametrize("who", ["child", "both"])
+def test_a_worker_process_warning_is_issued_once_by_the_caller(who, toy_chart_model,
+                                                               monkeypatch):
+    # as in one process: a warning shows once per place it is raised from
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    sde, obs = toy_chart_model
+    parent, rates = os.getpid(), mc.CompiledSDE.rates
+
+    def warning(self, state, z):
+        if who == "both" or os.getpid() != parent:
+            warnings.warn("rates warned", RuntimeWarning)
+        return rates(self, state, z)
+
+    monkeypatch.setattr(mc.CompiledSDE, "rates", warning)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("default")
+        run_ensemble(sde, [0.3], 0.1, 1e-2, 1100, 5, [0.1], observables=obs, warm=0.2)
+    assert [str(w.message) for w in seen] == ["rates warned"]
+    assert seen[0].filename == __file__
 
 
 def test_observables_reject_bare_noise_when_compiled(toy3):
