@@ -233,7 +233,7 @@ def cmd_compare(args) -> int:
     # start the full system on the deterministic manifold image of x0
     y0 = compile_series(noise_free_part(chart.y_of_X), spec.fast_names,
                         lambda mono: tuple(mono[0]), params, spec.param_names,
-                        spec.n_noise)
+                        spec.n_noise, var_names=spec.slow_names)
     drift, _diff = y0.rates(np.full((spec.m, 1), args.x0v), np.empty((0, 1)))
     x0_full = x0_slow + drift[:, 0].tolist()
     sde_r = compile_slow_model(nf, params)

@@ -1,9 +1,11 @@
 """Stratonovich Monte Carlo: compiled SDE models, Heun stepping, ensembles.
 
 A series-defined evolution compiles to drift/diffusion term lists over a
-numeric state vector, and to the plan that ``CompiledSDE.rates`` evaluates:
-each distinct state power once per call, then each term as its coefficient
-times its factors, added into its row in term order.  Memory convolutions
+numeric state vector, and to their plan, which each model turns once into
+straight-line numpy code, its ``rates_kernel``: each distinct state power
+once per call, then one statement per term, its coefficient times its
+factors added into its row, in term order.  ``CompiledSDE.rates`` calls it.
+The kernel is the package's one piece of generated code.  Memory convolutions
 appearing as coefficients become a bank of exponential filters: the
 package's one decomposition of an atom into filter slots (``FilterSlots``,
 which ``snf.paths`` samples along a path too), each slot the package's one
@@ -37,15 +39,18 @@ stream exactly as one draw per step would, and scales them into its columns
 of one increment block reused throughout.  So a replicate's samples are the
 same bits however many chunks step beside it and however many processes
 share them.  Threads could not share the work: numpy's ``standard_normal``
-holds the GIL while it fills a buffer, and the draws take about 30 % of
-an ensemble's time.
+holds the GIL while it fills a buffer, and the draws take about a third
+of an ensemble's time (32-34 % of a ``perfbench`` ensemble round stepped
+in one process).
 
 Heun (explicit midpoint) stepping: terms carrying one bare noise factor
 contribute coefficient * dW, terms without contribute coefficient * dt, and
 the corrector averages coefficients at the step's two ends, which is what
-makes the scheme converge to the Stratonovich solution.  The step is
-written once, in ``heun_path``'s loop, which single paths walk; ensembles
-step with ``heun_step``, its one-step case.
+makes the scheme converge to the Stratonovich solution.  The noise term
+sums over the noises in order from +0.0 (``noise_sum``), the bits of an
+einsum over them.  The step is written once, in ``heun_path``'s loop,
+which single paths walk; ensembles step with ``heun_step``, its one-step
+case.
 
 ``run_filter`` is ``scipy.signal.lfilter``, imported at its first call and
 not with this module.  Only path sampling runs it; ensembles step the bank
@@ -363,6 +368,35 @@ def plan_rates(terms: Sequence[Sequence[CompiledTerm]], n_noise: int) -> RatesPl
     return RatesPlan(tuple(powers), tuple(plan))
 
 
+def rates_kernel(plan: RatesPlan, dim: int, n_noise: int) -> Callable:
+    """The function ``CompiledSDE.rates`` calls: ``plan`` as straight-line
+    numpy, one statement per plan operation in plan order.  Each state
+    power is computed once; each term adds its coefficient times its
+    factors, left to right, into a view of its row of one ``np.zeros``
+    block.  The coefficients are bound from a tuple, never written into
+    the source, so the kernel holds their exact bits."""
+    n_powers = len(plan.powers)
+    body = ["    R = state.shape[1]",
+            f"    acc = zeros(({dim * (1 + n_noise)}, R))"]
+    body += [f"    x{i} = state[{d}]" + (f" ** {p}" if p != 1 else "")
+             for i, (d, p) in enumerate(plan.powers)]
+    slots = sorted({f - n_powers for _o, _c, fs in plan.terms for f in fs
+                    if f >= n_powers})
+    body += [f"    x{n_powers + s} = z[{s}]" for s in slots]
+    body += [f"    a{o} = acc[{o}]" for o in sorted({o for o, _c, _f in plan.terms})]
+    body += [f"    a{o} += " + " * ".join([f"c{k}"] + [f"x{f}" for f in fs])
+             for k, (o, _c, fs) in enumerate(plan.terms)]
+    body.append(f"    return acc[:{dim}], acc[{dim}:].reshape({dim}, {n_noise}, R)")
+    coeffs = "".join(f"c{k}, " for k in range(len(plan.terms)))
+    source = "\n".join(["def build(zeros, C):",
+                        f"  ({coeffs}) = C",
+                        "  def rates(state, z):", *["  " + b for b in body],
+                        "  return rates"])
+    namespace: Dict = {}
+    exec(compile(source, "<rates kernel>", "exec"), namespace)
+    return namespace["build"](np.zeros, tuple(c for _o, c, _f in plan.terms))
+
+
 @dataclass
 class CompiledSDE:
     """Numeric drift/diffusion term lists per state component."""
@@ -373,30 +407,23 @@ class CompiledSDE:
     noise_amp: np.ndarray           # per-symbol amplitude multiplier
     plan: RatesPlan
 
+    def __post_init__(self):
+        self._kernel = rates_kernel(self.plan, self.dim, self.n_noise)
+
     @property
     def dim(self) -> int:
         return len(self.state_names)
 
-    def rates(self, state: np.ndarray, z: np.ndarray):
-        """Split evaluation: drift (dim, R) and diffusion (dim, n_noise, R).
+    def rates(self, state: np.ndarray, z) -> Tuple[np.ndarray, np.ndarray]:
+        """Split evaluation: drift (dim, R) and diffusion (dim, n_noise, R)
+        of the state (dim, R) and the convolution rows ``z``, by the model's
+        ``rates_kernel``, compiled from its plan once, at construction.
 
         Each distinct state power is computed once; a term is its
         coefficient times its factors, left to right, added into its row in
         term order.  Elementwise ufuncs only, so every replicate's values
         are the same bits however many replicates are evaluated together."""
-        dim = self.dim
-        acc = np.zeros((dim * (1 + self.n_noise), state.shape[1]))
-        rows = [state[d] if p == 1 else state[d] ** p for d, p in self.plan.powers]
-        rows.extend(z)
-        for out, coeff, factors in self.plan.terms:
-            if factors:
-                val = coeff * rows[factors[0]]
-                for f in factors[1:]:
-                    val *= rows[f]
-                acc[out] += val
-            else:
-                acc[out] += coeff
-        return acc[:dim], acc[dim:].reshape(dim, self.n_noise, -1)
+        return self._kernel(state, z)
 
 
 def compile_series(series_list: Sequence[Series], state_names: Sequence[str],
@@ -404,15 +431,19 @@ def compile_series(series_list: Sequence[Series], state_names: Sequence[str],
                    params: Dict[str, float], param_names: Sequence[str],
                    n_noise: int,
                    noise_amp: Optional[Dict[int, float]] = None,
-                   bank: Optional[FilterBank] = None) -> CompiledSDE:
+                   bank: Optional[FilterBank] = None,
+                   var_names: Sequence[str] = ()) -> CompiledSDE:
     """Compile series into numeric term lists and their ``RatesPlan`` (the
     one place series terms become floats; ``CompiledSDE.rates`` evaluates
     them).
 
     ``state_of`` maps a monomial to state exponents; parameter exponents are
-    folded into the coefficient using ``params``.  ``bank.slot_for`` numbers
-    the convolution factors: a ``FilterBank`` rejects anticipatory ones, a
-    ``snf.paths.PathSampler`` samples them on its path.
+    folded into the coefficient using ``params``.  A coefficient that is
+    not finite raises CompileError naming the term, its variables by
+    ``var_names`` (``term_text``), and the parameter values.
+    ``bank.slot_for`` numbers the convolution factors: a ``FilterBank``
+    rejects anticipatory ones, a ``snf.paths.PathSampler`` samples them on
+    its path.
     """
     bank = FilterBank() if bank is None else bank
     all_terms: List[List[CompiledTerm]] = []
@@ -422,10 +453,19 @@ def compile_series(series_list: Sequence[Series], state_names: Sequence[str],
     for s in series_list:
         terms: List[CompiledTerm] = []
         for (mono, expr), c in s.terms.items():
-            coeff = float(c)
-            for name, e in zip(param_names, mono[2]):
-                if e:
-                    coeff *= params[name] ** e
+            try:
+                coeff = float(c)
+                for name, e in zip(param_names, mono[2]):
+                    if e:
+                        coeff *= params[name] ** e
+            except OverflowError:
+                coeff = math.inf
+            if not math.isfinite(coeff):
+                values = ", ".join(f"{name}={params[name]:g}"
+                                   for name, e in zip(param_names, mono[2]) if e)
+                raise CompileError(
+                    f"term {term_text(s, (mono, expr), c, var_names, param_names)} "
+                    "has no finite coefficient" + (f" at {values}" if values else ""))
             ks, convs = noise.split_bare(expr)
             if len(ks) > 1:
                 raise CompileError(
@@ -437,6 +477,19 @@ def compile_series(series_list: Sequence[Series], state_names: Sequence[str],
                        plan_rates(all_terms, n_noise))
 
 
+def term_text(s: Series, key: Tuple, c, var_names: Sequence[str],
+              param_names: Sequence[str]) -> str:
+    """The term ``key`` of ``s`` with coefficient ``c`` as series text: its
+    slow then fast variables named by ``var_names`` in turn, those past its
+    end x{i} and y{j}."""
+    m, n = s.dims.m, s.dims.n
+    names = tuple(var_names[:m + n])
+    names += tuple(f"x{i}" for i in range(len(names), m))
+    names += tuple(f"y{j}" for j in range(len(names) - m, n))
+    return render_series(s.build_like({key: c}),
+                         (names[:m], names[m:], tuple(param_names)))
+
+
 def compile_full_system(spec: SystemSpec, params: Dict[str, float]) -> CompiledSDE:
     """The original system, state (slow..., fast...)."""
     xdot = [spec.linear_xdot()[i] + spec.f[i] for i in range(spec.m)]
@@ -445,8 +498,9 @@ def compile_full_system(spec: SystemSpec, params: Dict[str, float]) -> CompiledS
     def state_of(mono):
         return tuple(mono[0]) + tuple(mono[1])
 
-    return compile_series(xdot + ydot, spec.slow_names + spec.fast_names,
-                          state_of, params, spec.param_names, spec.n_noise)
+    names = spec.slow_names + spec.fast_names
+    return compile_series(xdot + ydot, names, state_of, params, spec.param_names,
+                          spec.n_noise, var_names=names)
 
 
 def compile_slow_model(nf: NormalForm, params: Dict[str, float],
@@ -469,7 +523,7 @@ def compile_slow_model(nf: NormalForm, params: Dict[str, float],
         return tuple(mono[0])
 
     return compile_series(xdot, spec.slow_names, state_of, params,
-                          spec.param_names, n_noise, amps)
+                          spec.param_names, n_noise, amps, var_names=spec.slow_names)
 
 
 def sampleable_part(s: Series) -> Tuple[Series, List[Tuple]]:
@@ -492,18 +546,13 @@ def compile_observables(series_list: Sequence[Series], base: CompiledSDE,
     rows of the returned model.  A term without pointwise values raises
     CompileError naming the term (unit coefficient, the base's state names)."""
     for i, s in enumerate(series_list):
-        for (mono, expr), _c in s.terms.items():
-            if not noise.pointwise(expr):
-                m, n = s.dims.m, s.dims.n
-                fast = tuple(base.state_names[m:m + n])
-                names = (tuple(base.state_names[:m]),
-                         fast + tuple(f"y{j}" for j in range(len(fast), n)),
-                         tuple(param_names))
-                term = render_series(s.build_like({(mono, expr): 1}), names)
+        for key, _c in s.terms.items():
+            if not noise.pointwise(key[1]):
+                term = term_text(s, key, 1, base.state_names, param_names)
                 raise CompileError(f"observable {i} carries bare noise: {term}")
     return compile_series(series_list, [f"obs{i}" for i in range(len(series_list))],
                           state_of, params, param_names, base.n_noise,
-                          bank=base.bank)
+                          bank=base.bank, var_names=base.state_names)
 
 
 @dataclass
@@ -599,7 +648,9 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     (``FilterBank.start``), then its warm-up (``warm_up``: ``warm`` time
     units, by default the bank's ``max_spin``), then its horizon
     increments.  ``T`` and every sample time must lie on the step grid
-    (``grid_steps``).
+    (``grid_steps``).  ``n_rep`` and ``chunk`` must be at least one, ``dt``
+    positive and finite, and ``warm`` non-negative and finite: ValueError
+    names the argument otherwise.
     The chunks are split into contiguous groups, one per usable CPU at
     most (``_worker_count``).  The calling process steps the first group
     and a forked child process each other one (``_in_processes``).  Warm-up
@@ -616,6 +667,13 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     measured with two groups on two CPUs only."""
     if n_rep < 1:
         raise ValueError(f"an ensemble needs at least one replicate, got n_rep={n_rep}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"an ensemble needs a positive finite step, got dt={dt}")
+    if chunk < 1:
+        raise ValueError(f"an ensemble needs chunks of at least one replicate, "
+                         f"got chunk={chunk}")
+    if warm is not None and not 0 <= warm < math.inf:
+        raise ValueError(f"an ensemble needs a finite non-negative warm-up, got warm={warm}")
     n_steps = grid_steps(T, dt, "horizon")
     sample_times, sample_idx = sample_steps(sample_times, T, dt)
     warm_steps = warm_up(sde.bank, dt, warm)[1]
@@ -751,6 +809,20 @@ def _child(r: int, w: int, fill: Callable[..., None], args: Tuple, rows: np.ndar
         os._exit(code)
 
 
+def noise_sum(diff: np.ndarray, w: np.ndarray):
+    """The sum over k of ``diff[:, k] * w[k]``, (dim, R) from diffusion
+    (dim, n_noise, R) and increments (n_noise, R), with the bits of
+    ``np.einsum("dkr,kr->dr", diff, w)``: from +0.0, noise by noise, so a
+    -0.0 first product becomes +0.0, and no noise gives +0.0."""
+    if not len(w):
+        return 0.0
+    acc = diff[:, 0] * w[0]
+    acc += 0.0
+    for k in range(1, len(w)):
+        acc += diff[:, k] * w[k]
+    return acc
+
+
 def _step_group(sde: CompiledSDE, x0: Sequence[float], dt: float, warm_steps: int,
                 n_steps: int, sample_idx: np.ndarray,
                 observables: Optional[CompiledSDE], chunks: Sequence[Tuple[int, int]],
@@ -811,7 +883,9 @@ def _step_group(sde: CompiledSDE, x0: Sequence[float], dt: float, warm_steps: in
 
         def increment(y, end):
             drift, diff = sde.rates(y, z_ends[end])
-            return drift * dt + np.einsum("dkr,kr->dr", diff, dw_amp)
+            drift *= dt
+            drift += noise_sum(diff, dw_amp)
+            return drift
 
         state = heun_step(state, increment)
         z = z_ends[1]

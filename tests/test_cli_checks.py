@@ -767,12 +767,27 @@ def test_simulate_and_compare_refuse_an_uncertified_form(toy_path, capsys, argv)
             "sigma*phi[0]\n") in err
 
 
-def test_a_slow_model_that_cannot_be_compiled_exits_3(toy_path, capsys):
+@pytest.mark.parametrize("argv,message", [
     # certified under no-anticipate, but its slow evolution keeps Y
-    rc = main(["simulate", toy_path, "--order", "3", "--policy", "no-anticipate",
-               "--model", "reduced", "--T", "0.1", "--dt", "0.01", "--replicates", "4"])
+    (["simulate", "--policy", "no-anticipate", "--model", "reduced"],
+     "slow model depends on fast variables"),
+    # sigma^2 overflows: these used to end in an OverflowError traceback
+    (["simulate", "--model", "reduced", "--param", "sigma=1e200"],
+     "term 2*sigma^2*x*phi[0]*Z[-1]{ phi[0] } has no finite coefficient at "
+     "sigma=1e+200"),
+    (["compare", "--param", "sigma=1e200", "--times", "0.1"],
+     "term 2*sigma^2*x*phi[0]*Z[-1]{ phi[0] } has no finite coefficient at "
+     "sigma=1e+200"),
+    # sigma^2 is finite, and twice it a silent inf
+    (["simulate", "--model", "reduced", "--param", "sigma=1e154"],
+     "term 2*sigma^2*x*phi[0]*Z[-1]{ phi[0] } has no finite coefficient at "
+     "sigma=1e+154"),
+], ids=["fast-variables", "simulate-overflow", "compare-overflow", "simulate-inf"])
+def test_a_slow_model_that_cannot_be_compiled_exits_3(toy_path, capsys, argv, message):
+    rc = main([argv[0], toy_path, "--order", "3", *argv[1:], "--T", "0.1", "--dt", "0.01",
+               "--replicates", "4"])
     assert rc == EXIT_CERT
-    assert capsys.readouterr().err == "error: slow model depends on fast variables\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_a_noise_calculus_failure_exits_3(toy_path, monkeypatch, capsys):

@@ -19,6 +19,11 @@ Process gate: only `snf.mc` starts processes.  No other `src/snf` module
 imports `multiprocessing`, `subprocess`, `threading` or
 `concurrent.futures`, or reads `os.fork` (or `os.forkpty`).
 
+Generated-code gate: only the builder of each model's rates kernel,
+`snf.mc.rates_kernel`, runs code it writes.  No other `src/snf` code
+reads the `exec`, `eval` or `compile` builtin, by name, off `builtins` or
+by importing it.
+
 Privacy gate: no `src/snf` module imports, or reads as a module attribute,
 an underscore name of another `src/snf` module.  A name another module
 needs is public.
@@ -221,3 +226,33 @@ def test_only_the_monte_carlo_module_starts_processes():
                for path, tree in _trees("src/snf") if path.name != "mc.py"
                for node in ast.walk(tree) if _starts_processes(node)]
     assert not started, "processes started outside snf.mc:\n" + "\n".join(started)
+
+
+_CODE_BUILTINS = {"exec", "eval", "compile"}
+
+
+def _runs_code(node):
+    """Whether ``node`` names the ``exec``, ``eval`` or ``compile``
+    builtin: a bare name, an attribute of ``builtins`` or an import of it."""
+    if isinstance(node, ast.Name):
+        return node.id in _CODE_BUILTINS
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "builtins" and any(
+            alias.name in _CODE_BUILTINS for alias in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr in _CODE_BUILTINS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("builtins", "__builtins__"))
+
+
+def test_only_the_rates_kernel_builder_runs_generated_code():
+    # a model's rates kernel is the package's one piece of generated code
+    ran = []
+    for path, tree in _trees("src/snf"):
+        allowed = set()
+        if path.name == "mc.py":
+            builder, = (node for node in tree.body if isinstance(node, ast.FunctionDef)
+                        and node.name == "rates_kernel")
+            allowed = {id(node) for node in ast.walk(builder)}
+        ran.extend(f"{path.relative_to(PACKAGE)}:{node.lineno}" for node in ast.walk(tree)
+                   if _runs_code(node) and id(node) not in allowed)
+    assert not ran, "exec, eval or compile outside snf.mc.rates_kernel:\n" + "\n".join(ran)

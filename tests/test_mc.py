@@ -850,8 +850,9 @@ def test_block_filter_step_of_an_empty_bank():
 
 
 @pytest.mark.parametrize("R", [1, 3])
-@pytest.mark.parametrize("model", ["reduced", "full"])
-def test_run_ensemble_is_the_per_step_loop(toy_chart_model, toy5, model, R):
+@pytest.mark.parametrize("model", ["reduced", "full", "longtime", "zero-amplitude",
+                                   "noiseless"])
+def test_run_ensemble_is_the_per_step_loop(toy_chart_model, toy5, pk3, model, R):
     # Warm-up and horizon are not whole blocks, the horizon spans several
     # blocks, and two chunks each draw their own stream.  The full model's
     # bank has no slots but its warm-up still consumes the stream.
@@ -861,16 +862,46 @@ def test_run_ensemble_is_the_per_step_loop(toy_chart_model, toy5, model, R):
     if model == "reduced":
         sde, obs = toy_chart_model
         x0 = [0.3]
-    else:
+    elif model == "full":
         sde, obs = compile_full_system(toy5.spec, {"sigma": 0.05}), None
         x0 = [0.3, 0.09]
         assert sde.bank.n == 0
+    elif model == "longtime":
+        # two noises: the system's and the long-time model's fresh one
+        from snf.analysis import long_time_model
+        sde = compile_slow_model(pk3, {"eps": 0.3, "sigma": 0.3}, long_time_model(pk3))
+        obs, x0 = None, [0.2]
+        assert sde.n_noise == 2 and sde.noise_amp[1] != 1
+    elif model == "zero-amplitude":
+        # No noise reaches the state, so every noise term is a signed zero,
+        # and dx = eps*y dt underflows to -0.0: the noise term's sum from
+        # +0.0 moves x from -0.0 to +0.0 at the first step
+        sde = replace(compile_full_system(make_system("linear.snf", total=3),
+                                          {"eps": 0.1}), noise_amp=np.zeros(1))
+        obs, x0, times = None, [-0.0, -1e-322], [0.0, dt] + times[1:]
+    else:
+        # no noise at all: each step's noise term is an empty sum
+        from snf.analysis import noise_free_part
+        spec = toy5.spec
+        rhs = [spec.linear_xdot()[0] + spec.f[0], spec.linear_ydot()[0] + spec.g[0]]
+        sde = mc.compile_series(noise_free_part(rhs), spec.slow_names + spec.fast_names,
+                                lambda mono: tuple(mono[0]) + tuple(mono[1]),
+                                {"sigma": 0.05}, spec.param_names, 0)
+        obs, x0 = None, [0.3, 0.09]
+        assert sde.n_noise == 0
     got = run_ensemble(sde, x0, T, dt, 2 * R, 23, times, observables=obs,
                        chunk=R, warm=warm)
     want = _per_step_ensemble(sde, x0, T, dt, 2 * R, 23, times, observables=obs,
                               chunk=R, warm=warm)
     assert _same_bits(got.samples, want)
-    assert np.all(np.isfinite(want)) and len(np.unique(want[:, -1, 0])) == 2 * R
+    assert np.all(np.isfinite(want))
+    if model == "zero-amplitude":
+        x = want[:, :, 0]
+        assert np.all(x == 0) and np.all(np.signbit(x) == (np.array(times) == 0))
+    elif model == "noiseless":
+        assert len(np.unique(want[:, -1, 0])) == 1
+    else:
+        assert len(np.unique(want[:, -1, 0])) == 2 * R
 
 
 def test_run_ensemble_default_warmup_is_the_per_step_loop(toy_chart_model):
@@ -948,9 +979,25 @@ def _two_fast_model(reduced):
 
 @pytest.mark.parametrize("case", ["toy5 full", "toy5 reduced", "pk3 full",
                                   "pk3 reduced", "linear3 full", "linear3 reduced",
-                                  "pk3 longtime", "two-fast full", "two-fast reduced"])
+                                  "pk3 longtime", "two-fast full", "two-fast reduced",
+                                  "toy5 manifold", "pk3 manifold"])
 def test_rates_is_the_per_term_evaluator(request, toy_chart_model, case):
     name, model = case.split()
+    if model == "manifold":
+        # snf compare's start of the full system on the manifold: one
+        # replicate, no convolution rows
+        from snf.analysis import noise_free_part, ssm_parametrisation
+        nf = request.getfixturevalue(name)
+        spec = nf.spec
+        params = {p: 0.3 for p in spec.param_names}
+        sde = mc.compile_series(noise_free_part(ssm_parametrisation(nf).y_of_X),
+                                spec.fast_names, lambda mono: tuple(mono[0]), params,
+                                spec.param_names, spec.n_noise)
+        state, z = np.full((spec.m, 1), 0.3), np.empty((0, 1))
+        got, want = sde.rates(state, z), _rates_reference(sde, state, z)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        assert np.all(got[0] != 0)
+        return
     if name == "two-fast":
         sde = _two_fast_model(model == "reduced")
     else:
@@ -977,14 +1024,17 @@ def test_rates_of_the_chart_observables(toy_chart_model):
 @st.composite
 def _term_lists(draw):
     dim = draw(st.integers(1, 3))
-    n_noise = draw(st.integers(2, 3))
-    # a few (powers, slots) shapes, so that terms repeat them
+    n_noise = draw(st.integers(0, 3))
+    # a few (powers, slots) shapes, so that terms repeat them, and the
+    # constant shape, so that a row may hold constant terms only
     shapes = draw(st.lists(st.tuples(
         st.tuples(*[st.integers(0, 4)] * dim),
         st.lists(st.integers(0, 3), max_size=3).map(tuple)), min_size=1, max_size=4))
-    term = st.tuples(st.sampled_from(shapes),
-                     st.floats(-4, 4, allow_nan=False, allow_infinity=False),
-                     st.integers(-1, n_noise - 1))
+    shapes.append(((0,) * dim, ()))
+    # signed zeros and subnormals among the coefficients
+    coeff = st.one_of(st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+                      st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320]))
+    term = st.tuples(st.sampled_from(shapes), coeff, st.integers(-1, n_noise - 1))
     rows = draw(st.lists(st.lists(term, max_size=8), min_size=dim, max_size=dim))
     return [[mc.CompiledTerm(c, pows, slots, k) for (pows, slots), c, k in row]
             for row in rows], n_noise
@@ -1210,10 +1260,30 @@ def test_an_ensemble_of_one_chunk_never_forks(toy_chart_model, monkeypatch):
     assert np.all(np.isfinite(res.samples))
 
 
-def test_an_ensemble_of_no_replicates_is_refused(toy_chart_model):
+def _refused(message, **bad):
+    return pytest.param(bad, message, id=",".join(f"{k}={v}" for k, v in bad.items()))
+
+
+@pytest.mark.parametrize("bad,message", [
+    _refused("at least one replicate, got n_rep=0", n_rep=0),
+    # these used to end in ZeroDivisionError, a math domain error and a
+    # NaN conversion error
+    _refused("positive finite step, got dt=0.0", dt=0.0),
+    _refused("positive finite step, got dt=-0.01", dt=-1e-2),
+    _refused("positive finite step, got dt=nan", dt=math.nan),
+    # a range() error and a ZeroDivisionError
+    _refused("chunks of at least one replicate, got chunk=0", chunk=0),
+    _refused("chunks of at least one replicate, got chunk=-3", chunk=-3),
+    # an OverflowError, and a warm-up silently skipped
+    _refused("finite non-negative warm-up, got warm=inf", warm=math.inf),
+    _refused("finite non-negative warm-up, got warm=-1.0", warm=-1.0),
+])
+def test_an_ensemble_of_no_replicates_is_refused(toy_chart_model, bad, message):
     sde, obs = toy_chart_model
-    with pytest.raises(ValueError, match="at least one replicate, got n_rep=0"):
-        run_ensemble(sde, [0.3], 0.1, 1e-2, 0, 5, [0.1], observables=obs, warm=0.2)
+    args = dict(dict(T=0.1, dt=1e-2, n_rep=4, seed=5, sample_times=[0.1],
+                     observables=obs, warm=0.2), **bad)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_ensemble(sde, [0.3], **args)
 
 
 def _no_child_left():
