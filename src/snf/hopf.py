@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .bands import QuadNoise, band_component, quad_resonant_noise
-from .mc import heun_path
+from .mc import heun_path, in_processes
 
 
 def _check_step(dt: float) -> None:
@@ -31,22 +31,37 @@ def simulate_dvdp(alpha: float, beta: float, sigma: float,
                   dw: np.ndarray, dt: float,
                   init: Tuple[float, float]) -> Tuple[np.ndarray, np.ndarray]:
     """Stratonovich Heun integration of the oscillator driven by given
-    Brownian increments (shape (n,) or (R, n)); returns (x1, v) arrays with
-    one more sample than increments.  Each replicate steps alone, x1 + i v."""
+    Brownian increments (shape (n,) or (R, n)) from ``init`` = (x1, v);
+    returns (x1, v) arrays of shape (R, n + 1), one more sample than
+    increments.  Each replicate steps alone through ``heun_path``, x1 + i v,
+    so its samples are the same bits whichever process steps it: the
+    replicates are split into contiguous groups, stepped in parallel
+    processes by ``in_processes``.  An error inside a worker's replicates
+    arrives as a RuntimeError that names it."""
     _check_step(dt)
+    dw = np.asarray(dw)
+    if dw.ndim not in (1, 2):
+        raise ValueError(f"dw has shape {dw.shape}: the increments must be one "
+                         f"path (n,) or replicates (R, n)")
+    if np.shape(init) != (2,):
+        raise ValueError(f"init = {init!r}: the start must be a pair (x1, v)")
     dw = np.atleast_2d(dw)
     R, n = dw.shape
     s = np.empty((R, n + 1), dtype=complex)
-    for r in range(R):
-        dwr = dw[r].tolist()
 
-        def increment(z, i, _end):
-            x, v = z.real, z.imag
-            acc = alpha * x + beta * v - x ** 3 - x ** 2 * v
-            # parametric noise sigma*x1 o dW enters the velocity equation
-            return complex(v * dt, acc * dt + sigma * x * dwr[i])
+    def fill(lo: int, hi: int) -> None:
+        for r in range(lo, hi):
+            dwr = dw[r].tolist()
 
-        s[r] = heun_path(complex(*init), n, increment)
+            def increment(z, i, _end):
+                x, v = z.real, z.imag
+                acc = alpha * x + beta * v - x ** 3 - x ** 2 * v
+                # parametric noise sigma*x1 o dW enters the velocity equation
+                return complex(v * dt, acc * dt + sigma * x * dwr[i])
+
+            s[r] = heun_path(complex(*init), n, increment)
+
+    in_processes(R, fill, lambda lo, hi: s[lo:hi])
     return s.real, s.imag
 
 
@@ -163,8 +178,9 @@ def mathieu_growth(beta: float, sigma: float, T: float = 80.0,
 
     Integrates the amplitude pair da/dt = beta a/2 + sigma b/4 (conjugate
     pair coupling from the frequency-2 line) and the linearised oscillator
-    x1'' = (-1 + sigma cos 2t) x1 + beta x1', both by Heun steps, and fits
-    both exponential rates.  The real and imaginary parts of the pair grow
+    x1'' = (-1 + sigma cos 2t) x1 + beta x1', both by Heun steps, in
+    parallel processes where there are CPUs for them, and fits both
+    exponential rates.  The real and imaginary parts of the pair grow
     at beta/2 + sigma/4 and beta/2 - sigma/4, so the model predicts lambda =
     beta/2 + |sigma|/4.
     """
@@ -177,17 +193,25 @@ def mathieu_growth(beta: float, sigma: float, T: float = 80.0,
                          f"samples in the fit window (the last three quarters)")
     # The pair starts conjugate and its coefficients are real, so b stays
     # exactly conj(a) and one complex equation carries both.
-    a = heun_path(0.01 + 0.003j, n, lambda y, _i, _end: (
-        0.5 * beta * y + 0.25 * sigma * y.conjugate()) * dt)
-    model_rate = fit_growth_rate(2 * np.abs(a), dt)
+    def pair(y, _i, _end):
+        return (0.5 * beta * y + 0.25 * sigma * y.conjugate()) * dt
 
     # linearised full oscillator, state (x1, v) carried as x1 + i v
-    def increment(y, i, end):
+    def linearised(y, i, end):
         x, v = y.real, y.imag
         t = (i + end) * dt
         return complex(v, (-1.0 + sigma * math.cos(2 * t)) * x + beta * v) * dt
 
-    s = heun_path(0.01 + 0.0j, n, increment)
-    full_rate = fit_growth_rate(np.abs(s), dt)
-    return {"model": model_rate, "full": full_rate,
+    # The two paths are independent: each job walks one and fits the rate
+    # of its amplitude, 2|a| for the pair and |x1 + i v| for the oscillator.
+    jobs = ((0.01 + 0.003j, pair, 2), (0.01 + 0.0j, linearised, 1))
+    rates = np.empty(len(jobs))
+
+    def fill(lo: int, hi: int) -> None:
+        for k in range(lo, hi):
+            y0, increment, scale = jobs[k]
+            rates[k] = fit_growth_rate(scale * np.abs(heun_path(y0, n, increment)), dt)
+
+    in_processes(len(jobs), fill, lambda lo, hi: rates[lo:hi])
+    return {"model": float(rates[0]), "full": float(rates[1]),
             "predicted": 0.5 * beta + 0.25 * abs(sigma)}

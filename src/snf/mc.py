@@ -30,8 +30,10 @@ are reproducible from the master seed and independent across replicates.
 A chunk draws its linear slots' stationary start first (its product slots
 start at their means and draw nothing), then its warm-up, then its horizon
 increments.  The chunks are split into contiguous groups, at most one per
-usable CPU; the calling process steps the first group and a forked child
-each other one, sending its samples back through a pipe.  Warm-up and
+usable CPU (``in_processes``, the package's one process runner); the
+calling process steps the first group and a forked child each other one,
+each bound to its own CPU, the child sending its samples back through a
+pipe.  Warm-up and
 horizon step a group's chunks as one array, in blocks of the same size,
 each chunk's increments filling its own columns.  A chunk draws each
 block's increments in one call into a buffer of its own, which consumes its
@@ -652,8 +654,11 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     positive and finite, and ``warm`` non-negative and finite: ValueError
     names the argument otherwise.
     The chunks are split into contiguous groups, one per usable CPU at
-    most (``_worker_count``).  The calling process steps the first group
-    and a forked child process each other one (``_in_processes``).  Warm-up
+    most, by ``in_processes``: the calling process steps the first group
+    and a forked child process each other one, each process bound to its
+    own CPU while they run.  Unbound, a child on a host whose cpuset turns
+    scheduler load balancing off can stay on its parent's CPU for its whole
+    life and share that one core with it.  Warm-up
     and horizon step a group's replicates as one array, each chunk's
     increments filling its own columns, so a replicate's path does not
     depend on how many chunks step beside it, nor on how many processes
@@ -692,9 +697,7 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
                     [(a - lo, b - lo) for a, b in chunks[c0:c1]], streams[c0:c1],
                     rows(c0, c1))
 
-    n_groups = _worker_count(len(chunks))
-    bounds = [len(chunks) * g // n_groups for g in range(n_groups + 1)]
-    _in_processes(fill, [(g, rows(*g)) for g in zip(bounds, bounds[1:])])
+    in_processes(len(chunks), fill, rows)
     return EnsembleResult(sample_times, out, tuple(names))
 
 
@@ -706,32 +709,57 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(n_chunks: int) -> int:
-    """How many processes step ``n_chunks`` chunks: one per usable CPU, at
-    most one per chunk, and one where forking is missing or unsafe (a
-    process with more than one thread)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return min(_usable_cpus(), n_chunks)
+def _bind(cpus: Optional[set]) -> None:
+    """Bind this process to the CPU set ``cpus``, if any; where the platform
+    has no binding or refuses it, leave the process as it is."""
+    if cpus and hasattr(os, "sched_setaffinity"):
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
 
 
-def _in_processes(fill: Callable[..., None], jobs: List[Tuple[Tuple, np.ndarray]]):
-    """Run ``fill(*args)`` for each ``(args, rows)`` job, each filling its
-    ``rows`` of one array: the first job in this process, each other in a
-    forked child (``_child``); one job forks nothing.  Where the system
-    refuses a pipe or a fork (a process or file limit reached), that job
-    and every later one run in this process instead.
+def in_processes(n_items: int, fill: Callable[[int, int], None],
+                 rows: Callable[[int, int], np.ndarray]) -> None:
+    """Run ``fill(lo, hi)`` over contiguous ranges that cover
+    ``range(n_items)``, each filling ``rows(lo, hi)``, a view of one array
+    of any dtype: one range per usable CPU at most (``_usable_cpus``), and
+    one where forking is missing or unsafe (a process with more than one
+    thread).  The first range runs in this process, each other one in a
+    forked child (``_child``); one range forks nothing.  Where the system
+    refuses a pipe or a fork (a process or file limit reached), that range
+    and every later one run in this process instead.  ``fill`` must write
+    nothing but its rows that the caller reads: a child's other writes stay
+    in the child.
 
-    The parent reads each child's pipe to its end before reaping it, copies
-    the rows in and issues the child's warnings as its own.  A child's
+    While children run, each process of the split, this one included, is
+    bound to its own CPU of this process's affinity set, and this process's
+    own set is restored when the call returns or raises.  The kernel need
+    not spread them: where a cpuset turns scheduler load balancing off, a
+    forked child can stay on its parent's CPU for its whole life, and the
+    two then share one core.  Where binding is refused or unavailable, the
+    processes run unbound; the rows are the same bits either way.
+
+    The parent reads each child's pipe to its end before reaping it, the
+    rows into place, and issues the child's warnings as its own.  A child's
     exception is raised here as a RuntimeError carrying its text, once every
-    child is reaped.  If anything in this process raises after the first
-    fork, its own job included, every child left is killed and reaped
-    before the exception goes on: no child outlives the call."""
+    child is reaped; the rows of a failed child are then undefined.  If
+    anything in this process raises after the first fork, its own range
+    included, every child left is killed and reaped before the exception
+    goes on: no child outlives the call."""
+    n_groups = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        n_groups = max(1, min(_usable_cpus(), n_items))
+    bounds = [n_items * g // n_groups for g in range(n_groups + 1)]
+    jobs = list(zip(bounds, bounds[1:]))
+    affinity = os.sched_getaffinity(0) if (
+        n_groups > 1 and hasattr(os, "sched_getaffinity")) else set()
+    cpus = [{cpu} for cpu in sorted(affinity)] or [None]    # job k: cpus[k % len]
     children = []                       # (pid, read end, rows), unreaped
     local = 1                           # jobs[1:local] went to children
     try:
-        for args, rows in jobs[1:]:
+        for k, (lo, hi) in enumerate(jobs[1:], 1):
+            part = rows(lo, hi)
             try:
                 r, w = os.pipe()
             except OSError:
@@ -743,27 +771,35 @@ def _in_processes(fill: Callable[..., None], jobs: List[Tuple[Tuple, np.ndarray]
                 os.close(w)
                 break
             if pid == 0:
-                _child(r, w, fill, args, rows)
+                _child(r, w, fill, lo, hi, part, cpus[k % len(cpus)])
             os.close(w)
-            children.append((pid, os.fdopen(r, "rb"), rows))
+            children.append((pid, os.fdopen(r, "rb"), part))
             local += 1
-        for args, _rows in jobs[:1] + jobs[local:]:
-            fill(*args)
+        if children:
+            _bind(cpus[0])
+        for lo, hi in jobs[:1] + jobs[local:]:
+            fill(lo, hi)
         caught, errors = [], []
         while children:
-            pid, pipe, rows = children[0]
-            data = pipe.read()
+            pid, pipe, part = children[0]
+            # rows that are one block are read straight into place
+            into = part if part.flags.c_contiguous else np.empty(part.shape, part.dtype)
+            raw = into.reshape(-1).view(np.uint8)
+            got = pipe.readinto(raw)
+            rest = pipe.read()
             pipe.close()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
-            if code == 0 and len(data) >= rows.nbytes:
-                rows.reshape(-1)[:] = np.frombuffer(data[:rows.nbytes])
-                caught.extend(pickle.loads(data[rows.nbytes:]))
+            if code == 0 and got == part.nbytes:
+                if into is not part:
+                    part[...] = into
+                caught.extend(pickle.loads(rest))
             else:
-                errors.append(data.decode(errors="replace") or f"exit code {code}")
+                text = raw[:got].tobytes() + rest
+                errors.append(text.decode(errors="replace") or f"exit code {code}")
     except BaseException:
         from signal import SIGKILL
-        for pid, pipe, _rows in children:
+        for pid, pipe, _part in children:
             pipe.close()
             try:
                 if os.waitpid(pid, os.WNOHANG)[0] == 0:
@@ -772,8 +808,11 @@ def _in_processes(fill: Callable[..., None], jobs: List[Tuple[Tuple, np.ndarray]
             except ChildProcessError:
                 pass                    # reaped just before the exception
         raise
+    finally:
+        if local > 1:
+            _bind(affinity)
     if errors:
-        raise RuntimeError("an ensemble worker process failed: " + "; ".join(errors))
+        raise RuntimeError("a worker process failed: " + "; ".join(errors))
     if caught:
         # each shown or not as the module it was raised in has shown it
         modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
@@ -783,19 +822,21 @@ def _in_processes(fill: Callable[..., None], jobs: List[Tuple[Tuple, np.ndarray]
             warnings.warn_explicit(text, category, filename, lineno, registry=registry)
 
 
-def _child(r: int, w: int, fill: Callable[..., None], args: Tuple, rows: np.ndarray):
-    """A forked child's whole life: ``fill(*args)``, then down the pipe's
-    write end ``w`` its ``rows`` as raw float64 bytes and the pickled
-    warnings it caught (text, category, file, line), exit code 0; or the
-    error's text, exit code 1.  It leaves by ``os._exit`` whatever
-    happens: it never returns into the caller, flushes no inherited buffer
-    and runs no exit handler."""
+def _child(r: int, w: int, fill: Callable[[int, int], None], lo: int, hi: int,
+           rows: np.ndarray, cpus: Optional[set]) -> None:
+    """A forked child's whole life: bound to the CPU set ``cpus``,
+    ``fill(lo, hi)``, then down the pipe's write end ``w`` its ``rows`` as
+    raw C-ordered bytes of their dtype and the pickled warnings it caught
+    (text, category, file, line), exit code 0; or the error's text, exit
+    code 1.  It leaves by ``os._exit`` whatever happens: it never returns
+    into the caller, flushes no inherited buffer and runs no exit handler."""
     code = 1
     try:
         os.close(r)
         try:
+            _bind(cpus)
             with warnings.catch_warnings(record=True) as caught:
-                fill(*args)
+                fill(lo, hi)
             payload = rows.tobytes() + pickle.dumps(
                 [(str(m.message), m.category, m.filename, m.lineno) for m in caught])
             code = 0

@@ -59,6 +59,26 @@ def make_system(name: str, total=None, caps=None):
     return spec
 
 
+def counting_forks(monkeypatch):
+    """The pids of the children ``os.fork`` starts from now on, in a list."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def no_child_left():
+    """Assert this process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(scope="session")
 def toy3():
     from snf.engine import construct

@@ -1,11 +1,14 @@
 """Oscillator lab: amplitude models, the full oscillator, Mathieu rates."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 import snf.hopf
+from conftest import counting_forks, no_child_left
+from snf import mc
 from snf.bands import band_component
 from snf.cli import EXIT_OK, main
 from snf.hopf import (AmplitudeDrivers, fit_growth_rate, landau_rhs,
@@ -259,7 +262,10 @@ def test_paths_are_the_per_step_heun_loop_bit_for_bit(monkeypatch):
         landau_rhs(y, beta) * dt + gr * y * dWr[i] - gi * y * dWi[i]))
     assert same_bits(a, want)
 
-    # both paths of the Mathieu check, as it walks them
+    # both paths of the Mathieu check, as it walks them, in this process so
+    # that the recorder sees both walks (other process counts give the same
+    # bits: test_mathieu_is_the_same_bits_in_any_number_of_processes)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
     walked = []
 
     def recording(*args):
@@ -278,6 +284,61 @@ def test_paths_are_the_per_step_heun_loop_bit_for_bit(monkeypatch):
     assert same_bits(walked[0], heun_loop(0.01 + 0.003j, 2000, lambda y, _i, _end: (
         0.5 * mb * y + 0.25 * ms * y.conjugate()) * mdt))
     assert same_bits(walked[1], heun_loop(0.01 + 0.0j, 2000, linearised))
+
+
+# -- independent paths stepped in parallel processes ---------------------------
+
+@pytest.mark.parametrize("R", [1, 3, 8])
+def test_dvdp_is_the_same_bits_in_any_number_of_processes(R, monkeypatch):
+    dw = np.random.default_rng(40 + R).standard_normal((R, 300)) * math.sqrt(DT)
+    forks = counting_forks(monkeypatch)
+    runs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        forks.clear()
+        x, v = simulate_dvdp(-1.0, 0.1, 0.5, dw, DT, (0.3, -0.2))
+        assert len(forks) == min(cpus, R) - 1
+        no_child_left()
+        runs.append(x.tobytes() + v.tobytes())
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_mathieu_is_the_same_bits_in_any_number_of_processes(monkeypatch):
+    forks = counting_forks(monkeypatch)
+    runs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        forks.clear()
+        runs.append(mathieu_growth(0.05, 0.3, T=4.0))
+        assert len(forks) == min(cpus, 2) - 1
+        no_child_left()
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_dvdp_of_no_replicates_forks_nothing(monkeypatch):
+    def refused():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", refused)
+    x, v = simulate_dvdp(-1.0, 0.1, 0.5, np.zeros((0, 7)), DT, (0.3, 0.0))
+    assert x.shape == v.shape == (0, 8) and x.dtype == v.dtype == float
+
+
+def test_dvdp_names_a_worker_error(monkeypatch):
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    parent, path = os.getpid(), snf.hopf.heun_path
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise ValueError("stepping refused in the worker")
+        return path(*args)
+
+    monkeypatch.setattr(snf.hopf, "heun_path", failing)
+    with pytest.raises(RuntimeError, match="^a worker process failed: "
+                                           "ValueError: stepping refused in the worker$"):
+        simulate_dvdp(-1.0, 0.1, 0.5, np.zeros((2, 5)), DT, (0.3, 0.0))
+    no_child_left()
 
 
 # -- refusals of stepping input ------------------------------------------------
@@ -321,6 +382,23 @@ def test_dvdp_refuses_a_step_it_cannot_use(monkeypatch, dt):
     monkeypatch.setattr(snf.hopf, "heun_path", _no_path)
     with pytest.raises(ValueError, match=rf"^dt = {dt}: the step must be positive"):
         simulate_dvdp(-0.9, 0.1, 0.3, np.zeros(5), dt, (0.1, 0.0))
+
+
+@pytest.mark.parametrize("dw,init,message", [
+    # these used to end in "too many values to unpack" and in steps from a
+    # start the caller did not give
+    (np.zeros((1, 2, 5)), (0.1, 0.0), r"^dw has shape \(1, 2, 5\): the increments "
+                                       r"must be one path \(n,\) or replicates"),
+    (np.zeros(()), (0.1, 0.0), r"^dw has shape \(\): the increments must be"),
+    (np.zeros(5), (0.1,), r"^init = \(0.1,\): the start must be a pair \(x1, v\)"),
+    (np.zeros(5), (0.1, 0.0, 0.2), r"^init = \(0.1, 0.0, 0.2\): the start must be"),
+    (np.zeros(5), 0.1, r"^init = 0.1: the start must be a pair"),
+])
+def test_dvdp_refuses_input_it_cannot_step(monkeypatch, dw, init, message):
+    monkeypatch.setattr(snf.hopf, "heun_path", _no_path)
+    monkeypatch.setattr(snf.hopf, "in_processes", _no_path)
+    with pytest.raises(ValueError, match=message):
+        simulate_dvdp(-0.9, 0.1, 0.3, dw, 0.01, init)
 
 
 @_BAD_STEPS

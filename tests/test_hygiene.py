@@ -15,9 +15,10 @@ File gate: no `src/snf` module but `cli` calls `open`.  The command line
 reads and writes the files it is given; every other module takes and
 returns text.
 
-Process gate: only `snf.mc` starts processes.  No other `src/snf` module
-imports `multiprocessing`, `subprocess`, `threading` or
-`concurrent.futures`, or reads `os.fork` (or `os.forkpty`).
+Process gate: only `snf.mc` starts processes and binds them to CPUs.  No
+other `src/snf` module imports `multiprocessing`, `subprocess`,
+`threading` or `concurrent.futures`, or reads `os.fork` (or `os.forkpty`)
+or `os.sched_setaffinity`.
 
 Generated-code gate: only the builder of each model's rates kernel,
 `snf.mc.rates_kernel`, runs code it writes.  No other `src/snf` code
@@ -204,28 +205,32 @@ def test_no_module_reads_another_modules_private_names():
 
 
 _PROCESS_MODULES = {"multiprocessing", "subprocess", "threading", "concurrent"}
+_PROCESS_CALLS = ("fork", "sched_setaffinity")     # name prefixes read off os
 
 
 def _starts_processes(node):
     """Whether ``node`` imports a process or thread module, or reads
-    ``fork`` off ``os`` (``os.fork``, ``from os import fork``)."""
+    ``fork`` or ``sched_setaffinity`` off ``os`` (``os.fork``, ``from os
+    import fork``)."""
     if isinstance(node, ast.Import):
         return any(alias.name.partition(".")[0] in _PROCESS_MODULES
                    for alias in node.names)
     if isinstance(node, ast.ImportFrom) and not node.level:
         top = (node.module or "").partition(".")[0]
         return top in _PROCESS_MODULES or top == "os" and any(
-            alias.name.startswith("fork") for alias in node.names)
-    return (isinstance(node, ast.Attribute) and node.attr.startswith("fork")
+            alias.name.startswith(_PROCESS_CALLS) for alias in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr.startswith(_PROCESS_CALLS)
             and isinstance(node.value, ast.Name) and node.value.id == "os")
 
 
 def test_only_the_monte_carlo_module_starts_processes():
-    # an ensemble's chunk groups are the package's one use of processes
+    # mc's process runner is the package's one use of processes and of
+    # CPU binding; the Monte Carlo ensembles and the Hopf lab call it
     started = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
                for path, tree in _trees("src/snf") if path.name != "mc.py"
                for node in ast.walk(tree) if _starts_processes(node)]
-    assert not started, "processes started outside snf.mc:\n" + "\n".join(started)
+    assert not started, ("processes started or bound outside snf.mc:\n"
+                         + "\n".join(started))
 
 
 _CODE_BUILTINS = {"exec", "eval", "compile"}

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bundled_text, make_system
+from conftest import bundled_text, counting_forks, make_system, no_child_left
 from snf import mc, noise
 from snf.engine import construct
 from snf.mc import (CompileError, FilterBank, compile_full_system,
@@ -1118,15 +1118,7 @@ def test_run_ensemble_in_two_processes_of_six_step_blocks_is_the_per_step_loop(
     else:
         sde, obs = compile_full_system(toy5.spec, {"sigma": 0.05}), None
         x0 = [0.3, 0.09]
-    forks, fork = [], os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
+    forks = counting_forks(monkeypatch)
     got = run_ensemble(sde, x0, T, dt, n_rep, 37, times, observables=obs,
                        chunk=2500, warm=warm)
     assert len(forks) == 1
@@ -1225,15 +1217,7 @@ def test_samples_are_the_same_bits_in_any_number_of_processes(case, toy_chart_mo
                                                               toy5, monkeypatch):
     # R = 1100 is three chunks of 512, 512 and 76 replicates
     sde, x0, T, n_rep, times, kw = _ensemble_case(case, toy_chart_model, toy5)
-    forks, fork = [], os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
+    forks = counting_forks(monkeypatch)
     samples = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
@@ -1286,11 +1270,6 @@ def test_an_ensemble_of_no_replicates_is_refused(toy_chart_model, bad, message):
         run_ensemble(sde, [0.3], **args)
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("where", [None, "parent", "child"])
 def test_no_worker_process_outlives_the_call(where, toy_chart_model, monkeypatch):
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
@@ -1320,7 +1299,7 @@ def test_no_worker_process_outlives_the_call(where, toy_chart_model, monkeypatch
                            match="worker process failed: ValueError: rates refused "
                                  "in the child; ValueError: rates refused in the child"):
             run()
-    _no_child_left()
+    no_child_left()
 
 
 @pytest.mark.parametrize("refused", [1, 2])
@@ -1345,7 +1324,7 @@ def test_a_refused_fork_steps_the_rest_in_the_caller(refused, toy_chart_model,
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
     assert run().tobytes() == want.tobytes()
     assert len(calls) == refused
-    _no_child_left()
+    no_child_left()
 
 
 def test_a_worker_process_prints_nothing_the_caller_buffered(tmp_path):
@@ -1397,6 +1376,87 @@ def test_a_worker_process_warning_is_issued_once_by_the_caller(who, toy_chart_mo
         run_ensemble(sde, [0.3], 0.1, 1e-2, 1100, 5, [0.1], observables=obs, warm=0.2)
     assert [str(w.message) for w in seen] == ["rates warned"]
     assert seen[0].filename == __file__
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_runner_copies_back_rows_of_any_dtype_and_layout(cpus, monkeypatch):
+    # complex rows, and rows seen through a view that is not C-contiguous
+    # (every other column of a wider array, transposed)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+    forks = counting_forks(monkeypatch)
+    want = np.arange(1, 4) * (1 + 2j) * np.arange(1, 5)[:, None]
+    z = np.zeros((4, 3), dtype=complex)
+    wide = np.zeros((3, 8))
+    strided = wide[:, ::2].T
+    assert not strided.flags.c_contiguous
+
+    def fill(lo, hi):
+        z[lo:hi] = want[lo:hi]
+        strided[lo:hi] = want[lo:hi].imag
+
+    mc.in_processes(4, fill, lambda lo, hi: z[lo:hi])
+    assert len(forks) == cpus - 1
+    assert z.tobytes() == want.tobytes()
+    forks.clear()
+    mc.in_processes(4, fill, lambda lo, hi: strided[lo:hi])
+    assert len(forks) == cpus - 1
+    assert np.array_equal(strided, want.imag) and not wide[:, 1::2].any()
+    no_child_left()
+
+
+_BINDS = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="binding workers to CPUs needs sched_setaffinity and two CPUs")
+
+
+@_BINDS
+@pytest.mark.parametrize("fails", [False, True])
+def test_each_process_of_a_split_runs_on_its_own_cpu(fails, monkeypatch):
+    # each job records the CPU set it ran on: one CPU each, not the same
+    # one, and the caller's own set is back after the call, raised or not
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    before, parent = os.sched_getaffinity(0), os.getpid()
+    seen = np.zeros((2, 2), dtype=np.int64)
+
+    def fill(lo, _hi):
+        cpus = os.sched_getaffinity(0)
+        seen[lo] = len(cpus), min(cpus)
+        if fails and os.getpid() != parent:
+            raise ValueError("refused in the worker")
+
+    if fails:
+        with pytest.raises(RuntimeError,
+                           match="^a worker process failed: ValueError: refused"):
+            mc.in_processes(2, fill, lambda lo, hi: seen[lo:hi])
+        assert seen[0, 0] == 1 and seen[0, 1] in before
+    else:
+        mc.in_processes(2, fill, lambda lo, hi: seen[lo:hi])
+        assert list(seen[:, 0]) == [1, 1]
+        assert seen[0, 1] != seen[1, 1] and set(seen[:, 1]) <= before
+    assert os.sched_getaffinity(0) == before
+    no_child_left()
+
+
+@_BINDS
+def test_a_refused_binding_gives_the_same_bits(toy_chart_model, monkeypatch):
+    sde, obs = toy_chart_model
+    run = lambda: run_ensemble(sde, [0.3], 0.1, 1e-2, 1100, 5, [0.1],
+                               observables=obs, warm=0.2).samples
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
+    want = run()
+    refused = []
+
+    def refuse(_pid, cpus):
+        refused.append(cpus)
+        raise PermissionError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    forks = counting_forks(monkeypatch)
+    assert run().tobytes() == want.tobytes()
+    # the caller tried to bind itself and to restore its set
+    assert len(forks) == 1 and len(refused) == 2
+    no_child_left()
 
 
 def test_observables_reject_bare_noise_when_compiled(toy3):
