@@ -16,7 +16,9 @@ with half-width delta,
 is unit variance, slowly varying, and independent across non-overlapping
 bands.  Quadratic combinations of two noise frequencies that land within
 delta of a resonance produce the slowly varying processes psi_pm computed by
-``quad_resonant_noise``.
+``quad_resonant_noise``.  Its resonant strip, 2L+1 independent offsets of
+O(n) work each, is split across CPUs by ``snf.mc.in_processes``, with the
+same bits in any number of processes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
+
+from . import mc
 
 
 @dataclass
@@ -91,10 +95,25 @@ def check_record(T: float, delta: float) -> None:
                          f"offset; got {T:g}")
 
 
+def check_white(w: np.ndarray) -> None:
+    """Refuse a white-noise record that is not one-dimensional and finite:
+    an array of another shape would be read as len(w) samples, and a
+    non-finite sample spreads to every bin of its transform."""
+    shape = np.shape(w)
+    if len(shape) != 1:
+        raise ValueError(f"the white-noise record must be one-dimensional, "
+                         f"got shape {shape}")
+    bad = np.flatnonzero(~np.isfinite(w))
+    if len(bad):
+        raise ValueError(f"the white-noise record must be finite: {len(bad)} of its "
+                         f"{shape[0]} samples are not, the first at index {bad[0]}")
+
+
 def band_component(w: np.ndarray, dt: float, m: float, delta: float) -> BandNoise:
     """Unit-variance narrow-band component of the noise near frequency m."""
     check_half_width(delta)
     check_step(dt, m, delta)
+    check_white(w)
     n = len(w)
     omega = 2.0 * math.pi * np.fft.fftfreq(n, d=dt)
     W = np.fft.fft(w)
@@ -112,13 +131,24 @@ def _kernel_factors(Om: np.ndarray, sign: int):
 
 
 def _kernel_of_factors(Om: np.ndarray, Omt: np.ndarray, sOm: np.ndarray,
-                       two_a: np.ndarray, bt: np.ndarray, sign: int) -> np.ndarray:
+                       two_a: np.ndarray, bt: np.ndarray, sign: int,
+                       scratch: np.ndarray) -> np.ndarray:
     """K_pm(Om, Omt) from the factors of ``_kernel_factors``: sOm and two_a
-    of Om, bt of Omt."""
-    S = Om + Omt
-    num = -(S + sOm * Omt) * (S + float(sign) * 2.0)
-    den = two_a * bt * Om * Omt
-    return num / den
+    of Om, bt of Omt.  ``scratch``, three float rows of the result's shape,
+    holds the intermediates and, in its second row, the result, which is
+    returned; each element's operations and their order do not depend on
+    where the rows lie, so neither do its bits."""
+    S, num, den = scratch
+    np.add(Om, Omt, out=S)
+    np.multiply(sOm, Omt, out=num)
+    np.add(S, num, out=num)
+    np.negative(num, out=num)
+    np.add(S, float(sign) * 2.0, out=S)
+    np.multiply(num, S, out=num)        # -(S + sOm Omt) (S + 2s)
+    np.multiply(two_a, bt, out=den)
+    np.multiply(den, Om, out=den)
+    np.multiply(den, Omt, out=den)      # two_a bt Om Omt
+    return np.divide(num, den, out=num)
 
 
 def _kernel(Om: np.ndarray, Omt: np.ndarray, sign: int) -> np.ndarray:
@@ -126,7 +156,8 @@ def _kernel(Om: np.ndarray, Omt: np.ndarray, sign: int) -> np.ndarray:
     / (2 (Om + 2s)(Omt + 2s) Om Omt)."""
     sOm, two_a, _ = _kernel_factors(Om, sign)
     _, _, bt = _kernel_factors(Omt, sign)
-    return _kernel_of_factors(Om, Omt, sOm, two_a, bt, sign)
+    scratch = np.empty((3,) + np.broadcast_shapes(np.shape(Om), np.shape(Omt)))
+    return _kernel_of_factors(Om, Omt, sOm, two_a, bt, sign, scratch)
 
 
 def kernel_limit(omega: np.ndarray) -> np.ndarray:
@@ -145,6 +176,13 @@ def _resonant_strip(w: np.ndarray, dt: float, delta: float,
     the whole slice, then the pairs with both frequencies in D are kept, in
     ascending j, and summed.  The kernel's poles (Omega = 0, -2 for either
     partner) lie in the excluded bands, so their values never reach a sum.
+
+    The spectrum, the masks of D and the kernel's factors are formed once,
+    here; the offsets are independent and split into contiguous ranges
+    across processes by ``mc.in_processes``.  Each worker forms its offsets'
+    kernels, products and masks in one set of scratch rows of length n, so
+    an offset allocates no row of its own; every sum is the same bits in
+    any number of processes.
     """
     n = len(w)
     dOm = 2.0 * math.pi / (n * dt)
@@ -159,15 +197,26 @@ def _resonant_strip(w: np.ndarray, dt: float, delta: float,
     L = _strip_offsets(n * dt, delta)
     lbins = np.arange(-L, L + 1)
     psit_p = np.zeros(len(lbins), dtype=complex)
-    for pos, l in enumerate(lbins):
-        c = l + 2 * (n // 2)
-        lo, hi = max(0, c - n + 1), min(n, c + 1)
-        j = slice(lo, hi)
-        p = slice(lo + n - 1 - c, hi + n - 1 - c)   # om_r[p] is om_s[c - j]
+
+    def fill(first: int, last: int) -> None:
+        rows = np.empty((3, n))
+        terms = np.empty(n, dtype=complex)
+        keep = np.empty(n, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            terms = (_kernel_of_factors(om_s[j], om_r[p], sOm[j], two_a[j], b_r[p], +1)
-                     * (ph_s[j] * ph_r[p]))
-        psit_p[pos] = dOm * np.sum(terms[in_D[j] & in_D_r[p]])
+            for pos in range(first, last):
+                c = lbins[pos] + 2 * (n // 2)
+                lo, hi = max(0, c - n + 1), min(n, c + 1)
+                j = slice(lo, hi)
+                p = slice(lo + n - 1 - c, hi + n - 1 - c)   # om_r[p] is om_s[c - j]
+                k = hi - lo
+                K = _kernel_of_factors(om_s[j], om_r[p], sOm[j], two_a[j], b_r[p], +1,
+                                       rows[:, :k])
+                t = np.multiply(ph_s[j], ph_r[p], out=terms[:k])
+                np.multiply(K, t, out=t)
+                kept = np.logical_and(in_D[j], in_D_r[p], out=keep[:k])
+                psit_p[pos] = dOm * np.sum(t[kept])
+
+    mc.in_processes(len(lbins), fill, lambda first, last: psit_p[first:last])
     return lbins, psit_p
 
 
@@ -183,10 +232,13 @@ def quad_resonant_noise(w: np.ndarray, dt: float, delta: float) -> QuadNoise:
     with D the frequency axis minus [m-delta, m+delta] around each centre
     m = -2, 0, 2, then inverse-transforms over the resonant strip.  The real
     and imaginary parts are normalised to unit variance; their scales c_r and
-    c_i are the reported constants.
+    c_i are the reported constants; a record whose psi_plus has a constant
+    real or imaginary part (a zero strip, say) is refused, as its scale is
+    zero.
     """
     check_half_width(delta)
     check_step(dt, 2.0, delta)
+    check_white(w)
     check_record(len(w) * dt, delta)
     lbins, psit_p = _resonant_strip(w, dt, delta, (-2.0, 0.0, 2.0))
     # psi_plus(t_k) = dOm sum_l psit_p[l] exp(i l dOm t_k) with t_k = k dt and
@@ -196,6 +248,10 @@ def quad_resonant_noise(w: np.ndarray, dt: float, delta: float) -> QuadNoise:
     psi_plus = (2.0 * math.pi / dt) * np.fft.ifft(strip)
     c_r = float(np.std(psi_plus.real))
     c_i = float(np.std(psi_plus.imag))
+    if c_r == 0 or c_i == 0:
+        raise ValueError(f"the quadratic noise of this record has a zero scale "
+                         f"(c_r = {c_r:g}, c_i = {c_i:g}): its real or imaginary "
+                         f"part is constant, and psi_r, psi_i would divide by zero")
     return QuadNoise(psi_plus, psi_plus.real / c_r, psi_plus.imag / c_i,
                      c_r, c_i, dt)
 
@@ -207,6 +263,9 @@ def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
         raise ValueError(f"max_lag must lie in [0, {len(x) - 1}], got {max_lag}")
     x = x - x.mean()
     denom = float(np.mean(np.abs(x) ** 2))
+    if denom == 0:
+        raise ValueError("the record has zero variance: a constant record has "
+                         "no normalised autocorrelation")
     out = np.empty(max_lag + 1)
     for lag in range(max_lag + 1):
         if lag:

@@ -98,6 +98,12 @@ def simulate_amplitude(order: int, beta: float, sigma: float, delta: float,
     _check_step(dt)
     if order == 2 and drivers.psi is None:
         raise ValueError("order-2 model needs the quadratic noise drivers")
+    lengths = {"phi0": len(drivers.phi0), "phi2": len(drivers.phi2)}
+    if order == 2:
+        lengths.update(psi_r=len(drivers.psi.psi_r), psi_i=len(drivers.psi.psi_i))
+    if len(set(lengths.values())) > 1:
+        raise ValueError("the drivers must be of one length, got "
+                         + ", ".join(f"{k} {v}" for k, v in lengths.items()) + " samples")
     n = len(drivers.phi0) - 1 if n_steps is None else n_steps
     if not 0 <= n < len(drivers.phi0):
         raise ValueError(f"n_steps = {n}: the drivers hold {len(drivers.phi0)} "

@@ -30,7 +30,8 @@ are reproducible from the master seed and independent across replicates.
 A chunk draws its linear slots' stationary start first (its product slots
 start at their means and draw nothing), then its warm-up, then its horizon
 increments.  The chunks are split into contiguous groups, at most one per
-usable CPU (``in_processes``, the package's one process runner); the
+usable CPU (``in_processes``, the package's one process runner, which also
+splits the Hopf lab's paths and the band lab's resonant-strip offsets); the
 calling process steps the first group and a forked child each other one,
 each bound to its own CPU, the child sending its samples back through a
 pipe.  Warm-up and
@@ -730,7 +731,9 @@ def in_processes(n_items: int, fill: Callable[[int, int], None],
     refuses a pipe or a fork (a process or file limit reached), that range
     and every later one run in this process instead.  ``fill`` must write
     nothing but its rows that the caller reads: a child's other writes stay
-    in the child.
+    in the child.  Its callers split an ensemble's replicate chunks
+    (``run_ensemble``), the Hopf lab's paths and the band lab's
+    resonant-strip offsets.
 
     While children run, each process of the split, this one included, is
     bound to its own CPU of this process's affinity set, and this process's

@@ -1,10 +1,16 @@
 """Band-limited noise components and the quadratic resonant noise."""
 
 import math
+import os
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+import snf.bands
+from conftest import counting_forks, no_child_left
+from snf import mc
 from snf.bands import (autocorrelation, band_component, kernel_limit,
                        quad_resonant_noise, white_spectrum, _kernel,
                        _resonant_strip, _strip_offsets)
@@ -147,6 +153,30 @@ def test_kernel_reparametrised_limit():
         assert np.max(np.abs(got - kernel_limit(om))) < 1e-6
 
 
+def _kernel_expression(Om, Omt, sign):
+    """K_pm as one numpy expression per factor, kept as the reference for
+    the kernel formed in scratch rows."""
+    s = float(sign)
+    S = Om + Omt
+    num = -(S + (s * Om) * Omt) * (S + s * 2.0)
+    den = (2.0 * (Om + s * 2.0)) * (Omt + s * 2.0) * Om * Omt
+    return num / den
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_kernel_in_scratch_rows_is_the_expression_bit_for_bit(sign):
+    rng = np.random.default_rng(12)
+    Om, Omt = rng.uniform(-6.0, 6.0, (2, 5001))
+    want = _kernel_expression(Om, Omt, sign)
+    assert _kernel(Om, Omt, sign).tobytes() == want.tobytes()
+    # and in rows that are views of a larger block, as the strip's workers use
+    rows = np.empty((3, 6000))
+    sOm, two_a, _ = snf.bands._kernel_factors(Om, sign)
+    _, _, bt = snf.bands._kernel_factors(Omt, sign)
+    got = snf.bands._kernel_of_factors(Om, Omt, sOm, two_a, bt, sign, rows[:, :5001])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_quad_noise_constants_and_normalisation():
     crs, cis = [], []
     for seed in range(5):
@@ -262,3 +292,88 @@ def test_shifted_order_is_the_rounded_argsort():
         omega = 2 * math.pi * np.fft.fftfreq(n, d=DT)
         order = np.argsort(np.round(omega / (2 * math.pi / (n * DT))).astype(int))
         assert np.array_equal(np.fft.fftshift(np.arange(n)), order)
+
+
+# -- the strip's offsets split across processes --------------------------------
+
+@pytest.mark.parametrize("n", [40000, 40001, 4001, math.ceil(2 * math.pi / DELTA / DT)])
+def test_strip_is_the_index_strip_bit_for_bit_in_any_number_of_processes(n, monkeypatch):
+    w = np.random.default_rng(n).standard_normal(n) / math.sqrt(DT)
+    want = _index_strip(w, DT, DELTA, (-2.0, 0.0, 2.0))
+    forks = counting_forks(monkeypatch)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        forks.clear()
+        got = _resonant_strip(w, DT, DELTA, (-2.0, 0.0, 2.0))
+        assert len(forks) == min(cpus, len(want[0])) - 1
+        no_child_left()
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_strip_names_a_worker_error(monkeypatch):
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    parent, kernel = os.getpid(), snf.bands._kernel_of_factors
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise FloatingPointError("kernel refused in the worker")
+        return kernel(*args)
+
+    monkeypatch.setattr(snf.bands, "_kernel_of_factors", failing)
+    with pytest.raises(RuntimeError, match="^a worker process failed: "
+                                           "FloatingPointError: kernel refused in the worker$"):
+        quad_resonant_noise(white(1), DT, DELTA)
+    no_child_left()
+
+
+# -- refusals of records -------------------------------------------------------
+
+def test_quad_noise_refuses_a_record_with_a_zero_scale():
+    # used to return nan psi_r and psi_i with two invalid-value warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the quadratic noise of this record has a "
+                                             r"zero scale \(c_r = 0, c_i = 0\)"):
+            quad_resonant_noise(np.zeros(N), DT, DELTA)
+
+
+@pytest.fixture
+def no_transform(monkeypatch):
+    """Fail any FFT or fork: a refusal must come before either."""
+    def refused(*_args, **_kw):
+        raise AssertionError("transformed or forked before refusing the record")
+
+    monkeypatch.setattr(np.fft, "fft", refused)
+    monkeypatch.setattr(os, "fork", refused)
+
+
+@pytest.mark.parametrize("shape", [(2, N // 2), (N // 2, 2), ()])
+def test_bands_refuse_a_record_that_is_not_one_dimensional(shape, no_transform):
+    # (2, N/2) used to fail inside numpy's broadcasting, or was refused as
+    # a record of length T = 0.1
+    w = np.ones(shape)
+    msg = "^" + re.escape(f"the white-noise record must be one-dimensional, got shape {shape}") + "$"
+    with pytest.raises(ValueError, match=msg):
+        band_component(w, DT, 0.0, DELTA)
+    with pytest.raises(ValueError, match=msg):
+        quad_resonant_noise(w, DT, DELTA)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bands_refuse_a_record_that_is_not_finite(bad, no_transform):
+    # a nan used to give non-finite values silently
+    w = np.ones(N)
+    w[[17, 900]] = bad
+    msg = rf"^the white-noise record must be finite: 2 of its {N} samples are not, the first at index 17$"
+    with pytest.raises(ValueError, match=msg):
+        band_component(w, DT, 2.0, DELTA)
+    with pytest.raises(ValueError, match=msg):
+        quad_resonant_noise(w, DT, DELTA)
+
+
+def test_autocorrelation_refuses_a_record_of_zero_variance():
+    # used to end in a bare ZeroDivisionError
+    for x in (np.full(100, 3.0), np.full(100, 1.0 - 2.0j)):
+        with pytest.raises(ValueError, match=r"^the record has zero variance"):
+            autocorrelation(x, 5)

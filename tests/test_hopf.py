@@ -9,7 +9,7 @@ import pytest
 import snf.hopf
 from conftest import counting_forks, no_child_left
 from snf import mc
-from snf.bands import band_component
+from snf.bands import QuadNoise, band_component
 from snf.cli import EXIT_OK, main
 from snf.hopf import (AmplitudeDrivers, fit_growth_rate, landau_rhs,
                       mathieu_growth, reconstruct_x1, simulate_amplitude,
@@ -108,6 +108,30 @@ def test_amplitude_refuses_steps_beyond_its_drivers(monkeypatch, n_steps):
                                          r"hold 21 samples, enough for 0 to 20 steps"):
         simulate_amplitude(1, 0.1, 0.0, 0.2, flat_drivers(20), DT, 0.04 + 0.01j,
                            n_steps=n_steps)
+
+
+@pytest.mark.parametrize("order, short, got", [
+    (1, "phi2", "phi0 21, phi2 11"),
+    (2, "phi2", "phi0 21, phi2 11, psi_r 21, psi_i 21"),
+    (2, "psi_r", "phi0 21, phi2 21, psi_r 11, psi_i 21"),
+    (2, "psi_i", "phi0 21, phi2 21, psi_r 21, psi_i 11"),
+])
+def test_amplitude_refuses_drivers_of_unequal_length(monkeypatch, order, short, got):
+    # a short phi2 (or psi_r, psi_i at order 2) used to end mid-path in
+    # IndexError: list index out of range
+    def no_path(*_args):
+        raise AssertionError("integrated before checking the drivers' lengths")
+    monkeypatch.setattr(snf.hopf, "heun_path", no_path)
+    drivers = flat_drivers(20)
+    drivers.psi = QuadNoise(np.zeros(21, dtype=complex), np.zeros(21), np.zeros(21),
+                            1.0, 1.0, DT)
+    if short == "phi2":
+        drivers.phi2 = drivers.phi2[:11]
+    else:
+        setattr(drivers.psi, short, getattr(drivers.psi, short)[:11])
+    with pytest.raises(ValueError, match=rf"^the drivers must be of one length, "
+                                         rf"got {got} samples$"):
+        simulate_amplitude(order, 0.1, 0.3, 0.2, drivers, DT, 0.04 + 0.01j, n_steps=5)
 
 
 def test_reconstruction_is_real_scale():
