@@ -5,7 +5,7 @@ the long-time replacement of irreducible quadratic noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -42,31 +42,25 @@ def ssm_parametrisation(nf: NormalForm) -> SsmChart:
     return SsmChart(chart[:nf.spec.m], chart[nf.spec.m:])
 
 
-@dataclass
-class Expected:
-    """Term-wise expectation of a series.  Terms whose noise product the
-    moment recursion of ``noise.expectation`` does not reach (a mixed-side
-    convolution, two bare factors, or a bare factor beside a future
-    convolution) are kept symbolically instead of being guessed; no
-    slow-manifold chart has one."""
-    value: Series
-    unevaluable: List[Tuple] = field(default_factory=list)
-
-
-def expected_series(s: Series) -> Expected:
-    return Expected(*_expect_terms(s, _expectation))
+def expected_series(s: Series) -> Tuple[Series, List[Tuple]]:
+    """Term-wise expectation of a series, as (value, tail).  Terms whose
+    noise product the moment recursion of ``noise.expectation`` does not
+    reach (a mixed-side convolution, two bare factors, or a bare factor
+    beside a future convolution) go to the tail instead of being guessed;
+    no slow-manifold chart has one."""
+    return _expect_terms(s, _expectation)
 
 
 def chart_expectation(s: Series, lhs: str) -> Series:
     """The expectation of the slow-manifold chart line ``lhs = s``.  A
     derived chart holds past convolutions only, which the moment recursion
     always evaluates; any other term raises AnalysisError naming it."""
-    got = expected_series(s)
-    if got.unevaluable:
-        (_mono, expr), _c = got.unevaluable[0]
+    value, tail = expected_series(s)
+    if tail:
+        (_mono, expr), _c = tail[0]
         raise AnalysisError(f"no stationary expectation of {render_noise(expr)} "
                             f"in chart line '{lhs} = ...'")
-    return got.value
+    return value
 
 
 def _expectation(expr: Expr) -> Optional[Tuple[Expr, Fraction]]:
@@ -86,11 +80,6 @@ def _expect_terms(s: Series, rule) -> Tuple[Series, List[Tuple]]:
         else:
             pairs.append(((mono, got[0]), c * got[1]))
     return Series(s.dims, s.trunc, noise.add_into({}, pairs)), tail
-
-
-def expected_ssm(chart: SsmChart) -> Tuple[List[Expected], List[Expected]]:
-    return ([expected_series(s) for s in chart.x_of_X],
-            [expected_series(s) for s in chart.y_of_X])
 
 
 @dataclass
@@ -246,9 +235,9 @@ def project_initial_condition(rev: Reversion, nf: NormalForm, x0, y0) -> Initial
     trunc = replace(base, total=2 * base.total, param_caps=(None,) * len(dims.params))
     expr = expr.with_trunc(trunc)
 
-    mean = expected_series(expr)
-    centered = expr - mean.value
-    var = expected_series(centered * centered)
+    mean, mean_tail = expected_series(expr)
+    centered = expr - mean
+    var, var_tail = expected_series(centered * centered)
 
     # Conditional on the future noise (the draw a forecast will use).
     mean_future, tails = _expect_terms(expr, _conditional_expectation)
@@ -256,8 +245,8 @@ def project_initial_condition(rev: Reversion, nf: NormalForm, x0, y0) -> Initial
     var_future, var_tails = _expect_terms(centered_f * centered_f,
                                           _conditional_expectation)
     return InitialProjection(
-        expr=expr, mean=mean.value, mean_tail=mean.unevaluable,
-        variance=var.value, variance_tail=var.unevaluable,
+        expr=expr, mean=mean, mean_tail=mean_tail,
+        variance=var, variance_tail=var_tail,
         mean_future_known=mean_future, variance_future_known=var_future,
         future_tails=tails + var_tails)
 

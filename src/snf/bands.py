@@ -258,7 +258,9 @@ def quad_resonant_noise(w: np.ndarray, dt: float, delta: float) -> QuadNoise:
 
 def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
     """Normalised autocorrelation of a (possibly complex) process at the
-    lags 0 .. max_lag, with 0 <= max_lag < len(x)."""
+    lags 0 .. max_lag, with 0 <= max_lag < len(x).  The record must be
+    one-dimensional and finite (``check_white``)."""
+    check_white(x)
     if not 0 <= max_lag <= len(x) - 1:
         raise ValueError(f"max_lag must lie in [0, {len(x) - 1}], got {max_lag}")
     x = x - x.mean()

@@ -50,6 +50,15 @@ def _read(path: str) -> str:
             raise SysFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
 
 
+def _write(path: Optional[str], text: str) -> None:
+    """``text`` into the ``--out`` file ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _load(args):
     spec, sf = load_system(_read(args.system), label=os.path.basename(args.system))
     if args.order is not None:
@@ -161,12 +170,7 @@ def _construct(spec, sf, args):
 def cmd_derive(args) -> int:
     spec, sf = _load(args)
     nf = _construct(spec, sf, args)
-    text = emit_report(nf)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, emit_report(nf))
     return EXIT_OK if nf.certified else EXIT_CERT
 
 
@@ -205,12 +209,7 @@ def cmd_simulate(args) -> int:
         res = run_ensemble(sde, x0, args.T, args.dt, args.replicates, args.seed, times)
     if _diverged(args, spec, (res, args.model)):
         return EXIT_TOL
-    table = res.summary_table()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table)
-    else:
-        sys.stdout.write(table)
+    _write(args.out, res.summary_table())
     return EXIT_OK
 
 
@@ -270,38 +269,37 @@ def cmd_compare(args) -> int:
     return EXIT_OK if ok else EXIT_TOL
 
 
-def _hopf_options(args) -> None:
+def _hopf_options(args) -> int:
     """Refuse hopf options whose numbers would mean nothing: the band
     half-width must lie in (0, 1), the frequency-2 band must stay below
     Nyquist, the record must resolve offsets within the resonant strip, and
     there must be a replicate.  The band lab's own rules (``snf.bands``) judge
     the half-width, the step and the record, of ``round(T / dt)`` steps,
-    that ``cmd_hopf`` hands it."""
+    that ``cmd_hopf`` hands it; then T must lie on the step grid
+    (``mc.grid_steps``).  Returns the record's number of steps."""
     from .bands import check_half_width, check_record, check_step
-    try:
-        check_half_width(args.delta)
-    except ValueError as e:
-        raise SysFileError(f"--delta: {e}") from None
-    try:
-        check_step(args.dt, 2.0, args.delta)
-    except ValueError as e:
-        raise SysFileError(f"--dt: {e}") from None
-    try:
-        check_record(int(round(args.T / args.dt)) * args.dt, args.delta)
-    except ValueError as e:
-        raise SysFileError(f"--T: {e}") from None
+    from .mc import grid_steps
+    for option, check in (
+            ("--delta", lambda: check_half_width(args.delta)),
+            ("--dt", lambda: check_step(args.dt, 2.0, args.delta)),
+            ("--T", lambda: check_record(round(args.T / args.dt) * args.dt, args.delta)),
+            ("--T", lambda: grid_steps(args.T, args.dt, "horizon"))):
+        try:
+            check()
+        except ValueError as e:
+            raise SysFileError(f"{option}: {e}") from None
     if args.replicates < 1:
         raise SysFileError(f"--replicates: need at least 1, got {args.replicates}")
     _seed_option(args)
+    return grid_steps(args.T, args.dt, "horizon")
 
 
 def cmd_hopf(args) -> int:
     import numpy as np
     from .bands import band_component, quad_resonant_noise
     from .hopf import mathieu_growth
-    _hopf_options(args)
+    n = _hopf_options(args)
     rng = np.random.default_rng(args.seed)
-    n = int(round(args.T / args.dt))
     rows = []
     for rep in range(args.replicates):
         w = rng.standard_normal(n) / math.sqrt(args.dt)
@@ -319,10 +317,9 @@ def cmd_hopf(args) -> int:
     print(f"mathieu growth: model {mg['model']:.5f}  full {mg['full']:.5f}  "
           f"predicted {mg['predicted']:.5f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("replicate\tband0_var\tband2_var\tc_r\tc_i\n")
-            for rep, v0, v2, cr, ci in rows:
-                fh.write(f"{rep}\t{v0:.10g}\t{v2:.10g}\t{cr:.10g}\t{ci:.10g}\n")
+        _write(args.out, "replicate\tband0_var\tband2_var\tc_r\tc_i\n" + "".join(
+            f"{rep}\t{v0:.10g}\t{v2:.10g}\t{cr:.10g}\t{ci:.10g}\n"
+            for rep, v0, v2, cr, ci in rows))
     ok = abs(mg["full"] - mg["predicted"]) <= 0.1 * abs(mg["predicted"])
     return EXIT_OK if ok else EXIT_TOL
 

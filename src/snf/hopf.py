@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .bands import QuadNoise, band_component, quad_resonant_noise
-from .mc import heun_path, in_processes
+from .mc import grid_steps, heun_path, in_processes
 
 
 def _check_step(dt: float) -> None:
@@ -188,15 +188,19 @@ def mathieu_growth(beta: float, sigma: float, T: float = 80.0,
     parallel processes where there are CPUs for them, and fits both
     exponential rates.  The real and imaginary parts of the pair grow
     at beta/2 + sigma/4 and beta/2 - sigma/4, so the model predicts lambda =
-    beta/2 + |sigma|/4.
+    beta/2 + |sigma|/4.  ``T`` must be a whole number of steps of ``dt``
+    (``mc.grid_steps``).
     """
     if not 0 < T < math.inf:
         raise ValueError(f"T = {T}: the horizon must be positive and finite")
     _check_step(dt)
-    n = int(round(T / dt))
+    # judged at the nearest step count, so a horizon under half a step is
+    # named by its fit window, then held to the step grid
+    n = round(T / dt)
     if n + 1 - _fit_start(n + 1) < 2:
         raise ValueError(f"T = {T}, dt = {dt}: {n} steps leave fewer than two "
                          f"samples in the fit window (the last three quarters)")
+    n = grid_steps(T, dt, "horizon")
     # The pair starts conjugate and its coefficients are real, so b stays
     # exactly conj(a) and one complex equation carries both.
     def pair(y, _i, _end):

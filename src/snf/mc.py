@@ -75,8 +75,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import noise
-from .render import render_noise, render_series
+from . import noise, render
+from .render import render_noise
 from .series import Series
 from .analysis import LongTimeModel
 from .systems import CompileError, IllFormedForSampling, NormalForm, SystemSpec
@@ -482,15 +482,13 @@ def compile_series(series_list: Sequence[Series], state_names: Sequence[str],
 
 def term_text(s: Series, key: Tuple, c, var_names: Sequence[str],
               param_names: Sequence[str]) -> str:
-    """The term ``key`` of ``s`` with coefficient ``c`` as series text: its
-    slow then fast variables named by ``var_names`` in turn, those past its
-    end x{i} and y{j}."""
+    """The term ``key`` of ``s`` with coefficient ``c`` as series text
+    (``render.term_text``): its slow then fast variables named by
+    ``var_names`` in turn, those past its end x{i} and y{j}."""
     m, n = s.dims.m, s.dims.n
-    names = tuple(var_names[:m + n])
-    names += tuple(f"x{i}" for i in range(len(names), m))
-    names += tuple(f"y{j}" for j in range(len(names) - m, n))
-    return render_series(s.build_like({key: c}),
-                         (names[:m], names[m:], tuple(param_names)))
+    names = tuple(var_names[k] if k < len(var_names) else f"x{k}" if k < m else f"y{k - m}"
+                  for k in range(m + n))
+    return render.term_text(key, c, (names[:m], names[m:], tuple(param_names)))
 
 
 def compile_full_system(spec: SystemSpec, params: Dict[str, float]) -> CompiledSDE:
@@ -651,9 +649,10 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     (``FilterBank.start``), then its warm-up (``warm_up``: ``warm`` time
     units, by default the bank's ``max_spin``), then its horizon
     increments.  ``T`` and every sample time must lie on the step grid
-    (``grid_steps``).  ``n_rep`` and ``chunk`` must be at least one, ``dt``
-    positive and finite, and ``warm`` non-negative and finite: ValueError
-    names the argument otherwise.
+    (``grid_steps``).  ``x0`` must hold one value per state variable,
+    ``n_rep`` and ``chunk`` must be at least one, ``dt`` positive and
+    finite, and ``warm`` non-negative and finite: ValueError names the
+    argument otherwise, before any process is forked.
     The chunks are split into contiguous groups, one per usable CPU at
     most, by ``in_processes``: the calling process steps the first group
     and a forked child process each other one, each process bound to its
@@ -671,6 +670,8 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     and each process holds its own increment block and step arrays, so
     peak memory grows with the number of groups; speed and memory were
     measured with two groups on two CPUs only."""
+    if len(x0) != sde.dim:
+        raise ValueError(f"an ensemble needs {sde.dim} start values, got x0 of {len(x0)}")
     if n_rep < 1:
         raise ValueError(f"an ensemble needs at least one replicate, got n_rep={n_rep}")
     if not 0 < dt < math.inf:
@@ -724,8 +725,9 @@ def in_processes(n_items: int, fill: Callable[[int, int], None],
                  rows: Callable[[int, int], np.ndarray]) -> None:
     """Run ``fill(lo, hi)`` over contiguous ranges that cover
     ``range(n_items)``, each filling ``rows(lo, hi)``, a view of one array
-    of any dtype: one range per usable CPU at most (``_usable_cpus``), and
-    one where forking is missing or unsafe (a process with more than one
+    of any dtype that must be one C-contiguous block (ValueError before any
+    fork otherwise): one range per usable CPU at most (``_usable_cpus``),
+    and one where forking is missing or unsafe (a process with more than one
     thread).  The first range runs in this process, each other one in a
     forked child (``_child``); one range forks nothing.  Where the system
     refuses a pipe or a fork (a process or file limit reached), that range
@@ -744,25 +746,27 @@ def in_processes(n_items: int, fill: Callable[[int, int], None],
     processes run unbound; the rows are the same bits either way.
 
     The parent reads each child's pipe to its end before reaping it, the
-    rows into place, and issues the child's warnings as its own.  A child's
-    exception is raised here as a RuntimeError carrying its text, once every
-    child is reaped; the rows of a failed child are then undefined.  If
-    anything in this process raises after the first fork, its own range
-    included, every child left is killed and reaped before the exception
-    goes on: no child outlives the call."""
+    rows straight into place, and issues the child's warnings as its own.
+    A child's exception is raised here as a RuntimeError carrying its text,
+    once every child is reaped; the rows of a failed child are then
+    undefined.  If anything in this process raises after the first fork,
+    its own range included, every child left is killed and reaped before the
+    exception goes on: no child outlives the call."""
     n_groups = 1
     if hasattr(os, "fork") and threading.active_count() == 1:
         n_groups = max(1, min(_usable_cpus(), n_items))
     bounds = [n_items * g // n_groups for g in range(n_groups + 1)]
     jobs = list(zip(bounds, bounds[1:]))
+    parts = [rows(lo, hi) for lo, hi in jobs]
+    if not all(part.flags.c_contiguous for part in parts):
+        raise ValueError("the rows of each range must be one C-contiguous block")
     affinity = os.sched_getaffinity(0) if (
         n_groups > 1 and hasattr(os, "sched_getaffinity")) else set()
     cpus = [{cpu} for cpu in sorted(affinity)] or [None]    # job k: cpus[k % len]
     children = []                       # (pid, read end, rows), unreaped
     local = 1                           # jobs[1:local] went to children
     try:
-        for k, (lo, hi) in enumerate(jobs[1:], 1):
-            part = rows(lo, hi)
+        for k, ((lo, hi), part) in enumerate(zip(jobs[1:], parts[1:]), 1):
             try:
                 r, w = os.pipe()
             except OSError:
@@ -785,20 +789,15 @@ def in_processes(n_items: int, fill: Callable[[int, int], None],
         caught, errors = [], []
         while children:
             pid, pipe, part = children[0]
-            # rows that are one block are read straight into place
-            into = part if part.flags.c_contiguous else np.empty(part.shape, part.dtype)
-            raw = into.reshape(-1).view(np.uint8)
-            got = pipe.readinto(raw)
+            got = pipe.readinto(part)
             rest = pipe.read()
             pipe.close()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             if code == 0 and got == part.nbytes:
-                if into is not part:
-                    part[...] = into
                 caught.extend(pickle.loads(rest))
             else:
-                text = raw[:got].tobytes() + rest
+                text = part.tobytes()[:got] + rest
                 errors.append(text.decode(errors="replace") or f"exit code {code}")
     except BaseException:
         from signal import SIGKILL

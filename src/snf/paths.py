@@ -20,7 +20,7 @@ import numpy as np
 
 from . import noise
 from .mc import (SPINUP_TIME_CONSTANTS, FilterSlot, FilterSlots, compile_series,
-                 filter_weights, run_filter, trapezoid_input)
+                 filter_weights, grid_steps, run_filter, trapezoid_input)
 from .noise import Expr
 from .render import render_noise
 from .systems import IllFormedForSampling
@@ -39,13 +39,16 @@ class NoisePath:
     @classmethod
     def generate(cls, T: float, dt: float, n_noise: int = 1, seed: int = 0,
                  spin: float = 30.0, trim: float = 0.0) -> "NoisePath":
+        """A path whose window [0, T] is a whole number of steps of dt
+        (``mc.grid_steps``: ValueError otherwise); spin-up and trim are
+        lower bounds, rounded up to whole steps."""
         for name, v in (("T", T), ("dt", dt)):
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"need positive finite {name}, got {v:g}")
         for name, v in (("spin", spin), ("trim", trim)):
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"need non-negative finite {name}, got {v:g}")
-        n_main = int(round(T / dt))
+        n_main = grid_steps(T, dt, "horizon")
         n_spin = int(math.ceil(spin / dt)) if spin else 0
         n_trim = int(math.ceil(trim / dt)) if trim else 0
         rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -65,6 +65,13 @@ def render_series(s: Series, names) -> str:
     return SeriesWriter().series(s, names)
 
 
+def term_text(key: Tuple[Mono, Expr], c, names) -> str:
+    """The one term ``key`` with coefficient ``c`` as series text in the
+    name triple ``names``, as a series holding it alone would print: the
+    term of an error message, in or outside any truncation window."""
+    return SeriesWriter().terms([(key, Fraction(c))], _names(names))
+
+
 class SeriesWriter:
     """The one renderer of series text, with the factor text of each
     monomial per name triple as its memo, which lives as long as the
@@ -507,10 +514,10 @@ def parse_series(text: str, dims: Dims, trunc: Trunc, names, *,
     s = Series(dims, trunc, terms)
     if s.term_count() < len(terms):
         # packing dropped a term: a zero or, refused here, an unkept one
-        for (mono, expr), c in terms.items():
-            if not trunc.keeps(mono):
-                term = SeriesWriter().terms([((mono, expr), c)], _names(names))
-                raise ParseError(f"term {term} is outside the truncation window in {text!r}")
+        for key, c in terms.items():
+            if not trunc.keeps(key[0]):
+                raise ParseError(f"term {term_text(key, c, names)} is outside the "
+                                 f"truncation window in {text!r}")
     return s
 
 

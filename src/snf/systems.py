@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import noise
-from .render import new_names, render_noise, render_series
+from .render import new_names, render_noise, term_text
 from .series import Dims, Series, Trunc, grade
 
 
@@ -133,9 +133,8 @@ class SystemSpec:
                         if g == 1:
                             what = "bare fast-variable coupling"
                         else:
-                            term = render_series(
-                                Series(self.dims, self.trunc, {(mono, noise.ONE): 1}),
-                                (self.slow_names, self.fast_names, self.param_names))
+                            term = term_text((mono, noise.ONE), 1, (
+                                self.slow_names, self.fast_names, self.param_names))
                             kind = "coupling" if which == "slow" else "term"
                             what = (f"fast-variable {kind} {term} "
                                     f"(grade {tg} under grade_fast off)")
@@ -242,6 +241,4 @@ class NormalForm:
 
     def _render_term(self, mono, expr) -> str:
         """One term with unit coefficient, in the report's names X, Y."""
-        spec = self.spec
-        return render_series(Series(spec.dims, spec.trunc, {(mono, expr): 1}),
-                             (*new_names(spec), spec.param_names))
+        return term_text((mono, expr), 1, (*new_names(self.spec), self.spec.param_names))

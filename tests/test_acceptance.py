@@ -19,8 +19,7 @@ import pytest
 
 from conftest import make_system, record_criterion
 from snf import noise
-from snf.analysis import (expected_ssm, long_time_model,
-                          project_initial_condition, revert,
+from snf.analysis import (long_time_model, project_initial_condition, revert,
                           ssm_parametrisation)
 from snf.engine import construct, identity_form, verify_order
 from snf.mc import (compile_full_system, compile_observables,

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_system
 from snf import noise
-from snf.analysis import (AnalysisError, Reversion, expected_series, expected_ssm,
+from snf.analysis import (AnalysisError, Reversion, expected_series,
                           long_time_model, noise_free_part, project_initial_condition,
                           revert, ssm_parametrisation)
 from snf.engine import construct
@@ -64,11 +64,12 @@ def test_expected_ssm_toy(toy3):
     # E[x] = (1 - 5/4 sigma^2) X by the moment recursion; E[y] picks up the
     # mean of the -2 sigma^2 Z-((Z-phi)^2) transform term.
     spec = toy3.spec
-    ex, ey = expected_ssm(ssm_parametrisation(toy3))
-    assert ex[0].value == S(spec, "x - 5/4*sigma^2*x")
-    assert ex[0].unevaluable == []
-    assert ey[0].value == S(spec, "x^2 - sigma^2")
-    assert ey[0].unevaluable == []
+    chart = ssm_parametrisation(toy3)
+    (ex, ex_tail), (ey, ey_tail) = map(expected_series, chart.x_of_X + chart.y_of_X)
+    assert ex == S(spec, "x - 5/4*sigma^2*x")
+    assert ex_tail == []
+    assert ey == S(spec, "x^2 - sigma^2")
+    assert ey_tail == []
 
 
 @pytest.mark.parametrize("name,orders", [("toy.snf", (3, 4, 5, 6, 7)),
@@ -82,7 +83,7 @@ def test_every_chart_term_has_an_expectation(name, orders):
         for policy in (ALLOW, FORBID):
             chart = ssm_parametrisation(construct(make_system(name, total=order), policy))
             for s in chart.x_of_X + chart.y_of_X:
-                assert expected_series(s).unevaluable == [], (order, policy.label())
+                assert expected_series(s)[1] == [], (order, policy.label())
 
 
 @pytest.mark.parametrize("name", ["toy.snf", "papavasiliou.snf", "linear.snf"])
@@ -105,8 +106,8 @@ def test_expected_ssm_consistent_with_steeper_parabola(toy3):
     # (E[x]/X)^2 * (1 + 5/2 sigma^2) = 1 + O(sigma^4) at sigma = 0.1: the
     # steeper-parabola factor 1 + 5/2 sigma^2 squares the 5/4 coefficient.
     spec = toy3.spec
-    ex, _ey = expected_ssm(ssm_parametrisation(toy3))
-    coeff = -ex[0].value.coefficient(spec.dims.mono(slow=(1,), par=(2,)))
+    ex, _tail = expected_series(ssm_parametrisation(toy3).x_of_X[0])
+    coeff = -ex.coefficient(spec.dims.mono(slow=(1,), par=(2,)))
     assert coeff == F(5, 4)
     s2 = F(1, 100)
     lhs = (1 - coeff * s2) ** 2 * (1 + 2 * coeff * s2)

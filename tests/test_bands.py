@@ -372,6 +372,21 @@ def test_bands_refuse_a_record_that_is_not_finite(bad, no_transform):
         quad_resonant_noise(w, DT, DELTA)
 
 
+@pytest.mark.parametrize("x,message", [
+    (np.ones((4, 3)), "one-dimensional, got shape (4, 3)"),
+    (np.array([1.0, 2.0, math.nan, 0.5]),
+     "finite: 1 of its 4 samples are not, the first at index 2"),
+    (np.array([1.0, complex(0.5, math.inf), 2.0, 0.5]),
+     "finite: 1 of its 4 samples are not, the first at index 1"),
+], ids=["2-d", "nan", "complex-inf"])
+def test_autocorrelation_refuses_a_record_that_is_not_one_dimensional_and_finite(
+        x, message):
+    # a (4, 3) record used to give three numbers, a nan record nans
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"the white-noise record must be {message}") + "$"):
+        autocorrelation(x, 2)
+
+
 def test_autocorrelation_refuses_a_record_of_zero_variance():
     # used to end in a bare ZeroDivisionError
     for x in (np.full(100, 3.0), np.full(100, 1.0 - 2.0j)):

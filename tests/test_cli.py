@@ -45,7 +45,7 @@ def test_report_roundtrip_exact():
                     "transform": dict(zip(orig, nf.transform_x() + nf.transform_y())),
                     "evolution": dict(zip((f"d{n}/dt" for n in new), nf.xdot() + nf.ydot())),
                     "ssm": dict(zip(orig, ssm)),
-                    "expected_ssm": {f"E[{n}]": expected_series(s).value
+                    "expected_ssm": {f"E[{n}]": expected_series(s)[0]
                                      for n, s in zip(orig, ssm)},
                     "reversion": dict(zip(new, rv.X_of_xy + rv.Y_of_xy)),
                 }

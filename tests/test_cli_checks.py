@@ -4,6 +4,7 @@ input exits 2 with a message instead of a traceback."""
 
 import pytest
 
+import snf.bands
 from conftest import bundled_text, make_system
 from snf import noise
 from snf.cli import EXIT_CERT, EXIT_OK, EXIT_PARSE, EXIT_TOL, main
@@ -496,6 +497,17 @@ def test_hopf_refuses_what_the_band_lab_refuses(capsys, extra, message):
     assert main(["hopf", *extra]) == EXIT_PARSE
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+def test_hopf_refuses_a_horizon_off_the_step_grid(capsys, monkeypatch):
+    # used to run on T = 2000 and exit 0
+    def no_band(*_args):
+        raise AssertionError("ran the band lab before checking the horizon")
+    monkeypatch.setattr(snf.bands, "band_component", no_band)
+    assert main(["hopf", "--T", "2000.01"]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: --T: horizon 2000.01 is not a whole "
+                                 "number of steps of dt = 0.05\n")
 
 
 # -- the full model is the system as written ---------------------------------

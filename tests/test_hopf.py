@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -381,6 +382,16 @@ def test_mathieu_refuses_a_horizon_it_cannot_fit(monkeypatch, T, dt, message):
     monkeypatch.setattr(snf.hopf, "heun_path", no_path)
     with pytest.raises(ValueError, match=message):
         mathieu_growth(0.05, 0.3, T=T, dt=dt)
+
+
+def test_mathieu_refuses_a_horizon_off_the_step_grid(monkeypatch):
+    # used to be rounded to 80 000 steps
+    def no_path(*_args):
+        raise AssertionError("integrated before checking the horizon")
+    monkeypatch.setattr(snf.hopf, "heun_path", no_path)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "horizon 80.0005 is not a whole number of steps of dt = 0.001") + "$"):
+        mathieu_growth(0.05, 0.3, T=80.0005)
 
 
 def test_mathieu_fits_the_shortest_horizon_it_accepts():

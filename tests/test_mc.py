@@ -1270,6 +1270,21 @@ def test_an_ensemble_of_no_replicates_is_refused(toy_chart_model, bad, message):
         run_ensemble(sde, [0.3], **args)
 
 
+@pytest.mark.parametrize("x0,got", [([], 0), ([0.3, 0.0], 2), (np.zeros(3), 3)],
+                         ids=["empty", "long", "array"])
+def test_an_ensemble_refuses_a_start_of_the_wrong_length(toy_chart_model, monkeypatch,
+                                                         x0, got):
+    # an empty x0 used to end in an IndexError inside the workers, and a
+    # long one to run without a word
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    forks = counting_forks(monkeypatch)
+    sde, obs = toy_chart_model
+    with pytest.raises(ValueError, match=re.escape(
+            f"an ensemble needs 1 start values, got x0 of {got}")):
+        run_ensemble(sde, x0, 0.1, 1e-2, 1100, 5, [0.1], observables=obs, warm=0.2)
+    assert forks == []
+
+
 @pytest.mark.parametrize("where", [None, "parent", "child"])
 def test_no_worker_process_outlives_the_call(where, toy_chart_model, monkeypatch):
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
@@ -1379,28 +1394,39 @@ def test_a_worker_process_warning_is_issued_once_by_the_caller(who, toy_chart_mo
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_the_runner_copies_back_rows_of_any_dtype_and_layout(cpus, monkeypatch):
-    # complex rows, and rows seen through a view that is not C-contiguous
-    # (every other column of a wider array, transposed)
+def test_the_runner_copies_back_complex_rows(cpus, monkeypatch):
     monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
     forks = counting_forks(monkeypatch)
     want = np.arange(1, 4) * (1 + 2j) * np.arange(1, 5)[:, None]
     z = np.zeros((4, 3), dtype=complex)
-    wide = np.zeros((3, 8))
-    strided = wide[:, ::2].T
-    assert not strided.flags.c_contiguous
 
     def fill(lo, hi):
         z[lo:hi] = want[lo:hi]
-        strided[lo:hi] = want[lo:hi].imag
 
     mc.in_processes(4, fill, lambda lo, hi: z[lo:hi])
     assert len(forks) == cpus - 1
     assert z.tobytes() == want.tobytes()
-    forks.clear()
-    mc.in_processes(4, fill, lambda lo, hi: strided[lo:hi])
-    assert len(forks) == cpus - 1
-    assert np.array_equal(strided, want.imag) and not wide[:, 1::2].any()
+    no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_runner_refuses_rows_that_are_not_one_block(cpus, monkeypatch):
+    # every other column of a wider array, transposed: its rows used to be
+    # read into a buffer and copied into place
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+    forks = counting_forks(monkeypatch)
+    wide = np.zeros((3, 8))
+    strided = wide[:, ::2].T
+    filled = []
+
+    def fill(lo, hi):
+        filled.append((lo, hi))
+        strided[lo:hi] = 1.0
+
+    with pytest.raises(ValueError,
+                       match="^the rows of each range must be one C-contiguous block$"):
+        mc.in_processes(4, fill, lambda lo, hi: strided[lo:hi])
+    assert forks == [] and filled == [] and not wide.any()
     no_child_left()
 
 

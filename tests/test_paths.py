@@ -2,6 +2,7 @@
 and the integration-by-parts rewrites, all checked on sampled paths."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +207,17 @@ def test_generate_refuses_what_it_cannot_lay_out(kw, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         NoisePath.generate(args["T"], args["dt"], 1, seed=5,
                            spin=args["spin"], trim=args["trim"])
+
+
+@pytest.mark.parametrize("T,dt", [(1.0005, 1e-3), (1e-4, 1e-3)])
+def test_generate_refuses_a_horizon_off_the_step_grid(T, dt):
+    # these used to be rounded to 1000 steps and to an empty window
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"horizon {T:g} is not a whole number of steps of dt = {dt:g}") + "$"):
+        NoisePath.generate(T, dt, 1, seed=5, spin=0.0)
+    # spin-up and trim stay lower bounds, rounded up
+    p = NoisePath.generate(1.0, dt, 1, seed=5, spin=1.0005, trim=1e-4)
+    assert (p.n_main, p.n_spin, p.n_trim) == (1000, 1001, 1)
 
 
 def test_filter_error_shrinks_with_dt():
