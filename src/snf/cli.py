@@ -99,16 +99,27 @@ def _seed_option(args) -> None:
         raise SysFileError(f"--seed: need a non-negative integer, got {args.seed}")
 
 
+def _checked(option: str, check):
+    """What ``check()`` returns; a ValueError it raises is refused as a
+    SysFileError naming ``option``."""
+    try:
+        return check()
+    except ValueError as exc:
+        raise SysFileError(f"{option}: {exc}") from None
+
+
+def _horizon(args) -> int:
+    """The steps of the ``--T`` horizon (``mc.horizon_steps``), refused in
+    the one format of a horizon refusal, which names ``--T`` and ``--dt``."""
+    from .mc import horizon_steps
+    return _checked(f"--T {args.T:g} --dt {args.dt:g}", lambda: horizon_steps(args.T, args.dt))
+
+
 def _run_options(args) -> List[float]:
     """Check the ensemble options of simulate and compare; the sample times."""
-    from .mc import grid_steps, sample_steps
+    from .mc import sample_steps
     _seed_option(args)
-    if args.T <= 0 or args.dt <= 0 or args.T < args.dt:
-        raise SysFileError("need a positive horizon T >= dt")
-    try:
-        grid_steps(args.T, args.dt, "horizon")
-    except ValueError as exc:
-        raise SysFileError(f"--T {args.T:g} --dt {args.dt:g}: {exc}")
+    _horizon(args)
     if args.replicates < 2:
         raise SysFileError(f"--replicates: spread statistics need at least 2, "
                            f"got {args.replicates}")
@@ -274,24 +285,18 @@ def _hopf_options(args) -> int:
     half-width must lie in (0, 1), the frequency-2 band must stay below
     Nyquist, the record must resolve offsets within the resonant strip, and
     there must be a replicate.  The band lab's own rules (``snf.bands``) judge
-    the half-width, the step and the record, of ``round(T / dt)`` steps,
-    that ``cmd_hopf`` hands it; then T must lie on the step grid
-    (``mc.grid_steps``).  Returns the record's number of steps."""
+    the half-width and the step that ``cmd_hopf`` hands it; then T must hold
+    whole steps (``_horizon``), and the band lab judges their record.
+    Returns the record's number of steps."""
     from .bands import check_half_width, check_record, check_step
-    from .mc import grid_steps
-    for option, check in (
-            ("--delta", lambda: check_half_width(args.delta)),
-            ("--dt", lambda: check_step(args.dt, 2.0, args.delta)),
-            ("--T", lambda: check_record(round(args.T / args.dt) * args.dt, args.delta)),
-            ("--T", lambda: grid_steps(args.T, args.dt, "horizon"))):
-        try:
-            check()
-        except ValueError as e:
-            raise SysFileError(f"{option}: {e}") from None
+    _checked("--delta", lambda: check_half_width(args.delta))
+    _checked("--dt", lambda: check_step(args.dt, 2.0, args.delta))
+    n = _horizon(args)
+    _checked("--T", lambda: check_record(n * args.dt, args.delta))
     if args.replicates < 1:
         raise SysFileError(f"--replicates: need at least 1, got {args.replicates}")
     _seed_option(args)
-    return grid_steps(args.T, args.dt, "horizon")
+    return n
 
 
 def cmd_hopf(args) -> int:
@@ -347,27 +352,25 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("report")
     v.set_defaults(func=cmd_verify)
 
+    def run_options(q, T, replicates, times=None):
+        q.add_argument("--param", action="append", metavar="name=value")
+        q.add_argument("--T", type=_finite, default=T)
+        q.add_argument("--dt", type=_finite, default=1e-3)
+        q.add_argument("--seed", type=int, default=0)
+        q.add_argument("--replicates", type=int, default=replicates)
+        q.add_argument("--times", default=times)
+
     s = sub.add_parser("simulate", help="Monte Carlo of the full or reduced system")
     common(s)
     s.add_argument("--model", choices=["full", "reduced", "longtime"], default="full")
-    s.add_argument("--param", action="append", metavar="name=value")
-    s.add_argument("--T", type=_finite, default=10.0)
-    s.add_argument("--dt", type=_finite, default=1e-3)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--replicates", type=int, default=100)
-    s.add_argument("--times")
+    run_options(s, 10.0, 100)
     s.add_argument("--x0", type=_finite, nargs="*")
     s.add_argument("--out")
     s.set_defaults(func=cmd_simulate)
 
     c = sub.add_parser("compare", help="full-vs-reduced ensemble statistics")
     common(c)
-    c.add_argument("--param", action="append", metavar="name=value")
-    c.add_argument("--T", type=_finite, default=20.0)
-    c.add_argument("--dt", type=_finite, default=1e-3)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--replicates", type=int, default=200)
-    c.add_argument("--times", default="5,20")
+    run_options(c, 20.0, 200, "5,20")
     c.add_argument("--x0v", type=_finite, default=0.3)
     c.add_argument("--tol-se", dest="tol_se", type=_finite, default=3.0)
     c.set_defaults(func=cmd_compare)

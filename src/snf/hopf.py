@@ -17,14 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .bands import QuadNoise, band_component, quad_resonant_noise
-from .mc import grid_steps, heun_path, in_processes
-
-
-def _check_step(dt: float) -> None:
-    """Refuse a step that is not positive and finite: a negative one would
-    integrate backward, a zero one return the start."""
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt = {dt}: the step must be positive and finite")
+from .mc import check_step, heun_path, horizon_steps, in_processes
 
 
 def simulate_dvdp(alpha: float, beta: float, sigma: float,
@@ -38,7 +31,7 @@ def simulate_dvdp(alpha: float, beta: float, sigma: float,
     replicates are split into contiguous groups, stepped in parallel
     processes by ``in_processes``.  An error inside a worker's replicates
     arrives as a RuntimeError that names it."""
-    _check_step(dt)
+    check_step(dt)
     dw = np.asarray(dw)
     if dw.ndim not in (1, 2):
         raise ValueError(f"dw has shape {dw.shape}: the increments must be one "
@@ -95,7 +88,7 @@ def simulate_amplitude(order: int, beta: float, sigma: float, delta: float,
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    _check_step(dt)
+    check_step(dt)
     if order == 2 and drivers.psi is None:
         raise ValueError("order-2 model needs the quadratic noise drivers")
     lengths = {"phi0": len(drivers.phi0), "phi2": len(drivers.phi2)}
@@ -143,7 +136,7 @@ def simulate_amplitude_longtime(beta: float, sigma: float, c_r: float,
     """
     if n < 0:
         raise ValueError(f"n = {n}: the model needs a non-negative number of steps")
-    _check_step(dt)
+    check_step(dt)
     rng = np.random.default_rng(seed)
     sq = math.sqrt(dt)
     dWr = (rng.standard_normal(n) * sq).tolist()
@@ -188,19 +181,13 @@ def mathieu_growth(beta: float, sigma: float, T: float = 80.0,
     parallel processes where there are CPUs for them, and fits both
     exponential rates.  The real and imaginary parts of the pair grow
     at beta/2 + sigma/4 and beta/2 - sigma/4, so the model predicts lambda =
-    beta/2 + |sigma|/4.  ``T`` must be a whole number of steps of ``dt``
-    (``mc.grid_steps``).
+    beta/2 + |sigma|/4.  ``T`` must be a whole number of steps of ``dt``,
+    one at least (``mc.horizon_steps``).
     """
-    if not 0 < T < math.inf:
-        raise ValueError(f"T = {T}: the horizon must be positive and finite")
-    _check_step(dt)
-    # judged at the nearest step count, so a horizon under half a step is
-    # named by its fit window, then held to the step grid
-    n = round(T / dt)
+    n = horizon_steps(T, dt)
     if n + 1 - _fit_start(n + 1) < 2:
         raise ValueError(f"T = {T}, dt = {dt}: {n} steps leave fewer than two "
                          f"samples in the fit window (the last three quarters)")
-    n = grid_steps(T, dt, "horizon")
     # The pair starts conjugate and its coefficients are real, so b stays
     # exactly conj(a) and one complex equation carries both.
     def pair(y, _i, _end):

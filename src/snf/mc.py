@@ -52,8 +52,9 @@ the corrector averages coefficients at the step's two ends, which is what
 makes the scheme converge to the Stratonovich solution.  The noise term
 sums over the noises in order from +0.0 (``noise_sum``), the bits of an
 einsum over them.  The step is written once, in ``heun_path``'s loop,
-which single paths walk; ensembles step with ``heun_step``, its one-step
-case.
+which single paths walk and ensembles call one step at a time.  Every path
+walker takes its step through ``check_step`` and its horizon through
+``horizon_steps``.
 
 ``run_filter`` is ``scipy.signal.lfilter``, imported at its first call and
 not with this module.  Only path sampling runs it; ensembles step the bank
@@ -96,14 +97,6 @@ _BLOCK = 32
 # in the noise start at their mean, so what is left decays faster, as
 # ``FilterSlots.slot_for`` counts it.
 SPINUP_TIME_CONSTANTS = 10.0
-
-
-def heun_step(x, increment):
-    """One Stratonovich Heun step of an array or scalar ``x``: the one-step
-    case of ``heun_path``.  ``increment(y, end)`` is f dt + g dW, with the
-    step's one dW, at the start (end=0, y=x) or at the end time and the
-    predictor (end=1, y=x+first increment)."""
-    return heun_path(x, 1, lambda y, _i, end: increment(y, end))[1]
 
 
 def heun_path(x0, n, increment):
@@ -609,6 +602,13 @@ class EnsembleResult:
         return "\n".join(lines) + "\n"
 
 
+def check_step(dt: float) -> None:
+    """Refuse a step that is not positive and finite: a negative one would
+    integrate backward, a zero one return the start."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt = {dt}: the step must be positive and finite")
+
+
 def grid_steps(t: float, dt: float, what: str) -> int:
     """t as a whole number of steps of dt; ValueError naming ``what`` when t
     is off the step grid by more than 1e-9 steps."""
@@ -616,6 +616,19 @@ def grid_steps(t: float, dt: float, what: str) -> int:
     if abs(t / dt - n) > 1e-9:
         raise ValueError(f"{what} {t:g} is not a whole number of steps of dt = {dt:g}")
     return int(n)
+
+
+def horizon_steps(T: float, dt: float) -> int:
+    """The horizon ``T`` as its number of steps of ``dt``, one at least.
+    ValueError names a step that ``check_step`` refuses, a horizon off the
+    step grid (``grid_steps``) and one of no step or of no finite number of
+    steps."""
+    check_step(dt)
+    n = grid_steps(T, dt, "horizon") if math.isfinite(T / dt) else 0
+    if n < 1:
+        raise ValueError(f"T = {T}: the horizon must be positive, at least one step "
+                         f"of dt = {dt} and finitely many")
+    return n
 
 
 def sample_steps(sample_times: Sequence[float], T: float,
@@ -648,10 +661,10 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
     master seed: it draws its linear filter slots' stationary start
     (``FilterBank.start``), then its warm-up (``warm_up``: ``warm`` time
     units, by default the bank's ``max_spin``), then its horizon
-    increments.  ``T`` and every sample time must lie on the step grid
-    (``grid_steps``).  ``x0`` must hold one value per state variable,
-    ``n_rep`` and ``chunk`` must be at least one, ``dt`` positive and
-    finite, and ``warm`` non-negative and finite: ValueError names the
+    increments.  ``T`` must hold at least one step (``horizon_steps``) and
+    every sample time lie on the step grid (``grid_steps``).  ``x0`` must
+    hold one value per state variable, ``n_rep`` and ``chunk`` must be at
+    least one, and ``warm`` non-negative and finite: ValueError names the
     argument otherwise, before any process is forked.
     The chunks are split into contiguous groups, one per usable CPU at
     most, by ``in_processes``: the calling process steps the first group
@@ -674,14 +687,12 @@ def run_ensemble(sde: CompiledSDE, x0: Sequence[float], T: float, dt: float,
         raise ValueError(f"an ensemble needs {sde.dim} start values, got x0 of {len(x0)}")
     if n_rep < 1:
         raise ValueError(f"an ensemble needs at least one replicate, got n_rep={n_rep}")
-    if not 0 < dt < math.inf:
-        raise ValueError(f"an ensemble needs a positive finite step, got dt={dt}")
+    n_steps = horizon_steps(T, dt)
     if chunk < 1:
         raise ValueError(f"an ensemble needs chunks of at least one replicate, "
                          f"got chunk={chunk}")
     if warm is not None and not 0 <= warm < math.inf:
         raise ValueError(f"an ensemble needs a finite non-negative warm-up, got warm={warm}")
-    n_steps = grid_steps(T, dt, "horizon")
     sample_times, sample_idx = sample_steps(sample_times, T, dt)
     warm_steps = warm_up(sde.bank, dt, warm)[1]
     sde.bank.prepare(dt)
@@ -924,11 +935,11 @@ def _step_group(sde: CompiledSDE, x0: Sequence[float], dt: float, warm_steps: in
         dw_amp = dw_amp_block[j]
         z_ends = (z, z_block[j])
 
-        def increment(y, end):
+        def increment(y, _i, end):
             drift, diff = sde.rates(y, z_ends[end])
             drift *= dt
             drift += noise_sum(diff, dw_amp)
             return drift
 
-        state = heun_step(state, increment)
+        state = heun_path(state, 1, increment)[1]
         z = z_ends[1]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import noise
 from .mc import (SPINUP_TIME_CONSTANTS, FilterSlot, FilterSlots, compile_series,
-                 filter_weights, grid_steps, run_filter, trapezoid_input)
+                 filter_weights, horizon_steps, run_filter, trapezoid_input)
 from .noise import Expr
 from .render import render_noise
 from .systems import IllFormedForSampling
@@ -39,16 +39,13 @@ class NoisePath:
     @classmethod
     def generate(cls, T: float, dt: float, n_noise: int = 1, seed: int = 0,
                  spin: float = 30.0, trim: float = 0.0) -> "NoisePath":
-        """A path whose window [0, T] is a whole number of steps of dt
-        (``mc.grid_steps``: ValueError otherwise); spin-up and trim are
-        lower bounds, rounded up to whole steps."""
-        for name, v in (("T", T), ("dt", dt)):
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"need positive finite {name}, got {v:g}")
-        for name, v in (("spin", spin), ("trim", trim)):
+        """A path whose window [0, T] is a whole number of steps of dt, one
+        at least (``mc.horizon_steps``: ValueError otherwise); spin-up and
+        trim are lower bounds, rounded up to whole steps."""
+        n_main = horizon_steps(T, dt)
+        for name, v in (("spin", spin), ("trim", trim), ("n_noise", n_noise)):
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"need non-negative finite {name}, got {v:g}")
-        n_main = grid_steps(T, dt, "horizon")
         n_spin = int(math.ceil(spin / dt)) if spin else 0
         n_trim = int(math.ceil(trim / dt)) if trim else 0
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -74,6 +71,15 @@ class NoisePath:
 
     def main_slice(self) -> slice:
         return slice(self.main_lo, self.main_hi + 1)
+
+    def check_noises(self, expr: Expr) -> None:
+        """Refuse, by IllFormedForSampling naming it, an atom of ``expr``
+        driven by a noise this path does not carry."""
+        n = len(self.increments)
+        for atom in expr:
+            if max(noise.symbols_of((atom,)), default=-1) >= n:
+                raise IllFormedForSampling(
+                    f"{render_noise((atom,))}: the path carries {n} noise(s)")
 
 
 @dataclass
@@ -101,7 +107,9 @@ class PathSampler:
         self._cache: Dict[Expr, ConvolutionSample] = {}
 
     def slot_for(self, atom) -> int:
-        """The atom's slot; every slot this adds is filtered, drivers first."""
+        """The atom's slot; every slot this adds is filtered, drivers first.
+        An atom of a noise the path does not carry is refused by name."""
+        self.path.check_noises((atom,))
         i = self.slots.slot_for(atom)
         for s in self.slots.slots[len(self.samples):]:
             self.samples.append(self._filter(s))
@@ -179,6 +187,7 @@ def integrate_expression(path: NoisePath, terms: Sequence[Tuple[float, Expr]],
         if len(ks) > 1:
             raise IllFormedForSampling(
                 f"two bare factors cannot be integrated: {render_noise(expr)}")
+        path.check_noises(expr)
         r = sampler.expr(rest).values
         step = path.increments[ks[0]] if ks else path.dt
         incr += c * 0.5 * (r[:-1] + r[1:]) * step

@@ -468,7 +468,7 @@ def test_simulate_refuses_times_off_the_step_grid(tmp_path, capsys, T, times, me
     (["--delta", "0"], "--delta"),
     (["--replicates", "0"], "--replicates"),
     (["--dt", "0"], "--dt"),
-    (["--T", "-5"], "--T"),
+    (["--T", "-5"], "--T -5 --dt 0.05"),
     # the resonant strip would hold only the zero offset: c_r = 0
     (["--T", "20"], "--T"),
     # the frequency-2 band would reach above Nyquist
@@ -488,10 +488,10 @@ def test_bad_hopf_options_exit_2(capsys, extra, option):
     (["--delta", "0"], "--delta: the band half-width must lie in (0, 1), got 0"),
     (["--T", "20"], "--T: need T >= 2*pi/delta = 31.42, so that the resonant "
                     "strip holds more than the zero offset; got 20"),
-    # T >= 2 pi / delta, but the record of round(T / dt) = 628 steps is
-    # 31.4 long: its strip used to hold only the zero offset, c_r = 0
-    (["--T", "31.42"], "--T: need T >= 2*pi/delta = 31.42, so that the resonant "
-                       "strip holds more than the zero offset; got 31.4"),
+    # a record of 628 steps, 31.4 long, just under 2 pi / delta: its strip
+    # would hold only the zero offset, c_r = 0
+    (["--T", "31.4"], "--T: need T >= 2*pi/delta = 31.42, so that the resonant "
+                      "strip holds more than the zero offset; got 31.4"),
 ])
 def test_hopf_refuses_what_the_band_lab_refuses(capsys, extra, message):
     assert main(["hopf", *extra]) == EXIT_PARSE
@@ -506,8 +506,35 @@ def test_hopf_refuses_a_horizon_off_the_step_grid(capsys, monkeypatch):
     monkeypatch.setattr(snf.bands, "band_component", no_band)
     assert main(["hopf", "--T", "2000.01"]) == EXIT_PARSE
     out, err = capsys.readouterr()
-    assert out == "" and err == ("error: --T: horizon 2000.01 is not a whole "
-                                 "number of steps of dt = 0.05\n")
+    assert out == "" and err == ("error: --T 2000.01 --dt 0.05: horizon 2000.01 is not "
+                                 "a whole number of steps of dt = 0.05\n")
+
+
+def test_every_command_refuses_a_horizon_in_one_format(tmp_path, capsys):
+    # "need a positive horizon T >= dt", "--T: need T >= 2*pi/delta ..." and
+    # a traceback of an OverflowError used to name these; the off-grid
+    # horizons of simulate and hopf are pinned in this format above
+    p = tmp_path / "linear.snf"
+    p.write_text(bundled_text("linear.snf"))
+    no_step = "the horizon must be positive, at least one step of dt = 0.01 and finitely many"
+    for argv, message in [
+            (["simulate", str(p), "--T", "0.005", "--dt", "0.01"],
+             "--T 0.005 --dt 0.01: horizon 0.005 is not a whole number of steps of dt = 0.01"),
+            (["compare", str(p), "--T", "0.005", "--dt", "0.01"],
+             "--T 0.005 --dt 0.01: horizon 0.005 is not a whole number of steps of dt = 0.01"),
+            (["simulate", str(p), "--T", "1e-13", "--dt", "0.01"],
+             f"--T 1e-13 --dt 0.01: T = 1e-13: {no_step}"),
+            (["compare", str(p), "--T", "1e308", "--dt", "0.01"],
+             f"--T 1e+308 --dt 0.01: T = 1e+308: {no_step}"),
+            # T >= 2 pi / delta, but off the step grid: its record of
+            # round(T / dt) = 628 steps used to be judged, and refused
+            (["hopf", "--T", "31.42"], "--T 31.42 --dt 0.05: horizon 31.42 is not "
+                                       "a whole number of steps of dt = 0.05"),
+            (["hopf", "--T", "1e308", "--dt", "0.01"],
+             f"--T 1e+308 --dt 0.01: T = 1e+308: {no_step}")]:
+        assert main(argv) == EXIT_PARSE, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n", argv
 
 
 # -- the full model is the system as written ---------------------------------

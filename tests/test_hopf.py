@@ -15,7 +15,7 @@ from snf.cli import EXIT_OK, main
 from snf.hopf import (AmplitudeDrivers, fit_growth_rate, landau_rhs,
                       mathieu_growth, reconstruct_x1, simulate_amplitude,
                       simulate_amplitude_longtime, simulate_dvdp)
-from snf.mc import heun_path, heun_step
+from snf.mc import heun_path
 
 DT = 1e-2
 
@@ -61,7 +61,7 @@ def dvdp_array_reference(alpha, beta, sigma, dw, dt, init):
         return np.array([v * dt, acc * dt + sigma * x * dwi])
 
     for i, dwi in enumerate(dw.T):
-        s[i + 1] = heun_step(s[i], lambda z, _end: increment(z, dwi))
+        s[i + 1] = heun_path(s[i], 1, lambda z, _i, _end: increment(z, dwi))[1]
     return s[:, 0].T, s[:, 1].T
 
 
@@ -373,8 +373,8 @@ def test_dvdp_names_a_worker_error(monkeypatch):
     (0.0, 1e-3, r"T = 0.0: the horizon must be positive"),
     (1.0, 0.0, r"dt = 0.0: the step must be positive"),
     (1.0, -1e-3, r"dt = -0.001: the step must be positive"),
-    # round(T / dt) = 0 steps: one sample, no slope to fit
-    (4e-4, 1e-3, r"0 steps leave fewer than two samples in the fit window"),
+    # under half a step: off the step grid, and no step to fit a slope to
+    (4e-4, 1e-3, r"horizon 0.0004 is not a whole number of steps of dt = 0.001"),
 ])
 def test_mathieu_refuses_a_horizon_it_cannot_fit(monkeypatch, T, dt, message):
     def no_path(*_args):

@@ -21,7 +21,7 @@ from snf import mc, noise
 from snf.engine import construct
 from snf.mc import (CompileError, FilterBank, compile_full_system,
                     compile_observables, compile_slow_model, heun_path,
-                    heun_step, run_ensemble, sampleable_part)
+                    run_ensemble, sampleable_part)
 from snf.render import parse_series_for
 from snf.sysfile import load_system, system_as_written
 from snf.systems import ALLOW
@@ -350,7 +350,7 @@ def _gbm_error(dw, dt, a, b):
     W = np.zeros(dw.shape[1])
     worst = np.zeros(dw.shape[1])
     for i, d in enumerate(dw):
-        x = heun_step(x, lambda y, _end: a * y * dt + b * y * d)
+        x = heun_path(x, 1, lambda y, _i, _end: a * y * dt + b * y * d)[1]
         W = W + d
         worst = np.maximum(worst, np.abs(x - np.exp(a * (i + 1) * dt + b * W)))
     return worst
@@ -380,7 +380,7 @@ def test_heun_step_second_order_on_linear_ode():
         dt = T / n
         x = 1.0 + 0.0j
         for _ in range(n):
-            x = heun_step(x, lambda y, _end: lam * y * dt)
+            x = heun_path(x, 1, lambda y, _i, _end: lam * y * dt)[1]
         errs.append(abs(x - np.exp(lam * T)))
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.6 < coarse / fine < 4.4, errs
@@ -389,8 +389,8 @@ def test_heun_step_second_order_on_linear_ode():
 def test_heun_path_is_heun_steps_with_their_index():
     # a time-dependent increment, so that each step must see its own i, on a
     # scalar and on a (2, 5) array state; the steps are written out with the
-    # Heun formula too, so that a change to the one step shows even though
-    # heun_step runs through heun_path
+    # Heun formula too, so that a change to the one step shows; and one step
+    # at a time, as an ensemble walks it, each step with its own index
     dt = 0.1
 
     def increment(y, i, end):
@@ -405,7 +405,7 @@ def test_heun_path_is_heun_steps_with_their_index():
             d1 = increment(x + d0, i, 1)
             x = x + (d0 + d1) / 2
             want.append(x)
-            by_step = heun_step(by_step, lambda y, end: increment(y, i, end))
+            by_step = heun_path(by_step, 1, lambda y, _i, end: increment(y, i, end))[1]
             steps.append(by_step)
         assert len(path) == 8
         for got, w, st in zip(path, want, steps):
@@ -479,11 +479,11 @@ def _per_step_ensemble(sde, x0, T, dt, n_rep, seed, sample_times,
             dw_amp = dw * sde.noise_amp[:, None]
             z_ends = (z, _per_step(sde.bank, z, dw))
 
-            def increment(y, end):
+            def increment(y, _i, end):
                 drift, diff = sde.rates(y, z_ends[end])
                 return drift * dt + np.einsum("dkr,kr->dr", diff, dw_amp)
 
-            state = heun_step(state, increment)
+            state = heun_path(state, 1, increment)[1]
             z = z_ends[1]
     return out
 
@@ -1252,9 +1252,9 @@ def _refused(message, **bad):
     _refused("at least one replicate, got n_rep=0", n_rep=0),
     # these used to end in ZeroDivisionError, a math domain error and a
     # NaN conversion error
-    _refused("positive finite step, got dt=0.0", dt=0.0),
-    _refused("positive finite step, got dt=-0.01", dt=-1e-2),
-    _refused("positive finite step, got dt=nan", dt=math.nan),
+    _refused("dt = 0.0: the step must be positive and finite", dt=0.0),
+    _refused("dt = -0.01: the step must be positive and finite", dt=-1e-2),
+    _refused("dt = nan: the step must be positive and finite", dt=math.nan),
     # a range() error and a ZeroDivisionError
     _refused("chunks of at least one replicate, got chunk=0", chunk=0),
     _refused("chunks of at least one replicate, got chunk=-3", chunk=-3),
@@ -1268,6 +1268,23 @@ def test_an_ensemble_of_no_replicates_is_refused(toy_chart_model, bad, message):
                      observables=obs, warm=0.2), **bad)
     with pytest.raises(ValueError, match=re.escape(message)):
         run_ensemble(sde, [0.3], **args)
+
+
+@pytest.mark.parametrize("T,times", [
+    # an OverflowError, an unnamed NaN conversion error, a sample-time
+    # refusal, an empty result and a run of zero steps
+    (math.inf, [0.1]), (math.nan, [0.1]), (-0.1, [0.0]), (-0.1, []), (1e-13, []),
+])
+def test_an_ensemble_refuses_a_horizon_of_no_step(toy_chart_model, monkeypatch, T, times):
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    forks = counting_forks(monkeypatch)
+    sde, obs = toy_chart_model
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"T = {T}: the horizon must be positive, at least one step of dt = 0.01 "
+            "and finitely many") + "$"):
+        run_ensemble(sde, [0.3], T, 1e-2, 1100, 5, times, observables=obs, warm=0.2)
+    assert forks == []
+    no_child_left()
 
 
 @pytest.mark.parametrize("x0,got", [([], 0), ([0.3, 0.0], 2), (np.zeros(3), 3)],

@@ -8,9 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import make_system, no_child_left
 from snf import noise
 from snf.noise import phi_atom, product, z_atom
 from snf.mc import filter_weights, run_filter, trapezoid_input
+from snf.render import parse_series_for
 from snf.paths import (IllFormedForSampling, NoisePath, PathSampler,
                        evaluate_series, integrate_expression)
 
@@ -189,24 +191,32 @@ def test_window_too_short_rejected():
         s.main_values(p)
 
 
+NO_STEP = "the horizon must be positive, at least one step of dt = 0.001 and finitely many"
+
+
 @pytest.mark.parametrize("kw,message", [
     # nan T or dt ended in "cannot convert float NaN to integer", inf T in
     # OverflowError; spin = -1 gave a path of no increments
-    ({"T": math.nan}, "need positive finite T, got nan"),
-    ({"T": math.inf}, "need positive finite T, got inf"),
-    ({"T": 0.0}, "need positive finite T, got 0"),
-    ({"dt": math.nan}, "need positive finite dt, got nan"),
-    ({"dt": -1e-3}, "need positive finite dt, got -0.001"),
+    ({"T": math.nan}, f"T = nan: {NO_STEP}"),
+    ({"T": math.inf}, f"T = inf: {NO_STEP}"),
+    ({"T": 0.0}, f"T = 0.0: {NO_STEP}"),
+    ({"dt": math.nan}, "dt = nan: the step must be positive and finite"),
+    ({"dt": -1e-3}, "dt = -0.001: the step must be positive and finite"),
     ({"spin": -1.0}, "need non-negative finite spin, got -1"),
     ({"spin": math.inf}, "need non-negative finite spin, got inf"),
     ({"trim": -1.0}, "need non-negative finite trim, got -1"),
     ({"trim": math.nan}, "need non-negative finite trim, got nan"),
+    # an empty window, n_main = 0, and numpy's unnamed "negative dimensions
+    # are not allowed"
+    ({"T": 1e-13}, f"T = 1e-13: {NO_STEP}"),
+    ({"n_noise": -1}, "need non-negative finite n_noise, got -1"),
 ])
 def test_generate_refuses_what_it_cannot_lay_out(kw, message):
-    args = {"T": 1.0, "dt": DT, "spin": 0.0, "trim": 0.0, **kw}
+    args = {"T": 1.0, "dt": DT, "n_noise": 1, "spin": 0.0, "trim": 0.0, **kw}
     with pytest.raises(ValueError, match=f"^{message}$"):
-        NoisePath.generate(args["T"], args["dt"], 1, seed=5,
+        NoisePath.generate(args["T"], args["dt"], args["n_noise"], seed=5,
                            spin=args["spin"], trim=args["trim"])
+    no_child_left()
 
 
 @pytest.mark.parametrize("T,dt", [(1.0005, 1e-3), (1e-4, 1e-3)])
@@ -218,6 +228,23 @@ def test_generate_refuses_a_horizon_off_the_step_grid(T, dt):
     # spin-up and trim stay lower bounds, rounded up
     p = NoisePath.generate(1.0, dt, 1, seed=5, spin=1.0005, trim=1e-4)
     assert (p.n_main, p.n_spin, p.n_trim) == (1000, 1001, 1)
+
+
+def test_a_path_refuses_a_noise_it_does_not_carry():
+    # each used to end in numpy's IndexError
+    p = NoisePath.generate(1.0, 1e-2, n_noise=1, spin=0.0)
+    carried = ": the path carries 1 noise(s)"
+    with pytest.raises(IllFormedForSampling, match="^" + re.escape(
+            "Z[-1]{ phi[1] }" + carried) + "$"):
+        PathSampler(p).expr((z_atom(F(-1), (phi_atom(1),)),))
+    with pytest.raises(IllFormedForSampling, match="^" + re.escape("phi[1]" + carried) + "$"):
+        integrate_expression(p, [(1.0, product(phi_atom(1), ZM))])
+    # a series of the toy system's one noise, on a path of none
+    series = parse_series_for("x*Z[-1]{ phi[0] }", make_system("toy.snf"))
+    p = NoisePath.generate(1.0, 1e-2, n_noise=0, spin=0.0)
+    with pytest.raises(IllFormedForSampling, match="^" + re.escape(
+            "Z[-1]{ phi[0] }: the path carries 0 noise(s)") + "$"):
+        evaluate_series(PathSampler(p), series, {"sigma": 1.0}, [1.0], [0.0])
 
 
 def test_filter_error_shrinks_with_dt():
